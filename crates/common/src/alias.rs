@@ -7,7 +7,7 @@
 //! estimator, so per-draw cost matters; the alias method pays O(n) once and
 //! O(1) per draw thereafter.
 
-use crate::mt::Mt64;
+use crate::mt::{Below, Mt64};
 
 /// A preprocessed discrete distribution supporting O(1) weighted sampling.
 #[derive(Debug, Clone)]
@@ -16,6 +16,8 @@ pub struct AliasTable {
     /// following its alias.
     prob: Vec<f64>,
     alias: Vec<u32>,
+    /// The column count, prepared for the uniform column draw.
+    columns: Below,
 }
 
 impl AliasTable {
@@ -67,7 +69,7 @@ impl AliasTable {
             prob[i as usize] = 1.0;
             alias[i as usize] = i;
         }
-        AliasTable { prob, alias }
+        AliasTable { prob, alias, columns: Below::new(n as u64) }
     }
 
     /// Number of categories.
@@ -86,7 +88,7 @@ impl AliasTable {
     /// Draws a category index with its configured probability.
     #[inline]
     pub fn sample(&self, rng: &mut Mt64) -> usize {
-        let i = rng.index(self.prob.len());
+        let i = rng.below_with(&self.columns) as usize;
         if rng.next_f64() < self.prob[i] {
             i
         } else {

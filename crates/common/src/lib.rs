@@ -38,6 +38,6 @@ pub use error::{CqaError, Result};
 pub use hash::{fnv1a64, fnv1a64_parts};
 pub use json::Json;
 pub use logspace::LogNum;
-pub use mt::Mt64;
+pub use mt::{Below, Mt64};
 pub use stats::{percentile, RunningStats};
 pub use timer::{Deadline, Stopwatch};

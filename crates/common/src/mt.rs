@@ -152,6 +152,27 @@ impl Mt64 {
         }
     }
 
+    /// A uniform integer in `0..n` for the `n` that `b` was prepared from:
+    /// exactly [`Self::below`]`(n)`, drawing the same outputs, with the
+    /// rejection zone computed once by [`Below::new`] instead of on every
+    /// call. Always inlined: samplers call it once per block per sample.
+    #[inline(always)]
+    pub fn below_with(&mut self, b: &Below) -> u64 {
+        // Only powers of two accept every output.
+        if b.zone == u64::MAX {
+            return self.next_u64() & (b.n - 1);
+        }
+        if b.zone == 0 {
+            return 0;
+        }
+        loop {
+            let v = self.next_u64();
+            if v <= b.zone {
+                return v % b.n;
+            }
+        }
+    }
+
     /// A uniform `usize` index in `0..n`. `n` must be non-zero.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
@@ -195,6 +216,32 @@ impl Mt64 {
         }
         self.shuffle(&mut out);
         out
+    }
+}
+
+/// A divisor prepared for repeated [`Mt64::below_with`] draws.
+///
+/// [`Mt64::below`] derives its rejection zone, the largest multiple of `n`
+/// that fits in a `u64`, with two divisions per call. A sampler draws from
+/// the same few block sizes millions of times, so it prepares each once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Below {
+    n: u64,
+    /// Largest accepted raw output: `u64::MAX` exactly when `n ≥ 2` is a
+    /// power of two, and 0 when `n == 1`, where no output is drawn at all.
+    zone: u64,
+}
+
+impl Below {
+    /// Prepares `n` for [`Mt64::below_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0.
+    pub fn new(n: u64) -> Self {
+        assert!(n > 0, "below(0) is meaningless");
+        let zone = if n == 1 { 0 } else { u64::MAX - (u64::MAX % n + 1) % n };
+        Below { n, zone }
     }
 }
 

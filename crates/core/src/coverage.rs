@@ -16,7 +16,7 @@
 
 use crate::sampler::SymbolicDraw;
 use crate::scheme::Budget;
-use cqa_common::{CqaError, Mt64, Result};
+use cqa_common::{Below, CqaError, Mt64, Result};
 use cqa_synopsis::AdmissiblePair;
 
 /// Outcome of the coverage algorithm.
@@ -70,6 +70,7 @@ pub fn self_adjusting_coverage(
     }
     let mut span = cqa_obs::span_args("core/coverage_loop", n_budget, 0);
     let mut draw = SymbolicDraw::new(pair);
+    let probe = Below::new(h as u64);
     let mut steps: u64 = 0;
     let mut total: u64 = 0;
     let mut trials: u64 = 0;
@@ -94,8 +95,8 @@ pub fn self_adjusting_coverage(
             if steps > n_budget && trials > 0 {
                 break 'outer;
             }
-            let j = rng.index(h);
-            if pair.image_contained(j, draw.chosen()) {
+            let j = rng.below_with(&probe) as usize;
+            if draw.contains(j) {
                 break;
             }
         }

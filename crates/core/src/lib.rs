@@ -15,7 +15,7 @@
 //!
 //! | module | algorithm |
 //! |---|---|
-//! | [`sampler`] | Samplers 1–3: `SampleNatural`, `SampleKL`, `SampleKLM` |
+//! | [`sampler`] | Samplers 1–3: `SampleNatural`, `SampleKL`, `SampleKLM`, and the `SamplingKernel` all four schemes share |
 //! | [`optest`]  | `OptEstimate`: the Dagum–Karp–Luby–Ross optimal Monte-Carlo estimator |
 //! | [`montecarlo`] | `MonteCarlo[Sample]` (Algorithm 2) |
 //! | [`coverage`] | `SelfAdjustingCoverage` (Algorithm 6, after Karp–Luby–Madras) |
@@ -73,5 +73,5 @@ pub use coverage::{coverage_iterations, self_adjusting_coverage, CoverageOutcome
 pub use driver::{apx_cqa, apx_cqa_on_synopses, apx_cqa_parallel, ApxCqaResult, TupleEstimate};
 pub use montecarlo::{monte_carlo, MonteCarloOutcome};
 pub use optest::{plan_iterations, stopping_rule, PlanOutcome, StoppingOutcome};
-pub use sampler::{KlSampler, KlmSampler, NaturalSampler, Sampler, SymbolicDraw};
+pub use sampler::{KlSampler, KlmSampler, NaturalSampler, Sampler, SamplingKernel, SymbolicDraw};
 pub use scheme::{approx_relative_frequency, ApproxOutcome, Budget, Scheme, ALL_SCHEMES};

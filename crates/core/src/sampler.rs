@@ -1,5 +1,6 @@
 //! Samplers 1–3: the randomized procedures the Monte-Carlo estimators are
-//! parameterized with (§4.2).
+//! parameterized with (§4.2), and the [`SamplingKernel`] all four schemes
+//! sample through.
 //!
 //! Every sampler takes an admissible pair `(H, B)` and outputs a number in
 //! `[0, 1]`; a sampler is *r-good* when `E[Sample] = R(H, B) · r` and the
@@ -12,14 +13,42 @@
 //!   (Lemma 4.5, Karp–Luby).
 //! * [`KlmSampler`] draws the same way and reports `1/k` where `k` is the
 //!   number of contained images — same goodness, lower variance but every
-//!   sample pays an `O(Σ|Hⱼ|)` scan (Lemma 4.7, Karp–Luby–Madras).
+//!   sample counts all contained images (Lemma 4.7, Karp–Luby–Madras).
 //!
 //! Sampling `(i, I)` uniformly from `S•` uses the factorization
 //! `Pr[i] = |I^i|/|S•| ∝ 1/|db(B_{H_i})|` (an O(1) alias-table draw)
 //! followed by a uniform draw of the unforced blocks.
+//!
+//! # The sampling kernel
+//!
+//! The schemes differ only in their inner loop: draw a database, then ask
+//! whether any image, any image earlier than `i`, or how many images are
+//! contained in it (Cover asks about one uniformly probed image). A
+//! [`SamplingKernel`] is the pair compiled for exactly these questions,
+//! built once per scheme run:
+//!
+//! * **Draw plan.** Only blocks with more than one fact are drawn, each
+//!   with its divisor prepared as a [`Below`].
+//! * **Dropped atoms.** A one-fact block always keeps fact 0, so an atom
+//!   on it holds in every database and is dropped from its image; an
+//!   image left with no atoms is contained in every database.
+//! * **Flat images.** The remaining atoms of all images sit in one vector
+//!   in canonical order, and a containment test is a branch-free AND over
+//!   one image's slice.
+//!
+//! Filing images under a pivot fact, so that a query visits only the
+//! images whose pivot was drawn, was built and measured: on perfbench's
+//! offline-grid it was no faster than this flat scan, so it was left out.
+//!
+//! **The random stream is unchanged.** [`Mt64::below`]`(1)` returns 0
+//! without consuming an output, so skipping one-fact blocks draws nothing
+//! less; [`Mt64::below_with`] returns exactly `below(n)` from the same
+//! outputs; and the alias table and Cover's probe use it the same way.
+//! Every estimate, sample count and planned `N` is therefore bit-identical
+//! to a plain scan over all blocks and all images.
 
-use cqa_common::{AliasTable, Mt64};
-use cqa_synopsis::AdmissiblePair;
+use cqa_common::{AliasTable, Below, Mt64};
+use cqa_synopsis::{AdmissiblePair, ImageAtom};
 
 /// A randomized procedure producing values in `[0, 1]` whose expectation
 /// determines `R(H, B)` through the factor [`Sampler::r_factor`].
@@ -42,28 +71,125 @@ pub trait Sampler {
     }
 }
 
+/// An admissible pair compiled for sampling; see the module docs.
+///
+/// Databases live in caller-owned `chosen` buffers of
+/// [`Self::num_blocks`] zeros, where `chosen[b]` is the tid kept from
+/// block `b`. The kernel never writes or reads a one-fact block's slot.
+#[derive(Debug)]
+pub struct SamplingKernel {
+    num_blocks: usize,
+    /// The blocks with more than one fact, in block order.
+    draw_blocks: Vec<u32>,
+    /// Their sizes, prepared for [`Mt64::below_with`].
+    draw_sizes: Vec<Below>,
+    /// Image `i`'s atoms on multi-fact blocks are
+    /// `atoms[atom_start[i]..atom_start[i + 1]]`.
+    atom_start: Vec<u32>,
+    atoms: Vec<ImageAtom>,
+}
+
+impl SamplingKernel {
+    /// Compiles `pair` in `O(|B| + Σᵢ|Hᵢ|)`.
+    pub fn new(pair: &AdmissiblePair) -> Self {
+        let sizes = pair.block_sizes();
+        let (draw_blocks, draw_sizes) = (0u32..)
+            .zip(sizes)
+            .filter(|&(_, &s)| s > 1)
+            .map(|(b, &s)| (b, Below::new(u64::from(s))))
+            .unzip();
+        let mut atom_start = Vec::with_capacity(pair.num_images() + 1);
+        let mut atoms = Vec::with_capacity(pair.total_image_atoms());
+        atom_start.push(0);
+        for image in pair.images() {
+            atoms.extend(image.iter().filter(|a| sizes[a.block as usize] > 1));
+            // Fits in u32: the pair's own offsets are u32.
+            atom_start.push(atoms.len() as u32);
+        }
+        SamplingKernel { num_blocks: sizes.len(), draw_blocks, draw_sizes, atom_start, atoms }
+    }
+
+    /// Length of a `chosen` buffer: `|B|`.
+    pub fn num_blocks(&self) -> usize {
+        self.num_blocks
+    }
+
+    /// `|H|`.
+    pub fn num_images(&self) -> usize {
+        self.atom_start.len() - 1
+    }
+
+    // cqa-lint: hot-path begin — the per-sample draws and containment tests
+    /// Draws `I ∈ db(B)` uniformly into `chosen`.
+    #[inline]
+    pub fn draw_database(&self, rng: &mut Mt64, chosen: &mut [u32]) {
+        for (&b, size) in self.draw_blocks.iter().zip(&self.draw_sizes) {
+            chosen[b as usize] = rng.below_with(size) as u32;
+        }
+    }
+
+    /// Overwrites `chosen` with the facts of image `i`, so that it is
+    /// contained.
+    #[inline]
+    pub fn force(&self, i: usize, chosen: &mut [u32]) {
+        for a in self.image(i) {
+            chosen[a.block as usize] = a.tid;
+        }
+    }
+
+    /// True iff image `j` is contained in `chosen`: a branch-free AND of
+    /// `chosen[a.block] == a.tid` over its atoms.
+    #[inline]
+    pub fn contained(&self, j: usize, chosen: &[u32]) -> bool {
+        self.image(j).iter().fold(true, |all, a| all & (chosen[a.block as usize] == a.tid))
+    }
+
+    /// True iff some image is contained in `chosen`.
+    #[inline]
+    pub fn any_contained(&self, chosen: &[u32]) -> bool {
+        self.contained_before(self.num_images(), chosen)
+    }
+
+    /// True iff some image `j < i` is contained in `chosen`.
+    #[inline]
+    pub fn contained_before(&self, i: usize, chosen: &[u32]) -> bool {
+        (0..i).any(|j| self.contained(j, chosen))
+    }
+
+    /// The number of images contained in `chosen`.
+    #[inline]
+    pub fn count_contained(&self, chosen: &[u32]) -> usize {
+        (0..self.num_images()).map(|j| usize::from(self.contained(j, chosen))).sum()
+    }
+
+    /// Image `i`'s atoms on multi-fact blocks.
+    #[inline]
+    fn image(&self, i: usize) -> &[ImageAtom] {
+        &self.atoms[self.atom_start[i] as usize..self.atom_start[i + 1] as usize]
+    }
+    // cqa-lint: hot-path end
+}
+
 /// Sampler 1: uniform over the natural space `db(B)`.
-pub struct NaturalSampler<'a> {
-    pair: &'a AdmissiblePair,
+pub struct NaturalSampler {
+    kernel: SamplingKernel,
     chosen: Vec<u32>,
     rejected: u64,
 }
 
-impl<'a> NaturalSampler<'a> {
+impl NaturalSampler {
     /// Prepares a sampler for `pair`.
-    pub fn new(pair: &'a AdmissiblePair) -> Self {
-        NaturalSampler { pair, chosen: vec![0; pair.num_blocks()], rejected: 0 }
+    pub fn new(pair: &AdmissiblePair) -> Self {
+        let kernel = SamplingKernel::new(pair);
+        NaturalSampler { chosen: vec![0; kernel.num_blocks()], kernel, rejected: 0 }
     }
 }
 
-impl Sampler for NaturalSampler<'_> {
+impl Sampler for NaturalSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
-        for (b, slot) in self.chosen.iter_mut().enumerate() {
-            *slot = rng.below(self.pair.block_size(b as u32) as u64) as u32;
-        }
-        let hit = (0..self.pair.num_images()).any(|i| self.pair.image_contained(i, &self.chosen));
-        if hit {
+        self.kernel.draw_database(rng, &mut self.chosen);
+        if self.kernel.any_contained(&self.chosen) {
             1.0
         } else {
             self.rejected += 1;
@@ -86,22 +212,19 @@ impl Sampler for NaturalSampler<'_> {
 }
 
 /// Shared machinery for drawing `(i, I)` uniformly from the symbolic space
-/// `S• = {(i, I) | I ∈ I^i}`.
-pub struct SymbolicDraw<'a> {
-    pair: &'a AdmissiblePair,
+/// `S• = {(i, I) | I ∈ I^i}`: a [`SamplingKernel`], the alias table of
+/// image weights `|I^i| / |S•|`, and the drawn database.
+pub struct SymbolicDraw {
+    kernel: SamplingKernel,
     alias: AliasTable,
     chosen: Vec<u32>,
 }
 
-impl<'a> SymbolicDraw<'a> {
-    /// Precomputes the alias table of image weights `|I^i| / |S•|`.
-    pub fn new(pair: &'a AdmissiblePair) -> Self {
-        SymbolicDraw { pair, alias: pair.image_alias(), chosen: vec![0; pair.num_blocks()] }
-    }
-
-    /// The underlying pair.
-    pub fn pair(&self) -> &AdmissiblePair {
-        self.pair
+impl SymbolicDraw {
+    /// Compiles `pair`'s kernel and alias table.
+    pub fn new(pair: &AdmissiblePair) -> Self {
+        let kernel = SamplingKernel::new(pair);
+        SymbolicDraw { chosen: vec![0; kernel.num_blocks()], kernel, alias: pair.image_alias() }
     }
 
     /// Draws `(i, I)`: the image index is returned, the database `I` is
@@ -110,15 +233,17 @@ impl<'a> SymbolicDraw<'a> {
     #[inline]
     pub fn draw(&mut self, rng: &mut Mt64) -> usize {
         let i = self.alias.sample(rng);
-        for (b, slot) in self.chosen.iter_mut().enumerate() {
-            *slot = rng.below(self.pair.block_size(b as u32) as u64) as u32;
-        }
+        self.kernel.draw_database(rng, &mut self.chosen);
         // Force the facts of H_i: every I ∈ I^i contains them, and the
         // remaining blocks stay uniform, so (i, I) is uniform on S•.
-        for a in self.pair.image(i) {
-            self.chosen[a.block as usize] = a.tid;
-        }
+        self.kernel.force(i, &mut self.chosen);
         i
+    }
+
+    /// True iff image `j` is contained in the last drawn database.
+    #[inline]
+    pub fn contains(&self, j: usize) -> bool {
+        self.kernel.contained(j, &self.chosen)
     }
     // cqa-lint: hot-path end
 
@@ -131,32 +256,29 @@ impl<'a> SymbolicDraw<'a> {
 
 /// Sampler 2 (`SampleKL`): 1 iff no image *earlier in the canonical order*
 /// is contained in `I`.
-pub struct KlSampler<'a> {
-    draw: SymbolicDraw<'a>,
+pub struct KlSampler {
+    draw: SymbolicDraw,
     r: f64,
     rejected: u64,
 }
 
-impl<'a> KlSampler<'a> {
+impl KlSampler {
     /// Prepares a sampler for `pair`.
-    pub fn new(pair: &'a AdmissiblePair) -> Self {
+    pub fn new(pair: &AdmissiblePair) -> Self {
         KlSampler { draw: SymbolicDraw::new(pair), r: 1.0 / pair.s_ratio(), rejected: 0 }
     }
 }
 
-impl Sampler for KlSampler<'_> {
+impl Sampler for KlSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let i = self.draw.draw(rng);
-        let pair = self.draw.pair;
-        let chosen = &self.draw.chosen;
-        for j in 0..i {
-            if pair.image_contained(j, chosen) {
-                self.rejected += 1;
-                return 0.0;
-            }
+        if self.draw.kernel.contained_before(i, &self.draw.chosen) {
+            self.rejected += 1;
+            0.0
+        } else {
+            1.0
         }
-        1.0
     }
     // cqa-lint: hot-path end
 
@@ -174,30 +296,23 @@ impl Sampler for KlSampler<'_> {
 }
 
 /// Sampler 3 (`SampleKLM`): `1/k` where `k = |{j : H_j ⊆ I}| ≥ 1`.
-pub struct KlmSampler<'a> {
-    draw: SymbolicDraw<'a>,
+pub struct KlmSampler {
+    draw: SymbolicDraw,
     r: f64,
 }
 
-impl<'a> KlmSampler<'a> {
+impl KlmSampler {
     /// Prepares a sampler for `pair`.
-    pub fn new(pair: &'a AdmissiblePair) -> Self {
+    pub fn new(pair: &AdmissiblePair) -> Self {
         KlmSampler { draw: SymbolicDraw::new(pair), r: 1.0 / pair.s_ratio() }
     }
 }
 
-impl Sampler for KlmSampler<'_> {
+impl Sampler for KlmSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let _ = self.draw.draw(rng);
-        let pair = self.draw.pair;
-        let chosen = &self.draw.chosen;
-        let mut k = 0u32;
-        for j in 0..pair.num_images() {
-            if pair.image_contained(j, chosen) {
-                k += 1;
-            }
-        }
+        let k = self.draw.kernel.count_contained(&self.draw.chosen);
         debug_assert!(k >= 1, "the drawn image must be contained");
         1.0 / k as f64
     }

@@ -73,6 +73,22 @@ fn overlap_pair() -> AdmissiblePair {
     .unwrap()
 }
 
+/// The kernel's skip paths: blocks 0 and 2 hold one fact each, so their
+/// draws and atoms are skipped, and image `[(0,0),(2,0)]` lies only on
+/// them, so it is contained in every database.
+fn one_fact_pair() -> AdmissiblePair {
+    AdmissiblePair::new(
+        vec![
+            vec![(0, 0), (1, 2)],
+            vec![(0, 0), (2, 0)],
+            vec![(1, 1), (3, 0)],
+            vec![(2, 0), (3, 1)],
+        ],
+        vec![1, 3, 1, 2],
+    )
+    .unwrap()
+}
+
 /// Drives `SAMPLES` draws after one warm-up call and asserts the loop as a
 /// whole touched the heap zero times (stronger than zero *per* sample).
 /// The loop also exercises the full convergence-telemetry surface —
@@ -129,25 +145,41 @@ fn klm_sampler_is_alloc_free_per_sample() {
     assert_sampling_is_alloc_free(KlmSampler::new(&pair), 103);
 }
 
+#[test]
+fn samplers_are_alloc_free_on_one_fact_blocks() {
+    let pair = one_fact_pair();
+    assert_sampling_is_alloc_free(NaturalSampler::new(&pair), 107);
+    assert_sampling_is_alloc_free(KlSampler::new(&pair), 108);
+    assert_sampling_is_alloc_free(KlmSampler::new(&pair), 109);
+}
+
+#[test]
+fn coverage_allocations_do_not_scale_with_steps() {
+    assert_coverage_is_alloc_free(&overlap_pair());
+}
+
+#[test]
+fn coverage_is_alloc_free_on_one_fact_blocks() {
+    assert_coverage_is_alloc_free(&one_fact_pair());
+}
+
 /// The coverage scheme owns its loop (no public per-sample hook), so it is
 /// measured differentially: a run with a ~4× larger step budget must cost
 /// exactly as many heap operations as a small run — i.e. the inner loop
 /// contributes zero and all allocation is one-time setup.
-#[test]
-fn coverage_allocations_do_not_scale_with_steps() {
-    let pair = overlap_pair();
+fn assert_coverage_is_alloc_free(pair: &AdmissiblePair) {
     let budget = Budget::unbounded();
     // Warm-up run: name interning and other first-use laziness.
     let mut rng = Mt64::new(104);
-    self_adjusting_coverage(&pair, 0.2, 0.25, &budget, &mut rng).unwrap();
+    self_adjusting_coverage(pair, 0.2, 0.25, &budget, &mut rng).unwrap();
 
     let mut rng_small = Mt64::new(105);
     let (small_ops, small) = heap_ops_during(|| {
-        self_adjusting_coverage(&pair, 0.2, 0.25, &budget, &mut rng_small).unwrap()
+        self_adjusting_coverage(pair, 0.2, 0.25, &budget, &mut rng_small).unwrap()
     });
     let mut rng_big = Mt64::new(106);
     let (big_ops, big) = heap_ops_during(|| {
-        self_adjusting_coverage(&pair, 0.08, 0.25, &budget, &mut rng_big).unwrap()
+        self_adjusting_coverage(pair, 0.08, 0.25, &budget, &mut rng_big).unwrap()
     });
     assert!(
         big.steps >= 4 * small.steps,

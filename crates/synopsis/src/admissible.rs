@@ -34,9 +34,15 @@ pub struct ImageAtom {
 /// Images are stored deduplicated and in a canonical (lexicographic)
 /// order — the paper's "arbitrary ordering `H₁, …, Hₙ`" that the symbolic
 /// samplers and the coverage algorithm rely on.
+///
+/// Layout: the images' atoms are one flat vector in that order; image `i`
+/// ends at offset `ends[i]` and starts where image `i − 1` ends. One
+/// allocation holds the whole of `H`, and the `u32` offsets bound
+/// `Σᵢ |Hᵢ|` below `2³²`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissiblePair {
-    images: Vec<Box<[ImageAtom]>>,
+    atoms: Vec<ImageAtom>,
+    ends: Vec<u32>,
     block_sizes: Vec<u32>,
 }
 
@@ -56,7 +62,7 @@ impl AdmissiblePair {
         if block_sizes.contains(&0) {
             return Err(CqaError::InvalidSynopsis("blocks must be non-empty".into()));
         }
-        let mut canon: Vec<Box<[ImageAtom]>> = Vec::with_capacity(images.len());
+        let mut canon: Vec<Vec<ImageAtom>> = Vec::with_capacity(images.len());
         for img in images {
             if img.is_empty() {
                 return Err(CqaError::InvalidSynopsis("images must be non-empty".into()));
@@ -84,17 +90,26 @@ impl AdmissiblePair {
                     )));
                 }
             }
-            canon.push(atoms.into_boxed_slice());
+            canon.push(atoms);
         }
         canon.sort();
         canon.dedup();
-        Ok(AdmissiblePair { images: canon, block_sizes })
+        let mut ends = Vec::with_capacity(canon.len());
+        let mut atoms = Vec::with_capacity(canon.iter().map(Vec::len).sum());
+        for img in canon {
+            atoms.extend(img);
+            ends.push(
+                u32::try_from(atoms.len())
+                    .map_err(|_| CqaError::InvalidSynopsis("more than 2^32 image atoms".into()))?,
+            );
+        }
+        Ok(AdmissiblePair { atoms, ends, block_sizes })
     }
 
     /// Number of images `|H|`.
     #[inline]
     pub fn num_images(&self) -> usize {
-        self.images.len()
+        self.ends.len()
     }
 
     /// Number of blocks `|B|`.
@@ -106,12 +121,13 @@ impl AdmissiblePair {
     /// The `i`-th image (canonical order).
     #[inline]
     pub fn image(&self, i: usize) -> &[ImageAtom] {
-        &self.images[i]
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.atoms[start as usize..self.ends[i] as usize]
     }
 
     /// All images.
     pub fn images(&self) -> impl Iterator<Item = &[ImageAtom]> {
-        self.images.iter().map(|b| b.as_ref())
+        (0..self.num_images()).map(|i| self.image(i))
     }
 
     /// Size (`kcnt`) of a block.
@@ -128,7 +144,7 @@ impl AdmissiblePair {
 
     /// `Σᵢ |Hᵢ|` — the total number of image atoms, a proxy for `||H||`.
     pub fn total_image_atoms(&self) -> usize {
-        self.images.iter().map(|h| h.len()).sum()
+        self.atoms.len()
     }
 
     /// `|db(B)|` in log space: the product of block sizes.
@@ -140,7 +156,7 @@ impl AdmissiblePair {
     /// contains image `i`. A product of ≤ `|Q|` reciprocal block sizes, so
     /// exactly representable in `f64`.
     pub fn inv_db_bh(&self, i: usize) -> f64 {
-        self.images[i].iter().map(|a| 1.0 / self.block_size(a.block) as f64).product()
+        self.image(i).iter().map(|a| 1.0 / self.block_size(a.block) as f64).product()
     }
 
     /// `|S•| / |db(B)| = Σᵢ 1/|db(B_{H_i})|` (can exceed 1: the symbolic
@@ -165,7 +181,7 @@ impl AdmissiblePair {
     /// by `chosen`, where `chosen[b]` is the tid kept from block `b`.
     #[inline]
     pub fn image_contained(&self, i: usize, chosen: &[u32]) -> bool {
-        self.images[i].iter().all(|a| chosen[a.block as usize] == a.tid)
+        self.image(i).iter().all(|a| chosen[a.block as usize] == a.tid)
     }
 
     /// A lower bound on `R(H,B)` (from the proof of Lemma 4.3):

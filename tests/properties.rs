@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
-use cqa::common::{AliasTable, LogNum, Mt64};
+use cqa::common::{AliasTable, Below, LogNum, Mt64};
+use cqa::core::SamplingKernel;
 use cqa::prelude::*;
 use cqa::synopsis::{exact_ratio_enumerate, exact_ratio_inclusion_exclusion, AdmissiblePair};
 use proptest::prelude::*;
@@ -23,6 +24,53 @@ fn admissible_pair() -> impl Strategy<Value = AdmissiblePair> {
             .collect();
         AdmissiblePair::new(images, sizes).expect("construction is valid by design")
     })
+}
+
+/// Strategy: an admissible pair in the shapes the sampling kernel treats
+/// specially — several one-fact blocks (block 0 always is one), images
+/// sharing facts (tids lean to 0), and with probability ½ an image
+/// that lies only on one-fact blocks and so is contained in every database.
+fn kernel_pair() -> impl Strategy<Value = AdmissiblePair> {
+    proptest::num::u64::ANY.prop_map(|seed| {
+        let mut rng = Mt64::new(seed);
+        let nblocks = 2 + rng.index(6);
+        let sizes: Vec<u32> =
+            (0..nblocks).map(|b| if b == 0 { 1 } else { [1, 1, 2, 3, 5][rng.index(5)] }).collect();
+        let mut images: Vec<Vec<(u32, u32)>> = (0..1 + rng.index(10))
+            .map(|_| {
+                let natoms = 1 + rng.index(nblocks.min(3));
+                rng.sample_indices(nblocks, natoms)
+                    .into_iter()
+                    .map(|b| (b as u32, rng.below(u64::from(sizes[b].min(2))) as u32))
+                    .collect()
+            })
+            .collect();
+        if rng.bernoulli(0.5) {
+            let ones = (0..nblocks as u32).filter(|&b| sizes[b as usize] == 1);
+            images.push(ones.take(1 + rng.index(2)).map(|b| (b, 0)).collect());
+        }
+        AdmissiblePair::new(images, sizes).expect("construction is valid by design")
+    })
+}
+
+/// Whether `below_with(&Below::new(n))` and `below(n)` agree on 8 draws
+/// from two copies of one generator, and leave both at the same position.
+fn below_with_matches(seed: u64, n: u64) -> bool {
+    let mut a = Mt64::new(seed);
+    let mut b = a.clone();
+    let prepared = Below::new(n);
+    (0..8).all(|_| a.below(n) == b.below_with(&prepared)) && a.next_u64() == b.next_u64()
+}
+
+#[test]
+fn mt_below_with_is_below_at_the_edges() {
+    let powers = (0..64).map(|k| 1u64 << k);
+    let edges = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, u64::MAX - 1, u64::MAX];
+    for n in (1..=4096).chain(powers).chain(edges) {
+        for seed in [1, 2, 3] {
+            assert!(below_with_matches(seed, n), "below_with({n}) differs from below({n})");
+        }
+    }
 }
 
 proptest! {
@@ -82,6 +130,56 @@ proptest! {
         let mut rng = Mt64::new(seed);
         for _ in 0..16 {
             prop_assert!(rng.below(n) < n);
+        }
+    }
+
+    /// `below_with(&Below::new(n))` is `below(n)`: the same values from the
+    /// same outputs, leaving the generator at the same position.
+    #[test]
+    fn mt_below_with_is_below(seed in proptest::num::u64::ANY, n in 1u64..=u64::MAX) {
+        prop_assert!(below_with_matches(seed, n));
+    }
+
+    /// The sampling kernel answers every containment question exactly as a
+    /// scan over `AdmissiblePair::image_contained` does, on databases drawn
+    /// the ways the schemes draw them and on arbitrary ones.
+    #[test]
+    fn kernel_queries_match_brute_force(pair in kernel_pair(), seed in proptest::num::u64::ANY) {
+        let kernel = SamplingKernel::new(&pair);
+        let h = pair.num_images();
+        let mut rng = Mt64::new(seed);
+        let mut chosen = vec![0u32; kernel.num_blocks()];
+        for round in 0..48 {
+            let drawn = match round % 3 {
+                0 => {
+                    kernel.draw_database(&mut rng, &mut chosen);
+                    None
+                }
+                1 => {
+                    let i = rng.index(h);
+                    kernel.draw_database(&mut rng, &mut chosen);
+                    kernel.force(i, &mut chosen);
+                    Some(i)
+                }
+                _ => {
+                    for (slot, &size) in chosen.iter_mut().zip(pair.block_sizes()) {
+                        *slot = rng.below(u64::from(size)) as u32;
+                    }
+                    None
+                }
+            };
+            let hit: Vec<bool> = (0..h).map(|j| pair.image_contained(j, &chosen)).collect();
+            if let Some(i) = drawn {
+                prop_assert!(hit[i], "the drawn image {i} is not contained");
+            }
+            prop_assert_eq!(kernel.any_contained(&chosen), hit.contains(&true));
+            prop_assert_eq!(kernel.count_contained(&chosen), hit.iter().filter(|&&c| c).count());
+            for i in 0..=h {
+                prop_assert_eq!(kernel.contained_before(i, &chosen), hit[..i].contains(&true));
+            }
+            for (j, &c) in hit.iter().enumerate() {
+                prop_assert_eq!(kernel.contained(j, &chosen), c);
+            }
         }
     }
 
