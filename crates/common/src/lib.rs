@@ -19,7 +19,7 @@
 //! * [`timer`] — stopwatches and soft deadlines (the paper flags runs as
 //!   timed out after a budget; we do the same).
 //! * [`checked`] — explicit float→integer conversions for estimator math,
-//!   required by `cqa-lint`'s `checked-estimator-math` rule.
+//!   where clippy's `cast_possible_truncation` is denied.
 //! * [`error`] — the shared error type.
 
 pub mod alias;

@@ -1,28 +1,18 @@
 //! Wire-input validators: the trust boundary between the NDJSON protocol
 //! and the estimator core.
 //!
-//! Every numeric or string field read off the wire in `crates/server` is
-//! *tainted* until it passes through one of the functions registered in
-//! [`VALIDATORS`]. The `wire-input-taint` analysis in `cqa-lint` mirrors
-//! this registry (the same way the fault-point and observability name
-//! registries are mirrored) and statically tracks taint from the parse
-//! sites to allocation sizes, loop bounds, and sample-count parameters —
-//! so a new protocol field that skips validation fails the lint, not the
-//! chaos harness three releases later.
+//! Every numeric or string field `crates/server` reads off the wire passes
+//! through one of these at its single decode site in `protocol.rs`, so a
+//! request outside a field's domain is refused there with
+//! [`CqaError::Parse`] instead of reaching an allocation, a loop bound or
+//! a sample count. `protocol.rs`'s `bad_requests_are_rejected` test holds
+//! one row per validated boundary; the estimator core re-checks `eps` and
+//! `delta` on entry.
 //!
-//! Contract: a validator either returns a value inside its documented
-//! bounds or refuses the request with [`CqaError::Parse`]. Clamping
-//! validators ([`capped_u64`]) never fail but guarantee an upper bound.
-//! Keep the registry in sync with the functions below — `cqa-lint`
-//! refuses to run against an empty registry, and names listed here are
-//! treated as sanitizers by the taint analysis.
+//! Contract: a validator either returns its input unchanged, inside its
+//! documented bounds, or refuses the request with [`CqaError::Parse`].
 
 use crate::error::{CqaError, Result};
-
-/// The registered validator names, mirrored by `cqa-lint`'s
-/// `wire-input-taint` rule. A function listed here is a sanitizer: its
-/// return value is trusted. Keep sorted.
-pub const VALIDATORS: &[&str] = &["bounded_str", "capped_u64", "unit_open"];
 
 /// Validates that `x` lies in the open unit interval (0, 1) — the domain
 /// of the accuracy `eps` and confidence `delta` parameters. NaN fails
@@ -44,14 +34,6 @@ pub fn bounded_str<'a>(field: &str, s: &'a str, max_bytes: usize) -> Result<&'a 
     }
 }
 
-/// Clamps a wire-supplied count to `cap`. Unlike the refusing validators
-/// this always succeeds: it is for fields where a large value is a
-/// legitimate request that the server simply bounds (timeouts, batch
-/// sizes), not a protocol violation.
-pub fn capped_u64(x: u64, cap: u64) -> u64 {
-    x.min(cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,20 +52,5 @@ mod tests {
         assert_eq!(bounded_str("id", "abc", 8).unwrap(), "abc");
         assert!(bounded_str("id", "", 8).is_err());
         assert!(bounded_str("id", "123456789", 8).is_err());
-    }
-
-    #[test]
-    fn capped_u64_clamps() {
-        assert_eq!(capped_u64(5, 10), 5);
-        assert_eq!(capped_u64(50, 10), 10);
-    }
-
-    #[test]
-    fn registry_matches_exports_and_is_sorted() {
-        assert!(VALIDATORS.windows(2).all(|w| w[0] < w[1]));
-        // Compile-time presence check: referencing each registered fn.
-        let _: fn(&str, f64) -> Result<f64> = unit_open;
-        let _: for<'a> fn(&str, &'a str, usize) -> Result<&'a str> = bounded_str;
-        let _: fn(u64, u64) -> u64 = capped_u64;
     }
 }

@@ -14,6 +14,8 @@
 //! `|db(B)|` (using `|S•|/|db(B)| = Σᵢ 1/|db(B_{H_i})|`), so no big-number
 //! arithmetic is needed.
 
+#![deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
+
 use crate::sampler::SymbolicDraw;
 use crate::scheme::Budget;
 use cqa_common::{Below, CqaError, Mt64, Result};
@@ -95,6 +97,8 @@ pub fn self_adjusting_coverage(
             if steps > n_budget && trials > 0 {
                 break 'outer;
             }
+            // Lossless: `below_with` returns a value below `h`, a `usize`.
+            #[allow(clippy::cast_possible_truncation)]
             let j = rng.below_with(&probe) as usize;
             if draw.contains(j) {
                 break;
@@ -122,7 +126,10 @@ pub fn self_adjusting_coverage(
     Ok(CoverageOutcome { ratio, planned_steps: n_budget, steps, trials })
 }
 
+// Test counters and seed offsets are tiny and cannot overflow; the
+// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use cqa_synopsis::exact_ratio_enumerate;
@@ -177,9 +184,9 @@ mod tests {
     fn planned_steps_match_formula() {
         let eps = 0.1;
         let delta = 0.25;
-        let expect = (8.0 * 1.1 * 5.0 * (3.0f64 / 0.25).ln()
-            / ((1.0 - eps * eps / 8.0) * eps * eps))
-            .ceil() as u64;
+        let expect = cqa_common::checked::f64_to_u64(
+            (8.0 * 1.1 * 5.0 * (3.0f64 / 0.25).ln() / ((1.0 - eps * eps / 8.0) * eps * eps)).ceil(),
+        );
         assert_eq!(coverage_iterations(5, eps, delta), expect);
     }
 

@@ -8,6 +8,8 @@
 //! away from zero — which Lemmas 4.3/4.5/4.7 establish for the three
 //! samplers.
 
+#![deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
+
 use crate::optest::{budgeted_sample, plan_iterations};
 use crate::sampler::Sampler;
 use crate::scheme::Budget;
@@ -54,7 +56,10 @@ pub fn monte_carlo<S: Sampler>(
     Ok(MonteCarloOutcome { mean, planned_n: plan.n, samples: count })
 }
 
+// Test counters and seed offsets are tiny and cannot overflow; the
+// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::sampler::{KlSampler, KlmSampler, NaturalSampler};

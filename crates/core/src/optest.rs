@@ -15,6 +15,8 @@
 //! count. The confidence budget `δ` is split evenly across the three
 //! steps.
 
+#![deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
+
 use crate::sampler::Sampler;
 use crate::scheme::Budget;
 use crate::telemetry;
@@ -158,19 +160,23 @@ pub fn plan_iterations<S: Sampler>(
         let d = a - b;
         s += d * d / 2.0;
     }
-    var_span.set_args(n2, samples - step.samples);
+    var_span.set_args(n2, samples.saturating_sub(step.samples));
     drop(var_span);
     let rho_hat = (s / n2 as f64).max(eps * mu_hat);
     let n = (upsilon2 * rho_hat / (mu_hat * mu_hat)).ceil().max(1.0);
     if !n.is_finite() || n >= budget.max_samples as f64 {
         return Err(CqaError::TimedOut { phase: "iteration planning" });
     }
-    cqa_obs::instant_args("dklr/planned", n as u64, samples);
+    let n = cqa_common::checked::f64_to_u64(n);
+    cqa_obs::instant_args("dklr/planned", n, samples);
     *count = samples.max(*count);
-    Ok(PlanOutcome { n: n as u64, mu_hat, rho_hat, samples })
+    Ok(PlanOutcome { n, mu_hat, rho_hat, samples })
 }
 
+// Test counters and seed offsets are tiny and cannot overflow; the
+// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::scheme::Budget;

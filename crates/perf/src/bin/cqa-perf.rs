@@ -1,6 +1,8 @@
 //! The `cqa-perf` binary: run suites, gate recordings, export dashboards.
 //! All logic lives in [`cqa_perf::cli`], which `cqa-cli perf` shares.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = std::io::stdout();

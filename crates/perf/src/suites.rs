@@ -25,8 +25,8 @@
 //!    existing `server/throughput_rps` gate: chaos is disarmed in every
 //!    other suite, so a probe that stopped being free would regress it;
 //! 7. **lint** — the wall-clock of a full `cqa-lint check` over this
-//!    workspace, gating the dataflow engine's cost against CI's hard 5s
-//!    `timeout` on the lint step;
+//!    workspace, gating the linter's cost against CI's hard 5s `timeout`
+//!    on the lint step;
 //! 8. **ablations** — the design choices DESIGN.md calls out, each arm
 //!    its own series: alias vs linear weighted draw, DKLR vs Hoeffding
 //!    iteration planning, sequential vs two-thread `apx_cqa_parallel`;
@@ -397,11 +397,11 @@ pub fn suite_chaos(profile: &Profile) -> Result<Vec<Series>> {
 }
 
 /// Suite 7: the invariant linter's own wall-clock. CI runs
-/// `cqa-lint check` under a hard `timeout 5`, so the dataflow engine's
-/// cost (call graph + interprocedural taint/interval fixpoints over the
-/// whole workspace) is itself a gated performance surface: a regression
-/// here eats the CI budget before it fails it. Measured in-process via
-/// the library entry point against this workspace's own sources.
+/// `cqa-lint check` under a hard `timeout 5`, so the linter's cost (the
+/// workspace call graph plus the reachability and held-locks passes over
+/// it) is itself a gated performance surface: a regression here eats the
+/// CI budget before it fails it. Measured in-process via the library entry
+/// point against this workspace's own sources.
 pub fn suite_lint(profile: &Profile) -> Result<Vec<Series>> {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let opts = MeasureOpts {

@@ -219,8 +219,8 @@ impl Request {
                         None => Ok(default),
                     }
                 }
-                // Registered validators (cqa_common::validate): the
-                // trust boundary the wire-input-taint lint checks against.
+                // The wire trust boundary (cqa_common::validate); the
+                // `bad_requests_are_rejected` table pins each bound.
                 let eps = unit_open("eps", num(&v, "eps", 0.1)?)?;
                 let delta = unit_open("delta", num(&v, "delta", 0.25)?)?;
                 let timeout_ms = match v.get("timeout_ms") {
@@ -820,7 +820,16 @@ mod tests {
             r#"{"v":2,"cmd":"ping"}"#,       // wrong version
             r#"{"v":1,"cmd":"frobnicate"}"#, // unknown command
             r#"{"v":1,"cmd":"query"}"#,      // no query text
-            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","eps":7}"#, // eps out of range
+            // One row per validated boundary: eps and delta lie in (0, 1)
+            // and request_id is a string (its length bounds are pinned by
+            // the request_id test above).
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","eps":7}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","eps":0}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","eps":1}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","delta":0}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","delta":1}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","delta":7}"#,
+            r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","request_id":7}"#,
             r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","scheme":"fast"}"#,
             r#"{"v":1,"cmd":"query","query":"Q() :- r(x)","timeout_ms":-5}"#,
         ] {

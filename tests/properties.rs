@@ -94,22 +94,33 @@ proptest! {
         prop_assert!(r <= pair.s_ratio() + 1e-12);
     }
 
-    /// Every scheme's estimate lands in [0,1] and within a loose band of
-    /// the exact ratio (the tight ε-band is checked statistically in the
-    /// core crate; here we assert sanity across arbitrary shapes).
+    /// Every scheme's estimate is finite, lands in [0,1] and within a loose
+    /// band of the exact ratio, across arbitrary shapes, at a fixed
+    /// (0.2, 0.25) and at a drawn point of the (ε, δ) domain. This is the
+    /// estimator-domain check: a divisor that reaches zero or a probability
+    /// scaled past 1 fails it. The tight ε-band is checked statistically in
+    /// the core crate.
     #[test]
-    fn schemes_are_sane_on_arbitrary_pairs(pair in admissible_pair(), seed in 0u64..1000) {
+    fn schemes_are_sane_on_arbitrary_pairs(
+        pair in admissible_pair(),
+        seed in 0u64..1000,
+        eps in 0.1f64..0.9,
+        delta in 0.05f64..0.95,
+    ) {
         let exact = exact_ratio_enumerate(&pair, 10_000_000).unwrap();
-        for scheme in ALL_SCHEMES {
-            let mut rng = Mt64::new(seed);
-            let out = approx_relative_frequency(
-                &pair, scheme, 0.2, 0.25, &Budget::unbounded(), &mut rng,
-            ).unwrap();
-            prop_assert!((0.0..=1.0).contains(&out.estimate));
-            prop_assert!(
-                (out.estimate - exact).abs() <= 0.5 * exact + 1e-9,
-                "{scheme}: {} vs exact {exact}", out.estimate
-            );
+        for (eps, delta) in [(0.2, 0.25), (eps, delta)] {
+            for scheme in ALL_SCHEMES {
+                let mut rng = Mt64::new(seed);
+                let out = approx_relative_frequency(
+                    &pair, scheme, eps, delta, &Budget::unbounded(), &mut rng,
+                ).unwrap();
+                prop_assert!(out.estimate.is_finite(), "{scheme}: {}", out.estimate);
+                prop_assert!((0.0..=1.0).contains(&out.estimate));
+                prop_assert!(
+                    (out.estimate - exact).abs() <= 2.5 * eps * exact + 1e-9,
+                    "{scheme} at ε={eps}, δ={delta}: {} vs exact {exact}", out.estimate
+                );
+            }
         }
     }
 

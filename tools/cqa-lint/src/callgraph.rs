@@ -140,15 +140,15 @@ pub struct Graph<'a> {
     /// facts[file][fn], parallel to `files[_].fns`.
     pub facts: Vec<Vec<FnFacts>>,
     /// Merged struct field tables: type name → field → type.
-    pub(crate) structs: BTreeMap<&'a str, BTreeMap<&'a str, &'a str>>,
+    structs: BTreeMap<&'a str, BTreeMap<&'a str, &'a str>>,
     /// (self type, method name) → candidate fns.
-    pub(crate) methods: BTreeMap<(&'a str, &'a str), Vec<FnId>>,
+    methods: BTreeMap<(&'a str, &'a str), Vec<FnId>>,
     /// method name → every fn with a self type of that name.
-    pub(crate) by_method_name: BTreeMap<&'a str, Vec<FnId>>,
+    by_method_name: BTreeMap<&'a str, Vec<FnId>>,
     /// free fn name → candidate fns.
-    pub(crate) free_fns: BTreeMap<&'a str, Vec<FnId>>,
+    free_fns: BTreeMap<&'a str, Vec<FnId>>,
     /// trait name → self types implementing it.
-    pub(crate) trait_impls: BTreeMap<&'a str, Vec<&'a str>>,
+    trait_impls: BTreeMap<&'a str, Vec<&'a str>>,
 }
 
 impl<'a> Graph<'a> {
@@ -225,7 +225,7 @@ impl<'a> Graph<'a> {
 
     /// The terminal type of a variable in `f`, if recoverable. Generic
     /// params resolve to their first trait bound.
-    pub(crate) fn var_type(&self, f: &FnItem, name: &str) -> Option<String> {
+    fn var_type(&self, f: &FnItem, name: &str) -> Option<String> {
         let base = f.params.get(name).or_else(|| f.locals.get(name)).cloned().or_else(|| {
             let chain = f.local_chains.get(name)?;
             let ty = f.self_ty.as_deref()?;
@@ -236,7 +236,7 @@ impl<'a> Graph<'a> {
     }
 
     /// The receiver's terminal type, if recoverable.
-    pub(crate) fn receiver_type(&self, f: &FnItem, recv: &Receiver) -> Option<String> {
+    fn receiver_type(&self, f: &FnItem, recv: &Receiver) -> Option<String> {
         match recv {
             Receiver::SelfChain(fields) => {
                 let ty = f.self_ty.as_deref()?;
@@ -260,7 +260,7 @@ impl<'a> Graph<'a> {
 
     /// Workspace candidates for `ty::name`: inherent methods, trait
     /// defaults, and — when `ty` is a trait — every impl's method.
-    pub(crate) fn method_candidates(&self, ty: &str, name: &str) -> Vec<FnId> {
+    fn method_candidates(&self, ty: &str, name: &str) -> Vec<FnId> {
         let mut out: Vec<FnId> = self.methods.get(&(ty, name)).cloned().unwrap_or_default();
         if let Some(impls) = self.trait_impls.get(ty) {
             for imp in impls {

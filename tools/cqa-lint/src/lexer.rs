@@ -7,7 +7,7 @@
 //! regex-based linting: nested block comments, raw strings with `#`
 //! fences, byte strings, char literals vs. lifetimes, and escaped quotes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Token classes the rules inspect.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +53,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// line → concatenated comment text on that line.
     pub comments: BTreeMap<u32, String>,
-    /// Lines that carry at least one code token.
-    pub token_lines: BTreeSet<u32>,
 }
 
 impl Lexed {
@@ -98,7 +96,6 @@ impl<'a> Scanner<'a> {
     }
 
     fn push_tok(&mut self, kind: TokKind, text: String, line: u32) {
-        self.out.token_lines.insert(line);
         self.out.toks.push(Tok { kind, text, line });
     }
 
@@ -366,7 +363,7 @@ impl<'a> Scanner<'a> {
 /// Returns the token stream with every `#[cfg(test)]`-gated item removed
 /// (also `cfg(all(test, …))` and `cfg_attr(test, …)`: any `cfg`-ish
 /// attribute that mentions the `test` ident). Rules that only police
-/// production code run on this view; the `safety-comment` rule runs on
+/// production code run on this view; `suppression-needs-reason` runs on
 /// the full stream.
 pub fn strip_cfg_test(toks: &[Tok]) -> Vec<Tok> {
     let mut out = Vec::with_capacity(toks.len());

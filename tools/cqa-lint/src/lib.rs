@@ -2,11 +2,12 @@
 //!
 //! Rust's type system cannot express several invariants this workspace
 //! relies on — "no panics reachable from the server's request path", "no
-//! heap allocation reachable from the per-sample loops", "estimator math
-//! never wraps or truncates", "all randomness flows from the seeded root
-//! RNG", "every `unsafe` carries its proof", "observability, benchmark
+//! heap allocation reachable from the per-sample loops", "all randomness
+//! flows from the seeded root RNG", "locks are taken in one order and never
+//! held across a blocking call or a fault point", "observability, benchmark
 //! series, and fault-point names come from their registries", "the wire
-//! protocol and its document agree".
+//! protocol and its document agree". Invariants the compiler, clippy or a
+//! test already enforce are left to them (see `docs/ANALYSIS.md`).
 //! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
 //! parser ([`parser`]), and a conservative workspace call graph
 //! ([`callgraph`]) that turns the panic/alloc/RNG rules into transitive
@@ -20,13 +21,10 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod dataflow;
-pub mod domains;
 pub mod lexer;
 pub mod lockflow;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 
 use rules::{Finding, NameRegistry};
 use std::fs;
@@ -53,24 +51,10 @@ pub const REQUEST_PATH_FILES: [&str; 3] =
 /// scanned. `tools/*/src` includes cqa-lint itself — the linter holds its
 /// own invariants; its *fixtures* live outside `src` and are not scanned.
 pub const SCAN_ROOTS: [&str; 3] = ["crates", "shims", "tools"];
-/// Files holding the DKLR planners and Monte-Carlo estimator loops,
-/// subject to `checked-estimator-math` and seeding `rng-flow`.
+/// Files holding the DKLR planners and Monte-Carlo estimator loops, which
+/// seed `rng-flow`.
 pub const ESTIMATOR_FILES: [&str; 3] =
     ["crates/core/src/coverage.rs", "crates/core/src/montecarlo.rs", "crates/core/src/optest.rs"];
-/// Repo-relative path of the wire-input validator registry, the source of
-/// truth for which functions sanitize taint under `wire-input-taint`.
-pub const VALIDATOR_REGISTRY_FILE: &str = "crates/common/src/validate.rs";
-/// Files the `estimator-intervals` interval analysis reports on (the
-/// estimator files plus the convergence diagnostics).
-pub const INTERVAL_FILES: [&str; 4] = [
-    "crates/core/src/convergence.rs",
-    "crates/core/src/coverage.rs",
-    "crates/core/src/montecarlo.rs",
-    "crates/core/src/optest.rs",
-];
-/// Repo-relative prefix under which NDJSON reads count as taint sources
-/// for `wire-input-taint`.
-pub const WIRE_SOURCE_PREFIX: &str = "crates/server/";
 
 /// A fatal problem with the scan itself (unreadable file, missing
 /// registry) — distinct from findings, which are problems with the code.
@@ -150,8 +134,6 @@ pub fn check_sources(sources: &[(String, String)], registry: &NameRegistry) -> V
         let lexed = lexer::lex(src);
         let stripped = lexer::strip_cfg_test(&lexed.toks);
 
-        // safety-comment runs on the *full* stream: unsound tests count.
-        findings.extend(rules::safety(&lexed, rel));
         findings.extend(rules::suppression_hygiene(&lexed, rel));
         if rel != REGISTRY_FILE {
             findings.extend(rules::obs_names(&lexed, &stripped, rel, registry));
@@ -166,17 +148,8 @@ pub fn check_sources(sources: &[(String, String)], registry: &NameRegistry) -> V
     }
 
     let graph = callgraph::Graph::build(&parsed_v);
-    let flow = dataflow::analyze(
-        &graph,
-        &stripped_v,
-        &registry.validators,
-        &INTERVAL_FILES,
-        WIRE_SOURCE_PREFIX,
-    );
     findings.extend(rules::no_panic(&graph, &lexed_v, &REQUEST_PATH_FILES));
     findings.extend(rules::no_alloc(&graph, &lexed_v));
-    findings.extend(rules::checked_math(&graph, &lexed_v, &ESTIMATOR_FILES, &flow));
-    findings.extend(rules::dataflow_findings(&graph, &lexed_v, &flow));
     findings.extend(rules::rng_flow(&graph, &lexed_v, &stripped_v, &ESTIMATOR_FILES));
     findings.extend(lockflow::check(&graph, &lexed_v, &REQUEST_PATH_FILES));
 
@@ -218,14 +191,6 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
         )));
     }
     registry.merge(chaos_registry);
-    let validator_registry = NameRegistry::parse(&read(&root.join(VALIDATOR_REGISTRY_FILE))?);
-    if validator_registry.validators.is_empty() {
-        return Err(CheckError(format!(
-            "{VALIDATOR_REGISTRY_FILE} yielded an empty VALIDATORS registry — refusing to lint \
-             against it"
-        )));
-    }
-    registry.merge(validator_registry);
 
     let mut sources = Vec::new();
     for (abs, rel) in source_files(root)? {

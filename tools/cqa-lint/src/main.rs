@@ -1,29 +1,20 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p cqa-lint -- check [--root <path>] [--out <findings-file>] [--format text|sarif]
+//! cargo run -p cqa-lint -- check [--root <path>] [--out <findings-file>]
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 when any rule fires, 2 on usage
 //! or I/O errors. With `--out`, findings are also written to the given
-//! file (CI uploads it as a build artifact) — one per line in the default
-//! text format, or as a SARIF 2.1.0 document with `--format sarif` so
-//! findings render as inline annotations. The exit-code contract is the
-//! same in both formats. See `docs/ANALYSIS.md` for the rules.
+//! file, one per line (CI uploads it as a build artifact). See
+//! `docs/ANALYSIS.md` for the rules.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: cqa-lint check [--root <workspace-root>] [--out <findings-file>] [--format text|sarif]";
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Sarif,
-}
+const USAGE: &str = "usage: cqa-lint check [--root <workspace-root>] [--out <findings-file>]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -39,23 +30,8 @@ fn main() -> ExitCode {
     // `cargo run -p cqa-lint -- check` works from any directory.
     let mut root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let mut out_file: Option<PathBuf> = None;
-    let mut format = Format::Text;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    eprintln!(
-                        "cqa-lint: unknown format {other:?} (expected text or sarif)\n{USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("cqa-lint: --format needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => {
@@ -80,45 +56,24 @@ fn main() -> ExitCode {
     match cqa_lint::check_workspace(&root) {
         Ok(findings) => {
             if let Some(path) = &out_file {
-                let body = match format {
-                    Format::Sarif => cqa_lint::sarif::to_sarif(&findings),
-                    Format::Text => {
-                        let mut body =
-                            findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n");
-                        if !body.is_empty() {
-                            body.push('\n');
-                        }
-                        body
-                    }
-                };
+                let mut body =
+                    findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n");
+                if !body.is_empty() {
+                    body.push('\n');
+                }
                 if let Err(e) = std::fs::write(path, body) {
                     eprintln!("cqa-lint: cannot write {}: {e}", path.display());
                     return ExitCode::from(2);
                 }
             }
             if findings.is_empty() {
-                if format == Format::Sarif && out_file.is_none() {
-                    print!("{}", cqa_lint::sarif::to_sarif(&findings));
-                } else {
-                    println!("cqa-lint: workspace clean");
-                }
+                println!("cqa-lint: workspace clean");
                 ExitCode::SUCCESS
             } else {
-                match format {
-                    // SARIF to stdout only without --out (stdout stays the
-                    // machine-readable stream); the human tally goes to
-                    // stderr so the document stays well-formed.
-                    Format::Sarif if out_file.is_none() => {
-                        print!("{}", cqa_lint::sarif::to_sarif(&findings));
-                        eprintln!("cqa-lint: {} finding(s)", findings.len());
-                    }
-                    _ => {
-                        for f in &findings {
-                            println!("{f}");
-                        }
-                        println!("cqa-lint: {} finding(s)", findings.len());
-                    }
+                for f in &findings {
+                    println!("{f}");
                 }
+                println!("cqa-lint: {} finding(s)", findings.len());
                 ExitCode::FAILURE
             }
         }

@@ -7,26 +7,14 @@
 //! trait methods and functions nested in bodies), impl blocks with
 //! self-type and trait tracking, struct field types, parameter and `let`
 //! types, call sites (method / path / free / macro), slice-indexing sites,
-//! `as`-cast sites, and integer arithmetic sites — while deliberately *not*
-//! building a full AST. Anything it cannot classify it records
+//! lock acquisitions, and fault-point and blocking sites — while
+//! deliberately *not* building a full AST. Anything it cannot classify it records
 //! conservatively (an unknown receiver, an opaque callee) rather than
 //! guessing; `rustc` has already accepted the code, so unparseable input is
 //! tolerated, never fatal.
 
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Integer type names, for cast / arithmetic classification.
-pub const INT_TYPES: [&str; 12] =
-    ["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
-
-/// Integer types narrower than the 64-bit counters estimator math runs on.
-pub const NARROW_INT_TYPES: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Methods that produce floats: a cast of their result to an integer is a
-/// silent truncation/saturation.
-const FLOAT_METHODS: [&str; 11] =
-    ["ceil", "floor", "round", "trunc", "sqrt", "ln", "log2", "log10", "exp", "powf", "powi"];
 
 /// Guard-producing lock-acquisition methods (the parking_lot shim and the
 /// std locks share these names). All of them take no arguments, which is
@@ -98,29 +86,6 @@ impl Call {
     }
 }
 
-/// An `expr as <int>` cast site.
-#[derive(Debug, Clone)]
-pub struct CastSite {
-    pub line: u32,
-    /// The target type name (always one of [`INT_TYPES`]).
-    pub target: String,
-    /// Target is one of [`NARROW_INT_TYPES`].
-    pub narrowing: bool,
-    /// The cast source is a call/paren result that looks float-valued
-    /// (`.ceil() as u64`, `.max(1.0) as u64`): a silent float→int
-    /// truncation.
-    pub float_source: bool,
-}
-
-/// An unchecked `+` / `*` (or `+=` / `*=`) on a known-integer operand.
-#[derive(Debug, Clone)]
-pub struct ArithSite {
-    pub line: u32,
-    pub op: char,
-    /// The integer-typed operand that triggered the classification.
-    pub operand: String,
-}
-
 /// One lock-guard acquisition and the line range its guard is modeled live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSpan {
@@ -166,9 +131,6 @@ pub struct FnItem {
     /// `let x = self.f.g;` — locals bound to a field chain, resolved
     /// against the struct table at graph-build time.
     pub local_chains: BTreeMap<String, Vec<String>>,
-    /// Identifiers known to hold integers (typed params/locals, integer
-    /// literals).
-    pub int_idents: BTreeSet<String>,
     /// Every binding name in scope (params, `let`s, `for` patterns) —
     /// a free "call" on one of these is a closure/fn-pointer invocation,
     /// not a named function.
@@ -192,20 +154,6 @@ pub struct FnItem {
     pub blocking_sites: Vec<Call>,
     /// Lines with a `[`-indexing expression.
     pub index_sites: Vec<u32>,
-    /// Integer-target `as` casts.
-    pub cast_sites: Vec<CastSite>,
-    /// Unchecked integer `+`/`*` sites.
-    pub arith_sites: Vec<ArithSite>,
-    /// Token range of the body between (exclusive of) the braces, as
-    /// indices into the stripped per-file token stream handed to
-    /// [`parse_file`]. `(0, 0)` for bodyless declarations. The dataflow
-    /// engine re-walks this range; nested `fn` items inside it appear as
-    /// their own [`FnItem`]s and must be skipped, exactly as
-    /// `scan_body` does.
-    pub body: (usize, usize),
-    /// Parameter names in declaration order (`params` is sorted by name;
-    /// interprocedural summaries need positions).
-    pub param_order: Vec<String>,
 }
 
 /// A parsed source file: functions plus the struct field-type table.
@@ -542,7 +490,6 @@ fn parse_fn(
     }
     let body_end = skip_group(toks, i, end);
     f.end_line = toks[body_end.saturating_sub(1).min(toks.len() - 1)].line;
-    f.body = (i + 1, body_end - 1);
     scan_body(toks, i + 1, body_end - 1, end, &mut f, out);
     out.fns.push(f);
     body_end
@@ -602,7 +549,6 @@ fn parse_params(toks: &[Tok], self_ty: Option<&str>, f: &mut FnItem) {
             // `self` / `&self` / `&mut self`: typed as the impl target.
             if let Some(ty) = self_ty {
                 f.params.insert("self".to_owned(), ty.to_owned());
-                f.param_order.push("self".to_owned());
             }
             continue;
         }
@@ -614,25 +560,13 @@ fn parse_params(toks: &[Tok], self_ty: Option<&str>, f: &mut FnItem) {
             .find(|t| t.kind == TokKind::Ident && t.text != "mut")
             .map(|t| t.text.clone());
         let (Some(name), Some(ty)) = (name, terminal_type(&seg[colon + 1..])) else { continue };
-        if INT_TYPES.contains(&ty.as_str()) {
-            f.int_idents.insert(name.clone());
-        }
         f.bindings.insert(name.clone());
-        f.param_order.push(name.clone());
         f.params.insert(name, ty);
     }
 }
 
-/// True when the token is an integer literal (no `.` and no float suffix).
-fn is_int_literal(t: &Tok) -> bool {
-    t.kind == TokKind::Num
-        && !t.text.contains('.')
-        && !t.text.contains("f3")
-        && !t.text.contains("f6")
-}
-
-/// Scans a fn body for lets, calls, indexing, casts, and integer
-/// arithmetic. `outer_end` bounds nested-item recursion.
+/// Scans a fn body for lets, calls, indexing, locks, and fault points.
+/// `outer_end` bounds nested-item recursion.
 fn scan_body(
     toks: &[Tok],
     start: usize,
@@ -668,9 +602,6 @@ fn scan_body(
                         f.bindings.insert(name.text.clone());
                     }
                 }
-            }
-            TokKind::Ident if t.text == "as" => {
-                scan_cast(toks, i, f);
             }
             TokKind::Ident if !is_keyword(&t.text) => {
                 let next = toks.get(i + 1);
@@ -721,9 +652,6 @@ fn scan_body(
             {
                 f.index_sites.push(toks[i + 1].line);
             }
-            TokKind::Punct('+') | TokKind::Punct('*') => {
-                scan_arith(toks, i, f);
-            }
             _ => {}
         }
         i += 1;
@@ -731,7 +659,7 @@ fn scan_body(
 }
 
 /// Handles one `let` statement starting at the `let` keyword: records the
-/// binding's type (annotated, ctor-inferred, chain, or int literal).
+/// binding's type (annotated, ctor-inferred, or chain).
 fn scan_let(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
     let mut i = at + 1;
     if i < end && toks[i].is_ident("mut") {
@@ -761,9 +689,6 @@ fn scan_let(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
             }
         }
         if let Some(ty) = terminal_type(&toks[ty_start..k]) {
-            if INT_TYPES.contains(&ty.as_str()) {
-                f.int_idents.insert(name.clone());
-            }
             f.locals.insert(name, ty);
         }
         return;
@@ -822,14 +747,7 @@ fn scan_let(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
             && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
         {
             f.locals.insert(name, ty);
-            return;
         }
-    }
-    // `let mut n = 0;` — an integer literal.
-    if toks.get(rhs).is_some_and(is_int_literal)
-        && toks.get(rhs + 1).is_some_and(|t| t.is_punct(';'))
-    {
-        f.int_idents.insert(name);
     }
 }
 
@@ -1100,86 +1018,6 @@ fn guard_extent(toks: &[Tok], from: usize, end: usize, name: &str, body_end_line
     body_end_line
 }
 
-/// Classifies an `as` cast at token index `at`.
-fn scan_cast(toks: &[Tok], at: usize, f: &mut FnItem) {
-    let Some(target) = toks.get(at + 1).filter(|t| t.kind == TokKind::Ident) else { return };
-    if !INT_TYPES.contains(&target.text.as_str()) {
-        return;
-    }
-    let narrowing = NARROW_INT_TYPES.contains(&target.text.as_str());
-    let mut float_source = false;
-    if at > 0 && toks[at - 1].is_punct(')') {
-        // Walk back to the matching `(`; a float-producing callee or a
-        // float literal argument marks the source as float-valued.
-        let mut depth = 0isize;
-        let mut j = at - 1;
-        loop {
-            match toks[j].kind {
-                TokKind::Punct(')') => depth += 1,
-                TokKind::Punct('(') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Num if toks[j].text.contains('.') => float_source = true,
-                _ => {}
-            }
-            if j == 0 {
-                break;
-            }
-            j -= 1;
-        }
-        if j > 0
-            && toks[j - 1].kind == TokKind::Ident
-            && FLOAT_METHODS.contains(&toks[j - 1].text.as_str())
-        {
-            float_source = true;
-        }
-    }
-    if narrowing || float_source {
-        f.cast_sites.push(CastSite {
-            line: toks[at].line,
-            target: target.text.clone(),
-            narrowing,
-            float_source,
-        });
-    }
-}
-
-/// Classifies a `+` / `*` punct at `at` as unchecked integer arithmetic
-/// when it is a binary operator (or compound assignment) over a
-/// known-integer operand.
-fn scan_arith(toks: &[Tok], at: usize, f: &mut FnItem) {
-    let op = match toks[at].kind {
-        TokKind::Punct(c) => c,
-        _ => return,
-    };
-    let prev = match at.checked_sub(1).map(|p| &toks[p]) {
-        Some(p) => p,
-        None => return,
-    };
-    // Binary position: an operand must precede (else `*x` is a deref and
-    // `+` cannot occur). Also excludes `&*`, `= *p`, generics `<*`.
-    let prev_is_operand = matches!(prev.kind, TokKind::Ident | TokKind::Num)
-        || prev.is_punct(')')
-        || prev.is_punct(']');
-    if !prev_is_operand || (prev.kind == TokKind::Ident && is_keyword(&prev.text)) {
-        return;
-    }
-    let compound = toks.get(at + 1).is_some_and(|t| t.is_punct('='));
-    let lhs_int = prev.kind == TokKind::Ident && f.int_idents.contains(&prev.text);
-    // For `x += …` the next token is `=`; for binary look one past.
-    let rhs_idx = if compound { at + 2 } else { at + 1 };
-    let rhs_int = toks
-        .get(rhs_idx)
-        .is_some_and(|t| t.kind == TokKind::Ident && f.int_idents.contains(&t.text));
-    if lhs_int || rhs_int {
-        let operand = if lhs_int { prev.text.clone() } else { toks[rhs_idx].text.clone() };
-        f.arith_sites.push(ArithSite { line: toks[at].line, op, operand });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1287,14 +1125,12 @@ mod tests {
                let a: Vec<u32> = make(); \
                let d = SymbolicDraw::new(1); \
                let pair = self.pair; \
-               let mut n = 0; \
                d.go(); pair.check(); } }",
         );
         let f = fn_named(&p, "f");
         assert_eq!(f.locals.get("a").map(String::as_str), Some("Vec"));
         assert_eq!(f.locals.get("d").map(String::as_str), Some("SymbolicDraw"));
         assert_eq!(f.local_chains.get("pair"), Some(&vec!["self".to_owned(), "pair".to_owned()]));
-        assert!(f.int_idents.contains("n"));
         assert!(f.calls.iter().any(|c| matches!(
             c,
             Call::Method { name, recv: Receiver::Var(v, _), .. } if name == "go" && v == "d"
@@ -1306,44 +1142,6 @@ mod tests {
         let p = parse("fn f(v: &[u32], i: usize) -> u32 { let _a: [u8; 2] = [0, 1]; v[i] }");
         let f = fn_named(&p, "f");
         assert_eq!(f.index_sites.len(), 1);
-    }
-
-    #[test]
-    fn cast_classification() {
-        let p = parse(
-            "fn f(n: f64, b: usize) { \
-               let _x = n.ceil() as u64; \
-               let _y = b as u32; \
-               let _z = b as u64; \
-               let _w = n as f64; }",
-        );
-        let f = fn_named(&p, "f");
-        assert_eq!(f.cast_sites.len(), 2, "{:?}", f.cast_sites);
-        assert!(f.cast_sites.iter().any(|c| c.float_source && c.target == "u64"));
-        assert!(f.cast_sites.iter().any(|c| c.narrowing && c.target == "u32"));
-    }
-
-    #[test]
-    fn arith_on_known_ints_only() {
-        let p = parse(
-            "fn f(n: u64, x: f64) { \
-               let mut s = 0.0; s += x; \
-               let mut c: u64 = 0; c += 1; \
-               let _p = n * 3; \
-               let _q = x * x; }",
-        );
-        let f = fn_named(&p, "f");
-        let ops: Vec<char> = f.arith_sites.iter().map(|a| a.op).collect();
-        assert_eq!(ops, vec!['+', '*'], "{:?}", f.arith_sites);
-    }
-
-    #[test]
-    fn deref_and_bounds_are_not_arithmetic() {
-        let p = parse("fn f<T: Send + Sync>(count: &mut u64) { *count += 1; }");
-        let f = fn_named(&p, "f");
-        // `*count` is a deref; the `+=` on it IS arithmetic on `count`.
-        assert_eq!(f.arith_sites.len(), 1);
-        assert_eq!(f.arith_sites[0].op, '+');
     }
 
     #[test]

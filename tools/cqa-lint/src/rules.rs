@@ -23,39 +23,31 @@ use std::fmt;
 /// Rule identifiers, as used in `allow(...)` suppressions and CLI output.
 pub const NO_PANIC: &str = "no-panic-in-request-path";
 pub const NO_ALLOC: &str = "no-alloc-in-hot-path";
-pub const SAFETY: &str = "safety-comment";
 pub const OBS_NAMES: &str = "obs-name-registry";
 pub const BENCH_NAMES: &str = "bench-name-registry";
 pub const PROTOCOL_SYNC: &str = "protocol-doc-sync";
 pub const OPAQUE: &str = "opaque-call";
-pub const CHECKED_MATH: &str = "checked-estimator-math";
 pub const RNG_FLOW: &str = "rng-flow";
 pub const SUPPRESSION: &str = "suppression-needs-reason";
 pub const FAULT_POINTS: &str = "fault-point-registry";
 pub const LOCK_ORDER: &str = "lock-order";
 pub const NO_BLOCKING: &str = "no-blocking-while-locked";
 pub const GUARD_FAULT: &str = "no-guard-across-fault-point";
-pub const WIRE_TAINT: &str = "wire-input-taint";
-pub const EST_INTERVALS: &str = "estimator-intervals";
 
 /// Every rule name, for validating `allow(...)` suppressions.
-pub const ALL_RULES: [&str; 16] = [
+pub const ALL_RULES: [&str; 12] = [
     NO_PANIC,
     NO_ALLOC,
-    SAFETY,
     OBS_NAMES,
     BENCH_NAMES,
     PROTOCOL_SYNC,
     OPAQUE,
-    CHECKED_MATH,
     RNG_FLOW,
     SUPPRESSION,
     FAULT_POINTS,
     LOCK_ORDER,
     NO_BLOCKING,
     GUARD_FAULT,
-    WIRE_TAINT,
-    EST_INTERVALS,
 ];
 
 /// One rule violation.
@@ -100,7 +92,7 @@ pub(crate) fn push(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: no-panic-in-request-path (transitive)
+// Rule: no-panic-in-request-path (transitive)
 // ---------------------------------------------------------------------------
 
 /// Which effect a reachability pass is hunting.
@@ -210,7 +202,7 @@ pub fn no_panic(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<F
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: no-alloc-in-hot-path (transitive)
+// Rule: no-alloc-in-hot-path (transitive)
 // ---------------------------------------------------------------------------
 
 /// Inclusive line ranges bracketed by `// cqa-lint: hot-path begin` /
@@ -290,101 +282,6 @@ fn sampling_seeds(g: &Graph<'_>, lexed: &[Lexed], estimator_files: &[&str]) -> V
         }
     }
     seeds
-}
-
-// ---------------------------------------------------------------------------
-// Rule: checked-estimator-math
-// ---------------------------------------------------------------------------
-
-/// Flags unchecked arithmetic in the estimator files (the DKLR stopping
-/// rule, iteration planners, and Monte-Carlo loops): a silently wrapping
-/// `+`/`*` on an iteration count or a truncating `as` cast corrupts the
-/// (ε, δ) guarantee without any test failing. Narrowing casts
-/// (`as u32` and smaller) and float-result casts (`.ceil() as u64`) must
-/// go through the checked conversions in `cqa_common::checked`.
-///
-/// The syntactic scan is refined by the interval analysis in
-/// [`crate::dataflow`]: an arithmetic site whose operand ranges prove the
-/// result fits in `u64` (recorded in `proven_arith`) is *semantically*
-/// safe and demoted; a site the analysis saw but could not bound gets its
-/// operand ranges appended so the report says *why* checked ops are needed.
-pub fn checked_math(
-    g: &Graph<'_>,
-    lexed: &[Lexed],
-    estimator_files: &[&str],
-    flow: &crate::dataflow::DataflowReport,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (fi, file) in g.files.iter().enumerate() {
-        if !estimator_files.contains(&file.rel.as_str()) {
-            continue;
-        }
-        for f in &file.fns {
-            for c in &f.cast_sites {
-                let msg = if c.float_source {
-                    format!(
-                        "float result cast `as {}` silently truncates/saturates in estimator math; use cqa_common::checked::f64_to_u64 (fn {})",
-                        c.target, f.name
-                    )
-                } else {
-                    format!(
-                        "narrowing cast `as {}` can silently wrap an iteration count; use try_from or a checked helper (fn {})",
-                        c.target, f.name
-                    )
-                };
-                push(&mut out, &lexed[fi], CHECKED_MATH, &file.rel, c.line, msg);
-            }
-            for a in &f.arith_sites {
-                if flow.proven_arith.contains(&(fi, a.line)) {
-                    continue; // range-proven: the result cannot exceed u64
-                }
-                let why = flow
-                    .arith_notes
-                    .get(&(fi, a.line))
-                    .map(|n| format!("; interval analysis could not bound it ({n})"))
-                    .unwrap_or_default();
-                push(
-                    &mut out,
-                    &lexed[fi],
-                    CHECKED_MATH,
-                    &file.rel,
-                    a.line,
-                    format!(
-                        "unchecked `{}` on integer `{}` can overflow silently in estimator math; use checked_/saturating_ arithmetic (fn {}){why}",
-                        a.op, a.operand, f.name
-                    ),
-                );
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rules: wire-input-taint, estimator-intervals
-// ---------------------------------------------------------------------------
-
-/// Converts the raw dataflow findings (taint sinks reached by wire input,
-/// interval violations in estimator math) into rule findings, applying the
-/// standard reasoned-suppression mechanism.
-pub fn dataflow_findings(
-    g: &Graph<'_>,
-    lexed: &[Lexed],
-    flow: &crate::dataflow::DataflowReport,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for raw in &flow.raw {
-        let rule = if raw.taint { WIRE_TAINT } else { EST_INTERVALS };
-        push(
-            &mut out,
-            &lexed[raw.file],
-            rule,
-            &g.files[raw.file].rel,
-            raw.line,
-            raw.message.clone(),
-        );
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -521,60 +418,7 @@ pub fn suppression_hygiene(lexed: &Lexed, file: &str) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: safety-comment
-// ---------------------------------------------------------------------------
-
-/// Every `unsafe` keyword must sit directly under a comment block that
-/// contains `SAFETY:` — the proof obligation travels with the code. Runs
-/// on the full token stream (tests included): an unsound test is still
-/// unsound.
-pub fn safety(lexed: &Lexed, file: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        // `unsafe` inside an attribute (e.g. `#[allow(unsafe_code)]`)
-        // never introduces an unsafe context; only the keyword position
-        // matters, so skip idents directly between brackets of an attr.
-        if i > 0 && lexed.toks[i - 1].is_punct('(') {
-            continue;
-        }
-        if has_safety_comment_above(lexed, t.line) {
-            continue;
-        }
-        push(
-            &mut out,
-            lexed,
-            SAFETY,
-            file,
-            t.line,
-            "`unsafe` without a `// SAFETY:` comment directly above".to_owned(),
-        );
-    }
-    out
-}
-
-/// Walks upward from `line - 1` through the contiguous comment block (no
-/// intervening code-token lines) looking for `SAFETY:`. Also accepts a
-/// `SAFETY:` comment on the `unsafe` line itself (trailing comment).
-fn has_safety_comment_above(lexed: &Lexed, line: u32) -> bool {
-    if lexed.comment_on(line).is_some_and(|c| c.contains("SAFETY:")) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    while l > 0 {
-        match lexed.comment_on(l) {
-            Some(c) if c.contains("SAFETY:") => return true,
-            Some(_) if !lexed.token_lines.contains(&l) => l -= 1,
-            _ => return false, // code or blank line: the block ended
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rule 4: obs-name-registry
+// Rule: obs-name-registry
 // ---------------------------------------------------------------------------
 
 /// The central name registries: span/metric/flight-digest-field names
@@ -588,9 +432,6 @@ pub struct NameRegistry {
     pub series: BTreeSet<String>,
     pub fields: BTreeSet<String>,
     pub points: BTreeSet<String>,
-    /// Sanitizer function names from the validator registry: a value
-    /// returned by one of these is no longer wire-tainted.
-    pub validators: BTreeSet<String>,
 }
 
 impl NameRegistry {
@@ -608,7 +449,6 @@ impl NameRegistry {
             series: const_array_strings(&toks, "SERIES"),
             fields: const_array_strings(&toks, "FIELDS"),
             points: const_array_strings(&toks, "POINTS"),
-            validators: const_array_strings(&toks, "VALIDATORS"),
         }
     }
 
@@ -620,7 +460,6 @@ impl NameRegistry {
         self.series.extend(other.series);
         self.fields.extend(other.fields);
         self.points.extend(other.points);
-        self.validators.extend(other.validators);
     }
 }
 
@@ -890,7 +729,7 @@ pub fn fault_point_sync(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: protocol-doc-sync
+// Rule: protocol-doc-sync
 // ---------------------------------------------------------------------------
 
 /// Wire keys nested payloads document but `protocol.rs` does not build:

@@ -121,26 +121,6 @@ fn transitive_helpers_alone_are_clean() {
 }
 
 #[test]
-fn checked_math_fires_on_bad_fixture() {
-    let fired = fired(ESTIMATOR, "checked-estimator-math/bad.rs");
-    assert_eq!(
-        fired,
-        vec![rules::CHECKED_MATH, rules::CHECKED_MATH, rules::CHECKED_MATH],
-        "unchecked +=, float cast, narrowing cast"
-    );
-}
-
-#[test]
-fn checked_math_passes_good_fixture() {
-    assert!(fired(ESTIMATOR, "checked-estimator-math/good.rs").is_empty());
-}
-
-#[test]
-fn checked_math_is_scoped_to_estimator_files() {
-    assert!(fired(ANYWHERE, "checked-estimator-math/bad.rs").is_empty());
-}
-
-#[test]
 fn rng_flow_fires_on_ambient_entropy_and_unforked_root() {
     let findings = cqa_lint::check_source(ESTIMATOR, &fixture("rng-flow/bad.rs"), &registry());
     assert_eq!(findings.len(), 2, "{findings:#?}");
@@ -166,16 +146,6 @@ fn suppression_hygiene_fires_on_bad_fixture() {
 #[test]
 fn suppression_hygiene_passes_good_fixture() {
     assert!(fired(REQUEST_PATH, "suppression-needs-reason/good.rs").is_empty());
-}
-
-#[test]
-fn safety_comment_fires_on_bad_fixture() {
-    assert_eq!(fired(ANYWHERE, "safety-comment/bad.rs"), vec![rules::SAFETY]);
-}
-
-#[test]
-fn safety_comment_passes_good_fixture() {
-    assert!(fired(ANYWHERE, "safety-comment/good.rs").is_empty());
 }
 
 #[test]
@@ -388,69 +358,6 @@ fn guard_fault_fires_directly_and_transitively() {
 #[test]
 fn guard_fault_passes_good_fixture() {
     assert!(fired(ANYWHERE, "no-guard-across-fault-point/good.rs").is_empty());
-}
-
-const SERVER_FILE: &str = "crates/server/src/ingest.rs";
-
-#[test]
-fn wire_taint_fires_on_bad_fixture_with_provenance() {
-    let findings =
-        cqa_lint::check_source(SERVER_FILE, &fixture("wire-input-taint/bad.rs"), &registry());
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, rules::WIRE_TAINT);
-    assert!(findings[0].message.contains("with_capacity"), "{}", findings[0].message);
-    assert!(findings[0].message.contains("req_u64(\"rows\")"), "{}", findings[0].message);
-}
-
-#[test]
-fn wire_taint_clamp_is_a_negative_control() {
-    // `capped_u64` is in the fixture registry's VALIDATORS, so the clamped
-    // read is sanitized and the identical sink stays silent.
-    assert!(fired(SERVER_FILE, "wire-input-taint/good.rs").is_empty());
-}
-
-#[test]
-fn wire_taint_is_scoped_to_server_files() {
-    // The same source outside `crates/server/` has no wire sources.
-    assert!(fired(ANYWHERE, "wire-input-taint/bad.rs").is_empty());
-}
-
-#[test]
-fn wire_taint_reconstructs_multi_hop_interprocedural_path() {
-    // Source in one module, sink in the same module, but the value makes a
-    // round trip through the entry module: read_rows → handle → reserve.
-    let findings = fired_multi(&[
-        (SERVER_FILE, "wire-input-taint/entry.rs"),
-        ("crates/server/src/limits.rs", "wire-input-taint/helper.rs"),
-    ]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, rules::WIRE_TAINT);
-    assert_eq!(findings[0].file, "crates/server/src/limits.rs");
-    assert!(findings[0].message.contains("req_u64(\"rows\")"), "{}", findings[0].message);
-    assert!(findings[0].message.contains("read_rows"), "{}", findings[0].message);
-}
-
-#[test]
-fn estimator_intervals_fire_on_bad_fixture_with_ranges() {
-    let findings =
-        cqa_lint::check_source(ESTIMATOR, &fixture("estimator-intervals/bad.rs"), &registry());
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings.iter().all(|f| f.rule == rules::EST_INTERVALS));
-    assert!(
-        findings.iter().any(|f| f.message.contains("divisor") && f.message.contains("range")),
-        "{findings:#?}"
-    );
-    assert!(findings.iter().any(|f| f.message.contains("escapes [0, 1]")), "{findings:#?}");
-}
-
-#[test]
-fn estimator_intervals_pass_good_fixture() {
-    assert!(fired(ESTIMATOR, "estimator-intervals/good.rs").is_empty());
-}
-
-#[test]
-fn estimator_intervals_are_scoped_to_interval_files() {
-    assert!(fired(ANYWHERE, "estimator-intervals/bad.rs").is_empty());
 }
 
 /// The real workspace must stay clean: this is the same check CI runs via
