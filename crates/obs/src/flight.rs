@@ -6,11 +6,12 @@
 //!    [`FlightDigest`]s, one per completed server request: request id,
 //!    canonical query fingerprint, cache hit/miss, queue wait, sample
 //!    count, the estimator's CI half-width at termination, and the latency
-//!    breakdown. Publication uses the same safe-Rust seqlock as the trace
-//!    ring in [`crate::trace`] (ticket via `fetch_add`, odd = writing,
-//!    even = published, readers skip torn slots), so recording a digest is
-//!    a handful of plain atomic stores and never blocks. On wrap the
-//!    oldest digests are overwritten; snapshots report how many.
+//!    breakdown. It is the trace buffer's ring (`ring.rs`) with 15-word
+//!    slots: a ticket via `fetch_add`, a forward-only claim that drops
+//!    the digest when a wrapped writer holds the slot, and readers that
+//!    skip torn slots — so recording a digest is a handful of plain
+//!    atomic stores and never blocks. On wrap the oldest digests are
+//!    overwritten; snapshots report how many.
 //! 2. **The slow/error log** — a small bounded log of [`SlowlogEntry`]s
 //!    that tail-samples the *full span tree* (captured per request via
 //!    [`crate::trace::begin_capture`]) of requests that exceeded a latency
@@ -27,11 +28,12 @@
 //! `cqa-perf` `server/flight_{on,off}_throughput_rps` series) and for
 //! tests.
 
+use crate::ring::Ring;
 use crate::trace::{self, TraceEvent};
 use cqa_common::Json;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Digest-ring capacity in requests.
@@ -149,42 +151,15 @@ pub struct FlightDigest {
     pub ts_micros: u64,
 }
 
-/// A digest slot: every field is an atomic, published through `seq` with
-/// the trace ring's seqlock protocol (0 = never written, odd = write in
-/// progress, even = holds the digest of ticket `(seq - 2) / 2`).
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    id: [AtomicU64; 4],
-    query_fp: AtomicU64,
-    /// Interned scheme name (via the trace interner).
-    scheme: AtomicU32,
-    /// Interned error kind name; meaningful only when flag bit 1 is set.
-    err: AtomicU32,
-    /// Bit 0 = cache hit, bit 1 = error present.
-    flags: AtomicU64,
-    queue_wait_us: AtomicU64,
-    samples: AtomicU64,
-    variance_bits: AtomicU64,
-    ci_bits: AtomicU64,
-    preprocess_us: AtomicU64,
-    scheme_us: AtomicU64,
-    total_us: AtomicU64,
-    ts_us: AtomicU64,
-}
+/// A digest is 15 ring words: the request id (4), the query fingerprint,
+/// the interned scheme (low 32 bits) and error (high 32 bits) names,
+/// flags (bit 0 = cache hit, bit 1 = error present), then the seven
+/// timing and convergence fields.
+const DIGEST_WORDS: usize = 15;
 
-struct Ring {
-    slots: Vec<Slot>,
-    head: AtomicU64,
-}
-
-fn ring() -> &'static Ring {
-    static RING: OnceLock<Ring> = OnceLock::new();
-    RING.get_or_init(|| {
-        let mut slots = Vec::with_capacity(DEFAULT_CAPACITY);
-        slots.resize_with(DEFAULT_CAPACITY, Slot::default);
-        Ring { slots, head: AtomicU64::new(0) }
-    })
+fn ring() -> &'static Ring<DIGEST_WORDS> {
+    static RING: OnceLock<Ring<DIGEST_WORDS>> = OnceLock::new();
+    RING.get_or_init(|| Ring::new(DEFAULT_CAPACITY))
 }
 
 /// Packs the first [`MAX_REQUEST_ID_BYTES`] bytes of `id` into four
@@ -212,97 +187,62 @@ fn id_string(words: [u64; 4]) -> String {
 }
 
 /// Records one request digest into the ring (a no-op while the recorder is
-/// disabled). Wait-free: a ticket claim, one slot-claim CAS attempt, and
-/// plain atomic stores — no loops.
+/// disabled). Wait-free: the shared ring's claim-or-drop publication, no
+/// loops.
 pub fn record(d: &FlightDigest) {
     if !enabled() {
         return;
     }
-    let rb = ring();
-    let ticket = rb.head.fetch_add(1, Ordering::Relaxed);
-    let slot = &rb.slots[(ticket as usize) % rb.slots.len()];
-    // Claim the slot before touching the payload. Two writers meet on one
-    // slot only when the ring wraps a full lap while the older one is
-    // still mid-publish; interleaved stores could then leave a *torn*
-    // digest under a stable even sequence (the loom model
-    // `crates/obs/tests/model_flight.rs` finds exactly that for an
-    // unserialized writer). Per-slot sequences only move forward, so on
-    // any contention — an odd sequence (writer in progress) or a newer
-    // ticket already in the slot — this digest is dropped instead.
-    let writing = 2 * ticket + 1;
-    let cur = slot.seq.load(Ordering::Acquire);
-    if cur % 2 == 1
-        || cur > writing
-        || slot.seq.compare_exchange(cur, writing, Ordering::AcqRel, Ordering::Relaxed).is_err()
-    {
-        return;
-    }
-    for (w, v) in slot.id.iter().zip(id_words(&d.request_id)) {
-        w.store(v, Ordering::Relaxed);
-    }
-    slot.query_fp.store(d.query_fingerprint, Ordering::Relaxed);
-    slot.scheme.store(trace::intern(d.scheme), Ordering::Relaxed);
-    slot.err.store(trace::intern(d.error.unwrap_or("")), Ordering::Relaxed);
+    let [i0, i1, i2, i3] = id_words(&d.request_id);
+    let names = u64::from(trace::intern(d.scheme))
+        | (u64::from(trace::intern(d.error.unwrap_or(""))) << 32);
     let flags = u64::from(d.cache_hit) | (u64::from(d.error.is_some()) << 1);
-    slot.flags.store(flags, Ordering::Relaxed);
-    slot.queue_wait_us.store(d.queue_wait_micros, Ordering::Relaxed);
-    slot.samples.store(d.samples, Ordering::Relaxed);
-    slot.variance_bits.store(d.variance.to_bits(), Ordering::Relaxed);
-    slot.ci_bits.store(d.ci_half_width.to_bits(), Ordering::Relaxed);
-    slot.preprocess_us.store(d.preprocess_micros, Ordering::Relaxed);
-    slot.scheme_us.store(d.scheme_micros, Ordering::Relaxed);
-    slot.total_us.store(d.total_micros, Ordering::Relaxed);
-    slot.ts_us.store(d.ts_micros, Ordering::Relaxed);
-    slot.seq.store(writing + 1, Ordering::Release);
+    ring().push([
+        i0,
+        i1,
+        i2,
+        i3,
+        d.query_fingerprint,
+        names,
+        flags,
+        d.queue_wait_micros,
+        d.samples,
+        d.variance.to_bits(),
+        d.ci_half_width.to_bits(),
+        d.preprocess_micros,
+        d.scheme_micros,
+        d.total_micros,
+        d.ts_micros,
+    ]);
+}
+
+fn unpack(w: [u64; DIGEST_WORDS]) -> FlightDigest {
+    let [i0, i1, i2, i3, fp, names, flags, wait, samples, var, ci, pre, sch, total, ts] = w;
+    FlightDigest {
+        request_id: id_string([i0, i1, i2, i3]),
+        query_fingerprint: fp,
+        scheme: trace::name_of(names as u32),
+        cache_hit: flags & 1 != 0,
+        error: (flags & 2 != 0).then(|| trace::name_of((names >> 32) as u32)),
+        queue_wait_micros: wait,
+        samples,
+        variance: f64::from_bits(var),
+        ci_half_width: f64::from_bits(ci),
+        preprocess_micros: pre,
+        scheme_micros: sch,
+        total_micros: total,
+        ts_micros: ts,
+    }
 }
 
 /// Digests recorded so far (completion-timestamp order) and how many were
 /// overwritten by ring wrap. Torn slots (a writer was mid-publish) are
-/// skipped, exactly as in the trace ring.
+/// skipped.
 pub fn snapshot() -> (Vec<FlightDigest>, u64) {
-    let rb = ring();
-    let head = rb.head.load(Ordering::Acquire);
-    let dropped = head.saturating_sub(rb.slots.len() as u64);
-    let mut digests = Vec::new();
-    for slot in &rb.slots {
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == 0 || seq % 2 == 1 {
-            continue;
-        }
-        let mut words = [0u64; 4];
-        for (w, v) in slot.id.iter().zip(words.iter_mut()) {
-            *v = w.load(Ordering::Relaxed);
-        }
-        let query_fp = slot.query_fp.load(Ordering::Relaxed);
-        let scheme = slot.scheme.load(Ordering::Relaxed);
-        let err = slot.err.load(Ordering::Relaxed);
-        let flags = slot.flags.load(Ordering::Relaxed);
-        let queue_wait_us = slot.queue_wait_us.load(Ordering::Relaxed);
-        let samples = slot.samples.load(Ordering::Relaxed);
-        let variance_bits = slot.variance_bits.load(Ordering::Relaxed);
-        let ci_bits = slot.ci_bits.load(Ordering::Relaxed);
-        let preprocess_us = slot.preprocess_us.load(Ordering::Relaxed);
-        let scheme_us = slot.scheme_us.load(Ordering::Relaxed);
-        let total_us = slot.total_us.load(Ordering::Relaxed);
-        let ts_us = slot.ts_us.load(Ordering::Relaxed);
-        if slot.seq.load(Ordering::Acquire) != seq {
-            continue; // torn: a writer reclaimed the slot while we read
-        }
-        digests.push(FlightDigest {
-            request_id: id_string(words),
-            query_fingerprint: query_fp,
-            scheme: trace::name_of(scheme),
-            cache_hit: flags & 1 != 0,
-            error: (flags & 2 != 0).then(|| trace::name_of(err)),
-            queue_wait_micros: queue_wait_us,
-            samples,
-            variance: f64::from_bits(variance_bits),
-            ci_half_width: f64::from_bits(ci_bits),
-            preprocess_micros: preprocess_us,
-            scheme_micros: scheme_us,
-            total_micros: total_us,
-            ts_micros: ts_us,
-        });
+    let (slots, dropped) = ring().snapshot();
+    let mut digests = Vec::with_capacity(slots.len());
+    for words in slots {
+        digests.push(unpack(words));
     }
     digests.sort_by_key(|d| d.ts_micros);
     (digests, dropped)
@@ -311,18 +251,13 @@ pub fn snapshot() -> (Vec<FlightDigest>, u64) {
 /// Digests lost to ring wrap so far — [`snapshot`]'s `dropped` without
 /// building the snapshot. One atomic load, cheap enough for `stats`.
 pub fn dropped_count() -> u64 {
-    let rb = ring();
-    rb.head.load(Ordering::Acquire).saturating_sub(rb.slots.len() as u64)
+    ring().dropped()
 }
 
 /// Empties the digest ring (tests; callers must ensure no concurrent
 /// writers, as with [`crate::trace::clear`]).
 pub fn clear() {
-    let rb = ring();
-    rb.head.store(0, Ordering::Release);
-    for slot in &rb.slots {
-        slot.seq.store(0, Ordering::Release);
-    }
+    ring().clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@
 //!   exposition format. A process-wide [`metrics::global`] registry holds
 //!   library-level counters (samples drawn, rejected draws, scheme runs,
 //!   budget expiries); servers own per-instance registries.
-//! * **Flight recorder** ([`flight`]): always-on per-request digests in a
-//!   lock-free ring, a tail-sampled slow/error log of full span trees, and
-//!   a thread-local request context (`request_id`), served live by
-//!   `cqa-server`'s `debug flight` / `debug slowlog` commands.
+//! * **Flight recorder** ([`flight`]): always-on per-request digests in
+//!   the same lock-free ring type the trace buffer uses, a tail-sampled
+//!   slow/error log of full span trees, and a thread-local request
+//!   context (`request_id`), served live by `cqa-server`'s
+//!   `debug flight` / `debug slowlog` commands.
 //!
 //! ```
 //! cqa_obs::set_enabled(true);
@@ -38,6 +39,7 @@ pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod names;
+mod ring;
 pub mod trace;
 
 pub use export::{chrome_trace_string, flat_profile_string, write_chrome_trace};

@@ -450,7 +450,7 @@ mod tests {
             let v = h.quantile_ms(q);
             assert!(v.is_finite() && v == 0.0, "q={q} gave {v}");
         }
-        assert!(h.mean_ms().is_finite());
+        assert_eq!(h.mean_ms(), 0.0);
     }
 
     #[test]
@@ -467,6 +467,8 @@ mod tests {
                 "uniform q={q}: estimate {est} µs vs exact {exact} µs"
             );
         }
+        // The mean comes from the exact sum, not the buckets.
+        assert!((h.mean_ms() - 0.5005).abs() < 1e-9, "uniform mean {} ms", h.mean_ms());
         // Geometric point masses at powers of two (worst case for log
         // buckets: every estimate sits exactly at an upper edge).
         let g = Histogram::new();

@@ -8,24 +8,26 @@
 //!    tracing is off, so instrumented hot paths (the sampler loops, the
 //!    synopsis builder) pay a single predictable branch.
 //! 2. **No locks on the hot path when enabled.** Events land in a global
-//!    bounded ring of atomic slots. Writers claim a ticket with one
-//!    `fetch_add` and then publish through a per-slot sequence word
-//!    (odd = being written, even = ticket it holds data for), so recording
-//!    is wait-free and the exporter can discard torn slots — the classic
-//!    seqlock, expressed entirely in safe Rust because every field of a
-//!    slot is itself an atomic.
+//!    bounded ring of atomic slots, the one ring (`ring.rs`) the flight
+//!    recorder also uses: a writer takes a ticket with one `fetch_add`,
+//!    claims its slot with one forward-only compare-exchange (or drops
+//!    the event when a wrapped writer holds it), and publishes through
+//!    the slot's sequence word, so recording is wait-free and readers
+//!    skip torn slots — expressed entirely in safe Rust because every
+//!    word of a slot is itself an atomic.
 //! 3. **Integer-only events.** Span names are `&'static str` interned to
 //!    `u32` ids once per name (a short mutex-guarded scan — spans are
-//!    phase-granular, not per-sample), so a recorded event is seven plain
-//!    integer stores.
+//!    phase-granular, not per-sample), so a recorded event is seven
+//!    integer payload words, one 64-byte slot with its sequence word.
 //!
 //! When the ring wraps, the oldest events are overwritten; the exporter
 //! reports how many were dropped. Timestamps are microseconds since a
 //! process-wide epoch captured on first use, which is exactly the clock
 //! Chrome's `trace_event` format wants.
 
+use crate::ring::Ring;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -99,64 +101,38 @@ pub enum EventKind {
     Instant,
 }
 
-#[derive(Default)]
-struct Slot {
-    /// 0 = never written; odd = write in progress; even nonzero = holds the
-    /// event of ticket `(seq - 2) / 2`.
-    seq: AtomicU64,
-    name: AtomicU32,
-    /// `kind` (bit 0) | `depth << 1` (7 bits) | `tid << 8`.
-    meta: AtomicU64,
-    ts: AtomicU64,
-    dur: AtomicU64,
-    self_us: AtomicU64,
-    a0: AtomicU64,
-    a1: AtomicU64,
+/// Ring words per event: with the sequence word, one 64-byte slot.
+const EVENT_WORDS: usize = 7;
+
+/// Packs one event into the ring's seven payload words: name id, `kind`
+/// (bit 0) | `depth << 1` (7 bits) | `tid << 8`, start, duration,
+/// self-time and the two arguments. `timing` is `[duration, self-time]`
+/// in microseconds.
+fn push(name: u32, kind: EventKind, depth: u8, ts: u64, timing: [u64; 2], args: [u64; 2]) {
+    let kind_bit = match kind {
+        EventKind::Span => 0u64,
+        EventKind::Instant => 1u64,
+    };
+    let meta = kind_bit | (u64::from(depth & 0x7f) << 1) | (u64::from(thread_id()) << 8);
+    ring().push([u64::from(name), meta, ts, timing[0], timing[1], args[0], args[1]]);
 }
 
-struct Ring {
-    slots: Vec<Slot>,
-    head: AtomicU64,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, Slot::default);
-        Ring { slots, head: AtomicU64::new(0) }
-    }
-
-    /// `timing` is `[duration, self-time]` in microseconds.
-    fn push(
-        &self,
-        name: u32,
-        kind: EventKind,
-        depth: u8,
-        ts: u64,
-        timing: [u64; 2],
-        args: [u64; 2],
-    ) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket as usize) % self.slots.len()];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        slot.name.store(name, Ordering::Relaxed);
-        let kind_bit = match kind {
-            EventKind::Span => 0u64,
-            EventKind::Instant => 1u64,
-        };
-        let meta = kind_bit | (u64::from(depth & 0x7f) << 1) | (u64::from(thread_id()) << 8);
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.ts.store(ts, Ordering::Relaxed);
-        slot.dur.store(timing[0], Ordering::Relaxed);
-        slot.self_us.store(timing[1], Ordering::Relaxed);
-        slot.a0.store(args[0], Ordering::Relaxed);
-        slot.a1.store(args[1], Ordering::Relaxed);
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+fn unpack([name, meta, ts, dur, self_us, a0, a1]: [u64; EVENT_WORDS]) -> TraceEvent {
+    TraceEvent {
+        name: name_of(name as u32),
+        kind: if meta & 1 == 0 { EventKind::Span } else { EventKind::Instant },
+        tid: (meta >> 8) as u32,
+        depth: ((meta >> 1) & 0x7f) as u8,
+        ts_micros: ts,
+        dur_micros: dur,
+        self_micros: self_us,
+        a0,
+        a1,
     }
 }
 
-fn ring() -> &'static Ring {
-    static RING: OnceLock<Ring> = OnceLock::new();
+fn ring() -> &'static Ring<EVENT_WORDS> {
+    static RING: OnceLock<Ring<EVENT_WORDS>> = OnceLock::new();
     RING.get_or_init(|| Ring::new(DEFAULT_CAPACITY))
 }
 
@@ -342,7 +318,7 @@ impl Drop for SpanGuard {
             (stack.len().min(0x7f) as u8, self_us)
         });
         if enabled() {
-            ring().push(self.name, EventKind::Span, depth, self.start, [dur, self_us], self.args);
+            push(self.name, EventKind::Span, depth, self.start, [dur, self_us], self.args);
         }
         if capturing() {
             capture_push(TraceEvent {
@@ -375,7 +351,7 @@ pub fn instant_args(name: &'static str, a0: u64, a1: u64) {
     let depth = STACK.with(|s| s.borrow().len().min(0x7f) as u8);
     let ts = now_micros();
     if enabled() {
-        ring().push(intern(name), EventKind::Instant, depth, ts, [0, 0], [a0, a1]);
+        push(intern(name), EventKind::Instant, depth, ts, [0, 0], [a0, a1]);
     }
     if capturing() {
         capture_push(TraceEvent {
@@ -403,7 +379,7 @@ pub fn record_span(name: &'static str, start_micros: u64, a0: u64, a1: u64) {
     }
     let dur = now_micros().saturating_sub(start_micros);
     if enabled() {
-        ring().push(intern(name), EventKind::Span, 0, start_micros, [dur, dur], [a0, a1]);
+        push(intern(name), EventKind::Span, 0, start_micros, [dur, dur], [a0, a1]);
     }
     if capturing() {
         capture_push(TraceEvent {
@@ -451,36 +427,10 @@ pub struct TraceEvent {
 /// Torn slots (a writer was mid-publish during the read) are skipped.
 /// Events are returned in timestamp order.
 pub fn snapshot() -> (Vec<TraceEvent>, u64) {
-    let rb = ring();
-    let head = rb.head.load(Ordering::Acquire);
-    let dropped = head.saturating_sub(rb.slots.len() as u64);
-    let mut events = Vec::new();
-    for slot in &rb.slots {
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == 0 || seq % 2 == 1 {
-            continue;
-        }
-        let name = slot.name.load(Ordering::Relaxed);
-        let meta = slot.meta.load(Ordering::Relaxed);
-        let ts = slot.ts.load(Ordering::Relaxed);
-        let dur = slot.dur.load(Ordering::Relaxed);
-        let self_us = slot.self_us.load(Ordering::Relaxed);
-        let a0 = slot.a0.load(Ordering::Relaxed);
-        let a1 = slot.a1.load(Ordering::Relaxed);
-        if slot.seq.load(Ordering::Acquire) != seq {
-            continue; // torn: a writer reclaimed the slot while we read
-        }
-        events.push(TraceEvent {
-            name: name_of(name),
-            kind: if meta & 1 == 0 { EventKind::Span } else { EventKind::Instant },
-            tid: (meta >> 8) as u32,
-            depth: ((meta >> 1) & 0x7f) as u8,
-            ts_micros: ts,
-            dur_micros: dur,
-            self_micros: self_us,
-            a0,
-            a1,
-        });
+    let (slots, dropped) = ring().snapshot();
+    let mut events = Vec::with_capacity(slots.len());
+    for words in slots {
+        events.push(unpack(words));
     }
     events.sort_by_key(|e| e.ts_micros);
     (events, dropped)
@@ -490,11 +440,7 @@ pub fn snapshot() -> (Vec<TraceEvent>, u64) {
 /// recorded (fine for tests and CLI runs); events published during the
 /// clear may survive it.
 pub fn clear() {
-    let rb = ring();
-    rb.head.store(0, Ordering::Release);
-    for slot in &rb.slots {
-        slot.seq.store(0, Ordering::Release);
-    }
+    ring().clear();
 }
 
 #[cfg(test)]

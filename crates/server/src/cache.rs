@@ -101,18 +101,6 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-impl CacheStats {
-    /// Hits over lookups, or 0 when the cache is untouched.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A sharded LRU map from [`CacheKey`] to `Arc<SynopsisSet>`.
 pub struct SynopsisCache {
     shards: Vec<Mutex<Shard>>,
@@ -272,7 +260,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.canonical_rekeys, 0);
-        assert_eq!(stats.hit_rate(), 0.5);
+        assert_eq!(stats.hits as f64 / (stats.hits + stats.misses) as f64, 0.5);
     }
 
     #[test]

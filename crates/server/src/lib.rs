@@ -46,7 +46,7 @@ pub use cache::{CacheKey, CacheStats, SynopsisCache};
 pub use chaos::{run_chaos, ChaosReport, ChaosSpec};
 pub use client::Client;
 pub use loadgen::{run_load, LoadReport, LoadSpec};
-pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use pool::{PoolConfig, SubmitError, WorkerPool};
 pub use protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer, WireDigest,

@@ -6,7 +6,8 @@
 //! The build container has no crates-io mirror, so this shim vendors the
 //! small subset of [`loom`](https://docs.rs/loom)'s API the workspace uses
 //! to model-check its concurrent kernels: the sharded synopsis cache and
-//! the seqlock trace ring (see `docs/ANALYSIS.md`).
+//! the one seqlock ring behind trace events and flight digests (see
+//! `docs/ANALYSIS.md`).
 //!
 //! [`model`] runs a closure under a cooperative scheduler that enumerates
 //! **every sequentially-consistent interleaving** of the closure's shared
