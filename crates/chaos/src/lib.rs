@@ -23,11 +23,11 @@
 //! use cqa_chaos::{fault_point, FaultPlan};
 //!
 //! // Disarmed: one atomic load, no fault.
-//! assert!(fault_point!("cache/insert").is_none());
+//! assert!(fault_point!(CacheInsert).is_none());
 //!
 //! // Armed: the seeded plan decides.
 //! cqa_chaos::arm(&FaultPlan::preset("all-points-error", 42).unwrap()).unwrap();
-//! let fired: u32 = (0..100).map(|_| u32::from(fault_point!("cache/insert").is_some())).sum();
+//! let fired: u32 = (0..100).map(|_| u32::from(fault_point!(CacheInsert).is_some())).sum();
 //! cqa_chaos::disarm();
 //! assert!(fired > 0 && fired < 100);
 //! ```
@@ -35,6 +35,8 @@
 #![forbid(unsafe_code)]
 
 pub mod points;
+
+pub use points::Point;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -92,11 +94,11 @@ pub enum Trigger {
     NthHit(u64),
 }
 
-/// One injection rule: a point (or `"*"` for every registered point),
-/// a fault kind, and a trigger.
+/// One injection rule: a point (or `"*"` for every point), a fault kind,
+/// and a trigger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
-    /// Registered point name from [`points::POINTS`], or `"*"`.
+    /// A [`Point`]'s name, or `"*"`.
     pub point: String,
     /// What to inject.
     pub kind: FaultKind,
@@ -122,8 +124,8 @@ pub const PRESETS: &[&str] =
 impl FaultPlan {
     /// Build one of the named preset plans, or `None` for an unknown name.
     ///
-    /// * `all-points-error` — every registered point errors with p=0.2.
-    /// * `all-points-delay` — every registered point delays 2 ms with p=0.25.
+    /// * `all-points-error` — every point errors with p=0.2.
+    /// * `all-points-delay` — every point delays 2 ms with p=0.25.
     /// * `smoke` — error + delay at three points (the CI smoke plan).
     /// * `short-write` — truncated protocol writes with p=0.25.
     /// * `worker-panic` — every 5th pool handoff panics in the worker.
@@ -151,13 +153,14 @@ impl FaultPlan {
     }
 }
 
-/// A compiled plan: rules resolved to point indices, plus the per-point
-/// hit and injection counters. Kept after [`disarm`] so reports can read
-/// the counters of the run that just finished.
+/// A compiled plan: rules resolved to points, plus the per-point hit and
+/// injection counters, all indexed by the [`Point`] discriminant. Kept
+/// after [`disarm`] so reports can read the counters of the run that just
+/// finished.
 struct Active {
     seed: u64,
-    /// `by_point[i]` = the rules that apply to `points::POINTS[i]`, in
-    /// plan order (wildcards expanded), paired with their rule index for
+    /// `by_point[i]` = the rules that apply to `Point::ALL[i]`, in plan
+    /// order (wildcards expanded), paired with their rule index for
     /// decision mixing.
     by_point: Vec<Vec<(usize, FaultKind, Trigger)>>,
     hits: Vec<AtomicU64>,
@@ -166,10 +169,10 @@ struct Active {
 
 static PLAN: Mutex<Option<Active>> = Mutex::new(None);
 
-/// Hit/injection totals for one registered point.
+/// Hit/injection totals for one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointCounts {
-    /// The registered point name.
+    /// The point's name.
     pub point: &'static str,
     /// How many times the point was reached while armed.
     pub hits: u64,
@@ -178,10 +181,10 @@ pub struct PointCounts {
 }
 
 /// Compile and arm `plan`. Fails (leaving the harness disarmed) if a rule
-/// names an unregistered point, a probability is outside `[0, 1]`, or an
+/// names an unknown point, a probability is outside `[0, 1]`, or an
 /// nth-hit period is zero.
 pub fn arm(plan: &FaultPlan) -> Result<(), String> {
-    let n = points::POINTS.len();
+    let n = Point::ALL.len();
     let mut by_point: Vec<Vec<(usize, FaultKind, Trigger)>> = vec![Vec::new(); n];
     for (rule_idx, rule) in plan.rules.iter().enumerate() {
         match rule.trigger {
@@ -195,8 +198,8 @@ pub fn arm(plan: &FaultPlan) -> Result<(), String> {
             for sites in by_point.iter_mut() {
                 sites.push((rule_idx, rule.kind, rule.trigger));
             }
-        } else if let Some(i) = points::index_of(&rule.point) {
-            by_point[i].push((rule_idx, rule.kind, rule.trigger));
+        } else if let Some(p) = Point::from_name(&rule.point) {
+            by_point[p as usize].push((rule_idx, rule.kind, rule.trigger));
         } else {
             return Err(format!("rule {rule_idx}: unknown fault point {:?}", rule.point));
         }
@@ -223,11 +226,11 @@ pub fn disarm() {
 pub fn counts() -> Vec<PointCounts> {
     let guard = PLAN.lock().unwrap_or_else(PoisonError::into_inner);
     let Some(active) = guard.as_ref() else { return Vec::new() };
-    points::POINTS
+    Point::ALL
         .iter()
         .enumerate()
-        .map(|(i, point)| PointCounts {
-            point,
+        .map(|(i, p)| PointCounts {
+            point: p.name(),
             hits: active.hits[i].load(Ordering::Relaxed),
             injections: active.injections[i].load(Ordering::Relaxed),
         })
@@ -251,12 +254,12 @@ fn unit(seed: u64, point: &str, hit: u64, rule_idx: usize) -> f64 {
 /// active plan, and either perform the fault here (delay, panic) or hand
 /// it back for the boundary to surface ([`Fault::Error`],
 /// [`Fault::ShortWrite`]).
-pub fn trigger(name: &str) -> Option<Fault> {
-    debug_assert!(points::is_registered(name), "unregistered fault point {name:?}");
+pub fn trigger(point: Point) -> Option<Fault> {
+    let name = point.name();
     let fired = {
         let guard = PLAN.lock().unwrap_or_else(PoisonError::into_inner);
         let active = guard.as_ref()?;
-        let idx = points::index_of(name)?;
+        let idx = point as usize;
         let hit = active.hits[idx].fetch_add(1, Ordering::Relaxed);
         let fired =
             active.by_point[idx].iter().copied().find(|&(rule_idx, _, trigger)| match trigger {
@@ -288,14 +291,13 @@ pub fn trigger(name: &str) -> Option<Fault> {
 /// Evaluates to `Option<Fault>`: `None` means proceed normally (the
 /// overwhelmingly common case — when disarmed this is one relaxed atomic
 /// load), `Some(fault)` means the boundary must surface the injected
-/// fault through its own error path. The name must be registered in
-/// [`points::POINTS`]; the `fault-point-registry` lint checks both
-/// directions.
+/// fault through its own error path. The argument is a [`Point`] variant
+/// name, e.g. `fault_point!(CacheLookup)`.
 #[macro_export]
 macro_rules! fault_point {
-    ($name:expr) => {
+    ($point:ident) => {
         if $crate::armed() {
-            $crate::trigger($name)
+            $crate::trigger($crate::Point::$point)
         } else {
             ::core::option::Option::None
         }
@@ -318,7 +320,7 @@ mod tests {
         let _g = locked();
         disarm();
         for _ in 0..1000 {
-            assert_eq!(fault_point!("cache/insert"), None);
+            assert_eq!(fault_point!(CacheInsert), None);
         }
     }
 
@@ -328,7 +330,7 @@ mod tests {
         let plan = FaultPlan::preset("all-points-error", 42).unwrap();
         let run = |plan: &FaultPlan| -> Vec<bool> {
             arm(plan).unwrap();
-            let pattern = (0..200).map(|_| fault_point!("pool/submit").is_some()).collect();
+            let pattern = (0..200).map(|_| fault_point!(PoolSubmit).is_some()).collect();
             disarm();
             pattern
         };
@@ -356,7 +358,7 @@ mod tests {
             }],
         };
         arm(&plan).unwrap();
-        let pattern: Vec<bool> = (0..9).map(|_| fault_point!("pool/handoff").is_some()).collect();
+        let pattern: Vec<bool> = (0..9).map(|_| fault_point!(PoolHandoff).is_some()).collect();
         disarm();
         assert_eq!(pattern, vec![false, false, true, false, false, true, false, false, true]);
     }
@@ -374,7 +376,7 @@ mod tests {
         };
         arm(&plan).unwrap();
         for _ in 0..10 {
-            let _ = fault_point!("cache/lookup");
+            let _ = fault_point!(CacheLookup);
         }
         disarm();
         let c = counts();
@@ -399,7 +401,7 @@ mod tests {
             }],
         };
         arm(&plan).unwrap();
-        let fault = fault_point!("protocol/write");
+        let fault = fault_point!(ProtocolWrite);
         disarm();
         assert_eq!(fault, Some(Fault::ShortWrite));
     }

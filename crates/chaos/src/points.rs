@@ -1,47 +1,49 @@
-//! Central registry of every fault-injection point in the workspace.
+//! Every fault-injection point in the workspace, as the [`Point`] enum.
 //!
-//! A `fault_point!(name)` planted at a fallible boundary but missing from
-//! this array fails nowhere — the chaos runner just never exercises it and
-//! the reliability handbook never documents it. `cqa-lint`'s
-//! `fault-point-registry` rule checks both directions: every
-//! `fault_point!` literal in the workspace must appear here, and every
-//! name here must have at least one call site (see `docs/ANALYSIS.md`).
+//! [`crate::fault_point!`] takes a [`Point`] variant, so a misspelled
+//! point is a compile error at the boundary. The reverse direction (every
+//! variant is planted at some boundary) is checked by
+//! `crates/chaos/tests/call_sites.rs`.
 //!
-//! Naming scheme mirrors the span registry: `area/operation`, the area
+//! Naming scheme mirrors the span names: `area/operation`, the area
 //! matching the subsystem that owns the boundary. The per-point failure
 //! semantics — what a client observes when each point fires — are the
 //! guarantee table in `docs/RELIABILITY.md`.
+//!
+//! ```compile_fail
+//! // A misspelled point does not compile.
+//! let _ = cqa_chaos::fault_point!(CacheLokup);
+//! ```
 
-/// Every fault-point name passed to [`crate::fault_point!`], sorted.
-pub const POINTS: &[&str] = &[
-    // crates/server/src/cache.rs — synopsis cache
-    "cache/insert",
-    "cache/lookup",
-    "cache/shard_lock",
-    // crates/server/src/pool.rs + server.rs — worker pool
-    "pool/handoff",
-    "pool/submit",
-    // crates/server/src/server.rs — connection I/O
-    "protocol/flush",
-    "protocol/read",
-    "protocol/write",
-    // crates/server/src/server.rs — request execution
-    "server/deadline",
-    // crates/storage — dump loading
-    "storage/dump_load",
-    // crates/server/src/server.rs — synopsis construction
-    "synopsis/build",
-];
-
-/// Whether `name` is a registered fault point.
-pub fn is_registered(name: &str) -> bool {
-    index_of(name).is_some()
+cqa_common::name_enum! {
+    /// A fault-injection point, sorted by name. Its discriminant keys the
+    /// per-point hit and injection counters.
+    pub enum Point {
+        // crates/server/src/cache.rs — synopsis cache
+        CacheInsert = "cache/insert",
+        CacheLookup = "cache/lookup",
+        CacheShardLock = "cache/shard_lock",
+        // crates/server/src/pool.rs + server.rs — worker pool
+        PoolHandoff = "pool/handoff",
+        PoolSubmit = "pool/submit",
+        // crates/server/src/server.rs — connection I/O
+        ProtocolFlush = "protocol/flush",
+        ProtocolRead = "protocol/read",
+        ProtocolWrite = "protocol/write",
+        // crates/server/src/server.rs — request execution
+        ServerDeadline = "server/deadline",
+        // crates/storage — dump loading
+        StorageDumpLoad = "storage/dump_load",
+        // crates/server/src/server.rs — synopsis construction
+        SynopsisBuild = "synopsis/build",
+    }
 }
 
-/// The index of `name` in [`POINTS`], used to key the per-point hit and
-/// injection counters. `POINTS` is sorted, so this is a binary search.
-pub fn index_of(name: &str) -> Option<usize> {
-    POINTS.binary_search(&name).ok()
+impl Point {
+    /// The point a fault plan names, or `None` for an unknown name.
+    pub fn from_name(name: &str) -> Option<Point> {
+        Point::ALL.iter().copied().find(|p| p.name() == name)
+    }
 }
 
 #[cfg(test)]
@@ -49,29 +51,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_sorted_and_duplicate_free() {
-        for w in POINTS.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "POINTS must be sorted and duplicate-free: {:?} vs {:?}",
-                w[0],
-                w[1]
-            );
+    fn names_are_sorted_and_follow_the_scheme() {
+        for w in Point::ALL.windows(2) {
+            assert!(w[0].name() < w[1].name(), "{:?} must sort before {:?}", w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn names_follow_the_scheme() {
-        for p in POINTS {
-            assert!(p.contains('/') && !p.contains(' '), "point {p:?} must be area/operation");
+        for p in Point::ALL {
+            assert!(p.name().contains('/') && !p.name().contains(' '), "{p:?} is area/operation");
+            assert_eq!(Point::from_name(p.name()), Some(*p));
         }
-    }
-
-    #[test]
-    fn index_of_agrees_with_position() {
-        for (i, p) in POINTS.iter().enumerate() {
-            assert_eq!(index_of(p), Some(i));
-        }
-        assert_eq!(index_of("no/such_point"), None);
+        assert_eq!(Point::from_name("no/such_point"), None);
     }
 }

@@ -21,6 +21,8 @@
 //! * [`checked`] — explicit float→integer conversions for estimator math,
 //!   where clippy's `cast_possible_truncation` is denied.
 //! * [`error`] — the shared error type.
+//! * [`names`] — [`name_enum!`], the enum form of a closed set of names
+//!   (spans, fault points, benchmark series).
 
 pub mod alias;
 pub mod checked;
@@ -29,6 +31,7 @@ pub mod hash;
 pub mod json;
 pub mod logspace;
 pub mod mt;
+pub mod names;
 pub mod stats;
 pub mod timer;
 pub mod validate;

@@ -19,6 +19,7 @@
 use crate::sampler::SymbolicDraw;
 use crate::scheme::Budget;
 use cqa_common::{Below, CqaError, Mt64, Result};
+use cqa_obs::Span;
 use cqa_synopsis::AdmissiblePair;
 
 /// Outcome of the coverage algorithm.
@@ -70,7 +71,7 @@ pub fn self_adjusting_coverage(
     if n_budget > budget.max_samples {
         return Err(CqaError::TimedOut { phase: "coverage planning" });
     }
-    let mut span = cqa_obs::span_args("core/coverage_loop", n_budget, 0);
+    let mut span = cqa_obs::span_args(Span::CoreCoverageLoop, n_budget, 0);
     let mut draw = SymbolicDraw::new(pair);
     let probe = Below::new(h as u64);
     let mut steps: u64 = 0;
@@ -90,7 +91,7 @@ pub fn self_adjusting_coverage(
             if steps.is_multiple_of(crate::optest::POLL) && budget.deadline.expired() {
                 if cqa_obs::enabled() {
                     crate::telemetry::budget_exhausted_total().inc();
-                    cqa_obs::instant_args("core/deadline_expired", steps, 0);
+                    cqa_obs::instant_args(Span::CoreDeadlineExpired, steps, 0);
                 }
                 return Err(CqaError::TimedOut { phase: "coverage" });
             }

@@ -9,6 +9,7 @@
 
 use crate::scheme::{approx_relative_frequency, Budget, Scheme};
 use cqa_common::{Mt64, Result, Stopwatch};
+use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::{Database, Datum};
 use cqa_synopsis::{build_synopses, BuildOptions, SynopsisSet};
@@ -66,7 +67,7 @@ pub fn apx_cqa_on_synopses(
     rng: &mut Mt64,
 ) -> Result<ApxCqaResult> {
     let sw = Stopwatch::start();
-    let mut span = cqa_obs::span_args("driver/apx_cqa", syn.entries.len() as u64, 0);
+    let mut span = cqa_obs::span_args(Span::DriverApxCqa, syn.entries.len() as u64, 0);
     let mut answers = Vec::with_capacity(syn.entries.len());
     let mut total_samples = 0u64;
     for entry in &syn.entries {

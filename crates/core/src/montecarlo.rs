@@ -14,6 +14,7 @@ use crate::optest::{budgeted_sample, plan_iterations};
 use crate::sampler::Sampler;
 use crate::scheme::Budget;
 use cqa_common::{Mt64, Result};
+use cqa_obs::Span;
 
 /// Outcome of `MonteCarlo[Sample]`.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +38,7 @@ pub fn monte_carlo<S: Sampler>(
 ) -> Result<MonteCarloOutcome> {
     let mut count: u64 = 0;
     let plan = plan_iterations(sampler, eps, delta, budget, rng, &mut count)?;
-    let mut loop_span = cqa_obs::span_args("core/mc_final_loop", plan.n, 0);
+    let mut loop_span = cqa_obs::span_args(Span::CoreMcFinalLoop, plan.n, 0);
     let mut s = 0.0f64;
     let mut ss = 0.0f64;
     // repeat … until ctr = N

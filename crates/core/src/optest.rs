@@ -21,6 +21,7 @@ use crate::sampler::Sampler;
 use crate::scheme::Budget;
 use crate::telemetry;
 use cqa_common::{CqaError, Mt64, Result};
+use cqa_obs::Span;
 
 /// Outcome of the stopping-rule algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -79,14 +80,14 @@ pub(crate) fn budgeted_sample<S: Sampler>(
     if count.is_multiple_of(POLL) && budget.deadline.expired() {
         if cqa_obs::enabled() {
             telemetry::budget_exhausted_total().inc();
-            cqa_obs::instant_args("core/deadline_expired", *count, 0);
+            cqa_obs::instant_args(Span::CoreDeadlineExpired, *count, 0);
         }
         return Err(CqaError::TimedOut { phase });
     }
     if *count > budget.max_samples {
         if cqa_obs::enabled() {
             telemetry::budget_exhausted_total().inc();
-            cqa_obs::instant_args("core/sample_cap_hit", *count, 0);
+            cqa_obs::instant_args(Span::CoreSampleCapHit, *count, 0);
         }
         return Err(CqaError::TimedOut { phase });
     }
@@ -105,7 +106,7 @@ pub fn stopping_rule<S: Sampler>(
     count: &mut u64,
 ) -> Result<StoppingOutcome> {
     check_params(eps, delta)?;
-    let mut span = cqa_obs::span("dklr/stopping_rule");
+    let mut span = cqa_obs::span(Span::DklrStoppingRule);
     // For valid (ε, δ) the sum is already > 1; the floor makes the loop's
     // ≥1-iteration guarantee (and thus `n ≥ 1`, `mu > 0` downstream)
     // unconditional even for degenerate Υ.
@@ -152,7 +153,7 @@ pub fn plan_iterations<S: Sampler>(
         * upsilon(eps, delta / 3.0);
 
     let n2 = cqa_common::checked::f64_to_u64((upsilon2 * eps / mu_hat).ceil()).max(1);
-    let mut var_span = cqa_obs::span_args("dklr/variance_estimation", n2, 0);
+    let mut var_span = cqa_obs::span_args(Span::DklrVarianceEstimation, n2, 0);
     let mut s = 0.0f64;
     for _ in 0..n2 {
         let a = budgeted_sample(sampler, rng, budget, &mut samples, "variance estimation")?;
@@ -168,7 +169,7 @@ pub fn plan_iterations<S: Sampler>(
         return Err(CqaError::TimedOut { phase: "iteration planning" });
     }
     let n = cqa_common::checked::f64_to_u64(n);
-    cqa_obs::instant_args("dklr/planned", n, samples);
+    cqa_obs::instant_args(Span::DklrPlanned, n, samples);
     *count = samples.max(*count);
     Ok(PlanOutcome { n, mu_hat, rho_hat, samples })
 }

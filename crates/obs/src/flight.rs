@@ -6,7 +6,7 @@
 //!    [`FlightDigest`]s, one per completed server request: request id,
 //!    canonical query fingerprint, cache hit/miss, queue wait, sample
 //!    count, the estimator's CI half-width at termination, and the latency
-//!    breakdown. It is the trace buffer's ring (`ring.rs`) with 15-word
+//!    breakdown. It is the trace buffer's ring (`ring.rs`) with 18-word
 //!    slots: a ticket via `fetch_add`, a forward-only claim that drops
 //!    the digest when a wrapped writer holds the slot, and readers that
 //!    skip torn slots — so recording a digest is a handful of plain
@@ -30,7 +30,7 @@
 
 use crate::ring::Ring;
 use crate::trace::{self, TraceEvent};
-use cqa_common::Json;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,12 +126,14 @@ pub struct FlightDigest {
     pub request_id: String,
     /// Canonical query fingerprint (0 when the query never parsed).
     pub query_fingerprint: u64,
-    /// Scheme display name (`"Natural"`, `"KL"`, `"KLM"`, `"Cover"`).
-    pub scheme: &'static str,
+    /// Scheme display name (`"Natural"`, `"KL"`, `"KLM"`, `"Cover"`); the
+    /// ring keeps its first 8 bytes.
+    pub scheme: Cow<'static, str>,
     /// Did the synopsis come from the cache?
     pub cache_hit: bool,
-    /// Structured error kind name for failed requests.
-    pub error: Option<&'static str>,
+    /// Structured error kind name for failed requests; the ring keeps its
+    /// first 24 bytes.
+    pub error: Option<Cow<'static, str>>,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait_micros: u64,
     /// Samples the scheme drew.
@@ -151,30 +153,30 @@ pub struct FlightDigest {
     pub ts_micros: u64,
 }
 
-/// A digest is 15 ring words: the request id (4), the query fingerprint,
-/// the interned scheme (low 32 bits) and error (high 32 bits) names,
-/// flags (bit 0 = cache hit, bit 1 = error present), then the seven
-/// timing and convergence fields.
-const DIGEST_WORDS: usize = 15;
+/// A digest is 18 ring words: the request id (4), the query fingerprint,
+/// the scheme name (1), the error name (3), flags (bit 0 = cache hit,
+/// bit 1 = error present), then the eight timing and convergence fields.
+/// Names ride as NUL-padded bytes, like the request id.
+const DIGEST_WORDS: usize = 18;
 
 fn ring() -> &'static Ring<DIGEST_WORDS> {
     static RING: OnceLock<Ring<DIGEST_WORDS>> = OnceLock::new();
     RING.get_or_init(|| Ring::new(DEFAULT_CAPACITY))
 }
 
-/// Packs the first [`MAX_REQUEST_ID_BYTES`] bytes of `id` into four
-/// little-endian words, NUL-padded.
-fn id_words(id: &str) -> [u64; 4] {
-    let mut words = [0u64; 4];
-    for (i, b) in id.as_bytes().iter().take(MAX_REQUEST_ID_BYTES).enumerate() {
+/// Packs the first `8 * N` bytes of `s` into `N` little-endian words,
+/// NUL-padded.
+fn str_words<const N: usize>(s: &str) -> [u64; N] {
+    let mut words = [0u64; N];
+    for (i, b) in s.as_bytes().iter().take(8 * N).enumerate() {
         words[i / 8] |= u64::from(*b) << ((i % 8) * 8);
     }
     words
 }
 
-fn id_string(words: [u64; 4]) -> String {
-    let mut bytes = Vec::with_capacity(MAX_REQUEST_ID_BYTES);
-    'outer: for w in words {
+fn words_str(words: &[u64]) -> String {
+    let mut bytes = Vec::with_capacity(8 * words.len());
+    'outer: for &w in words {
         for k in 0..8 {
             let b = ((w >> (k * 8)) & 0xff) as u8;
             if b == 0 {
@@ -193,9 +195,9 @@ pub fn record(d: &FlightDigest) {
     if !enabled() {
         return;
     }
-    let [i0, i1, i2, i3] = id_words(&d.request_id);
-    let names = u64::from(trace::intern(d.scheme))
-        | (u64::from(trace::intern(d.error.unwrap_or(""))) << 32);
+    let [i0, i1, i2, i3] = str_words(&d.request_id);
+    let [scheme] = str_words(&d.scheme);
+    let [e0, e1, e2] = str_words(d.error.as_deref().unwrap_or(""));
     let flags = u64::from(d.cache_hit) | (u64::from(d.error.is_some()) << 1);
     ring().push([
         i0,
@@ -203,7 +205,10 @@ pub fn record(d: &FlightDigest) {
         i2,
         i3,
         d.query_fingerprint,
-        names,
+        scheme,
+        e0,
+        e1,
+        e2,
         flags,
         d.queue_wait_micros,
         d.samples,
@@ -217,13 +222,14 @@ pub fn record(d: &FlightDigest) {
 }
 
 fn unpack(w: [u64; DIGEST_WORDS]) -> FlightDigest {
-    let [i0, i1, i2, i3, fp, names, flags, wait, samples, var, ci, pre, sch, total, ts] = w;
+    let [i0, i1, i2, i3, fp, scheme, e0, e1, e2, flags, wait, samples, var, ci, pre, sch, total, ts] =
+        w;
     FlightDigest {
-        request_id: id_string([i0, i1, i2, i3]),
+        request_id: words_str(&[i0, i1, i2, i3]),
         query_fingerprint: fp,
-        scheme: trace::name_of(names as u32),
+        scheme: Cow::Owned(words_str(&[scheme])),
         cache_hit: flags & 1 != 0,
-        error: (flags & 2 != 0).then(|| trace::name_of((names >> 32) as u32)),
+        error: (flags & 2 != 0).then(|| Cow::Owned(words_str(&[e0, e1, e2]))),
         queue_wait_micros: wait,
         samples,
         variance: f64::from_bits(var),
@@ -314,22 +320,6 @@ pub fn slowlog_clear() {
     slowlog().lock().unwrap_or_else(PoisonError::into_inner).clear();
 }
 
-// ---------------------------------------------------------------------------
-// Field names
-// ---------------------------------------------------------------------------
-
-/// Builds one `(field, value)` pair for rendering a digest or slow-log
-/// entry to JSON. Every field name must be declared in
-/// [`crate::names::FIELDS`]: `cqa-lint`'s `obs-name-registry` rule checks
-/// call sites statically, and a debug assertion backs it at runtime.
-pub fn digest_field(name: &'static str, value: Json) -> (&'static str, Json) {
-    debug_assert!(
-        crate::names::FIELDS.contains(&name),
-        "flight-recorder field {name:?} missing from crates/obs/src/names.rs"
-    );
-    (name, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +328,7 @@ mod tests {
         FlightDigest {
             request_id: id.to_owned(),
             query_fingerprint: 0xfeed,
-            scheme: "KLM",
+            scheme: "Natural".into(),
             cache_hit: true,
             error: None,
             queue_wait_micros: 12,
@@ -359,7 +349,7 @@ mod tests {
         clear();
         record(&digest("client-abc", 10));
         record(&FlightDigest {
-            error: Some("deadline_exceeded"),
+            error: Some("deadline_exceeded".into()),
             cache_hit: false,
             ..digest("srv-0000000000000001", 20)
         });
@@ -367,7 +357,7 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], digest("client-abc", 10));
-        assert_eq!(got[1].error, Some("deadline_exceeded"));
+        assert_eq!(got[1].error.as_deref(), Some("deadline_exceeded"));
         assert!(!got[1].cache_hit);
 
         // Long ids keep their first MAX_REQUEST_ID_BYTES bytes.
@@ -398,7 +388,7 @@ mod tests {
         begin_request("req-77");
         assert_eq!(current_request_id(), "req-77");
         {
-            let _g = crate::span("server/request");
+            let _g = crate::span(crate::Span::ServerRequest);
         }
         end_request();
         assert_eq!(current_request_id(), "");
@@ -429,16 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn id_words_roundtrip() {
+    fn str_words_roundtrip() {
         for id in ["", "a", "exactly-8", "a-much-longer-request-id-string!"] {
-            assert_eq!(id_string(id_words(id)), *id);
+            assert_eq!(words_str(&str_words::<4>(id)), *id);
         }
-    }
-
-    #[test]
-    fn digest_field_returns_the_pair() {
-        let (k, v) = digest_field("request_id", Json::str("r-1"));
-        assert_eq!(k, "request_id");
-        assert_eq!(v.as_str(), Some("r-1"));
+        assert_eq!(words_str(&str_words::<1>("Natural")), "Natural");
+        assert_eq!(words_str(&str_words::<1>("truncated")), "truncate");
     }
 }

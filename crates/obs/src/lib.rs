@@ -3,7 +3,8 @@
 //! Std-only, zero-cost-when-disabled tracing and metrics, shared by every
 //! crate in the workspace:
 //!
-//! * **Tracing** ([`trace`]): RAII [`span`]s and [`instant`] events with
+//! * **Tracing** ([`trace`]): RAII [`span`]s and instant events
+//!   ([`instant_args`]), each named by a [`Span`] variant, with
 //!   monotonic microsecond timestamps, thread-local span stacks (for depth
 //!   and self-time attribution), and a lock-free bounded ring buffer. Off
 //!   by default; instrumented code pays one relaxed atomic load until
@@ -23,13 +24,15 @@
 //!   `debug flight` / `debug slowlog` commands.
 //!
 //! ```
+//! use cqa_obs::Span;
+//!
 //! cqa_obs::set_enabled(true);
 //! {
-//!     let mut g = cqa_obs::span("demo/work");
+//!     let mut g = cqa_obs::span(Span::SynopsisBuild);
 //!     g.set_args(42, 0);
 //! }
 //! let json = cqa_obs::export::chrome_trace_string();
-//! assert!(json.contains("demo/work"));
+//! assert!(json.contains("synopsis/build"));
 //! cqa_obs::set_enabled(false);
 //! ```
 
@@ -45,7 +48,8 @@ pub mod trace;
 pub use export::{chrome_trace_string, flat_profile_string, write_chrome_trace};
 pub use flight::{FlightDigest, SlowlogEntry};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use names::Span;
 pub use trace::{
-    enabled, instant, instant_args, now_micros, record_span, set_enabled, span, span_args,
-    EventKind, SpanGuard, TraceEvent,
+    enabled, instant_args, now_micros, record_span, set_enabled, span, span_args, EventKind,
+    SpanGuard, TraceEvent,
 };

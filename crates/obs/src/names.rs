@@ -1,116 +1,59 @@
-//! Central registry of every span and metric name in the workspace.
+//! Every span name in the workspace, as the [`Span`] enum.
 //!
-//! Dashboards, trace post-processing, and the metrics exposition all key
-//! on these literal strings; a name used at an instrumentation site but
-//! absent here is almost always a typo, and it fails nowhere — the data
-//! just silently lands under a label nothing reads. `cqa-lint`'s
-//! `obs-name-registry` rule checks every span/metric literal in the
-//! workspace against these arrays, so adding an instrumentation point
-//! means adding its name here first (see `docs/ANALYSIS.md`).
+//! Dashboards and trace post-processing key on these literal strings. A
+//! span API takes a [`Span`], not a string, so a misspelled name is a
+//! compile error at the instrumentation site; adding an instrumentation
+//! point means adding its variant here. The variant's discriminant is the
+//! id a recorded trace event carries.
 //!
 //! Naming scheme: spans are `area/operation` (slash-separated, the area
-//! matching the crate or subsystem); metrics are `area_noun_unit`
-//! (underscore-separated, Prometheus-style, `_total` for counters);
-//! flight-recorder fields are `snake_case` JSON keys.
+//! matching the crate or subsystem).
+//!
+//! ```compile_fail
+//! // A misspelled span does not compile.
+//! let _g = cqa_obs::span(cqa_obs::Span::ServerRequets);
+//! ```
 
-/// Every span name passed to [`crate::span`], [`crate::span_args`],
-/// [`crate::record_span`], or [`crate::instant_args`].
-pub const SPANS: &[&str] = &[
-    // crates/server — request lifecycle
-    "server/request",
-    "server/queue_wait",
-    "server/cache_lookup",
-    "server/synopsis_build",
-    "server/sampling",
-    "server/debug_flight",
-    "server/debug_slowlog",
-    // crates/synopsis — preprocessing
-    "synopsis/build",
-    "synopsis/enumerate_homs",
-    "synopsis/encode_groups",
-    // crates/scenarios — benchmark harness
-    "scenario/cell_noise",
-    "scenario/cell_balance",
-    "scenario/run_pair",
-    "run/Natural",
-    "run/KL",
-    "run/KLM",
-    "run/Cover",
-    "driver/apx_cqa",
-    // crates/core — sampling schemes and stopping rules
-    "scheme/Natural",
-    "scheme/KL",
-    "scheme/KLM",
-    "scheme/Cover",
-    "dklr/stopping_rule",
-    "dklr/variance_estimation",
-    "dklr/planned",
-    "core/coverage_loop",
-    "core/mc_final_loop",
-    "core/deadline_expired",
-    "core/sample_cap_hit",
-];
-
-/// Every metric name registered with the global
-/// [`crate::metrics::Registry`] (counters, gauges, and histograms).
-pub const METRICS: &[&str] = &[
-    // crates/server
-    "server_requests_total",
-    "server_queries_ok_total",
-    "server_rejected_overloaded_total",
-    "server_rejected_deadline_total",
-    "server_rejected_bad_request_total",
-    "server_errors_internal_total",
-    "server_connections_total",
-    "server_retried_requests_total",
-    "server_query_latency",
-    "server_queue_wait",
-    "server_cache_hits_total",
-    "server_cache_misses_total",
-    "server_cache_canonical_rekeys_total",
-    "server_cache_entries",
-    "server_cache_evictions_total",
-    // crates/server — flight recorder (per-request-derived)
-    "server_slow_requests_total",
-    "server_flight_dropped",
-    "server_slowlog_entries",
-    "server_last_request_samples",
-    "server_last_request_ci_half_width_ppm",
-    // crates/core
-    "core_samples_total",
-    "core_samples_rejected_total",
-    "core_scheme_runs_total",
-    "core_budget_exhausted_total",
-];
-
-/// Every flight-recorder digest / slow-log field name passed to
-/// [`crate::flight::digest_field`] when rendering to the wire. Field names
-/// are `snake_case` (they become JSON object keys in `debug flight` /
-/// `debug slowlog` responses; see `docs/PROTOCOL.md`).
-pub const FIELDS: &[&str] = &[
-    // the per-request digest
-    "request_id",
-    "query_fp",
-    "scheme",
-    "cache_hit",
-    "error",
-    "queue_wait_us",
-    "samples",
-    "variance",
-    "ci_half_width",
-    "preprocess_us",
-    "scheme_us",
-    "total_us",
-    "ts_us",
-    // slow/error-log span rows
-    "spans",
-    "name",
-    "depth",
-    "dur_us",
-    "self_us",
-    "a0",
-    "a1",
-];
+cqa_common::name_enum! {
+    /// A span or instant-event name, passed to [`crate::span`],
+    /// [`crate::span_args`], [`crate::record_span`] or
+    /// [`crate::instant_args`].
+    pub enum Span {
+        // crates/server — request lifecycle
+        ServerRequest = "server/request",
+        ServerQueueWait = "server/queue_wait",
+        ServerCacheLookup = "server/cache_lookup",
+        ServerSynopsisBuild = "server/synopsis_build",
+        ServerSampling = "server/sampling",
+        ServerDebugFlight = "server/debug_flight",
+        ServerDebugSlowlog = "server/debug_slowlog",
+        // crates/synopsis — preprocessing
+        SynopsisBuild = "synopsis/build",
+        SynopsisEnumerateHoms = "synopsis/enumerate_homs",
+        SynopsisEncodeGroups = "synopsis/encode_groups",
+        // crates/scenarios — benchmark harness
+        ScenarioCellNoise = "scenario/cell_noise",
+        ScenarioCellBalance = "scenario/cell_balance",
+        ScenarioRunPair = "scenario/run_pair",
+        RunNatural = "run/Natural",
+        RunKl = "run/KL",
+        RunKlm = "run/KLM",
+        RunCover = "run/Cover",
+        DriverApxCqa = "driver/apx_cqa",
+        // crates/core — sampling schemes and stopping rules
+        SchemeNatural = "scheme/Natural",
+        SchemeKl = "scheme/KL",
+        SchemeKlm = "scheme/KLM",
+        SchemeCover = "scheme/Cover",
+        DklrStoppingRule = "dklr/stopping_rule",
+        DklrVarianceEstimation = "dklr/variance_estimation",
+        DklrPlanned = "dklr/planned",
+        CoreCoverageLoop = "core/coverage_loop",
+        CoreMcFinalLoop = "core/mc_final_loop",
+        CoreDeadlineExpired = "core/deadline_expired",
+        CoreSampleCapHit = "core/sample_cap_hit",
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -118,31 +61,11 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn registries_have_no_duplicates() {
-        let spans: BTreeSet<_> = SPANS.iter().collect();
-        assert_eq!(spans.len(), SPANS.len(), "duplicate span name in registry");
-        let metrics: BTreeSet<_> = METRICS.iter().collect();
-        assert_eq!(metrics.len(), METRICS.len(), "duplicate metric name in registry");
-        let fields: BTreeSet<_> = FIELDS.iter().collect();
-        assert_eq!(fields.len(), FIELDS.len(), "duplicate field name in registry");
-    }
-
-    #[test]
-    fn names_follow_the_scheme() {
-        for s in SPANS {
+    fn names_are_distinct_and_follow_the_scheme() {
+        let names: BTreeSet<_> = Span::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), Span::ALL.len(), "two spans share a name");
+        for s in names {
             assert!(s.contains('/') && !s.contains(' '), "span {s:?} must be area/operation");
-        }
-        for m in METRICS {
-            assert!(
-                m.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-                "metric {m:?} must be snake_case"
-            );
-        }
-        for f in FIELDS {
-            assert!(
-                f.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-                "field {f:?} must be snake_case"
-            );
         }
     }
 }

@@ -15,9 +15,8 @@
 //!    the slot's sequence word, so recording is wait-free and readers
 //!    skip torn slots — expressed entirely in safe Rust because every
 //!    word of a slot is itself an atomic.
-//! 3. **Integer-only events.** Span names are `&'static str` interned to
-//!    `u32` ids once per name (a short mutex-guarded scan — spans are
-//!    phase-granular, not per-sample), so a recorded event is seven
+//! 3. **Integer-only events.** A span's name is a [`Span`], and its id
+//!    in the ring is the enum discriminant, so a recorded event is seven
 //!    integer payload words, one 64-byte slot with its sequence word.
 //!
 //! When the ring wraps, the oldest events are overwritten; the exporter
@@ -25,10 +24,11 @@
 //! process-wide epoch captured on first use, which is exactly the clock
 //! Chrome's `trace_event` format wants.
 
+use crate::names::Span;
 use crate::ring::Ring;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default ring capacity in events (~4 MiB resident once touched).
@@ -64,31 +64,6 @@ pub fn now_micros() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Name interning
-// ---------------------------------------------------------------------------
-
-fn names() -> &'static Mutex<Vec<&'static str>> {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    NAMES.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-pub(crate) fn intern(name: &'static str) -> u32 {
-    let mut table = names().lock().unwrap_or_else(PoisonError::into_inner);
-    for (i, n) in table.iter().enumerate() {
-        // Pointer equality first: the common case is the same literal site.
-        if std::ptr::eq(*n as *const str, name as *const str) || *n == name {
-            return i as u32;
-        }
-    }
-    table.push(name);
-    (table.len() - 1) as u32
-}
-
-pub(crate) fn name_of(id: u32) -> &'static str {
-    names().lock().unwrap_or_else(PoisonError::into_inner).get(id as usize).copied().unwrap_or("?")
-}
-
-// ---------------------------------------------------------------------------
 // The event ring
 // ---------------------------------------------------------------------------
 
@@ -104,22 +79,22 @@ pub enum EventKind {
 /// Ring words per event: with the sequence word, one 64-byte slot.
 const EVENT_WORDS: usize = 7;
 
-/// Packs one event into the ring's seven payload words: name id, `kind`
-/// (bit 0) | `depth << 1` (7 bits) | `tid << 8`, start, duration,
-/// self-time and the two arguments. `timing` is `[duration, self-time]`
-/// in microseconds.
-fn push(name: u32, kind: EventKind, depth: u8, ts: u64, timing: [u64; 2], args: [u64; 2]) {
+/// Packs one event into the ring's seven payload words: the [`Span`]
+/// discriminant, `kind` (bit 0) | `depth << 1` (7 bits) | `tid << 8`,
+/// start, duration, self-time and the two arguments. `timing` is
+/// `[duration, self-time]` in microseconds.
+fn push(name: Span, kind: EventKind, depth: u8, ts: u64, timing: [u64; 2], args: [u64; 2]) {
     let kind_bit = match kind {
         EventKind::Span => 0u64,
         EventKind::Instant => 1u64,
     };
     let meta = kind_bit | (u64::from(depth & 0x7f) << 1) | (u64::from(thread_id()) << 8);
-    ring().push([u64::from(name), meta, ts, timing[0], timing[1], args[0], args[1]]);
+    ring().push([name as u64, meta, ts, timing[0], timing[1], args[0], args[1]]);
 }
 
 fn unpack([name, meta, ts, dur, self_us, a0, a1]: [u64; EVENT_WORDS]) -> TraceEvent {
     TraceEvent {
-        name: name_of(name as u32),
+        name: Span::ALL.get(name as usize).map_or("?", |s| s.name()),
         kind: if meta & 1 == 0 { EventKind::Span } else { EventKind::Instant },
         tid: (meta >> 8) as u32,
         depth: ((meta >> 1) & 0x7f) as u8,
@@ -264,28 +239,27 @@ fn capture_push(ev: TraceEvent) {
 /// construction-to-drop when tracing was enabled at construction; otherwise
 /// a no-op shell.
 pub struct SpanGuard {
-    name: u32,
+    name: Span,
     start: u64,
     args: [u64; 2],
     active: bool,
 }
 
-/// Opens a span. `name` should be a stable, slash-separated label like
-/// `"synopsis/build"`.
+/// Opens a span.
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: Span) -> SpanGuard {
     span_args(name, 0, 0)
 }
 
 /// Opens a span carrying two integer arguments (attribution values such as
 /// a seed, a noise level ×100, or a sample count).
 #[inline]
-pub fn span_args(name: &'static str, a0: u64, a1: u64) -> SpanGuard {
+pub fn span_args(name: Span, a0: u64, a1: u64) -> SpanGuard {
     if !enabled() && !capturing() {
-        return SpanGuard { name: 0, start: 0, args: [0, 0], active: false };
+        return SpanGuard { name, start: 0, args: [0, 0], active: false };
     }
     STACK.with(|s| s.borrow_mut().push(Frame { child_micros: 0 }));
-    SpanGuard { name: intern(name), start: now_micros(), args: [a0, a1], active: true }
+    SpanGuard { name, start: now_micros(), args: [a0, a1], active: true }
 }
 
 impl SpanGuard {
@@ -322,7 +296,7 @@ impl Drop for SpanGuard {
         }
         if capturing() {
             capture_push(TraceEvent {
-                name: name_of(self.name),
+                name: self.name.name(),
                 kind: EventKind::Span,
                 tid: thread_id(),
                 depth,
@@ -336,26 +310,20 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Records a point-in-time event.
-#[inline]
-pub fn instant(name: &'static str) {
-    instant_args(name, 0, 0);
-}
-
 /// Records a point-in-time event with two integer arguments.
 #[inline]
-pub fn instant_args(name: &'static str, a0: u64, a1: u64) {
+pub fn instant_args(name: Span, a0: u64, a1: u64) {
     if !enabled() && !capturing() {
         return;
     }
     let depth = STACK.with(|s| s.borrow().len().min(0x7f) as u8);
     let ts = now_micros();
     if enabled() {
-        push(intern(name), EventKind::Instant, depth, ts, [0, 0], [a0, a1]);
+        push(name, EventKind::Instant, depth, ts, [0, 0], [a0, a1]);
     }
     if capturing() {
         capture_push(TraceEvent {
-            name,
+            name: name.name(),
             kind: EventKind::Instant,
             tid: thread_id(),
             depth,
@@ -373,17 +341,17 @@ pub fn instant_args(name: &'static str, a0: u64, a1: u64) {
 /// thread-local stack — use it for durations that straddle threads, such as
 /// the time a request spent queued before a worker picked it up.
 #[inline]
-pub fn record_span(name: &'static str, start_micros: u64, a0: u64, a1: u64) {
+pub fn record_span(name: Span, start_micros: u64, a0: u64, a1: u64) {
     if !enabled() && !capturing() {
         return;
     }
     let dur = now_micros().saturating_sub(start_micros);
     if enabled() {
-        push(intern(name), EventKind::Span, 0, start_micros, [dur, dur], [a0, a1]);
+        push(name, EventKind::Span, 0, start_micros, [dur, dur], [a0, a1]);
     }
     if capturing() {
         capture_push(TraceEvent {
-            name,
+            name: name.name(),
             kind: EventKind::Span,
             tid: thread_id(),
             depth: 0,
@@ -403,7 +371,7 @@ pub fn record_span(name: &'static str, start_micros: u64, a0: u64, a1: u64) {
 /// One event read back out of the ring.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// The interned span/event name.
+    /// The span/event name ([`Span::name`] for recorded events).
     pub name: &'static str,
     /// Span or instant.
     pub kind: EventKind,
@@ -448,32 +416,33 @@ mod tests {
     use super::*;
 
     /// The ring and the enable flag are process-global, so exercise all the
-    /// behaviours from one test to avoid cross-test interference.
+    /// behaviours from one test to avoid cross-test interference. The spans
+    /// here appear in no other test of this crate.
     #[test]
     fn spans_instants_and_self_time() {
         set_enabled(true);
         clear();
         {
-            let mut outer = span_args("test/outer", 1, 2);
+            let mut outer = span_args(Span::DklrStoppingRule, 1, 2);
             {
-                let _inner = span("test/inner");
+                let _inner = span(Span::DklrVarianceEstimation);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            instant_args("test/marker", 7, 8);
+            instant_args(Span::DklrPlanned, 7, 8);
             outer.set_args(3, 4);
         }
         let t0 = now_micros();
         std::thread::sleep(std::time::Duration::from_millis(1));
-        record_span("test/detached", t0, 9, 0);
+        record_span(Span::ServerQueueWait, t0, 9, 0);
         set_enabled(false);
 
         let (events, dropped) = snapshot();
         assert_eq!(dropped, 0);
-        let by_name = |n: &str| events.iter().find(|e| e.name == n).unwrap();
-        let outer = by_name("test/outer");
-        let inner = by_name("test/inner");
-        let marker = by_name("test/marker");
-        let detached = by_name("test/detached");
+        let by_name = |n: Span| events.iter().find(|e| e.name == n.name()).unwrap();
+        let outer = by_name(Span::DklrStoppingRule);
+        let inner = by_name(Span::DklrVarianceEstimation);
+        let marker = by_name(Span::DklrPlanned);
+        let detached = by_name(Span::ServerQueueWait);
 
         assert_eq!(outer.kind, EventKind::Span);
         assert_eq!((outer.a0, outer.a1), (3, 4));
@@ -491,8 +460,8 @@ mod tests {
 
         // Disabled ⇒ nothing records.
         let before = snapshot().0.len();
-        let _g = span("test/disabled");
-        instant("test/disabled");
+        let _g = span(Span::CoreCoverageLoop);
+        instant_args(Span::CoreCoverageLoop, 0, 0);
         drop(_g);
         assert_eq!(snapshot().0.len(), before);
     }
@@ -503,38 +472,36 @@ mod tests {
     fn capture_is_independent_of_global_tracing() {
         begin_capture(3);
         {
-            let _outer = span_args("test/cap-outer", 5, 0);
-            let _inner = span("test/cap-inner");
+            let _outer = span_args(Span::SynopsisBuild, 5, 0);
+            let _inner = span(Span::SynopsisEnumerateHoms);
         }
-        instant("test/cap-marker");
-        instant("test/cap-overflow"); // 4th event: beyond the window limit
+        instant_args(Span::CoreSampleCapHit, 0, 0);
+        instant_args(Span::CoreDeadlineExpired, 0, 0); // 4th event: beyond the window limit
         let events = take_capture();
         assert!(!capturing());
         assert_eq!(events.len(), 3, "window limit respected");
         let names: Vec<_> = events.iter().map(|e| e.name).collect();
-        assert!(names.contains(&"test/cap-outer"));
-        assert!(names.contains(&"test/cap-inner"));
-        assert!(names.contains(&"test/cap-marker"));
-        let inner = events.iter().find(|e| e.name == "test/cap-inner").unwrap();
+        assert!(names.contains(&"synopsis/build"));
+        assert!(names.contains(&"synopsis/enumerate_homs"));
+        assert!(names.contains(&"core/sample_cap_hit"));
+        let inner = events.iter().find(|e| e.name == "synopsis/enumerate_homs").unwrap();
         assert_eq!(inner.depth, 1, "span tree depth is preserved");
         // Timestamp-sorted; a second take returns nothing.
         assert!(events.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
         assert!(take_capture().is_empty());
         // Cross-thread durations are captured too.
         begin_capture(4);
-        record_span("test/cap-detached", now_micros(), 1, 2);
+        record_span(Span::ScenarioRunPair, now_micros(), 1, 2);
         let events = take_capture();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "test/cap-detached");
+        assert_eq!(events[0].name, "scenario/run_pair");
         assert_eq!((events[0].a0, events[0].a1), (1, 2));
     }
 
     #[test]
-    fn interning_is_stable() {
-        let a = intern("test/intern-a");
-        let b = intern("test/intern-b");
-        assert_ne!(a, b);
-        assert_eq!(intern("test/intern-a"), a);
-        assert_eq!(name_of(a), "test/intern-a");
+    fn ring_ids_name_the_span() {
+        for &s in Span::ALL {
+            assert_eq!(unpack([s as u64, 0, 0, 0, 0, 0, 0]).name, s.name());
+        }
     }
 }

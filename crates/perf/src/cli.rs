@@ -173,7 +173,7 @@ mod tests {
     fn report(pr: u64, value: f64) -> BenchReport {
         let mut r = BenchReport::new(pr, 0, EnvFingerprint::default());
         let s = Summary::from_samples(&[value, value * 1.01, value * 0.99]);
-        r.push(bench_series("scheme/kl/answer_ns", &s).unwrap()).unwrap();
+        r.push(bench_series(crate::names::SeriesName::SchemeKlAnswerNs, &s)).unwrap();
         r
     }
 

@@ -226,7 +226,7 @@ mod tests {
     fn report(pr: u64, value: f64) -> BenchReport {
         let mut r = BenchReport::new(pr, 1_700_000_000, EnvFingerprint::default());
         let s = Summary::from_samples(&[value, value, value]);
-        r.push(bench_series("sampler/natural/sample_ns", &s).unwrap()).unwrap();
+        r.push(bench_series(crate::names::SeriesName::SamplerNaturalSampleNs, &s)).unwrap();
         r
     }
 

@@ -7,8 +7,7 @@
 //! holds itself to a machine-readable perf contract: every PR records a
 //! `BENCH_<pr>.json` at the repo root, and CI gates on the trajectory.
 //!
-//! * [`names`] — the central registry of series names (the
-//!   `bench-name-registry` lint keys on it).
+//! * [`names`] — every series name, as the [`names::SeriesName`] enum.
 //! * [`stats`] — warmup/repeat measurement with median + MAD outlier
 //!   rejection.
 //! * [`schema`] — the versioned, serde-free `BENCH_<pr>.json` schema.

@@ -1,56 +1,55 @@
-//! The central registry of benchmark series names.
+//! Every benchmark series name, as the [`SeriesName`] enum.
 //!
-//! Every series recorded into a `BENCH_<pr>.json` must be declared here,
-//! mirroring the span/metric registry in `crates/obs/src/names.rs`. The
+//! [`crate::schema::bench_series`] takes a [`SeriesName`], so a series
+//! recorded into a `BENCH_<pr>.json` cannot carry a misspelled name. The
 //! trajectory — and the dashboard built from it — keys on these strings
-//! across PRs, so a silent rename would orphan a series' history. The
-//! `bench-name-registry` lint rule flags any `bench_series(...)` call
-//! whose name literal is missing from [`SERIES`], and
-//! [`crate::schema::bench_series`] rejects unregistered names at runtime
-//! as a second line of defense.
+//! across PRs, so a silent rename would orphan a series' history.
 //!
 //! Naming scheme: `area/detail_unit`, where the trailing `_unit` segment
-//! (`_ns`, `_ms`, `_rps`, `_rate`) both documents the unit and fixes the
-//! gate's direction — `_rps` series are higher-is-better, everything else
-//! (latencies, error rates) is lower-is-better.
+//! (`_ns`, `_ms`, `_rps`) both documents the unit and fixes the gate's
+//! direction — `_rps` series are higher-is-better, everything else
+//! (latencies, error rates) is lower-is-better. Older reports may also
+//! hold `_rate` series.
+//!
+//! ```compile_fail
+//! // A misspelled series does not compile.
+//! let s = cqa_perf::Summary::from_samples(&[1.0]);
+//! let _ = cqa_perf::bench_series(cqa_perf::names::SeriesName::ServerThroughputRsp, &s);
+//! ```
 
-/// Every benchmark series the suites may record, sorted.
-pub const SERIES: &[&str] = &[
-    "ablation/alias_draw_ns",
-    "ablation/dklr_plan_ns",
-    "ablation/hoeffding_plan_ns",
-    "ablation/klm_parallel2_ns",
-    "ablation/klm_sequential_ns",
-    "ablation/linear_draw_ns",
-    "figure/fig3_preprocessing_ns",
-    "lint/check_ms",
-    "optest/plan_r1_ns",
-    "optest/plan_r2_ns",
-    "optest/plan_r3_ns",
-    "optest/stopping_rule_r1_ns",
-    "optest/stopping_rule_r2_ns",
-    "optest/stopping_rule_r3_ns",
-    "sampler/kl/sample_ns",
-    "sampler/klm/sample_ns",
-    "sampler/natural/sample_ns",
-    "scheme/cover/answer_ns",
-    "scheme/kl/answer_ns",
-    "scheme/klm/answer_ns",
-    "scheme/natural/answer_ns",
-    "server/chaos_on_error_rate",
-    "server/flight_off_throughput_rps",
-    "server/flight_on_throughput_rps",
-    "server/latency_p50_ms",
-    "server/latency_p999_ms",
-    "server/latency_p99_ms",
-    "server/throughput_rps",
-    "synopsis/build_j1_ns",
-    "synopsis/build_j3_ns",
-];
-
-/// True when `name` is a registered series name.
-pub fn is_registered(name: &str) -> bool {
-    SERIES.contains(&name)
+cqa_common::name_enum! {
+    /// A benchmark series the suites may record, sorted by name.
+    pub enum SeriesName {
+        AblationAliasDrawNs = "ablation/alias_draw_ns",
+        AblationDklrPlanNs = "ablation/dklr_plan_ns",
+        AblationHoeffdingPlanNs = "ablation/hoeffding_plan_ns",
+        AblationKlmParallel2Ns = "ablation/klm_parallel2_ns",
+        AblationKlmSequentialNs = "ablation/klm_sequential_ns",
+        AblationLinearDrawNs = "ablation/linear_draw_ns",
+        FigureFig3PreprocessingNs = "figure/fig3_preprocessing_ns",
+        LintCheckMs = "lint/check_ms",
+        OptestPlanR1Ns = "optest/plan_r1_ns",
+        OptestPlanR2Ns = "optest/plan_r2_ns",
+        OptestPlanR3Ns = "optest/plan_r3_ns",
+        OptestStoppingRuleR1Ns = "optest/stopping_rule_r1_ns",
+        OptestStoppingRuleR2Ns = "optest/stopping_rule_r2_ns",
+        OptestStoppingRuleR3Ns = "optest/stopping_rule_r3_ns",
+        SamplerKlSampleNs = "sampler/kl/sample_ns",
+        SamplerKlmSampleNs = "sampler/klm/sample_ns",
+        SamplerNaturalSampleNs = "sampler/natural/sample_ns",
+        SchemeCoverAnswerNs = "scheme/cover/answer_ns",
+        SchemeKlAnswerNs = "scheme/kl/answer_ns",
+        SchemeKlmAnswerNs = "scheme/klm/answer_ns",
+        SchemeNaturalAnswerNs = "scheme/natural/answer_ns",
+        ServerFlightOffThroughputRps = "server/flight_off_throughput_rps",
+        ServerFlightOnThroughputRps = "server/flight_on_throughput_rps",
+        ServerLatencyP50Ms = "server/latency_p50_ms",
+        ServerLatencyP999Ms = "server/latency_p999_ms",
+        ServerLatencyP99Ms = "server/latency_p99_ms",
+        ServerThroughputRps = "server/throughput_rps",
+        SynopsisBuildJ1Ns = "synopsis/build_j1_ns",
+        SynopsisBuildJ3Ns = "synopsis/build_j3_ns",
+    }
 }
 
 /// The unit a series name's trailing segment implies.
@@ -77,21 +76,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_sorted_and_duplicate_free() {
-        for w in SERIES.windows(2) {
-            assert!(w[0] < w[1], "SERIES must be sorted and unique: {:?} !< {:?}", w[0], w[1]);
+    fn names_are_sorted_and_follow_the_scheme() {
+        for w in SeriesName::ALL.windows(2) {
+            assert!(w[0].name() < w[1].name(), "{:?} must sort before {:?}", w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn names_follow_the_scheme() {
-        for name in SERIES {
+        for s in SeriesName::ALL {
+            let name = s.name();
             assert!(
-                name.ends_with("_ns")
-                    || name.ends_with("_ms")
-                    || name.ends_with("_rps")
-                    || name.ends_with("_rate"),
-                "series {name:?} must end in a unit segment (_ns, _ms, _rps, _rate)"
+                name.ends_with("_ns") || name.ends_with("_ms") || name.ends_with("_rps"),
+                "series {name:?} must end in a unit segment (_ns, _ms, _rps)"
             );
             assert!(name.contains('/'), "series {name:?} must be namespaced area/detail");
             assert!(
@@ -119,10 +112,10 @@ mod tests {
     fn expected_coverage_is_present() {
         // The acceptance bar: scheme sampling latency, synopsis build
         // time, and server throughput/tail latency, ≥ 12 series total.
-        assert!(SERIES.len() >= 12);
-        assert!(SERIES.iter().any(|s| s.starts_with("sampler/")));
-        assert!(SERIES.iter().any(|s| s.starts_with("scheme/")));
-        assert!(SERIES.iter().any(|s| s.starts_with("synopsis/")));
-        assert!(SERIES.iter().any(|s| s.starts_with("server/")));
+        let names: Vec<&str> = SeriesName::ALL.iter().map(|s| s.name()).collect();
+        assert!(names.len() >= 12);
+        for area in ["sampler/", "scheme/", "synopsis/", "server/"] {
+            assert!(names.iter().any(|s| s.starts_with(area)), "no {area} series");
+        }
     }
 }

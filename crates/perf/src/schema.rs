@@ -7,7 +7,7 @@
 //! carries a `schema` version string so future readers can stay lenient
 //! about fields they don't know and strict about the ones they do.
 
-use crate::names;
+use crate::names::{self, SeriesName};
 use crate::stats::Summary;
 use cqa_common::{CqaError, Json, Result};
 use std::collections::BTreeMap;
@@ -19,7 +19,7 @@ pub const SCHEMA: &str = "cqa-perf/1";
 /// One recorded benchmark series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
-    /// Registered series name (see [`crate::names::SERIES`]).
+    /// Series name (a [`SeriesName`] for series this build records).
     pub name: String,
     /// Unit of `value` (display only; the gate works on ratios).
     pub unit: String,
@@ -72,24 +72,17 @@ impl Series {
 }
 
 /// Records a series from a measurement summary, converting seconds-based
-/// summaries at the call site. The `name` must be registered in
-/// [`crate::names::SERIES`] — the `bench-name-registry` lint enforces the
-/// literal, and this constructor re-checks at runtime so a computed name
-/// cannot slip an unregistered series into the trajectory.
-pub fn bench_series(name: &str, summary: &Summary) -> Result<Series> {
-    if !names::is_registered(name) {
-        return Err(CqaError::InvalidParameter(format!(
-            "benchmark series {name:?} is not in crates/perf/src/names.rs::SERIES"
-        )));
-    }
+/// summaries at the call site.
+pub fn bench_series(series: SeriesName, summary: &Summary) -> Series {
+    let name = series.name();
     let value = if names::higher_is_better(name) { summary.max } else { summary.min };
-    Ok(Series {
+    Series {
         name: name.to_owned(),
         unit: names::unit_of(name).to_owned(),
         value,
         spread: summary.mad,
         repeats: summary.count,
-    })
+    }
 }
 
 /// The environment fingerprint a report's numbers were taken under.
@@ -277,8 +270,8 @@ mod tests {
         };
         let mut r = BenchReport::new(6, 0, env);
         let s = Summary::from_samples(&[10.0, 11.0, 9.0]);
-        r.push(bench_series("sampler/natural/sample_ns", &s).unwrap()).unwrap();
-        r.push(bench_series("server/throughput_rps", &s).unwrap()).unwrap();
+        r.push(bench_series(SeriesName::SamplerNaturalSampleNs, &s)).unwrap();
+        r.push(bench_series(SeriesName::ServerThroughputRps, &s)).unwrap();
         r
     }
 
@@ -295,16 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_series_is_rejected() {
-        let s = Summary::from_samples(&[1.0]);
-        assert!(bench_series("sampler/typo/sample_ns", &s).is_err());
-    }
-
-    #[test]
     fn duplicate_series_is_rejected_and_order_is_sorted() {
         let mut r = sample_report();
         let s = Summary::from_samples(&[1.0]);
-        assert!(r.push(bench_series("sampler/natural/sample_ns", &s).unwrap()).is_err());
+        assert!(r.push(bench_series(SeriesName::SamplerNaturalSampleNs, &s)).is_err());
         let names: Vec<&str> = r.series.iter().map(|s| s.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort();

@@ -11,6 +11,7 @@ use crate::runner::{run_jobs, run_pair, PairOutcome};
 use cqa_common::{percentile, Mt64, Result, RunningStats};
 use cqa_core::ALL_SCHEMES;
 use cqa_noise::{add_query_aware_noise, NoiseSpec};
+use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::Database;
 use cqa_synopsis::{build_synopses, BuildOptions};
@@ -107,7 +108,7 @@ pub fn fig1_noise(pool: &Pool, selections: &[(f64, usize)]) -> Vec<Figure> {
                 })
                 .collect();
             let mut cell_span =
-                cqa_obs::span_args("scenario/cell_noise", (p * 100.0).round() as u64, j as u64);
+                cqa_obs::span_args(Span::ScenarioCellNoise, (p * 100.0).round() as u64, j as u64);
             let cell = run_cell(jobs, cfg);
             cell_span.set_args((p * 100.0).round() as u64, cell.total as u64);
             drop(cell_span);
@@ -150,7 +151,7 @@ pub fn fig2_balance(pool: &Pool, selections: &[(f64, usize)]) -> Vec<Figure> {
                 })
                 .collect();
             let mut cell_span =
-                cqa_obs::span_args("scenario/cell_balance", (b * 100.0).round() as u64, j as u64);
+                cqa_obs::span_args(Span::ScenarioCellBalance, (b * 100.0).round() as u64, j as u64);
             let cell = run_cell(jobs, cfg);
             cell_span.set_args((b * 100.0).round() as u64, cell.total as u64);
             drop(cell_span);

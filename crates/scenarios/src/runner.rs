@@ -11,6 +11,7 @@
 use crate::config::BenchConfig;
 use cqa_common::{CqaError, Mt64, Result};
 use cqa_core::{apx_cqa_on_synopses, Budget, Scheme, ALL_SCHEMES};
+use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::Database;
 use cqa_synopsis::{build_synopses, BuildOptions, SynopsisStats};
@@ -49,7 +50,7 @@ pub fn run_pair(
     cfg: &BenchConfig,
     seed: u64,
 ) -> Result<PairOutcome> {
-    let mut pair_span = cqa_obs::span_args("scenario/run_pair", seed, 0);
+    let mut pair_span = cqa_obs::span_args(Span::ScenarioRunPair, seed, 0);
     let syn = build_synopses(
         db,
         q,
@@ -85,14 +86,14 @@ pub fn run_pair(
     Ok(PairOutcome { stats, runs })
 }
 
-/// The trace-span name of one scheme's full run over a pair's synopses
-/// (one level above the per-tuple `scheme/*` spans).
-fn run_span_name(scheme: Scheme) -> &'static str {
+/// The trace span of one scheme's full run over a pair's synopses (one
+/// level above the per-tuple `scheme/*` spans).
+fn run_span_name(scheme: Scheme) -> Span {
     match scheme {
-        Scheme::Natural => "run/Natural",
-        Scheme::Kl => "run/KL",
-        Scheme::Klm => "run/KLM",
-        Scheme::Cover => "run/Cover",
+        Scheme::Natural => Span::RunNatural,
+        Scheme::Kl => Span::RunKl,
+        Scheme::Klm => Span::RunKlm,
+        Scheme::Cover => Span::RunCover,
     }
 }
 
@@ -143,20 +144,6 @@ mod tests {
     use cqa_query::parse;
     use cqa_storage::ColumnType::*;
     use cqa_storage::{Schema, Value};
-
-    /// `run_span_name` builds its names in match arms, which the cqa-lint
-    /// token scan cannot tie to a call site — this cross-check keeps them
-    /// in the central registry instead.
-    #[test]
-    fn run_span_names_are_registered() {
-        for scheme in cqa_core::ALL_SCHEMES {
-            assert!(
-                cqa_obs::names::SPANS.contains(&run_span_name(scheme)),
-                "{} missing from crates/obs/src/names.rs",
-                run_span_name(scheme)
-            );
-        }
-    }
 
     fn example_db() -> Database {
         let schema = Schema::builder()

@@ -154,8 +154,8 @@ impl SynopsisCache {
         // Chaos: a failed shard-lock acquisition or a dropped lookup both
         // degrade to a miss — the caller rebuilds the synopsis and still
         // answers correctly, the cache just doesn't help.
-        if cqa_chaos::fault_point!("cache/shard_lock").is_some()
-            || cqa_chaos::fault_point!("cache/lookup").is_some()
+        if cqa_chaos::fault_point!(CacheShardLock).is_some()
+            || cqa_chaos::fault_point!(CacheLookup).is_some()
         {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -190,7 +190,7 @@ impl SynopsisCache {
     ) -> Option<Arc<SynopsisSet>> {
         // Chaos: a failed insert skips caching — the value is still
         // returned to the requester, later requests rebuild it.
-        if cqa_chaos::fault_point!("cache/insert").is_some() {
+        if cqa_chaos::fault_point!(CacheInsert).is_some() {
             return None;
         }
         let mut shard = self.shard(&key).lock();

@@ -264,8 +264,11 @@ pub fn run_chaos(db: Database, spec: &ChaosSpec) -> Result<ChaosReport> {
 
     // Warm up outside the storm so the first preprocessing run (and the
     // dump already loaded by the caller) are not part of the experiment.
-    let mut observer = Client::connect(addr.as_str())?;
-    if let Response::Error { kind, message } = observer.query(request_for(spec, spec.seed))? {
+    // The warmup connection is not reused: its server thread may still be
+    // between writing the reply and the `protocol/flush` probe when the
+    // plan arms, and a fault there hangs the connection up.
+    let warmup = Client::connect(addr.as_str())?.query(request_for(spec, spec.seed))?;
+    if let Response::Error { kind, message } = warmup {
         return Err(CqaError::InvalidParameter(format!(
             "chaos warmup failed: {} ({message})",
             kind.name()
@@ -362,9 +365,11 @@ pub fn run_chaos(db: Database, spec: &ChaosSpec) -> Result<ChaosReport> {
     report.structured_errors =
         report.overloaded + report.deadline + report.internal + report.bad_request;
 
-    // Post-chaos verification: with faults off, every seed must answer —
-    // and answer bit-identically. This is the cache-coherence check: a
-    // fault that corrupted a cached synopsis would show up here.
+    // Post-chaos verification, on a connection opened after disarming:
+    // with faults off, every seed must answer — and answer
+    // bit-identically. This is the cache-coherence check: a fault that
+    // corrupted a cached synopsis would show up here.
+    let mut observer = Client::connect(addr.as_str())?;
     for (&seed, want) in &expected {
         match observer.query(request_for(spec, seed)) {
             Ok(Response::Answers { answers, .. }) => {

@@ -423,6 +423,13 @@ mod tests {
 
         // Every flat field with a registry counterpart agrees with it.
         let reg = v.get("registry").expect("registry key");
+        // The registry holds exactly the pinned names: every flat field's
+        // twin plus the two histograms.
+        let Json::Obj(reg_obj) = reg else { panic!("registry is not an object: {reg:?}") };
+        let mut pinned: Vec<&str> = REGISTRY_TWINS.iter().map(|(_, name)| *name).collect();
+        pinned.extend(["server_query_latency", "server_queue_wait"]);
+        pinned.sort_unstable();
+        assert_eq!(reg_obj.keys().map(String::as_str).collect::<Vec<_>>(), pinned);
         for (flat, name) in REGISTRY_TWINS {
             let got = v.get(flat).and_then(Json::as_f64);
             assert!(got.is_some(), "flat field {flat} missing");

@@ -77,7 +77,7 @@ impl WorkerPool {
                             // Chaos: a dropped handoff discards the job;
                             // its reply channel closes and the dispatcher
                             // answers a structured `internal` error.
-                            if cqa_chaos::fault_point!("pool/handoff").is_some() {
+                            if cqa_chaos::fault_point!(PoolHandoff).is_some() {
                                 return;
                             }
                             // cqa-lint: allow(opaque-call): jobs are the boxed closures built in server.rs, which the request-path seeds already cover
@@ -101,7 +101,7 @@ impl WorkerPool {
         };
         // Chaos: an injected submit failure is indistinguishable from a
         // full queue — the caller sheds the request as `overloaded`.
-        if cqa_chaos::fault_point!("pool/submit").is_some() {
+        if cqa_chaos::fault_point!(PoolSubmit).is_some() {
             return Err(SubmitError::Full { depth: self.queue_depth });
         }
         match tx.try_send(Box::new(job)) {

@@ -39,7 +39,7 @@
 use cqa_common::validate::{bounded_str, unit_open};
 use cqa_common::{CqaError, Json, Result};
 use cqa_core::Scheme;
-use cqa_obs::flight::{digest_field, FlightDigest, SlowlogEntry, MAX_REQUEST_ID_BYTES};
+use cqa_obs::flight::{FlightDigest, SlowlogEntry, MAX_REQUEST_ID_BYTES};
 use cqa_obs::TraceEvent;
 use cqa_storage::Value;
 
@@ -349,8 +349,7 @@ pub struct WireAnswer {
 }
 
 /// One flight-recorder digest on the wire. Mirrors
-/// [`cqa_obs::FlightDigest`] with owned strings (a parsed response cannot
-/// reuse the recorder's interned names) and the query fingerprint as a
+/// [`cqa_obs::FlightDigest`] with owned strings and the query fingerprint as a
 /// hex string (`Json::Num` is an `f64`; 64-bit fingerprints would lose
 /// precision past 2^53).
 #[derive(Debug, Clone, PartialEq)]
@@ -390,9 +389,9 @@ impl WireDigest {
         WireDigest {
             request_id: d.request_id.clone(),
             query_fp: format!("{:016x}", d.query_fingerprint),
-            scheme: d.scheme.to_owned(),
+            scheme: d.scheme.to_string(),
             cache_hit: d.cache_hit,
-            error: d.error.map(str::to_owned),
+            error: d.error.as_deref().map(str::to_owned),
             queue_wait_us: d.queue_wait_micros,
             samples: d.samples,
             variance: d.variance,
@@ -406,21 +405,21 @@ impl WireDigest {
 
     fn to_json(&self) -> Json {
         let mut pairs = vec![
-            digest_field("request_id", Json::str(&self.request_id)),
-            digest_field("query_fp", Json::str(&self.query_fp)),
-            digest_field("scheme", Json::str(&self.scheme)),
-            digest_field("cache_hit", Json::from(self.cache_hit)),
-            digest_field("queue_wait_us", Json::from(self.queue_wait_us)),
-            digest_field("samples", Json::from(self.samples)),
-            digest_field("variance", Json::from(self.variance)),
-            digest_field("ci_half_width", Json::from(self.ci_half_width)),
-            digest_field("preprocess_us", Json::from(self.preprocess_us)),
-            digest_field("scheme_us", Json::from(self.scheme_us)),
-            digest_field("total_us", Json::from(self.total_us)),
-            digest_field("ts_us", Json::from(self.ts_us)),
+            ("request_id", Json::str(&self.request_id)),
+            ("query_fp", Json::str(&self.query_fp)),
+            ("scheme", Json::str(&self.scheme)),
+            ("cache_hit", Json::from(self.cache_hit)),
+            ("queue_wait_us", Json::from(self.queue_wait_us)),
+            ("samples", Json::from(self.samples)),
+            ("variance", Json::from(self.variance)),
+            ("ci_half_width", Json::from(self.ci_half_width)),
+            ("preprocess_us", Json::from(self.preprocess_us)),
+            ("scheme_us", Json::from(self.scheme_us)),
+            ("total_us", Json::from(self.total_us)),
+            ("ts_us", Json::from(self.ts_us)),
         ];
         if let Some(e) = &self.error {
-            pairs.push(digest_field("error", Json::str(e)));
+            pairs.push(("error", Json::str(e)));
         }
         Json::obj(pairs)
     }
@@ -465,13 +464,13 @@ pub struct WireSlowlogEntry {
 /// Renders one captured span for the slow/error log.
 fn span_event_json(ev: &TraceEvent) -> Json {
     Json::obj([
-        digest_field("name", Json::str(ev.name)),
-        digest_field("depth", Json::from(u64::from(ev.depth))),
-        digest_field("ts_us", Json::from(ev.ts_micros)),
-        digest_field("dur_us", Json::from(ev.dur_micros)),
-        digest_field("self_us", Json::from(ev.self_micros)),
-        digest_field("a0", Json::from(ev.a0)),
-        digest_field("a1", Json::from(ev.a1)),
+        ("name", Json::str(ev.name)),
+        ("depth", Json::from(u64::from(ev.depth))),
+        ("ts_us", Json::from(ev.ts_micros)),
+        ("dur_us", Json::from(ev.dur_micros)),
+        ("self_us", Json::from(ev.self_micros)),
+        ("a0", Json::from(ev.a0)),
+        ("a1", Json::from(ev.a1)),
     ])
 }
 
@@ -489,13 +488,13 @@ impl WireSlowlogEntry {
 
     fn to_json(&self) -> Json {
         let mut pairs = vec![
-            digest_field("request_id", Json::str(&self.request_id)),
-            digest_field("total_us", Json::from(self.total_us)),
-            digest_field("ts_us", Json::from(self.ts_us)),
-            digest_field("spans", self.spans.clone()),
+            ("request_id", Json::str(&self.request_id)),
+            ("total_us", Json::from(self.total_us)),
+            ("ts_us", Json::from(self.ts_us)),
+            ("spans", self.spans.clone()),
         ];
         if let Some(e) = &self.error {
-            pairs.push(digest_field("error", Json::str(e)));
+            pairs.push(("error", Json::str(e)));
         }
         Json::obj(pairs)
     }

@@ -22,6 +22,7 @@ use crate::protocol::{
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64, Stopwatch};
 use cqa_core::{apx_cqa_on_synopses, Budget};
 use cqa_obs::flight::{self, FlightDigest, SlowlogEntry};
+use cqa_obs::Span;
 use cqa_storage::{dump_to_string, schema_to_ddl, Database};
 use cqa_synopsis::{build_synopses, BuildOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -226,7 +227,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         };
         // Chaos: an injected read failure drops the connection before the
         // request is processed, exactly like a client hang-up mid-line.
-        if cqa_chaos::fault_point!("protocol/read").is_some() {
+        if cqa_chaos::fault_point!(ProtocolRead).is_some() {
             break;
         }
         if line.trim().is_empty() {
@@ -238,7 +239,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         // Chaos: a failed write hangs up without answering; a short write
         // sends a truncated line first, so the client must also survive
         // torn NDJSON, not just clean disconnects.
-        match cqa_chaos::fault_point!("protocol/write") {
+        match cqa_chaos::fault_point!(ProtocolWrite) {
             Some(cqa_chaos::Fault::ShortWrite) => {
                 let torn = payload.as_bytes().get(..payload.len() / 2).unwrap_or_default();
                 let _ = writer.write_all(torn);
@@ -252,7 +253,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         // Chaos: a failed flush is a hang-up after the kernel may or may
         // not have pushed the bytes — the ambiguous case clients fear.
-        if cqa_chaos::fault_point!("protocol/flush").is_some() {
+        if cqa_chaos::fault_point!(ProtocolFlush).is_some() {
             break;
         }
         let _ = writer.flush();
@@ -281,7 +282,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
             Response::Trace(cqa_obs::export::chrome_trace(&events))
         }
         Request::Debug { target: DebugTarget::Flight } => {
-            let _g = cqa_obs::span("server/debug_flight");
+            let _g = cqa_obs::span(Span::ServerDebugFlight);
             let (digests, dropped) = flight::snapshot();
             Response::Flight {
                 digests: digests.iter().map(WireDigest::from_digest).collect(),
@@ -289,7 +290,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
             }
         }
         Request::Debug { target: DebugTarget::Slowlog } => {
-            let _g = cqa_obs::span("server/debug_slowlog");
+            let _g = cqa_obs::span(Span::ServerDebugSlowlog);
             Response::Slowlog(
                 flight::slowlog_snapshot().iter().map(WireSlowlogEntry::from_entry).collect(),
             )
@@ -330,7 +331,7 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
             // admission timestamp rather than a span stack.
             let wait = cqa_obs::now_micros().saturating_sub(admitted_micros);
             shared.metrics.queue_wait.record_micros(wait);
-            cqa_obs::record_span("server/queue_wait", admitted_micros, q.seed, 0);
+            cqa_obs::record_span(Span::ServerQueueWait, admitted_micros, q.seed, 0);
             // Open the request scope: installs the id, starts the span
             // capture for the slow/error log, zeroes the convergence
             // slots. Exactly this worker thread runs the whole request.
@@ -438,9 +439,9 @@ fn record_flight(
     flight::record(&FlightDigest {
         request_id: request_id.to_owned(),
         query_fingerprint,
-        scheme,
+        scheme: scheme.into(),
         cache_hit,
-        error,
+        error: error.map(Into::into),
         queue_wait_micros,
         samples: conv.samples,
         variance: conv.variance,
@@ -487,10 +488,10 @@ fn run_query(
     deadline: Deadline,
     query_fp: &mut u64,
 ) -> Response {
-    let mut req_span = cqa_obs::span_args("server/request", q.seed, 0);
+    let mut req_span = cqa_obs::span_args(Span::ServerRequest, q.seed, 0);
     // Chaos: an injected deadline fault is a premature expiry — the
     // admission-time check fires as if queue wait had eaten the budget.
-    if deadline.expired() || cqa_chaos::fault_point!("server/deadline").is_some() {
+    if deadline.expired() || cqa_chaos::fault_point!(ServerDeadline).is_some() {
         return Response::Error {
             kind: ErrorKind::DeadlineExceeded,
             message: "deadline expired while queued".to_owned(),
@@ -507,18 +508,18 @@ fn run_query(
         query_fingerprint: *query_fp,
     };
     let literal_fp = CacheKey::literal_fingerprint(&q.query);
-    let lookup_span = cqa_obs::span("server/cache_lookup");
+    let lookup_span = cqa_obs::span(Span::ServerCacheLookup);
     let looked_up = shared.cache.get(&key, literal_fp);
     drop(lookup_span);
     let (syn, cached) = match looked_up {
         Some(syn) => (syn, true),
         None => {
             let options = BuildOptions { deadline: Some(deadline), max_homs: None };
-            let build_span = cqa_obs::span("server/synopsis_build");
+            let build_span = cqa_obs::span(Span::ServerSynopsisBuild);
             // Chaos: a failed synopsis build (the allocation-heavy phase)
             // surfaces as `internal`, which is retryable — the next
             // attempt rebuilds from scratch.
-            let built = if cqa_chaos::fault_point!("synopsis/build").is_some() {
+            let built = if cqa_chaos::fault_point!(SynopsisBuild).is_some() {
                 Err(CqaError::InvalidSynopsis("injected fault at synopsis/build".to_owned()))
             } else {
                 build_synopses(&shared.db, &cq, options)
@@ -538,7 +539,7 @@ fn run_query(
     // Same generator construction as the offline driver: answers for a
     // fixed seed match `apx_cqa` exactly, independent of pool size.
     let mut rng = Mt64::new(q.seed);
-    let mut sample_span = cqa_obs::span("server/sampling");
+    let mut sample_span = cqa_obs::span(Span::ServerSampling);
     let outcome = apx_cqa_on_synopses(&syn, q.scheme, q.eps, q.delta, &budget, &mut rng);
     if let Ok(result) = &outcome {
         sample_span.set_args(result.total_samples, syn.entries.len() as u64);

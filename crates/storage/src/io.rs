@@ -157,7 +157,7 @@ pub fn dump_to_file(db: &Database, path: &std::path::Path) -> Result<()> {
 
 /// Loads a dump from a file.
 pub fn load_from_file(path: &std::path::Path) -> Result<Database> {
-    if cqa_chaos::fault_point!("storage/dump_load").is_some() {
+    if cqa_chaos::fault_point!(StorageDumpLoad).is_some() {
         return Err(CqaError::Parse(format!(
             "injected fault at storage/dump_load reading {}",
             path.display()

@@ -12,6 +12,7 @@
 
 use crate::admissible::AdmissiblePair;
 use cqa_common::{Deadline, Result, Stopwatch};
+use cqa_obs::Span;
 use cqa_query::{for_each_hom, ConjunctiveQuery, EvalOptions};
 use cqa_storage::{Database, Datum, RelId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -94,7 +95,7 @@ pub fn build_synopses(
     opts: BuildOptions,
 ) -> Result<SynopsisSet> {
     let sw = Stopwatch::start();
-    let mut build_span = cqa_obs::span("synopsis/build");
+    let mut build_span = cqa_obs::span(Span::SynopsisBuild);
 
     // Per-relation block metadata, fetched once per distinct relation.
     let mut rel_blocks: HashMap<RelId, std::sync::Arc<cqa_storage::RelationBlocks>> =
@@ -115,7 +116,7 @@ pub fn build_synopses(
     };
 
     // Phase 1: homomorphism enumeration + consistency check + image dedup.
-    let mut enum_span = cqa_obs::span("synopsis/enumerate_homs");
+    let mut enum_span = cqa_obs::span(Span::SynopsisEnumerateHoms);
     for_each_hom(db, q, eval_opts, |binding, facts| {
         total_homs += 1;
         // Encode the image and check h(Q) |= Σ: atoms that share a block
@@ -144,7 +145,7 @@ pub fn build_synopses(
     let hom_size = all_images.len();
 
     // Phase 2: per-tuple block grouping and integer encoding.
-    let mut encode_span = cqa_obs::span_args("synopsis/encode_groups", groups.len() as u64, 0);
+    let mut encode_span = cqa_obs::span_args(Span::SynopsisEncodeGroups, groups.len() as u64, 0);
     let mut entries = Vec::with_capacity(groups.len());
     for (tuple, images) in groups {
         let mut block_set: BTreeSet<GlobalBlock> = BTreeSet::new();

@@ -54,6 +54,19 @@ fn all_points_error_plan_keeps_every_invariant() {
     assert!(report.flight_error_digests > 0, "flight recorder saw no failure");
 }
 
+/// The smoke plan's transients (submit rejections, failed writes,
+/// shard-lock delays) are all absorbed by the retrying client: no request
+/// ends in an error envelope.
+#[test]
+fn smoke_plan_leaves_no_structured_errors_after_retries() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = FaultPlan::preset("smoke", 42).unwrap();
+    let report = run_chaos(noisy_db(7), &spec(plan, 2, 8)).unwrap();
+    assert!(report.passed(), "violations: {:#?}", report.violations);
+    assert!(report.injections() > 0, "the plan must actually inject: {:#?}", report.points);
+    assert_eq!(report.structured_errors, 0, "retries must absorb every injected transient");
+}
+
 /// Injected delays slow requests down but never change outcomes.
 #[test]
 fn all_points_delay_plan_only_costs_latency() {

@@ -8,7 +8,7 @@ pub static TABLE: Mutex<u32> = Mutex::new(0);
 
 pub fn rebuild() -> u32 {
     let g = TABLE.lock();
-    fault_point!("demo/parse");
+    fault_point!(DemoParse);
     *g
 }
 
@@ -18,6 +18,6 @@ pub fn persist() -> u32 {
 }
 
 fn flush_side(n: u32) -> u32 {
-    fault_point!("demo/write");
+    fault_point!(DemoWrite);
     n
 }

@@ -6,13 +6,13 @@ use crate::sync::Mutex;
 pub static TABLE: Mutex<u32> = Mutex::new(0);
 
 pub fn rebuild() -> u32 {
-    fault_point!("demo/parse");
+    fault_point!(DemoParse);
     let g = TABLE.lock();
     *g
 }
 
 pub fn probe() -> u32 {
     let n = *TABLE.lock();
-    fault_point!("demo/write");
+    fault_point!(DemoWrite);
     n
 }

@@ -4,10 +4,11 @@
 //! relies on — "no panics reachable from the server's request path", "no
 //! heap allocation reachable from the per-sample loops", "all randomness
 //! flows from the seeded root RNG", "locks are taken in one order and never
-//! held across a blocking call or a fault point", "observability, benchmark
-//! series, and fault-point names come from their registries", "the wire
-//! protocol and its document agree". Invariants the compiler, clippy or a
-//! test already enforce are left to them (see `docs/ANALYSIS.md`).
+//! held across a blocking call or a fault point", "the wire protocol and
+//! its document agree". Invariants the compiler, clippy or a test already
+//! enforce are left to them — span, fault-point and benchmark-series names
+//! are enums, so the compiler rejects a misspelled one (see
+//! `docs/ANALYSIS.md`).
 //! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
 //! parser ([`parser`]), and a conservative workspace call graph
 //! ([`callgraph`]) that turns the panic/alloc/RNG rules into transitive
@@ -26,20 +27,10 @@ pub mod lockflow;
 pub mod parser;
 pub mod rules;
 
-use rules::{Finding, NameRegistry};
+use rules::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Repo-relative path of the central observability name registry. This
-/// file *defines* the allowed names, so the `obs-name-registry` rule does
-/// not run on it.
-pub const REGISTRY_FILE: &str = "crates/obs/src/names.rs";
-/// Repo-relative path of the benchmark series name registry; exempt from
-/// the `bench-name-registry` rule the same way.
-pub const PERF_REGISTRY_FILE: &str = "crates/perf/src/names.rs";
-/// Repo-relative path of the fault-point name registry, the source of
-/// truth for the `fault-point-registry` rule.
-pub const CHAOS_REGISTRY_FILE: &str = "crates/chaos/src/points.rs";
 /// Repo-relative path of the wire-protocol implementation.
 pub const PROTOCOL_FILE: &str = "crates/server/src/protocol.rs";
 /// Repo-relative path of the wire-protocol document.
@@ -56,8 +47,8 @@ pub const SCAN_ROOTS: [&str; 3] = ["crates", "shims", "tools"];
 pub const ESTIMATOR_FILES: [&str; 3] =
     ["crates/core/src/coverage.rs", "crates/core/src/montecarlo.rs", "crates/core/src/optest.rs"];
 
-/// A fatal problem with the scan itself (unreadable file, missing
-/// registry) — distinct from findings, which are problems with the code.
+/// A fatal problem with the scan itself (an unreadable file) — distinct
+/// from findings, which are problems with the code.
 #[derive(Debug)]
 pub struct CheckError(pub String);
 
@@ -124,7 +115,7 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
 /// is the engine behind [`check_workspace`] and the fixture self-tests —
 /// a transitive finding needs the *set*, not a single file, so fixtures
 /// exercising cross-module reachability pass several files at once.
-pub fn check_sources(sources: &[(String, String)], registry: &NameRegistry) -> Vec<Finding> {
+pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut lexed_v: Vec<lexer::Lexed> = Vec::with_capacity(sources.len());
     let mut stripped_v: Vec<Vec<lexer::Tok>> = Vec::with_capacity(sources.len());
@@ -135,13 +126,6 @@ pub fn check_sources(sources: &[(String, String)], registry: &NameRegistry) -> V
         let stripped = lexer::strip_cfg_test(&lexed.toks);
 
         findings.extend(rules::suppression_hygiene(&lexed, rel));
-        if rel != REGISTRY_FILE {
-            findings.extend(rules::obs_names(&lexed, &stripped, rel, registry));
-        }
-        if rel != PERF_REGISTRY_FILE {
-            findings.extend(rules::bench_names(&lexed, &stripped, rel, registry));
-        }
-        findings.extend(rules::fault_points(&lexed, &stripped, rel, registry));
         parsed_v.push(parser::parse_file(rel, &stripped));
         lexed_v.push(lexed);
         stripped_v.push(stripped);
@@ -166,46 +150,17 @@ fn sort_dedup(findings: &mut Vec<Finding>) {
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
 }
 
+/// Every scanned source of the workspace rooted at `root`, as
+/// `(repo-relative path, text)` pairs sorted by path.
+pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, CheckError> {
+    source_files(root)?.into_iter().map(|(abs, rel)| Ok((rel, read(&abs)?))).collect()
+}
+
 /// Runs every rule over the workspace rooted at `root` and returns the
 /// surviving findings, sorted by file/line/rule.
 pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
-    let registry_src = read(&root.join(REGISTRY_FILE))?;
-    let mut registry = NameRegistry::parse(&registry_src);
-    if registry.spans.is_empty() || registry.metrics.is_empty() || registry.fields.is_empty() {
-        return Err(CheckError(format!(
-            "{REGISTRY_FILE} yielded an empty SPANS, METRICS, or FIELDS registry — refusing to \
-             lint against it"
-        )));
-    }
-    let perf_registry = NameRegistry::parse(&read(&root.join(PERF_REGISTRY_FILE))?);
-    if perf_registry.series.is_empty() {
-        return Err(CheckError(format!(
-            "{PERF_REGISTRY_FILE} yielded an empty SERIES registry — refusing to lint against it"
-        )));
-    }
-    registry.merge(perf_registry);
-    let chaos_registry = NameRegistry::parse(&read(&root.join(CHAOS_REGISTRY_FILE))?);
-    if chaos_registry.points.is_empty() {
-        return Err(CheckError(format!(
-            "{CHAOS_REGISTRY_FILE} yielded an empty POINTS registry — refusing to lint against it"
-        )));
-    }
-    registry.merge(chaos_registry);
-
-    let mut sources = Vec::new();
-    for (abs, rel) in source_files(root)? {
-        sources.push((rel, read(&abs)?));
-    }
-    let mut findings = check_sources(&sources, &registry);
-
-    // Reverse direction of fault-point-registry: every registered point
-    // must be planted somewhere outside #[cfg(test)] code.
-    let mut planted = std::collections::BTreeSet::new();
-    for (_, src) in &sources {
-        planted
-            .extend(rules::fault_point_call_sites(&lexer::strip_cfg_test(&lexer::lex(src).toks)));
-    }
-    findings.extend(rules::fault_point_sync(&registry.points, &planted, CHAOS_REGISTRY_FILE));
+    let sources = workspace_sources(root)?;
+    let mut findings = check_sources(&sources);
 
     if let Some((_, proto_src)) = sources.iter().find(|(rel, _)| rel == PROTOCOL_FILE) {
         let stripped = lexer::strip_cfg_test(&lexer::lex(proto_src).toks);
@@ -225,9 +180,9 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
     Ok(findings)
 }
 
-/// Lints a single source string as if it were file `rel`, against the
-/// given registry. Single-file view of [`check_sources`]; transitive rules
-/// see only this file's functions.
-pub fn check_source(rel: &str, src: &str, registry: &NameRegistry) -> Vec<Finding> {
-    check_sources(&[(rel.to_owned(), src.to_owned())], registry)
+/// Lints a single source string as if it were file `rel`. Single-file
+/// view of [`check_sources`]; transitive rules see only this file's
+/// functions.
+pub fn check_source(rel: &str, src: &str) -> Vec<Finding> {
+    check_sources(&[(rel.to_owned(), src.to_owned())])
 }

@@ -145,7 +145,7 @@ pub fn check(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<Find
                         &file.rel,
                         *pline,
                         format!(
-                            "guard on `{d}` ({held_at}) is held across fault_point!({point:?}); \
+                            "guard on `{d}` ({held_at}) is held across fault_point!({point}); \
                              an injected delay stalls every contender and an injected panic \
                              poisons the lock"
                         ),
@@ -210,7 +210,7 @@ pub fn check(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<Find
                                 rrel,
                                 *pline,
                                 format!(
-                                    "fault_point!({point:?}) fires while the guard on `{d}` \
+                                    "fault_point!({point}) fires while the guard on `{d}` \
                                      ({held_at}) is held (reachable via {via}); an injected \
                                      delay stalls every contender and an injected panic poisons \
                                      the lock"

@@ -146,7 +146,7 @@ pub struct FnItem {
     /// Lines with a postfix `?` operator — each is an implicit
     /// `From::from` call on the error path.
     pub question_lines: Vec<u32>,
-    /// `fault_point!("name")` sites: (point name, line).
+    /// `fault_point!(Point)` sites: (the macro argument's text, line).
     pub fault_sites: Vec<(String, u32)>,
     /// Call sites shaped like thread-blocking operations (channel recv,
     /// `join()`, file/socket I/O, `sleep`), pre-filtered by argument shape;
@@ -612,12 +612,12 @@ fn scan_body(
                         f.calls.push(Call::Macro { name: t.text.clone(), line: t.line });
                         if t.text == "fault_point" {
                             let close = skip_group(toks, i + 2, end);
-                            if let Some(s) = toks[i + 3..close.max(i + 3)]
+                            // `close` is one past the `)`.
+                            let arg: String = toks[i + 3..close.saturating_sub(1).max(i + 3)]
                                 .iter()
-                                .find(|a| a.kind == TokKind::Str)
-                            {
-                                f.fault_sites.push((s.text.clone(), t.line));
-                            }
+                                .map(|a| a.text.as_str())
+                                .collect();
+                            f.fault_sites.push((arg, t.line));
                         }
                     }
                 } else if next.is_some_and(|n| n.is_punct('(')) {
@@ -1274,7 +1274,7 @@ mod tests {
     fn fault_and_blocking_sites() {
         let p = parse(
             "fn f(rx: &Receiver, v: &[String]) {\n\
-               fault_point!(\"demo/parse\");\n\
+               fault_point!(DemoParse);\n\
                let _ = rx.recv();\n\
                thread::sleep(ms());\n\
                let _j = v.join(\",\");\n\
@@ -1282,7 +1282,7 @@ mod tests {
              }",
         );
         let f = fn_named(&p, "f");
-        assert_eq!(f.fault_sites, vec![("demo/parse".to_owned(), 2)]);
+        assert_eq!(f.fault_sites, vec![("DemoParse".to_owned(), 2)]);
         let lines: Vec<u32> = f.blocking_sites.iter().map(Call::line).collect();
         assert_eq!(lines, vec![3, 4, 6], "Vec::join(sep) is not blocking: {:?}", f.blocking_sites);
     }

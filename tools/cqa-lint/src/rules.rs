@@ -23,28 +23,22 @@ use std::fmt;
 /// Rule identifiers, as used in `allow(...)` suppressions and CLI output.
 pub const NO_PANIC: &str = "no-panic-in-request-path";
 pub const NO_ALLOC: &str = "no-alloc-in-hot-path";
-pub const OBS_NAMES: &str = "obs-name-registry";
-pub const BENCH_NAMES: &str = "bench-name-registry";
 pub const PROTOCOL_SYNC: &str = "protocol-doc-sync";
 pub const OPAQUE: &str = "opaque-call";
 pub const RNG_FLOW: &str = "rng-flow";
 pub const SUPPRESSION: &str = "suppression-needs-reason";
-pub const FAULT_POINTS: &str = "fault-point-registry";
 pub const LOCK_ORDER: &str = "lock-order";
 pub const NO_BLOCKING: &str = "no-blocking-while-locked";
 pub const GUARD_FAULT: &str = "no-guard-across-fault-point";
 
 /// Every rule name, for validating `allow(...)` suppressions.
-pub const ALL_RULES: [&str; 12] = [
+pub const ALL_RULES: [&str; 9] = [
     NO_PANIC,
     NO_ALLOC,
-    OBS_NAMES,
-    BENCH_NAMES,
     PROTOCOL_SYNC,
     OPAQUE,
     RNG_FLOW,
     SUPPRESSION,
-    FAULT_POINTS,
     LOCK_ORDER,
     NO_BLOCKING,
     GUARD_FAULT,
@@ -412,317 +406,6 @@ pub fn suppression_hygiene(lexed: &Lexed, file: &str) -> Vec<Finding> {
                     ),
                 });
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: obs-name-registry
-// ---------------------------------------------------------------------------
-
-/// The central name registries: span/metric/flight-digest-field names
-/// parsed from `crates/obs/src/names.rs`, benchmark series names from
-/// `crates/perf/src/names.rs`, fault-point names from
-/// `crates/chaos/src/points.rs`.
-#[derive(Debug, Clone, Default)]
-pub struct NameRegistry {
-    pub spans: BTreeSet<String>,
-    pub metrics: BTreeSet<String>,
-    pub series: BTreeSet<String>,
-    pub fields: BTreeSet<String>,
-    pub points: BTreeSet<String>,
-}
-
-impl NameRegistry {
-    /// Parses a registry source: the string literals of the `SPANS`,
-    /// `METRICS`, `SERIES`, `FIELDS`, and `POINTS` const arrays (a file
-    /// defining only some of the five yields empty sets for the rest).
-    pub fn parse(src: &str) -> NameRegistry {
-        // Registries are defined in non-test code; stripping `#[cfg(test)]`
-        // keeps a test module's stray literals (e.g. a negative-lookup
-        // probe name) out of the allowed set.
-        let toks = crate::lexer::strip_cfg_test(&crate::lexer::lex(src).toks);
-        NameRegistry {
-            spans: const_array_strings(&toks, "SPANS"),
-            metrics: const_array_strings(&toks, "METRICS"),
-            series: const_array_strings(&toks, "SERIES"),
-            fields: const_array_strings(&toks, "FIELDS"),
-            points: const_array_strings(&toks, "POINTS"),
-        }
-    }
-
-    /// Merges another registry's names into this one (used to combine the
-    /// obs, perf, and chaos registry files into one lookup).
-    pub fn merge(&mut self, other: NameRegistry) {
-        self.spans.extend(other.spans);
-        self.metrics.extend(other.metrics);
-        self.series.extend(other.series);
-        self.fields.extend(other.fields);
-        self.points.extend(other.points);
-    }
-}
-
-fn const_array_strings(toks: &[Tok], name: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident(name) {
-            // Scan past the `=` (skipping the `&[&str]` type annotation's
-            // brackets) to the array literal's opening `[`, then collect
-            // literals to the matching `]`.
-            let mut j = i + 1;
-            while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
-                j += 1;
-            }
-            while j < toks.len() && !toks[j].is_punct('[') && !toks[j].is_punct(';') {
-                j += 1;
-            }
-            // A non-definition mention (`POINTS.iter()`, `POINTS[i]`…) has
-            // no `= … [` ahead of its statement's `;` — collect nothing.
-            if toks.get(j).is_some_and(|t| t.is_punct('[')) {
-                let mut depth = 0usize;
-                while j < toks.len() {
-                    match &toks[j].kind {
-                        TokKind::Punct('[') => depth += 1,
-                        TokKind::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        TokKind::Str => {
-                            out.insert(toks[j].text.clone());
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Span-creating APIs whose first string-literal argument is a span name.
-const SPAN_APIS: [&str; 4] = ["span", "span_args", "record_span", "instant_args"];
-/// Metric-registering APIs (and the `counter!` declaration macro in
-/// cqa-core's telemetry) whose first string-literal argument is a metric
-/// name.
-const METRIC_APIS: [&str; 3] = ["counter", "gauge", "histogram"];
-/// Flight-recorder wire-rendering APIs whose first string-literal argument
-/// is a digest/slowlog field name (`crates/obs/src/flight.rs`).
-const FIELD_APIS: [&str; 1] = ["digest_field"];
-
-/// Flags span/metric/digest-field name literals not present in the
-/// registry. Dashboards, trace post-processing, the Prometheus exposition,
-/// and `debug flight`/`debug slowlog` consumers all key on these strings;
-/// an unregistered (usually misspelled) name silently vanishes from every
-/// chart or digest instead of failing anywhere.
-pub fn obs_names(lexed: &Lexed, toks: &[Tok], file: &str, reg: &NameRegistry) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let is_span_api = SPAN_APIS.contains(&t.text.as_str());
-        let is_metric_api = METRIC_APIS.contains(&t.text.as_str());
-        let is_field_api = FIELD_APIS.contains(&t.text.as_str());
-        if !is_span_api && !is_metric_api && !is_field_api {
-            continue;
-        }
-        // Accept both `name(…)` and `name!(…)` shapes.
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|n| n.is_punct('!')) {
-            j += 1;
-        }
-        if !toks.get(j).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        // A definition site (`fn counter(&self, name: &str, …)`) has no
-        // literal; a call with a computed name has none either. Take the
-        // first string literal before the matching close paren.
-        let Some(name_tok) = first_literal_in_parens(toks, j) else { continue };
-        let (set, kind) = if is_span_api {
-            (&reg.spans, "span")
-        } else if is_metric_api {
-            (&reg.metrics, "metric")
-        } else {
-            (&reg.fields, "digest field")
-        };
-        if !set.contains(&name_tok.text) {
-            push(
-                &mut out,
-                lexed,
-                OBS_NAMES,
-                file,
-                name_tok.line,
-                format!(
-                    "{kind} name {:?} is not in the registry (crates/obs/src/names.rs)",
-                    name_tok.text
-                ),
-            );
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: bench-name-registry
-// ---------------------------------------------------------------------------
-
-/// APIs whose first string-literal argument is a benchmark series name.
-const BENCH_APIS: [&str; 1] = ["bench_series"];
-
-/// Flags benchmark series name literals not present in the registry
-/// (`crates/perf/src/names.rs`). The regression gate in `cqa-perf diff`
-/// matches baseline and candidate series *by name*: an unregistered
-/// (usually misspelled) name silently falls out of the comparison instead
-/// of failing anywhere — the same failure mode `obs-name-registry`
-/// prevents for metric names. `cqa_perf::schema::bench_series` also
-/// rejects unregistered names at runtime; this rule catches them before
-/// anything runs, including names only exercised on the `full` profile.
-pub fn bench_names(lexed: &Lexed, toks: &[Tok], file: &str, reg: &NameRegistry) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !BENCH_APIS.contains(&t.text.as_str()) {
-            continue;
-        }
-        let j = i + 1;
-        if !toks.get(j).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        // Definition sites and computed names carry no literal → skip
-        // (the runtime check in bench_series covers the computed case).
-        let Some(name_tok) = first_literal_in_parens(toks, j) else { continue };
-        if !reg.series.contains(&name_tok.text) {
-            push(
-                &mut out,
-                lexed,
-                BENCH_NAMES,
-                file,
-                name_tok.line,
-                format!(
-                    "bench series name {:?} is not in the registry (crates/perf/src/names.rs)",
-                    name_tok.text
-                ),
-            );
-        }
-    }
-    out
-}
-
-/// The first string literal strictly inside the paren group opening at
-/// `open` (nested groups included), or `None`.
-fn first_literal_in_parens(toks: &[Tok], open: usize) -> Option<&Tok> {
-    let mut depth = 0usize;
-    for t in &toks[open..] {
-        match &t.kind {
-            TokKind::Punct('(') => depth += 1,
-            TokKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return None;
-                }
-            }
-            TokKind::Str => return Some(t),
-            _ => {}
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// Rule: fault-point-registry
-// ---------------------------------------------------------------------------
-
-/// Flags `fault_point!` name literals not present in the registry
-/// (`crates/chaos/src/points.rs`). An unregistered point is worse than a
-/// typo'd metric: `cqa_chaos::trigger` cannot key a counter for it, no
-/// preset plan ever exercises it, and the guarantee table in
-/// `docs/RELIABILITY.md` never documents what clients observe when it
-/// fires — the boundary silently falls out of the chaos suite.
-pub fn fault_points(lexed: &Lexed, toks: &[Tok], file: &str, reg: &NameRegistry) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "fault_point" {
-            continue;
-        }
-        // Accept `fault_point!(…)` and a bare `fault_point(…)`; the
-        // `macro_rules! fault_point {` definition site is followed by `{`
-        // and never matches.
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|n| n.is_punct('!')) {
-            j += 1;
-        }
-        if !toks.get(j).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let Some(name_tok) = first_literal_in_parens(toks, j) else { continue };
-        if !reg.points.contains(&name_tok.text) {
-            push(
-                &mut out,
-                lexed,
-                FAULT_POINTS,
-                file,
-                name_tok.line,
-                format!(
-                    "fault point {:?} is not in the registry (crates/chaos/src/points.rs)",
-                    name_tok.text
-                ),
-            );
-        }
-    }
-    out
-}
-
-/// Collects every registered-or-not fault-point name literal passed to a
-/// `fault_point!` call in the token stream — the reverse-direction input
-/// for [`fault_point_sync`].
-pub fn fault_point_call_sites(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "fault_point" {
-            continue;
-        }
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|n| n.is_punct('!')) {
-            j += 1;
-        }
-        if !toks.get(j).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        if let Some(name_tok) = first_literal_in_parens(toks, j) {
-            out.insert(name_tok.text.clone());
-        }
-    }
-    out
-}
-
-/// The reverse direction of `fault-point-registry`: every name in the
-/// `POINTS` registry must have at least one `fault_point!` call site
-/// outside `#[cfg(test)]` code. A dead entry means a fault plan targeting
-/// it injects nothing — the chaos suite reports a clean pass for a
-/// boundary it never actually perturbed.
-pub fn fault_point_sync(
-    points: &BTreeSet<String>,
-    call_sites: &BTreeSet<String>,
-    registry_file: &str,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for point in points {
-        if !call_sites.contains(point) {
-            out.push(Finding {
-                rule: FAULT_POINTS,
-                file: registry_file.to_owned(),
-                line: 0,
-                message: format!(
-                    "registered fault point {point:?} has no fault_point! call site outside \
-                     tests (dead registry entry, or the boundary lost its probe)"
-                ),
-            });
         }
     }
     out

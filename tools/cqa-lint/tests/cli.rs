@@ -6,9 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// A fresh scratch workspace with just the three name registries (the
-/// minimum `check_workspace` refuses to run without) and one demo crate
-/// planting the registered fault point.
+/// A fresh scratch workspace: one demo crate and the wire protocol with
+/// its document.
 fn scratch_workspace(name: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("cqa-lint-cli-{}-{name}", std::process::id()));
     if root.exists() {
@@ -19,15 +18,12 @@ fn scratch_workspace(name: &str) -> PathBuf {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(path, body).unwrap();
     };
+    write("crates/demo/src/lib.rs", b"pub fn work() {}\n");
     write(
-        "crates/obs/src/names.rs",
-        b"pub const SPANS: &[&str] = &[\"demo/work\"];\n\
-          pub const METRICS: &[&str] = &[\"demo_total\"];\n\
-          pub const FIELDS: &[&str] = &[\"request_id\"];\n",
+        "crates/server/src/protocol.rs",
+        b"fn seed(v: &Json) -> Option<&Json> {\n    v.get(\"seed\")\n}\n",
     );
-    write("crates/perf/src/names.rs", b"pub const SERIES: &[&str] = &[\"demo/build_ns\"];\n");
-    write("crates/chaos/src/points.rs", b"pub const POINTS: &[&str] = &[\"demo/parse\"];\n");
-    write("crates/demo/src/lib.rs", b"pub fn work() {\n    fault_point!(\"demo/parse\");\n}\n");
+    write("docs/PROTOCOL.md", b"A query carries `\"seed\": 7`.\n");
     root
 }
 
@@ -65,9 +61,9 @@ fn unreadable_source_file_is_a_diagnostic_not_a_panic() {
 }
 
 #[test]
-fn missing_registry_is_a_diagnostic_not_a_panic() {
-    let root = scratch_workspace("no-registry");
-    std::fs::remove_file(root.join("crates/chaos/src/points.rs")).unwrap();
+fn missing_protocol_doc_is_a_diagnostic_not_a_panic() {
+    let root = scratch_workspace("no-protocol-doc");
+    std::fs::remove_file(root.join("docs/PROTOCOL.md")).unwrap();
     let out = run_check(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
@@ -98,10 +94,10 @@ fn unparseable_source_is_linted_best_effort_not_a_crash() {
 #[test]
 fn findings_exit_1_and_are_written_to_out() {
     let root = scratch_workspace("dirty");
-    // An unregistered span name is a deterministic single finding.
+    // A suppression without a reason is a deterministic single finding.
     std::fs::write(
         root.join("crates/demo/src/dirty.rs"),
-        "pub fn f() { let _s = cqa_obs::span(\"not/registered\"); }\n",
+        "// cqa-lint: allow(rng-flow)\npub fn f() {}\n",
     )
     .unwrap();
     let findings_path = root.join("lint-findings.txt");
@@ -117,7 +113,10 @@ fn findings_exit_1_and_are_written_to_out() {
     assert!(stdout.contains("1 finding(s)"), "{stdout}");
     let written = std::fs::read_to_string(&findings_path).unwrap();
     assert_eq!(written.lines().count(), 1, "{written}");
-    assert!(written.contains("crates/demo/src/dirty.rs:1: [obs-name-registry]"), "{written}");
+    assert!(
+        written.contains("crates/demo/src/dirty.rs:1: [suppression-needs-reason]"),
+        "{written}"
+    );
 }
 
 #[test]

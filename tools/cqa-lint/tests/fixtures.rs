@@ -4,7 +4,7 @@
 //! `cargo test --workspace` fail the moment an invariant regresses, even
 //! where CI forgets to run the CLI.
 
-use cqa_lint::rules::{self, NameRegistry};
+use cqa_lint::rules;
 use std::path::{Path, PathBuf};
 
 fn fixture_path(rel: &str) -> PathBuf {
@@ -17,17 +17,10 @@ fn fixture(rel: &str) -> String {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
 }
 
-fn registry() -> NameRegistry {
-    NameRegistry::parse(&fixture("registry.rs"))
-}
-
 /// Lints a fixture as if it were workspace file `rel` and returns the
 /// rule names that fired.
 fn fired(rel: &str, fixture_file: &str) -> Vec<&'static str> {
-    cqa_lint::check_source(rel, &fixture(fixture_file), &registry())
-        .into_iter()
-        .map(|f| f.rule)
-        .collect()
+    cqa_lint::check_source(rel, &fixture(fixture_file)).into_iter().map(|f| f.rule).collect()
 }
 
 const REQUEST_PATH: &str = "crates/server/src/pool.rs";
@@ -39,7 +32,7 @@ const ESTIMATOR: &str = "crates/core/src/montecarlo.rs";
 fn fired_multi(files: &[(&str, &str)]) -> Vec<rules::Finding> {
     let sources: Vec<(String, String)> =
         files.iter().map(|(rel, fx)| (rel.to_string(), fixture(fx))).collect();
-    cqa_lint::check_sources(&sources, &registry())
+    cqa_lint::check_sources(&sources)
 }
 
 #[test]
@@ -81,8 +74,7 @@ fn no_alloc_passes_good_fixture() {
 
 #[test]
 fn no_alloc_reports_unclosed_region() {
-    let findings =
-        cqa_lint::check_source(ANYWHERE, &fixture("no-alloc-in-hot-path/unclosed.rs"), &registry());
+    let findings = cqa_lint::check_source(ANYWHERE, &fixture("no-alloc-in-hot-path/unclosed.rs"));
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].rule, rules::NO_ALLOC);
     assert!(findings[0].message.contains("never closed"), "{}", findings[0].message);
@@ -122,7 +114,7 @@ fn transitive_helpers_alone_are_clean() {
 
 #[test]
 fn rng_flow_fires_on_ambient_entropy_and_unforked_root() {
-    let findings = cqa_lint::check_source(ESTIMATOR, &fixture("rng-flow/bad.rs"), &registry());
+    let findings = cqa_lint::check_source(ESTIMATOR, &fixture("rng-flow/bad.rs"));
     assert_eq!(findings.len(), 2, "{findings:#?}");
     assert!(findings.iter().all(|f| f.rule == rules::RNG_FLOW));
     assert!(findings.iter().any(|f| f.message.contains("thread_rng")), "{findings:#?}");
@@ -146,39 +138,6 @@ fn suppression_hygiene_fires_on_bad_fixture() {
 #[test]
 fn suppression_hygiene_passes_good_fixture() {
     assert!(fired(REQUEST_PATH, "suppression-needs-reason/good.rs").is_empty());
-}
-
-#[test]
-fn obs_names_fire_on_bad_fixture() {
-    let findings =
-        cqa_lint::check_source(ANYWHERE, &fixture("obs-name-registry/bad.rs"), &registry());
-    assert_eq!(findings.len(), 3, "one span, one metric, one field typo: {findings:?}");
-    assert!(findings.iter().all(|f| f.rule == rules::OBS_NAMES));
-    assert!(findings.iter().any(|f| f.message.contains("serve/request_typo")));
-    assert!(findings.iter().any(|f| f.message.contains("server_requets_total")));
-    assert!(findings.iter().any(|f| f.message.contains("reqest_id")));
-}
-
-#[test]
-fn obs_names_pass_good_fixture() {
-    assert!(fired(ANYWHERE, "obs-name-registry/good.rs").is_empty());
-}
-
-#[test]
-fn bench_names_fire_on_bad_fixture() {
-    let findings =
-        cqa_lint::check_source(ANYWHERE, &fixture("bench-name-registry/bad.rs"), &registry());
-    assert_eq!(findings.len(), 1, "one series typo: {findings:?}");
-    assert_eq!(findings[0].rule, rules::BENCH_NAMES);
-    assert!(findings[0].message.contains("demo/biuld_ns"));
-    assert!(findings[0].message.contains("crates/perf/src/names.rs"));
-}
-
-#[test]
-fn bench_names_pass_good_fixture() {
-    // Registered literal, computed name, definition site, and a reasoned
-    // suppression: none fire.
-    assert!(fired(ANYWHERE, "bench-name-registry/good.rs").is_empty());
 }
 
 #[test]
@@ -210,46 +169,6 @@ fn protocol_sync_fires_in_both_directions() {
             .any(|f| f.message.contains("\"retries\"") && f.message.contains("stale doc")),
         "doc-only key: {findings:?}"
     );
-}
-
-#[test]
-fn fault_points_fire_on_bad_fixture() {
-    let findings =
-        cqa_lint::check_source(ANYWHERE, &fixture("fault-point-registry/bad.rs"), &registry());
-    assert_eq!(findings.len(), 1, "one point typo: {findings:?}");
-    assert_eq!(findings[0].rule, rules::FAULT_POINTS);
-    assert!(findings[0].message.contains("demo/prase"));
-    assert!(findings[0].message.contains("crates/chaos/src/points.rs"));
-}
-
-#[test]
-fn fault_points_pass_good_fixture() {
-    // Registered literals, a computed name, and the macro definition site:
-    // none fire.
-    assert!(fired(ANYWHERE, "fault-point-registry/good.rs").is_empty());
-}
-
-#[test]
-fn fault_point_sync_flags_never_planted_points() {
-    let lexed = cqa_lint::lexer::lex(&fixture("fault-point-registry/good.rs"));
-    let calls = rules::fault_point_call_sites(&lexed.toks);
-    assert_eq!(
-        calls.iter().map(String::as_str).collect::<Vec<_>>(),
-        vec!["demo/parse", "demo/write"],
-        "call-site extraction must skip the definition site and computed names"
-    );
-    let reg = registry();
-    assert!(
-        rules::fault_point_sync(&reg.points, &calls, "points.rs").is_empty(),
-        "every fixture-registered point is planted"
-    );
-    let mut points = reg.points.clone();
-    points.insert("demo/never_planted".to_owned());
-    let findings = rules::fault_point_sync(&points, &calls, "points.rs");
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, rules::FAULT_POINTS);
-    assert_eq!(findings[0].file, "points.rs");
-    assert!(findings[0].message.contains("demo/never_planted"));
 }
 
 #[test]
