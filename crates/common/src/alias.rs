@@ -85,8 +85,9 @@ impl AliasTable {
         self.prob.is_empty()
     }
 
-    /// Draws a category index with its configured probability.
-    #[inline]
+    /// Draws a category index with its configured probability. Always
+    /// inlined: the symbolic samplers call it once per sample.
+    #[inline(always)]
     pub fn sample(&self, rng: &mut Mt64) -> usize {
         let i = rng.below_with(&self.columns) as usize;
         if rng.next_f64() < self.prob[i] {

@@ -6,6 +6,12 @@
 //! the samplers in `cqa-core` draw from the same generator family, and we
 //! validate the implementation against the published reference output
 //! (`mt19937-64.out.txt`) in the tests below.
+//!
+//! **Block tempering.** Each refill regenerates the 312 state words and
+//! tempers all of them, in order, into a second buffer, so
+//! [`Mt64::next_u64`] is a load and an index bump. The reference tempers one
+//! word per call; the outputs are the same words in the same order, which
+//! the tests check against a copy of the per-word reference.
 
 /// State size of MT19937-64.
 const NN: usize = 312;
@@ -16,6 +22,22 @@ const UM: u64 = 0xFFFF_FFFF_8000_0000;
 /// Least significant 31 bits.
 const LM: u64 = 0x7FFF_FFFF;
 
+/// `(x >> 1) ^ mag01[x & 1]` of the reference, with the table lookup
+/// replaced by a mask so the refill loops vectorize.
+#[inline(always)]
+fn twist(x: u64) -> u64 {
+    (x >> 1) ^ ((x & 1).wrapping_neg() & MATRIX_A)
+}
+
+/// The MT19937-64 tempering transform of one state word.
+#[inline(always)]
+fn temper(mut x: u64) -> u64 {
+    x ^= (x >> 29) & 0x5555_5555_5555_5555;
+    x ^= (x << 17) & 0x71D6_7FFF_EDA6_0000;
+    x ^= (x << 37) & 0xFFF7_EEE0_0000_0000;
+    x ^ (x >> 43)
+}
+
 /// A 64-bit Mersenne Twister pseudo-random number generator.
 ///
 /// Deterministic, seedable, and cheap to fork (via [`Mt64::fork`]) so every
@@ -23,8 +45,16 @@ const LM: u64 = 0x7FFF_FFFF;
 /// seed.
 #[derive(Clone)]
 pub struct Mt64 {
-    mt: Box<[u64; NN]>,
+    words: Box<Words>,
+    /// The next output is `words.out[mti]`; `NN` means a refill is due.
     mti: usize,
+}
+
+/// The generator's state and the tempered outputs of its last refill.
+#[derive(Clone)]
+struct Words {
+    mt: [u64; NN],
+    out: [u64; NN],
 }
 
 impl std::fmt::Debug for Mt64 {
@@ -36,31 +66,33 @@ impl std::fmt::Debug for Mt64 {
 impl Mt64 {
     /// Creates a generator from a single 64-bit seed (`init_genrand64`).
     pub fn new(seed: u64) -> Self {
-        let mut mt = Box::new([0u64; NN]);
+        let mut words = Box::new(Words { mt: [0; NN], out: [0; NN] });
+        let mt = &mut words.mt;
         mt[0] = seed;
         for i in 1..NN {
             mt[i] = 6_364_136_223_846_793_005u64
                 .wrapping_mul(mt[i - 1] ^ (mt[i - 1] >> 62))
                 .wrapping_add(i as u64);
         }
-        Mt64 { mt, mti: NN }
+        Mt64 { words, mti: NN }
     }
 
     /// Creates a generator from an array seed (`init_by_array64`).
     pub fn from_key(key: &[u64]) -> Self {
         let mut rng = Self::new(19_650_218);
+        let mt = &mut rng.words.mt;
         let mut i: usize = 1;
         let mut j: usize = 0;
         let mut k = NN.max(key.len());
         while k > 0 {
-            rng.mt[i] = (rng.mt[i]
-                ^ (rng.mt[i - 1] ^ (rng.mt[i - 1] >> 62)).wrapping_mul(3_935_559_000_370_003_845))
+            mt[i] = (mt[i]
+                ^ (mt[i - 1] ^ (mt[i - 1] >> 62)).wrapping_mul(3_935_559_000_370_003_845))
             .wrapping_add(key[j])
             .wrapping_add(j as u64);
             i += 1;
             j += 1;
             if i >= NN {
-                rng.mt[0] = rng.mt[NN - 1];
+                mt[0] = mt[NN - 1];
                 i = 1;
             }
             if j >= key.len() {
@@ -70,17 +102,17 @@ impl Mt64 {
         }
         k = NN - 1;
         while k > 0 {
-            rng.mt[i] = (rng.mt[i]
-                ^ (rng.mt[i - 1] ^ (rng.mt[i - 1] >> 62)).wrapping_mul(2_862_933_555_777_941_757))
+            mt[i] = (mt[i]
+                ^ (mt[i - 1] ^ (mt[i - 1] >> 62)).wrapping_mul(2_862_933_555_777_941_757))
             .wrapping_sub(i as u64);
             i += 1;
             if i >= NN {
-                rng.mt[0] = rng.mt[NN - 1];
+                mt[0] = mt[NN - 1];
                 i = 1;
             }
             k -= 1;
         }
-        rng.mt[0] = 1 << 63;
+        mt[0] = 1 << 63;
         rng
     }
 
@@ -90,40 +122,45 @@ impl Mt64 {
         Self::from_key(&[self.next_u64(), self.next_u64(), self.next_u64(), 0x9E37_79B9])
     }
 
+    /// Regenerates the state and tempers the next 312 outputs into
+    /// `words.out`. Kept out of line so the inlined [`Self::next_u64`]
+    /// stays a load.
+    #[inline(never)]
     fn refill(&mut self) {
-        let mag01 = [0u64, MATRIX_A];
-        let mt = &mut self.mt;
+        let Words { mt, out } = &mut *self.words;
         for i in 0..(NN - MM) {
             let x = (mt[i] & UM) | (mt[i + 1] & LM);
-            mt[i] = mt[i + MM] ^ (x >> 1) ^ mag01[(x & 1) as usize];
+            mt[i] = mt[i + MM] ^ twist(x);
         }
         for i in (NN - MM)..(NN - 1) {
             let x = (mt[i] & UM) | (mt[i + 1] & LM);
-            mt[i] = mt[i + MM - NN] ^ (x >> 1) ^ mag01[(x & 1) as usize];
+            mt[i] = mt[i + MM - NN] ^ twist(x);
         }
         let x = (mt[NN - 1] & UM) | (mt[0] & LM);
-        mt[NN - 1] = mt[MM - 1] ^ (x >> 1) ^ mag01[(x & 1) as usize];
-        self.mti = 0;
+        mt[NN - 1] = mt[MM - 1] ^ twist(x);
+        for (o, &x) in out.iter_mut().zip(mt.iter()) {
+            *o = temper(x);
+        }
     }
 
     /// The next raw 64-bit output (`genrand64_int64`).
-    #[inline]
+    #[inline(always)]
     pub fn next_u64(&mut self) -> u64 {
-        if self.mti >= NN {
+        // Binding the index here, rather than rereading `mti` after the
+        // call, lets the compiler see it is in bounds.
+        let i = if self.mti < NN {
+            self.mti
+        } else {
             self.refill();
-        }
-        let mut x = self.mt[self.mti];
-        self.mti += 1;
-        x ^= (x >> 29) & 0x5555_5555_5555_5555;
-        x ^= (x << 17) & 0x71D6_7FFF_EDA6_0000;
-        x ^= (x << 37) & 0xFFF7_EEE0_0000_0000;
-        x ^= x >> 43;
-        x
+            0
+        };
+        self.mti = i + 1;
+        self.words.out[i]
     }
 
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision
     /// (`genrand64_real2`).
-    #[inline]
+    #[inline(always)]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
     }
@@ -183,7 +220,11 @@ impl Mt64 {
     #[inline]
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
+        match (hi - lo).checked_add(1) {
+            Some(n) => lo + self.below(n),
+            // `[0, u64::MAX]`: every output is in range.
+            None => self.next_u64(),
+        }
     }
 
     /// A Bernoulli draw with success probability `p`.
@@ -248,6 +289,75 @@ impl Below {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as it was before block tempering: regenerate the state
+    /// in place, then temper one word per output.
+    struct Reference {
+        mt: [u64; NN],
+        mti: usize,
+    }
+
+    impl Reference {
+        /// Starts from `rng`'s seeded state; `rng` must not have drawn yet.
+        fn of(rng: &Mt64) -> Self {
+            assert_eq!(rng.mti, NN, "the reference starts before the first refill");
+            Reference { mt: rng.words.mt, mti: NN }
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let mag01 = [0u64, MATRIX_A];
+            if self.mti >= NN {
+                let mt = &mut self.mt;
+                for i in 0..NN {
+                    let x = (mt[i] & UM) | (mt[(i + 1) % NN] & LM);
+                    mt[i] = mt[(i + MM) % NN] ^ (x >> 1) ^ mag01[(x & 1) as usize];
+                }
+                self.mti = 0;
+            }
+            let mut x = self.mt[self.mti];
+            self.mti += 1;
+            x ^= (x >> 29) & 0x5555_5555_5555_5555;
+            x ^= (x << 17) & 0x71D6_7FFF_EDA6_0000;
+            x ^= (x << 37) & 0xFFF7_EEE0_0000_0000;
+            x ^= x >> 43;
+            x
+        }
+    }
+
+    /// Five refills and a partial block of outputs, from two seedings.
+    #[test]
+    fn block_tempering_matches_the_per_output_reference() {
+        for mut rng in [Mt64::new(5489), Mt64::from_key(&[0x12345, 0x23456, 0x34567, 0x45678])] {
+            let mut reference = Reference::of(&rng);
+            for i in 0..5 * NN + 7 {
+                assert_eq!(rng.next_u64(), reference.next_u64(), "mismatch at output {i}");
+            }
+        }
+    }
+
+    /// A clone taken mid-block and a fork continue exactly as the reference
+    /// does.
+    #[test]
+    fn clone_and_fork_continue_the_reference_stream() {
+        let mut rng = Mt64::new(2024);
+        let mut reference = Reference::of(&rng);
+        for _ in 0..NN + 100 {
+            assert_eq!(rng.next_u64(), reference.next_u64());
+        }
+        let mut copy = rng.clone();
+        for i in 0..4 * NN {
+            let want = reference.next_u64();
+            assert_eq!(rng.next_u64(), want, "original at output {i}");
+            assert_eq!(copy.next_u64(), want, "clone at output {i}");
+        }
+        let mut child = rng.fork();
+        let key = [reference.next_u64(), reference.next_u64(), reference.next_u64(), 0x9E37_79B9];
+        let mut child_reference = Reference::of(&Mt64::from_key(&key));
+        for i in 0..4 * NN {
+            assert_eq!(child.next_u64(), child_reference.next_u64(), "fork at output {i}");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "parent after fork at output {i}");
+        }
+    }
 
     /// First values of the published reference output of mt19937-64.c when
     /// seeded with `init_by_array64({0x12345, 0x23456, 0x34567, 0x45678})`.
@@ -332,6 +442,20 @@ mod tests {
             }
         }
         assert!(lo_seen && hi_seen);
+    }
+
+    /// The full range, where `hi - lo + 1` wraps to 0, is one raw output;
+    /// every narrower range keeps drawing through `below`.
+    #[test]
+    fn range_inclusive_full_range_is_the_raw_output() {
+        let mut rng = Mt64::new(13);
+        let mut raw = rng.clone();
+        for _ in 0..1000 {
+            assert_eq!(rng.range_inclusive(0, u64::MAX), raw.next_u64());
+        }
+        assert_eq!(rng.range_inclusive(1, u64::MAX), 1 + raw.below(u64::MAX));
+        assert_eq!(rng.range_inclusive(0, u64::MAX - 1), raw.below(u64::MAX));
+        assert_eq!(rng.range_inclusive(3, 9), 3 + raw.below(7));
     }
 
     #[test]

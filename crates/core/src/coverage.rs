@@ -16,6 +16,7 @@
 
 #![deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
 
+use crate::optest::{budget_exhausted, POLL};
 use crate::sampler::SymbolicDraw;
 use crate::scheme::Budget;
 use cqa_common::{Below, CqaError, Mt64, Result};
@@ -80,20 +81,19 @@ pub fn self_adjusting_coverage(
     let mut prev_steps: u64 = 0;
     let mut len_sum_sq = 0.0f64;
     // `finished` is the goto-finish of Algorithm 6, with one safeguard: we
-    // always complete at least one trial so the estimator is well-defined
-    // (the theoretical budget makes zero completed trials vanishingly
-    // unlikely; a hard guarantee costs nothing).
+    // always complete at least one trial, or the estimate below would be
+    // 0/0. The (0, 1) domain does reach it, if rarely: the budget is at
+    // least 20·|H| steps (8(1+ε)·ln(3/δ)/((1−ε²/8)·ε²) falls to
+    // 16·ln 3/(7/8) ≈ 20.1 as ε, δ → 1), and each probe succeeds with
+    // probability ≥ 1/|H|, so a first trial outlasts the budget with
+    // probability at most (1 − 1/|H|)^(20·|H|) < e⁻²⁰.
     'outer: loop {
         let _i = draw.draw(rng);
         loop {
             steps = steps.saturating_add(1);
             crate::convergence::tick_sample();
-            if steps.is_multiple_of(crate::optest::POLL) && budget.deadline.expired() {
-                if cqa_obs::enabled() {
-                    crate::telemetry::budget_exhausted_total().inc();
-                    cqa_obs::instant_args(Span::CoreDeadlineExpired, steps, 0);
-                }
-                return Err(CqaError::TimedOut { phase: "coverage" });
+            if steps.is_multiple_of(POLL) && budget.deadline.expired() {
+                return Err(budget_exhausted(Span::CoreDeadlineExpired, steps, "coverage"));
             }
             if steps > n_budget && trials > 0 {
                 break 'outer;

@@ -52,9 +52,11 @@ fn upsilon(eps: f64, delta: f64) -> f64 {
     4.0 * LAMBDA * (2.0 / delta).ln() / (eps * eps)
 }
 
+/// Admits `(ε, δ) ∈ (0, 1)²`, the protocol's domain and the one Cover
+/// already enforces. The iteration counts below rely on `ε < 1`.
 fn check_params(eps: f64, delta: f64) -> Result<()> {
-    if !(eps > 0.0 && eps.is_finite()) {
-        return Err(CqaError::InvalidParameter(format!("ε must be positive, got {eps}")));
+    if !(0.0 < eps && eps < 1.0) {
+        return Err(CqaError::InvalidParameter(format!("ε must be in (0,1), got {eps}")));
     }
     if !(0.0 < delta && delta < 1.0) {
         return Err(CqaError::InvalidParameter(format!("δ must be in (0,1), got {delta}")));
@@ -66,8 +68,10 @@ fn check_params(eps: f64, delta: f64) -> Result<()> {
 pub(crate) const POLL: u64 = 4096;
 
 /// Draws one sample while enforcing the budget. `count` is the running
-/// sample counter shared across phases.
-#[inline]
+/// sample counter shared across phases. Always inlined, with the sampler's
+/// own `sample`, so each phase's loop compiles to one loop with no call
+/// per sample.
+#[inline(always)]
 pub(crate) fn budgeted_sample<S: Sampler>(
     sampler: &mut S,
     rng: &mut Mt64,
@@ -78,20 +82,25 @@ pub(crate) fn budgeted_sample<S: Sampler>(
     *count = count.saturating_add(1);
     crate::convergence::tick_sample();
     if count.is_multiple_of(POLL) && budget.deadline.expired() {
-        if cqa_obs::enabled() {
-            telemetry::budget_exhausted_total().inc();
-            cqa_obs::instant_args(Span::CoreDeadlineExpired, *count, 0);
-        }
-        return Err(CqaError::TimedOut { phase });
+        return Err(budget_exhausted(Span::CoreDeadlineExpired, *count, phase));
     }
     if *count > budget.max_samples {
-        if cqa_obs::enabled() {
-            telemetry::budget_exhausted_total().inc();
-            cqa_obs::instant_args(Span::CoreSampleCapHit, *count, 0);
-        }
-        return Err(CqaError::TimedOut { phase });
+        return Err(budget_exhausted(Span::CoreSampleCapHit, *count, phase));
     }
     Ok(sampler.sample(rng))
+}
+
+/// The error a sampling loop stops with when its budget runs out, after
+/// recording `event` at sample `count`. Kept out of line: it runs at most
+/// once per scheme run.
+#[cold]
+#[inline(never)]
+pub(crate) fn budget_exhausted(event: Span, count: u64, phase: &'static str) -> CqaError {
+    if cqa_obs::enabled() {
+        telemetry::budget_exhausted_total().inc();
+        cqa_obs::instant_args(event, count, 0);
+    }
+    CqaError::TimedOut { phase }
 }
 
 /// The DKLR *stopping rule*: samples until the running sum reaches
@@ -107,10 +116,11 @@ pub fn stopping_rule<S: Sampler>(
 ) -> Result<StoppingOutcome> {
     check_params(eps, delta)?;
     let mut span = cqa_obs::span(Span::DklrStoppingRule);
-    // For valid (ε, δ) the sum is already > 1; the floor makes the loop's
-    // ≥1-iteration guarantee (and thus `n ≥ 1`, `mu > 0` downstream)
-    // unconditional even for degenerate Υ.
-    let upsilon1 = (1.0 + (1.0 + eps) * upsilon(eps, delta)).max(1.0);
+    // Υ is positive (or +∞ when ε² underflows), never NaN, so Υ₁ > 1: the
+    // loop runs at least once, and `n ≥ 1`, `mu > 0` downstream. Samples
+    // lie in [0, 1], so the sum reaches Υ₁ no sooner than sample Υ₁ and
+    // `mu ≤ 1`.
+    let upsilon1 = 1.0 + (1.0 + eps) * upsilon(eps, delta);
     let mut s = 0.0f64;
     let mut n: u64 = 0;
     while s < upsilon1 {
@@ -152,7 +162,9 @@ pub fn plan_iterations<S: Sampler>(
         * (1.0 + (1.5f64).ln() / (2.0 / (delta / 3.0)).ln())
         * upsilon(eps, delta / 3.0);
 
-    let n2 = cqa_common::checked::f64_to_u64((upsilon2 * eps / mu_hat).ceil()).max(1);
+    // Υ₂ ≥ 2·Υ(ε, δ/3) = 8λ·ln(6/δ)/ε², so with ε < 1 and µ̂ ≤ 1,
+    // Υ₂·ε/µ̂ > 8λ·ln 6 > 10: N₂ here and N below are at least 11.
+    let n2 = cqa_common::checked::f64_to_u64((upsilon2 * eps / mu_hat).ceil());
     let mut var_span = cqa_obs::span_args(Span::DklrVarianceEstimation, n2, 0);
     let mut s = 0.0f64;
     for _ in 0..n2 {
@@ -164,7 +176,8 @@ pub fn plan_iterations<S: Sampler>(
     var_span.set_args(n2, samples.saturating_sub(step.samples));
     drop(var_span);
     let rho_hat = (s / n2 as f64).max(eps * mu_hat);
-    let n = (upsilon2 * rho_hat / (mu_hat * mu_hat)).ceil().max(1.0);
+    // ρ̂ ≥ ε·µ̂, so N ≥ N₂.
+    let n = (upsilon2 * rho_hat / (mu_hat * mu_hat)).ceil();
     if !n.is_finite() || n >= budget.max_samples as f64 {
         return Err(CqaError::TimedOut { phase: "iteration planning" });
     }
@@ -314,6 +327,9 @@ mod tests {
         );
         assert!(
             stopping_rule(&mut Constant { v: 0.5 }, 0.1, 1.0, &b, &mut rng, &mut count).is_err()
+        );
+        assert!(
+            stopping_rule(&mut Constant { v: 0.5 }, 1.0, 0.25, &b, &mut rng, &mut count).is_err()
         );
     }
 

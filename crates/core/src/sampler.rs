@@ -43,9 +43,21 @@
 //! **The random stream is unchanged.** [`Mt64::below`]`(1)` returns 0
 //! without consuming an output, so skipping one-fact blocks draws nothing
 //! less; [`Mt64::below_with`] returns exactly `below(n)` from the same
-//! outputs; and the alias table and Cover's probe use it the same way.
-//! Every estimate, sample count and planned `N` is therefore bit-identical
-//! to a plain scan over all blocks and all images.
+//! outputs; [`Mt64`] tempers its outputs a block of 312 at a time, but
+//! they are the same outputs in the same order; and the alias table and
+//! Cover's probe draw through `below_with` too. Every estimate, sample
+//! count and planned `N` is therefore bit-identical to a plain scan over
+//! all blocks and all images with the reference generator.
+//!
+//! # One loop per phase
+//!
+//! Everything a sample runs is `#[inline(always)]`: [`Sampler::sample`],
+//! the kernel's draws and containment tests, [`SymbolicDraw::draw`], the
+//! alias draw and [`Mt64::next_u64`], and the estimators' per-sample budget
+//! check. Each phase of the estimators (the stopping rule, the variance
+//! pairs, the final loop and Cover's probe loop) therefore compiles to one
+//! monomorphized loop. Its only calls are the generator's refill, once per
+//! 312 outputs, and the deadline's clock read, once per 4096 samples.
 
 use cqa_common::{AliasTable, Below, Mt64};
 use cqa_synopsis::{AdmissiblePair, ImageAtom};
@@ -121,7 +133,7 @@ impl SamplingKernel {
 
     // cqa-lint: hot-path begin — the per-sample draws and containment tests
     /// Draws `I ∈ db(B)` uniformly into `chosen`.
-    #[inline]
+    #[inline(always)]
     pub fn draw_database(&self, rng: &mut Mt64, chosen: &mut [u32]) {
         for (&b, size) in self.draw_blocks.iter().zip(&self.draw_sizes) {
             chosen[b as usize] = rng.below_with(size) as u32;
@@ -130,7 +142,7 @@ impl SamplingKernel {
 
     /// Overwrites `chosen` with the facts of image `i`, so that it is
     /// contained.
-    #[inline]
+    #[inline(always)]
     pub fn force(&self, i: usize, chosen: &mut [u32]) {
         for a in self.image(i) {
             chosen[a.block as usize] = a.tid;
@@ -139,36 +151,52 @@ impl SamplingKernel {
 
     /// True iff image `j` is contained in `chosen`: a branch-free AND of
     /// `chosen[a.block] == a.tid` over its atoms.
-    #[inline]
+    #[inline(always)]
     pub fn contained(&self, j: usize, chosen: &[u32]) -> bool {
-        self.image(j).iter().fold(true, |all, a| all & (chosen[a.block as usize] == a.tid))
+        holds(self.image(j), chosen)
     }
 
     /// True iff some image is contained in `chosen`.
-    #[inline]
+    #[inline(always)]
     pub fn any_contained(&self, chosen: &[u32]) -> bool {
-        self.contained_before(self.num_images(), chosen)
+        images(&self.atom_start, &self.atoms).any(|image| holds(image, chosen))
     }
 
     /// True iff some image `j < i` is contained in `chosen`.
-    #[inline]
+    #[inline(always)]
     pub fn contained_before(&self, i: usize, chosen: &[u32]) -> bool {
-        (0..i).any(|j| self.contained(j, chosen))
+        images(&self.atom_start[..=i], &self.atoms).any(|image| holds(image, chosen))
     }
 
     /// The number of images contained in `chosen`.
-    #[inline]
+    #[inline(always)]
     pub fn count_contained(&self, chosen: &[u32]) -> usize {
-        (0..self.num_images()).map(|j| usize::from(self.contained(j, chosen))).sum()
+        images(&self.atom_start, &self.atoms).map(|image| usize::from(holds(image, chosen))).sum()
     }
 
     /// Image `i`'s atoms on multi-fact blocks.
-    #[inline]
+    #[inline(always)]
     fn image(&self, i: usize) -> &[ImageAtom] {
         &self.atoms[self.atom_start[i] as usize..self.atom_start[i + 1] as usize]
     }
     // cqa-lint: hot-path end
 }
+
+// cqa-lint: hot-path begin — the containment scans
+/// The images whose atom ranges `offsets` delimits, in order. Walking the
+/// offsets pairwise spares the two index checks per image that
+/// [`SamplingKernel::image`] makes.
+#[inline(always)]
+fn images<'a>(offsets: &'a [u32], atoms: &'a [ImageAtom]) -> impl Iterator<Item = &'a [ImageAtom]> {
+    offsets.windows(2).map(|w| &atoms[w[0] as usize..w[1] as usize])
+}
+
+/// True iff every atom of `image` holds in `chosen`: a branch-free AND.
+#[inline(always)]
+fn holds(image: &[ImageAtom], chosen: &[u32]) -> bool {
+    image.iter().fold(true, |all, a| all & (chosen[a.block as usize] == a.tid))
+}
+// cqa-lint: hot-path end
 
 /// Sampler 1: uniform over the natural space `db(B)`.
 pub struct NaturalSampler {
@@ -187,6 +215,7 @@ impl NaturalSampler {
 
 impl Sampler for NaturalSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
+    #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         self.kernel.draw_database(rng, &mut self.chosen);
         if self.kernel.any_contained(&self.chosen) {
@@ -230,7 +259,7 @@ impl SymbolicDraw {
     /// Draws `(i, I)`: the image index is returned, the database `I` is
     /// left in the internal `chosen` buffer.
     // cqa-lint: hot-path begin — one call per KL/KLM sample
-    #[inline]
+    #[inline(always)]
     pub fn draw(&mut self, rng: &mut Mt64) -> usize {
         let i = self.alias.sample(rng);
         self.kernel.draw_database(rng, &mut self.chosen);
@@ -241,7 +270,7 @@ impl SymbolicDraw {
     }
 
     /// True iff image `j` is contained in the last drawn database.
-    #[inline]
+    #[inline(always)]
     pub fn contains(&self, j: usize) -> bool {
         self.kernel.contained(j, &self.chosen)
     }
@@ -271,6 +300,7 @@ impl KlSampler {
 
 impl Sampler for KlSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
+    #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let i = self.draw.draw(rng);
         if self.draw.kernel.contained_before(i, &self.draw.chosen) {
@@ -310,6 +340,7 @@ impl KlmSampler {
 
 impl Sampler for KlmSampler {
     // cqa-lint: hot-path begin — one call per Monte-Carlo sample
+    #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let _ = self.draw.draw(rng);
         let k = self.draw.kernel.count_contained(&self.draw.chosen);

@@ -176,6 +176,28 @@ fn flight_recorder_attributes_requests_end_to_end() {
         })
         .unwrap();
     assert!(matches!(anon, Response::Answers { .. }), "{anon:?}");
+    // One request per scheme, whose digest must count exactly the samples
+    // its response reports.
+    let per_scheme: Vec<(String, u64)> = ALL_SCHEMES
+        .into_iter()
+        .map(|scheme| {
+            let id = format!("it-flight-samples-{scheme}");
+            let resp = client
+                .query(QueryRequest {
+                    query: "Q(rn) :- region(rk, rn)".into(),
+                    scheme,
+                    eps: 0.2,
+                    delta: 0.25,
+                    seed: 5,
+                    request_id: Some(id.clone()),
+                    ..QueryRequest::default()
+                })
+                .unwrap();
+            let Response::Answers { total_samples, .. } = resp else { panic!("{resp:?}") };
+            assert!(total_samples > 0, "{scheme} must sample");
+            (id, total_samples)
+        })
+        .collect();
 
     // The recorder is process-global (other tests may also have recorded),
     // so look digests up by our unique client-supplied ids.
@@ -196,6 +218,9 @@ fn flight_recorder_attributes_requests_end_to_end() {
     assert!(miss.queue_wait_us <= miss.total_us);
     assert!(miss.scheme_us <= miss.total_us);
     assert_ne!(miss.query_fp, format!("{:016x}", 0u64), "parsed queries carry a fingerprint");
+    for (id, total_samples) in &per_scheme {
+        assert_eq!(find(id).samples, *total_samples, "{id}: digest samples vs response");
+    }
     let hit = find("it-flight-hit");
     assert!(hit.cache_hit);
     assert_eq!(hit.preprocess_us, 0, "cache hits skip preprocessing");
