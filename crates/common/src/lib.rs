@@ -38,7 +38,7 @@ pub mod validate;
 
 pub use alias::AliasTable;
 pub use error::{CqaError, Result};
-pub use hash::{fnv1a64, fnv1a64_parts};
+pub use hash::{fnv1a64, fnv1a64_parts, Fnv1a64};
 pub use json::Json;
 pub use logspace::LogNum;
 pub use mt::{Below, Mt64};

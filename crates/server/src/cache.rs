@@ -20,7 +20,7 @@
 
 use cqa_common::{fnv1a64, fnv1a64_parts};
 use cqa_query::ConjunctiveQuery;
-use cqa_storage::{dump_to_string, schema_to_ddl, Database};
+use cqa_storage::{dump_fingerprint, schema_to_ddl, Database};
 use cqa_synopsis::SynopsisSet;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -29,9 +29,13 @@ use std::sync::Arc;
 
 /// A cache key: the database and constraint fingerprints plus the
 /// canonical query fingerprint (see [`cqa_query::canonical`]).
+///
+/// The database fingerprint is [`dump_fingerprint`]: the dump streamed
+/// into an FNV-1a hasher, never materialized. A server computes it once,
+/// in `Server::bind`, and stamps it into each request's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// FNV-1a of the canonical database dump.
+    /// FNV-1a of the canonical database dump ([`dump_fingerprint`]).
     pub db_fingerprint: u64,
     /// FNV-1a of the canonical DDL (which carries the key constraints).
     pub constraint_fingerprint: u64,
@@ -45,10 +49,12 @@ impl CacheKey {
     /// fingerprints hash the *canonical* dump/DDL text, so two structurally
     /// identical databases share cache entries even if loaded from
     /// different files; the query fingerprint hashes the canonical form, so
-    /// α-equivalent spellings share entries too.
+    /// α-equivalent spellings share entries too. Hashing the dump walks
+    /// the whole database, so a caller keying many queries against one
+    /// database computes the fingerprints once, as the server does.
     pub fn new(db: &Database, query: &ConjunctiveQuery) -> CacheKey {
         CacheKey {
-            db_fingerprint: fnv1a64(dump_to_string(db).as_bytes()),
+            db_fingerprint: dump_fingerprint(db),
             constraint_fingerprint: fnv1a64(schema_to_ddl(db.schema()).as_bytes()),
             query_fingerprint: query.canonical_fingerprint(),
         }
@@ -249,6 +255,18 @@ mod tests {
             total_homs: 0,
             build_time: Duration::ZERO,
         })
+    }
+
+    /// The database fingerprint is FNV-1a of the dump bytes, pinned here
+    /// for the tiny TPC-H instance: a change to either would silently
+    /// re-key every cache entry a deployment relies on.
+    #[test]
+    fn database_fingerprint_is_pinned() {
+        let db = cqa_tpch::generate(cqa_tpch::TpchConfig::tiny());
+        let q = cqa_query::parse(db.schema(), "Q(rn) :- region(rk, rn)").unwrap();
+        let key = CacheKey::new(&db, &q);
+        assert_eq!(key.db_fingerprint, 0xb0e4_6255_aed3_ffbd);
+        assert_eq!(key.db_fingerprint, fnv1a64(cqa_storage::dump_to_string(&db).as_bytes()));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use metrics::{Metrics, MetricsSnapshot};
 pub use pool::{PoolConfig, SubmitError, WorkerPool};
 pub use protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer, WireDigest,
-    WireSlowlogEntry, PROTOCOL_VERSION,
+    WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryingClient};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -46,6 +46,15 @@ use cqa_storage::Value;
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
 
+/// The longest request line the server reads, in bytes, newline excluded.
+/// A longer line is answered with `bad_request` and discarded through its
+/// newline without being buffered; the connection stays open. Requests
+/// carry a query and a few scalars, so real lines are far shorter; the
+/// bound keeps a line with no newline from growing a buffer without end.
+/// A client's [`QueryRequest::request_id`] is bounded separately by
+/// [`MAX_REQUEST_ID_BYTES`].
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
 /// Parameters of a `query` request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
@@ -570,10 +579,10 @@ fn value_to_json(v: &Value) -> Json {
     }
 }
 
-fn json_to_value(j: &Json) -> Result<Value> {
+fn json_to_value(j: Json) -> Result<Value> {
     match j {
-        Json::Num(n) if n.fract() == 0.0 => Ok(Value::Int(*n as i64)),
-        Json::Str(s) => Ok(Value::Str(s.clone())),
+        Json::Num(n) if n.fract() == 0.0 => Ok(Value::Int(n as i64)),
+        Json::Str(s) => Ok(Value::Str(s)),
         other => Err(CqaError::Parse(format!("bad tuple cell {other:?}"))),
     }
 }
@@ -637,7 +646,7 @@ impl Response {
 
     /// Parses one protocol line.
     pub fn from_line(line: &str) -> Result<Response> {
-        let v = Json::parse(line.trim())?;
+        let mut v = Json::parse(line.trim())?;
         let ok = v
             .get("ok")
             .and_then(Json::as_bool)
@@ -681,36 +690,32 @@ impl Response {
                 rows.iter().map(WireSlowlogEntry::from_json).collect::<Result<Vec<_>>>()?;
             return Ok(Response::Slowlog(entries));
         }
-        let rows = v
-            .get("answers")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| CqaError::Parse("response missing 'answers'".into()))?;
+        let cached = v.get("cached").and_then(Json::as_bool).unwrap_or(false);
+        let preprocess_ms = v.req_f64("preprocess_ms")?;
+        let scheme_ms = v.req_f64("scheme_ms")?;
+        let total_samples = v
+            .get("total_samples")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| CqaError::Parse("response missing 'total_samples'".into()))?;
+        // The answers move out of the parsed tree, so no string cell is
+        // copied on its way into a `Value`.
+        let Some(Json::Arr(rows)) = v.remove("answers") else {
+            return Err(CqaError::Parse("response missing 'answers'".into()));
+        };
         let mut answers = Vec::with_capacity(rows.len());
-        for row in rows {
-            let cells = row
-                .get("tuple")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| CqaError::Parse("answer missing 'tuple'".into()))?;
-            let tuple = cells.iter().map(json_to_value).collect::<Result<Vec<_>>>()?;
-            answers.push(WireAnswer {
-                tuple,
-                frequency: row.req_f64("frequency")?,
-                samples: row
-                    .get("samples")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| CqaError::Parse("answer missing 'samples'".into()))?,
-            });
-        }
-        Ok(Response::Answers {
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-            preprocess_ms: v.req_f64("preprocess_ms")?,
-            scheme_ms: v.req_f64("scheme_ms")?,
-            total_samples: v
-                .get("total_samples")
+        for mut row in rows {
+            let frequency = row.req_f64("frequency")?;
+            let samples = row
+                .get("samples")
                 .and_then(Json::as_u64)
-                .ok_or_else(|| CqaError::Parse("response missing 'total_samples'".into()))?,
-            answers,
-        })
+                .ok_or_else(|| CqaError::Parse("answer missing 'samples'".into()))?;
+            let Some(Json::Arr(cells)) = row.remove("tuple") else {
+                return Err(CqaError::Parse("answer missing 'tuple'".into()));
+            };
+            let tuple = cells.into_iter().map(json_to_value).collect::<Result<Vec<_>>>()?;
+            answers.push(WireAnswer { tuple, frequency, samples });
+        }
+        Ok(Response::Answers { cached, preprocess_ms, scheme_ms, total_samples, answers })
     }
 }
 

@@ -17,15 +17,15 @@ use crate::metrics::Metrics;
 use crate::pool::{PoolConfig, SubmitError, WorkerPool};
 use crate::protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer, WireDigest,
-    WireSlowlogEntry, PROTOCOL_VERSION,
+    WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64, Stopwatch};
 use cqa_core::{apx_cqa_on_synopses, Budget};
 use cqa_obs::flight::{self, FlightDigest, SlowlogEntry};
 use cqa_obs::Span;
-use cqa_storage::{dump_to_string, schema_to_ddl, Database};
+use cqa_storage::{dump_fingerprint, schema_to_ddl, Database};
 use cqa_synopsis::{build_synopses, BuildOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -71,7 +71,7 @@ impl Default for ServerConfig {
 struct Shared {
     db: Database,
     /// Fingerprints are computed once at startup; `CacheKey::new` would
-    /// re-serialize the whole database per request.
+    /// stream the whole database through the hasher per request.
     db_fingerprint: u64,
     constraint_fingerprint: u64,
     cache: SynopsisCache,
@@ -103,7 +103,7 @@ impl Server {
         } else {
             config.workers
         };
-        let db_fingerprint = fnv1a64(dump_to_string(&db).as_bytes());
+        let db_fingerprint = dump_fingerprint(&db);
         let constraint_fingerprint = fnv1a64(schema_to_ddl(db.schema()).as_bytes());
         let pool = WorkerPool::new(PoolConfig { workers, queue_depth: config.queue_depth })?;
         Ok(Server {
@@ -212,6 +212,61 @@ fn connection_reject_line() -> String {
     line
 }
 
+/// What [`read_request_line`] found on a connection.
+#[derive(Debug, PartialEq)]
+enum Incoming {
+    /// A line of at most [`MAX_REQUEST_LINE_BYTES`] bytes is in the buffer,
+    /// its `\n` or `\r\n` stripped.
+    Line,
+    /// The line was longer than the bound; its bytes were discarded through
+    /// the next newline without being buffered.
+    TooLong,
+    /// The client hung up before sending another byte.
+    Closed,
+}
+
+/// Reads one request line into `line`, buffering at most
+/// [`MAX_REQUEST_LINE_BYTES`] bytes of it, so a client that never sends a
+/// newline cannot grow the buffer without bound. A final line cut off by
+/// the client's hang-up still counts as a line.
+fn read_request_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<Incoming> {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(match (too_long, line.is_empty()) {
+                (true, _) => Incoming::TooLong,
+                (false, true) => Incoming::Closed,
+                (false, false) => Incoming::Line,
+            });
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = available.get(..newline.unwrap_or(available.len())).unwrap_or_default();
+        too_long = too_long || line.len() + chunk.len() > MAX_REQUEST_LINE_BYTES;
+        if too_long {
+            line.clear();
+        } else {
+            line.extend_from_slice(chunk);
+        }
+        let consumed = chunk.len() + usize::from(newline.is_some());
+        reader.consume(consumed);
+        if newline.is_some() {
+            if too_long {
+                return Ok(Incoming::TooLong);
+            }
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Ok(Incoming::Line);
+        }
+    }
+}
+
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // The protocol is request/response; Nagle only adds latency.
     let _ = stream.set_nodelay(true);
@@ -219,21 +274,27 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client hung up mid-line
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        let incoming = match read_request_line(&mut reader, &mut line) {
+            Ok(Incoming::Closed) | Err(_) => break, // client hung up (mid-line)
+            Ok(incoming) => incoming,
         };
         // Chaos: an injected read failure drops the connection before the
         // request is processed, exactly like a client hang-up mid-line.
         if cqa_chaos::fault_point!(ProtocolRead).is_some() {
             break;
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(shared, &line);
+        let response = match (incoming, std::str::from_utf8(&line)) {
+            (Incoming::Line, Ok(text)) if text.trim().is_empty() => continue,
+            (Incoming::Line, Ok(text)) => handle_line(shared, text),
+            (Incoming::Line, Err(_)) => reject_line(shared, "request line is not UTF-8".to_owned()),
+            (_, _) => reject_line(
+                shared,
+                format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes"),
+            ),
+        };
         let mut payload = response.to_line();
         payload.push('\n');
         // Chaos: a failed write hangs up without answering; a short write
@@ -258,6 +319,14 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         let _ = writer.flush();
     }
+}
+
+/// The `bad_request` answer to a line that could not be read as a request
+/// at all (too long, not UTF-8); counted like any other bad request.
+fn reject_line(shared: &Shared, message: String) -> Response {
+    shared.metrics.requests.inc();
+    shared.metrics.rejected_bad_request.inc();
+    Response::Error { kind: ErrorKind::BadRequest, message }
 }
 
 fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
@@ -600,5 +669,30 @@ mod tests {
             }
             other => panic!("expected an error response, got {other:?}"),
         }
+    }
+
+    /// The line reader across buffer refills: a line of exactly the bound
+    /// is read, one byte more is discarded through its newline, `\r\n` is
+    /// stripped, and a final line cut off by a hang-up still counts.
+    #[test]
+    fn request_lines_are_bounded_and_overlong_ones_skipped() {
+        let max = MAX_REQUEST_LINE_BYTES;
+        let input = format!("{}\n{}\nping\r\n\n{}", "a".repeat(max), "b".repeat(max + 1), "tail");
+        let mut reader = BufReader::with_capacity(4096, input.as_bytes());
+        let mut line = Vec::new();
+        let mut read = || {
+            let incoming = read_request_line(&mut reader, &mut line).unwrap();
+            (incoming, String::from_utf8(line.clone()).unwrap())
+        };
+        assert_eq!(read(), (Incoming::Line, "a".repeat(max)));
+        assert_eq!(read(), (Incoming::TooLong, String::new()));
+        assert_eq!(read(), (Incoming::Line, "ping".to_owned()));
+        assert_eq!(read(), (Incoming::Line, String::new()));
+        assert_eq!(read(), (Incoming::Line, "tail".to_owned()));
+        assert_eq!(read(), (Incoming::Closed, String::new()));
+        let unterminated = "c".repeat(max + 1);
+        let mut reader = BufReader::with_capacity(4096, unterminated.as_bytes());
+        assert!(matches!(read_request_line(&mut reader, &mut line), Ok(Incoming::TooLong)));
+        assert!(matches!(read_request_line(&mut reader, &mut line), Ok(Incoming::Closed)));
     }
 }

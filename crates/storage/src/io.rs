@@ -12,35 +12,48 @@
 //! 1\tBob\tHR
 //! ```
 //!
-//! String cells are escaped (`\t`, `\n`, `\\`), and an empty string cell
+//! String cells are escaped (`\t`, `\n`, `\r`, `\\`), and an empty string cell
 //! is written as `\e` — otherwise a single-column row holding `""` would
 //! serialize to a blank line, which the loader treats as padding.
 //! Integer/string typing is recovered from the column types. Used by the
 //! CLI to persist generated and noisy databases between commands.
+//!
+//! There is one dump writer, `write_dump`, streaming over any
+//! `io::Write` with no allocation per cell. [`dump_to_string`] runs it
+//! into a `Vec`, [`dump_to_file`] into a `BufWriter` (no `String` in
+//! between), and [`dump_fingerprint`] into a streaming FNV-1a hasher, so a
+//! database is fingerprinted without its dump ever being materialized.
 
 use crate::database::Database;
 use crate::ddl::{parse_schema, schema_to_ddl};
 use crate::schema::ColumnType;
-use crate::value::Value;
-use cqa_common::{CqaError, Result};
+use crate::value::{Datum, Value};
+use cqa_common::{CqaError, Fnv1a64, Result};
+use std::io::{self, Write};
 
 const HEADER: &str = "#cqa-db v1";
 
-fn escape(s: &str) -> String {
+/// Writes one string cell, escaped: each run of bytes that needs no escape
+/// goes out with one `write_all`.
+fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     if s.is_empty() {
-        return "\\e".to_owned();
+        return w.write_all(b"\\e");
     }
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+    let bytes = s.as_bytes();
+    let mut run_start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        w.write_all(&bytes[run_start..i])?;
+        w.write_all(escape)?;
+        run_start = i + 1;
     }
-    out
+    w.write_all(&bytes[run_start..])
 }
 
 fn unescape(s: &str) -> Result<String> {
@@ -65,28 +78,51 @@ fn unescape(s: &str) -> Result<String> {
     Ok(out)
 }
 
-/// Serializes a database to the dump format.
-pub fn dump_to_string(db: &Database) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    out.push_str(&schema_to_ddl(db.schema()));
-    out.push_str("---\n");
+/// Streams a database's dump into `w`: the header, the DDL, then each
+/// relation's rows. String cells are borrowed from the interner and
+/// escaped in runs, so no cell is allocated; hand in a buffered writer
+/// when `w` is a file or socket.
+fn write_dump<W: Write>(db: &Database, w: &mut W) -> io::Result<()> {
+    w.write_all(HEADER.as_bytes())?;
+    w.write_all(b"\n")?;
+    w.write_all(schema_to_ddl(db.schema()).as_bytes())?;
+    w.write_all(b"---\n")?;
     for (rel, def) in db.schema().iter() {
-        out.push_str(&format!("@{}\n", def.name));
+        w.write_all(b"@")?;
+        w.write_all(def.name.as_bytes())?;
+        w.write_all(b"\n")?;
         for (_, row) in db.table(rel).iter() {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|&d| match db.resolve(d) {
-                    Value::Int(i) => i.to_string(),
-                    Value::Str(s) => escape(&s),
-                })
-                .collect();
-            out.push_str(&cells.join("\t"));
-            out.push('\n');
+            for (i, &d) in row.iter().enumerate() {
+                if i > 0 {
+                    w.write_all(b"\t")?;
+                }
+                match d {
+                    Datum::Int(n) => write!(w, "{n}")?,
+                    Datum::Str(id) => write_escaped(w, db.interner().resolve(id))?,
+                }
+            }
+            w.write_all(b"\n")?;
         }
     }
-    out
+    Ok(())
+}
+
+/// Serializes a database to the dump format.
+pub fn dump_to_string(db: &Database) -> String {
+    let mut out = Vec::new();
+    write_dump(db, &mut out).expect("writing a dump to a Vec cannot fail");
+    String::from_utf8(out)
+        .expect("a dump is DDL text, digits, separators and whole interned strings")
+}
+
+/// FNV-1a 64 of the database's dump, streamed into the hasher without
+/// materializing the dump: equal to `fnv1a64(dump_to_string(db).as_bytes())`.
+/// Structurally identical databases share it, whatever file they came from.
+pub fn dump_fingerprint(db: &Database) -> u64 {
+    let mut hasher = Fnv1a64::new();
+    // Fnv1a64's io::Write never fails, so there is no error to handle.
+    let _ = write_dump(db, &mut hasher);
+    hasher.finish()
 }
 
 /// Parses a dump back into a database.
@@ -149,9 +185,14 @@ pub fn load_from_str(text: &str) -> Result<Database> {
     Ok(db)
 }
 
-/// Writes a dump to a file.
+/// Writes a dump to a file, streamed through a buffer.
 pub fn dump_to_file(db: &Database, path: &std::path::Path) -> Result<()> {
-    std::fs::write(path, dump_to_string(db))
+    std::fs::File::create(path)
+        .and_then(|file| {
+            let mut w = io::BufWriter::new(file);
+            write_dump(db, &mut w)?;
+            w.flush()
+        })
         .map_err(|e| CqaError::Parse(format!("cannot write {}: {e}", path.display())))
 }
 
@@ -173,6 +214,12 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use ColumnType::*;
+
+    fn escape(s: &str) -> String {
+        let mut out = Vec::new();
+        write_escaped(&mut out, s).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn sample_db() -> Database {
         let schema = Schema::builder()
@@ -233,6 +280,25 @@ mod tests {
         db.insert_named("tag", &[Value::str("x")]).unwrap();
         let loaded = load_from_str(&dump_to_string(&db)).unwrap();
         assert_eq!(loaded.fact_count(), 2);
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_dump_bytes() {
+        let schema = Schema::builder().relation("t", &[("id", Int), ("s", Str)], Some(1)).build();
+        let mut db = Database::new(schema);
+        for (id, s) in
+            [(1, ""), (2, "a\tb"), (3, "l1\nl2"), (4, "cr\r"), (5, "back\\slash"), (-6, "é λ 🦀")]
+        {
+            db.insert_named("t", &[Value::Int(id), Value::str(s)]).unwrap();
+        }
+        let dump = dump_to_string(&db);
+        assert_eq!(
+            dump,
+            "#cqa-db v1\nrelation t(id: int, s: str) key 1\n---\n@t\n1\t\\e\n2\ta\\tb\n\
+             3\tl1\\nl2\n4\tcr\\r\n5\tback\\\\slash\n-6\té λ 🦀\n"
+        );
+        assert_eq!(dump_fingerprint(&db), cqa_common::fnv1a64(dump.as_bytes()));
+        assert_eq!(load_from_str(&dump).unwrap().fact_count(), 6);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use consistency::{is_consistent, violations, Violation};
 pub use database::{Database, FactRef, PosIndex};
 pub use ddl::{parse_schema, schema_to_ddl};
 pub use interner::Interner;
-pub use io::{dump_to_file, dump_to_string, load_from_file, load_from_str};
+pub use io::{dump_fingerprint, dump_to_file, dump_to_string, load_from_file, load_from_str};
 pub use schema::{ColumnDef, ColumnType, ForeignKey, RelId, RelationDef, Schema, SchemaBuilder};
 pub use table::Table;
 pub use value::{Datum, StrId, Value};

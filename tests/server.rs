@@ -170,6 +170,41 @@ fn tiny_deadline_yields_a_structured_error() {
     assert_eq!(stats.rejected_deadline, 1);
 }
 
+/// A line over the bound gets `bad_request` (here a 2 MiB ping, valid but
+/// for its length), and the next request on the same connection is
+/// answered.
+#[test]
+fn an_overlong_request_line_gets_bad_request_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = spawn_server(noisy_db(23), 1);
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let pad = "x".repeat(2 << 20);
+    assert!(pad.len() > cqa::server::MAX_REQUEST_LINE_BYTES);
+    write!(
+        writer,
+        "{{\"v\":1,\"cmd\":\"ping\",\"pad\":\"{pad}\"}}\n{{\"v\":1,\"cmd\":\"ping\"}}\n"
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match Response::from_line(&reply).unwrap() {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::BadRequest);
+            assert!(message.contains("longer than"), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(
+        Response::from_line(&reply).unwrap(),
+        Response::Pong { version: cqa::server::PROTOCOL_VERSION }
+    );
+}
+
 #[test]
 fn malformed_requests_get_bad_request_not_a_hangup() {
     let handle = spawn_server(noisy_db(19), 1);
