@@ -2,14 +2,14 @@
 //! and the `cqa-cli perf` subcommand.
 //!
 //! ```text
-//! cqa-perf run  [--profile ci|full] [--pr N] [--out FILE] [--dashboard DIR]
+//! cqa-perf run  [--profile ci|full] [--only SUITE] [--pr N] [--out FILE] [--dashboard DIR]
 //! cqa-perf diff --against FILE --current FILE [--tolerance F] [--allow-missing]
 //! cqa-perf export --report FILE [--dashboard DIR]
 //! ```
 
 use crate::diff::{diff, DiffOptions};
 use crate::schema::BenchReport;
-use crate::suites::{run_all, Profile};
+use crate::suites::{run_suites, suite_by_name, Profile, SUITES};
 use crate::{dashboard, envinfo};
 use cqa_common::{CqaError, Result};
 use std::io::Write;
@@ -19,9 +19,11 @@ use std::path::PathBuf;
 pub const USAGE: &str = "\
 USAGE: cqa-perf <command> [options]
 
-  run   [--profile ci|full] [--pr N] [--out FILE] [--dashboard DIR]
+  run   [--profile ci|full] [--only SUITE] [--pr N] [--out FILE] [--dashboard DIR]
         Run the suite registry and write BENCH_<pr>.json
         (default --profile ci, --pr 0, --out BENCH_<pr>.json).
+        With --only, run just that suite: samplers, schemes, synopsis,
+        figure, server, flight, lint, ablations or optest.
         With --dashboard, also append the recording to DIR/data.js.
 
   diff  --against FILE --current FILE [--tolerance F] [--allow-missing]
@@ -68,6 +70,16 @@ fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
             .map_err(|_| CqaError::InvalidParameter(format!("--pr wants an integer, got '{v}'")))?,
         None => 0,
     };
+    let suites = match flags.get("only") {
+        Some(name) => vec![suite_by_name(name).ok_or_else(|| {
+            let known: Vec<&str> = SUITES.iter().map(|&(n, _)| n).collect();
+            CqaError::InvalidParameter(format!(
+                "unknown suite '{name}' (one of {})",
+                known.join(", ")
+            ))
+        })?],
+        None => SUITES.to_vec(),
+    };
     let out_path = flags
         .get("out")
         .map(PathBuf::from)
@@ -75,7 +87,7 @@ fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
 
     let env = envinfo::fingerprint(profile.scale, profile.seed, profile.name);
     let mut report = BenchReport::new(pr, envinfo::unix_now(), env);
-    for s in run_all(&profile)? {
+    for s in run_suites(&profile, &suites)? {
         report.push(s)?;
     }
     report.write_to(&out_path)?;
@@ -232,5 +244,15 @@ mod tests {
         assert!(dispatch_str(&["run", "--profile", "warp"]).0.is_err());
         assert!(dispatch_str(&["run", "--pr"]).0.is_err());
         assert!(dispatch_str(&["export"]).0.is_err());
+    }
+
+    #[test]
+    fn unknown_suite_is_a_usage_error() {
+        let (code, out) = dispatch_str(&["run", "--only", "warp", "--out", "/dev/null"]);
+        let err = code.unwrap_err().to_string();
+        assert!(err.contains("unknown suite 'warp'"), "{err}");
+        assert!(err.contains("synopsis"), "{err}");
+        assert!(out.is_empty(), "nothing runs before the check: {out}");
+        assert!(dispatch_str(&["run", "--only"]).0.is_err());
     }
 }

@@ -531,23 +531,31 @@ pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
 }
 
 /// A registered suite: a name and the function producing its series.
-type Suite = (&'static str, fn(&Profile) -> Result<Vec<Series>>);
+pub type Suite = (&'static str, fn(&Profile) -> Result<Vec<Series>>);
 
-/// Runs every suite in registry order, with progress lines on stderr.
-pub fn run_all(profile: &Profile) -> Result<Vec<Series>> {
+/// The suite registry, in run order: `cqa-perf run` runs all of it, and
+/// `--only <name>` one entry.
+pub const SUITES: [Suite; 9] = [
+    ("samplers", suite_samplers),
+    ("schemes", suite_schemes),
+    ("synopsis", suite_synopsis),
+    ("figure", suite_figure),
+    ("server", suite_server),
+    ("flight", suite_flight),
+    ("lint", suite_lint),
+    ("ablations", suite_ablations),
+    ("optest", suite_optest),
+];
+
+/// The registered suite called `name`.
+pub fn suite_by_name(name: &str) -> Option<Suite> {
+    SUITES.into_iter().find(|&(n, _)| n == name)
+}
+
+/// Runs `suites` in order, with progress lines on stderr.
+pub fn run_suites(profile: &Profile, suites: &[Suite]) -> Result<Vec<Series>> {
     let mut out = Vec::new();
-    let suites: [Suite; 9] = [
-        ("samplers", suite_samplers),
-        ("schemes", suite_schemes),
-        ("synopsis", suite_synopsis),
-        ("figure", suite_figure),
-        ("server", suite_server),
-        ("flight", suite_flight),
-        ("lint", suite_lint),
-        ("ablations", suite_ablations),
-        ("optest", suite_optest),
-    ];
-    for (name, suite) in suites {
+    for &(name, suite) in suites {
         eprintln!("[cqa-perf] suite {name} ...");
         let series = suite(profile)?;
         for s in &series {
@@ -570,6 +578,16 @@ mod tests {
         assert_eq!(Profile::by_name("ci").map(|p| p.name), Some("ci"));
         assert_eq!(Profile::by_name("full").map(|p| p.name), Some("full"));
         assert!(Profile::by_name("nope").is_none());
+    }
+
+    #[test]
+    fn suites_resolve_by_name() {
+        assert_eq!(suite_by_name("synopsis").map(|(n, _)| n), Some("synopsis"));
+        assert!(suite_by_name("nope").is_none());
+        let mut names: Vec<&str> = SUITES.iter().map(|&(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SUITES.len(), "suite names must be unique");
     }
 
     #[test]

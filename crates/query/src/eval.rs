@@ -13,16 +13,35 @@
 //! reads the index on no columns, i.e. scans.
 //!
 //! **Kernel.** `Engine::plan` resolves everything a step needs once:
-//! where each key datum comes from, and per position whether the row binds
-//! a fresh variable or must match one. The step fetches its index `Arc` from
-//! the database cache the first time it is reached, never again, and never
-//! for a step the run does not reach (building an index is the dearest
-//! thing a short query does). Which variables are bound at a given depth
-//! is fixed by the plan, so a candidate binds by overwriting and nothing is
-//! ever undone. `Engine::step` fills one shared key buffer, walks the
-//! index's borrowed row slice and recurses: no heap operation per
-//! candidate or per partial binding, only per plan step and per
-//! homomorphism the caller materializes.
+//! where each key datum comes from (a constant, a variable bound earlier,
+//! or a column of the parent step's row), which column pairs a row must
+//! agree on, and which variables a row binds. The step fetches its index
+//! `Arc` from the database cache the first time it is probed, never again,
+//! and never for a step no candidate reaches (building an index is the
+//! dearest thing a short query does). Which variables are bound at a given
+//! depth is fixed by the plan, so a candidate binds by overwriting and
+//! nothing is ever undone. No heap operation happens per candidate or per
+//! partial binding, only per plan step and per homomorphism the caller
+//! materializes.
+//!
+//! Two things keep a candidate that leads nowhere cheap; almost every
+//! candidate is one. **Deferred binds:** a step writes into the binding
+//! only the variables a key two or more steps below reads. The next step's
+//! key reads the parent row directly, and every other variable is filled
+//! at emission from the rows in `facts`. **Lookahead:** `Engine::step`
+//! walks its candidate slice in chunks of `LOOKAHEAD` rows. For each chunk
+//! it first reads the columns the child key takes from every row, then
+//! checks every row and resolves the row's child lookup, and only then do
+//! the rows descend one by one with their resolved slices. The reads and
+//! lookups of a chunk do not depend on each other, so their cache misses
+//! overlap instead of running one after another.
+//!
+//! Neither changes the emission order: rows still descend in slice order,
+//! depth first, and each homomorphism is handed over with the same binding
+//! and facts, because a deferred variable's value is a function of the
+//! rows in `facts`. The lookahead only moves row and index reads earlier.
+//! The `work` counter and its deadline poll still count candidates in
+//! descent order.
 //!
 //! **Why the plan is frozen.** The synopsis encoding, the noise generator
 //! and every seeded answer downstream consume homomorphisms in emission
@@ -66,21 +85,18 @@ pub struct Hom {
 
 const POLL_INTERVAL: u64 = 4096;
 
+/// Candidate rows per lookahead chunk: the child lookups of this many rows
+/// are resolved before the first of them descends.
+const LOOKAHEAD: usize = 16;
+
 /// Where one lookup-key datum comes from.
 #[derive(Clone, Copy)]
 enum KeySrc {
     Const(Datum),
+    /// A variable bound before the parent step (or seeded).
     Var(VarId),
-}
-
-/// What a candidate row's value at one position does.
-#[derive(Clone, Copy)]
-enum Op {
-    /// First occurrence of a variable unbound before this step: bind it.
-    Bind(usize, VarId),
-    /// A variable already bound, but not through the key (a repeat within
-    /// the atom): the row must agree with it.
-    Check(usize, VarId),
+    /// A column of the parent step's candidate row.
+    Row(usize),
 }
 
 /// One plan step: an atom and how to find and unify its rows.
@@ -90,7 +106,19 @@ struct Step {
     cols: Vec<u16>,
     index: OnceCell<Arc<PosIndex>>,
     key: Vec<KeySrc>,
-    ops: Vec<Op>,
+    /// Column pairs a row must agree on: a variable repeated in the atom.
+    checks: Vec<(usize, usize)>,
+    /// Variables bound here that a key two or more steps below reads.
+    binds: Vec<(usize, VarId)>,
+}
+
+/// A variable no lookup key reads from the binding: it is filled at
+/// emission from column `col` of the row that atom `atom` maps to.
+struct Deferred {
+    atom: usize,
+    rel: RelId,
+    col: usize,
+    var: VarId,
 }
 
 /// Per-run mutable state, kept apart from the plan so a step can iterate
@@ -106,6 +134,7 @@ struct State {
 struct Engine<'a> {
     db: &'a Database,
     steps: Vec<Step>,
+    deferred: Vec<Deferred>,
     opts: EvalOptions,
 }
 
@@ -131,7 +160,9 @@ impl<'a> Engine<'a> {
 
         let n = q.atoms.len();
         let mut remaining: Vec<usize> = (0..n).collect();
-        let mut steps = Vec::with_capacity(n);
+        let mut steps: Vec<Step> = Vec::with_capacity(n);
+        // The step and column that bind each variable.
+        let mut bound_at: Vec<Option<(usize, usize)>> = vec![None; q.num_vars()];
         while !remaining.is_empty() {
             let (pick_pos, _) = remaining
                 .iter()
@@ -157,8 +188,9 @@ impl<'a> Engine<'a> {
             let atom = &q.atoms[ai];
             let mut cols = Vec::new();
             let mut key = Vec::new();
-            let mut ops = Vec::new();
-            let mut seen_here: HashSet<VarId> = HashSet::new();
+            let mut checks = Vec::new();
+            let mut binds = Vec::new();
+            let mut first_col: Vec<(VarId, usize)> = Vec::new();
             for (i, t) in atom.terms.iter().enumerate() {
                 match t {
                     Term::Const(c) => {
@@ -166,16 +198,27 @@ impl<'a> Engine<'a> {
                         key.push(KeySrc::Const(db.lookup_value(c)?));
                     }
                     Term::Var(v) => {
-                        if !seen_here.insert(*v) {
-                            // Repeats of a variable inside one atom go to the
-                            // runtime check, not the index key, so the key
-                            // stays free of duplicate columns.
-                            ops.push(Op::Check(i, *v));
-                        } else if bound[v.idx()] {
+                        if let Some(&(_, j)) = first_col.iter().find(|&&(w, _)| w == *v) {
+                            // Repeats of a variable inside one atom are checked
+                            // against its first column, not put in the index
+                            // key, so the key stays free of duplicate columns.
+                            checks.push((i, j));
+                            continue;
+                        }
+                        first_col.push((*v, i));
+                        if bound[v.idx()] {
                             cols.push(i as u16);
-                            key.push(KeySrc::Var(*v));
+                            // A variable the step just above binds is read
+                            // from that step's candidate row, which lets a
+                            // chunk's child keys be built before any of its
+                            // rows is bound.
+                            key.push(match bound_at[v.idx()] {
+                                Some((s, col)) if s + 1 == steps.len() => KeySrc::Row(col),
+                                _ => KeySrc::Var(*v),
+                            });
                         } else {
-                            ops.push(Op::Bind(i, *v));
+                            bound_at[v.idx()] = Some((steps.len(), i));
+                            binds.push((i, *v));
                         }
                     }
                 }
@@ -183,7 +226,38 @@ impl<'a> Engine<'a> {
             for v in atom.vars() {
                 bound[v.idx()] = true;
             }
-            steps.push(Step { atom: ai, rel: atom.rel, cols, index: OnceCell::new(), key, ops });
+            steps.push(Step {
+                atom: ai,
+                rel: atom.rel,
+                cols,
+                index: OnceCell::new(),
+                key,
+                checks,
+                binds,
+            });
+        }
+
+        // Only what a key still reads from the binding is bound as a step
+        // descends; every other variable waits for emission.
+        let read: HashSet<VarId> = steps
+            .iter()
+            .flat_map(|s| &s.key)
+            .filter_map(|src| match *src {
+                KeySrc::Var(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        let mut deferred = Vec::new();
+        for step in &mut steps {
+            let (now, later): (Vec<_>, Vec<_>) =
+                step.binds.iter().partition(|(_, v)| read.contains(v));
+            step.binds = now;
+            deferred.extend(later.into_iter().map(|(col, var)| Deferred {
+                atom: step.atom,
+                rel: step.rel,
+                col,
+                var,
+            }));
         }
 
         let key_cap = steps.iter().map(|s| s.key.len()).max().unwrap_or(0);
@@ -194,54 +268,133 @@ impl<'a> Engine<'a> {
             emitted: 0,
             work: 0,
         };
-        Some((Engine { db, steps, opts }, state))
+        Some((Engine { db, steps, deferred, opts }, state))
     }
 
-    fn step<F>(&self, depth: usize, st: &mut State, f: &mut F) -> Result<ControlFlow<()>>
+    /// Runs the plan from its first step.
+    fn run<F>(&self, st: &mut State, f: &mut F) -> Result<ControlFlow<()>>
+    where
+        F: FnMut(&[Datum], &[u32]) -> ControlFlow<()>,
+    {
+        match self.steps.first() {
+            Some(first) => {
+                let rows = self.probe(first, &[], &st.binding, &mut st.key);
+                self.step(0, rows, st, f)
+            }
+            None => Ok(self.emit(st, f)),
+        }
+    }
+
+    /// `step`'s candidate rows under the current binding, where `parent`
+    /// is the candidate row of the step above (empty for the first step).
+    /// Fetches the step's index `Arc` the first time the step is probed.
+    fn probe<'s>(
+        &'s self,
+        step: &'s Step,
+        parent: &[Datum],
+        binding: &[Datum],
+        key: &mut Vec<Datum>,
+    ) -> &'s [u32] {
+        key.clear();
+        for src in &step.key {
+            key.push(match *src {
+                KeySrc::Const(d) => d,
+                KeySrc::Var(v) => binding[v.idx()],
+                KeySrc::Row(i) => parent[i],
+            });
+        }
+        step.index.get_or_init(|| self.db.index(step.rel, &step.cols)).get(key)
+    }
+
+    /// Walks the candidate rows of step `depth` in chunks of [`LOOKAHEAD`]:
+    /// first the child-key columns of every row in the chunk are read, then
+    /// every row is checked and its child lookup resolved, then the rows
+    /// descend one by one, in slice order.
+    fn step<F>(
+        &self,
+        depth: usize,
+        cands: &[u32],
+        st: &mut State,
+        f: &mut F,
+    ) -> Result<ControlFlow<()>>
     where
         F: FnMut(&[Datum], &[u32]) -> ControlFlow<()>,
     {
         let Some(step) = self.steps.get(depth) else {
-            st.emitted += 1;
-            // cqa-lint: allow(opaque-call): `f` is the caller's FnMut visitor; its body is attributed to the caller, where the panic/alloc rules see it
-            let flow = f(&st.binding, &st.facts);
-            if self.opts.max_homs.is_some_and(|max| st.emitted >= max) {
-                return Ok(ControlFlow::Break(()));
-            }
-            return Ok(flow);
+            return Ok(ControlFlow::Continue(()));
         };
-
-        st.key.clear();
-        for src in &step.key {
-            st.key.push(match *src {
-                KeySrc::Const(d) => d,
-                KeySrc::Var(v) => st.binding[v.idx()],
-            });
-        }
+        let child = self.steps.get(depth + 1);
         let table = self.db.table(step.rel);
-        let index = step.index.get_or_init(|| self.db.index(step.rel, &step.cols));
-        'rows: for &row_id in index.get(&st.key) {
-            st.work += 1;
-            if st.work.is_multiple_of(POLL_INTERVAL) && self.opts.deadline.expired() {
-                return Err(CqaError::TimedOut { phase: "query evaluation" });
-            }
-            let row = table.row(row_id);
-            for op in &step.ops {
-                match *op {
-                    Op::Bind(i, v) => st.binding[v.idx()] = row[i],
-                    Op::Check(i, v) => {
-                        if st.binding[v.idx()] != row[i] {
-                            continue 'rows;
+        for chunk in cands.chunks(LOOKAHEAD) {
+            if let Some(child) = child {
+                // Read the columns the child key takes from each row first,
+                // in a loop short enough that all the chunk's row misses
+                // are in flight together; the probes below then find the
+                // rows in cache. Safe Rust has no prefetch, so the read is
+                // kept alive with `black_box`.
+                for &row_id in chunk {
+                    let row = table.row(row_id);
+                    for src in &child.key {
+                        if let KeySrc::Row(i) = *src {
+                            std::hint::black_box(row[i]);
                         }
                     }
                 }
             }
-            st.facts[step.atom] = row_id;
-            if self.step(depth + 1, st, f)?.is_break() {
-                return Ok(ControlFlow::Break(()));
+            // `None`: nothing below this row, because it fails a check or
+            // its child lookup is empty. The child's row slices are
+            // independent of each other, so their probes overlap.
+            let mut below: [Option<&[u32]>; LOOKAHEAD] = [None; LOOKAHEAD];
+            for (&row_id, slot) in chunk.iter().zip(&mut below) {
+                let row = table.row(row_id);
+                if !step.checks.iter().all(|&(i, j)| row[i] == row[j]) {
+                    continue;
+                }
+                *slot = match child {
+                    Some(child) => Some(self.probe(child, row, &st.binding, &mut st.key))
+                        .filter(|rows| !rows.is_empty()),
+                    None => Some(&[]),
+                };
+            }
+            for (&row_id, slot) in chunk.iter().zip(below) {
+                st.work += 1;
+                if st.work.is_multiple_of(POLL_INTERVAL) && self.opts.deadline.expired() {
+                    return Err(CqaError::TimedOut { phase: "query evaluation" });
+                }
+                let Some(rows) = slot else { continue };
+                let row = table.row(row_id);
+                for &(i, v) in &step.binds {
+                    st.binding[v.idx()] = row[i];
+                }
+                st.facts[step.atom] = row_id;
+                let flow = match child {
+                    Some(_) => self.step(depth + 1, rows, st, f)?,
+                    None => self.emit(st, f),
+                };
+                if flow.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
             }
         }
         Ok(ControlFlow::Continue(()))
+    }
+
+    /// Fills the deferred variables from the rows in `st.facts` and hands
+    /// the homomorphism to the callback.
+    fn emit<F>(&self, st: &mut State, f: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&[Datum], &[u32]) -> ControlFlow<()>,
+    {
+        for d in &self.deferred {
+            st.binding[d.var.idx()] = self.db.table(d.rel).row(st.facts[d.atom])[d.col];
+        }
+        st.emitted += 1;
+        // cqa-lint: allow(opaque-call): `f` is the caller's FnMut visitor; its body is attributed to the caller, where the panic/alloc rules see it
+        let flow = f(&st.binding, &st.facts);
+        if self.opts.max_homs.is_some_and(|max| st.emitted >= max) {
+            return ControlFlow::Break(());
+        }
+        flow
     }
 }
 
@@ -278,7 +431,7 @@ where
     }
     if let Some((engine, mut state)) = Engine::plan(db, q, seed, opts) {
         // An early break from the callback is a normal outcome here.
-        let _ = engine.step(0, &mut state, f)?;
+        let _ = engine.run(&mut state, f)?;
     }
     Ok(())
 }
@@ -493,6 +646,37 @@ mod tests {
         let q = parse(db.schema(), "Q() :- employee(x, n, d), dept(e, f)").unwrap();
         let homs = homomorphisms(&db, &q, EvalOptions::default()).unwrap();
         assert_eq!(homs.len(), 4 * 2);
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_long_enumeration() {
+        // A disconnected product visits 100 + 100·100 candidates, more than
+        // one poll interval.
+        let schema = Schema::builder()
+            .relation("p", &[("a", Int)], None)
+            .relation("q", &[("b", Int)], None)
+            .build();
+        let mut db = Database::new(schema);
+        for i in 0..100 {
+            db.insert_named("p", &[Value::Int(i)]).unwrap();
+            db.insert_named("q", &[Value::Int(i)]).unwrap();
+        }
+        let q = parse(db.schema(), "Q() :- p(x), q(y)").unwrap();
+        const { assert!(100 + 100 * 100 > POLL_INTERVAL) };
+
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        let opts = EvalOptions { deadline: expired, ..Default::default() };
+        let mut calls = 0usize;
+        let err = for_each_hom(&db, &q, opts, |_, _| {
+            calls += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, CqaError::TimedOut { phase: "query evaluation" }), "{err:?}");
+        assert!(calls < 100 * 100, "the poll fired after {calls} homomorphisms");
+
+        let homs = homomorphisms(&db, &q, EvalOptions::default()).unwrap();
+        assert_eq!(homs.len(), 100 * 100);
     }
 
     #[test]
