@@ -33,6 +33,9 @@ pub enum CqaError {
     TimedOut {
         /// Which phase exhausted its budget.
         phase: &'static str,
+        /// Samples drawn before the budget ran out (0 for a phase that
+        /// draws none, such as query evaluation).
+        samples: u64,
     },
     /// An exact computation was asked for an instance that is too large.
     TooLarge(String),
@@ -52,7 +55,7 @@ impl fmt::Display for CqaError {
             }
             CqaError::Parse(msg) => write!(f, "parse error: {msg}"),
             CqaError::InvalidSynopsis(msg) => write!(f, "invalid synopsis: {msg}"),
-            CqaError::TimedOut { phase } => write!(f, "timed out during {phase}"),
+            CqaError::TimedOut { phase, .. } => write!(f, "timed out during {phase}"),
             CqaError::TooLarge(msg) => write!(f, "instance too large for exact computation: {msg}"),
             CqaError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
@@ -73,8 +76,8 @@ mod tests {
         let e = CqaError::ArityMismatch { relation: "emp".into(), expected: 3, got: 2 };
         assert!(e.to_string().contains("emp"));
         assert!(e.to_string().contains('3'));
-        let t = CqaError::TimedOut { phase: "monte-carlo" };
-        assert!(t.to_string().contains("monte-carlo"));
+        let t = CqaError::TimedOut { phase: "monte-carlo", samples: 7 };
+        assert_eq!(t.to_string(), "timed out during monte-carlo");
     }
 
     #[test]

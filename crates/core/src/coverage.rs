@@ -34,6 +34,9 @@ pub struct CoverageOutcome {
     pub steps: u64,
     /// Completed outer trials.
     pub trials: u64,
+    /// Variance of one trial's contribution to `ratio`: the trial-length
+    /// variance scaled by `(|S•|/(|H|·|db(B)|))²`.
+    pub var_ratio: f64,
 }
 
 /// The deterministic step budget of Algorithm 6.
@@ -70,7 +73,7 @@ pub fn self_adjusting_coverage(
     }
     let n_budget = coverage_iterations(h, eps, delta);
     if n_budget > budget.max_samples {
-        return Err(CqaError::TimedOut { phase: "coverage planning" });
+        return Err(CqaError::TimedOut { phase: "coverage planning", samples: 0 });
     }
     let mut span = cqa_obs::span_args(Span::CoreCoverageLoop, n_budget, 0);
     let mut draw = SymbolicDraw::new(pair);
@@ -91,7 +94,6 @@ pub fn self_adjusting_coverage(
         let _i = draw.draw(rng);
         loop {
             steps = steps.saturating_add(1);
-            crate::convergence::tick_sample();
             if steps.is_multiple_of(POLL) && budget.deadline.expired() {
                 return Err(budget_exhausted(Span::CoreDeadlineExpired, steps, "coverage"));
             }
@@ -115,16 +117,13 @@ pub fn self_adjusting_coverage(
     let (total_f, images_f, trials_f) = (total as f64, h as f64, trials as f64);
     let scale = pair.s_ratio() / images_f;
     let ratio = total_f * scale / trials_f;
-    // Convergence export: the estimator is the mean per-trial probe count
-    // scaled by |S•|/(|H|·trials); propagate the trial-length variance
-    // through the scale for the running variance and the standard error of
-    // the trial mean for the half-width.
+    // The estimator is the mean per-trial probe count times `scale`, so the
+    // trial-length variance propagates through `scale²`.
     let mean_len = total_f / trials_f;
     let var_len = (len_sum_sq / trials_f - mean_len * mean_len).max(0.0);
     let var_ratio = var_len * scale * scale;
-    crate::convergence::export_estimate(var_ratio, (var_ratio / trials_f).sqrt());
     span.set_args(steps, trials);
-    Ok(CoverageOutcome { ratio, planned_steps: n_budget, steps, trials })
+    Ok(CoverageOutcome { ratio, planned_steps: n_budget, steps, trials, var_ratio })
 }
 
 // Test counters and seed offsets are tiny and cannot overflow; the
@@ -214,9 +213,10 @@ mod tests {
         let pair = overlap_pair();
         let mut rng = Mt64::new(33);
         let budget = Budget { max_samples: 10, ..Budget::unbounded() };
+        // The deterministic budget is refused before any step is drawn.
         assert!(matches!(
             self_adjusting_coverage(&pair, 0.1, 0.25, &budget, &mut rng),
-            Err(CqaError::TimedOut { .. })
+            Err(CqaError::TimedOut { phase: "coverage planning", samples: 0 })
         ));
     }
 

@@ -7,8 +7,8 @@
 //! again. Theorem 3.1: plugging any data-efficient approximation scheme
 //! for `RelativeFreq` into this loop yields one for `CQA`.
 
-use crate::scheme::{approx_relative_frequency, Budget, Scheme};
-use cqa_common::{Mt64, Result, Stopwatch};
+use crate::scheme::{approx_relative_frequency, ApproxOutcome, Budget, Scheme};
+use cqa_common::{CqaError, Mt64, Result, Stopwatch};
 use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::{Database, Datum};
@@ -24,6 +24,33 @@ pub struct TupleEstimate {
     pub frequency: f64,
     /// Samples spent on this tuple.
     pub samples: u64,
+    /// The estimator's terminal variance ([`ApproxOutcome::variance`]).
+    pub variance: f64,
+    /// One standard error of the estimate ([`ApproxOutcome::ci_half_width`]).
+    pub ci_half_width: f64,
+}
+
+impl TupleEstimate {
+    fn new(tuple: &[Datum], out: &ApproxOutcome) -> Self {
+        TupleEstimate {
+            tuple: tuple.to_vec(),
+            frequency: out.estimate,
+            samples: out.samples,
+            variance: out.variance,
+            ci_half_width: out.ci_half_width,
+        }
+    }
+}
+
+/// Counts the samples of the answers finished before a budget error into
+/// the error, so it reports what the whole sequential run drew.
+fn after_finished(e: CqaError, finished: u64) -> CqaError {
+    match e {
+        CqaError::TimedOut { phase, samples } => {
+            CqaError::TimedOut { phase, samples: samples.saturating_add(finished) }
+        }
+        e => e,
+    }
 }
 
 /// The result of `ApxCQA[scheme]`.
@@ -71,13 +98,10 @@ pub fn apx_cqa_on_synopses(
     let mut answers = Vec::with_capacity(syn.entries.len());
     let mut total_samples = 0u64;
     for entry in &syn.entries {
-        let out = approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, rng)?;
+        let out = approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, rng)
+            .map_err(|e| after_finished(e, total_samples))?;
         total_samples += out.samples;
-        answers.push(TupleEstimate {
-            tuple: entry.tuple.clone(),
-            frequency: out.estimate,
-            samples: out.samples,
-        });
+        answers.push(TupleEstimate::new(&entry.tuple, &out));
     }
     span.set_args(syn.entries.len() as u64, total_samples);
     Ok(ApxCqaResult {
@@ -126,11 +150,7 @@ pub fn apx_cqa_parallel(
                 let mut rng = cqa_common::Mt64::from_key(&[seed, i as u64, 0x7A11]);
                 let out =
                     approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, &mut rng)
-                        .map(|o| TupleEstimate {
-                            tuple: entry.tuple.clone(),
-                            frequency: o.estimate,
-                            samples: o.samples,
-                        });
+                        .map(|o| TupleEstimate::new(&entry.tuple, &o));
                 *results[i].lock().expect("no poisoning") = Some(out);
             });
         }
@@ -277,12 +297,44 @@ mod parallel_tests {
         let db = wide_db();
         let q = parse(db.schema(), "Q(v) :- r(k, v)").unwrap();
         let syn = build_synopses(&db, &q, BuildOptions::default()).unwrap();
-        let a = apx_cqa_parallel(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), 7, 4).unwrap();
-        let b = apx_cqa_parallel(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), 7, 2).unwrap();
-        for (x, y) in a.answers.iter().zip(&b.answers) {
-            assert_eq!(x.frequency, y.frequency, "thread count must not change results");
-            assert_eq!(x.samples, y.samples);
+        let run = |threads| {
+            apx_cqa_parallel(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), 7, threads)
+                .unwrap()
+        };
+        let one = run(1);
+        assert!(one.answers.iter().any(|a| a.variance > 0.0), "noise gives some answer variance");
+        for threads in [2, 4] {
+            let other = run(threads);
+            assert_eq!(other.answers.len(), one.answers.len());
+            assert_eq!(other.total_samples, one.total_samples);
+            for (x, y) in one.answers.iter().zip(&other.answers) {
+                assert_eq!(x.tuple, y.tuple);
+                assert_eq!(x.frequency, y.frequency, "thread count must not change results");
+                assert_eq!(x.samples, y.samples);
+                assert_eq!(x.variance, y.variance, "{threads} threads");
+                assert_eq!(x.ci_half_width, y.ci_half_width, "{threads} threads");
+            }
         }
+    }
+
+    #[test]
+    fn a_budget_error_counts_the_answers_finished_before_it() {
+        let db = wide_db();
+        let q = parse(db.schema(), "Q(v) :- r(k, v)").unwrap();
+        let syn = build_synopses(&db, &q, BuildOptions::default()).unwrap();
+        let run = |max_samples| {
+            let budget = Budget { max_samples, ..Budget::unbounded() };
+            apx_cqa_on_synopses(&syn, Scheme::Klm, 0.1, 0.25, &budget, &mut Mt64::new(3))
+        };
+        let full = run(u64::MAX).unwrap();
+        // Cap at the first answer's count: it finishes, and the first
+        // answer that needs more fails on the same random stream.
+        let cap = full.answers[0].samples;
+        let failing = full.answers.iter().position(|a| a.samples > cap).expect("a costlier answer");
+        let finished: u64 = full.answers[..failing].iter().map(|a| a.samples).sum();
+        let err = run(cap).unwrap_err();
+        let CqaError::TimedOut { samples, .. } = err else { panic!("{err:?}") };
+        assert!(samples > finished && samples <= finished + cap + 1, "{samples} vs {finished}");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! | [`coverage`] | `SelfAdjustingCoverage` (Algorithm 6, after Karp–Luby–Madras) |
 //! | [`scheme`] | the four schemes `Natural`, `KL`, `KLM`, `Cover` (Algorithms 3–5) |
 //! | [`driver`] | `ApxCQA` (Algorithm 1 with the shared preprocessing of §5) |
-//! | [`convergence`] | per-thread estimator-convergence telemetry slots |
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@
 //! # Ok::<(), cqa_common::CqaError>(())
 //! ```
 
-pub mod convergence;
 pub mod coverage;
 pub mod driver;
 pub mod montecarlo;
@@ -68,7 +66,6 @@ pub mod sampler;
 pub mod scheme;
 mod telemetry;
 
-pub use convergence::Convergence;
 pub use coverage::{coverage_iterations, self_adjusting_coverage, CoverageOutcome};
 pub use driver::{apx_cqa, apx_cqa_on_synopses, apx_cqa_parallel, ApxCqaResult, TupleEstimate};
 pub use montecarlo::{monte_carlo, MonteCarloOutcome};

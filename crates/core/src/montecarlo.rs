@@ -26,6 +26,8 @@ pub struct MonteCarloOutcome {
     pub planned_n: u64,
     /// Total samples drawn (planning + final loop).
     pub samples: u64,
+    /// The final loop's sample variance, `Σz²/N − mean²` floored at 0.
+    pub variance: f64,
 }
 
 /// Runs Algorithm 2 on a sampler.
@@ -50,11 +52,8 @@ pub fn monte_carlo<S: Sampler>(
     loop_span.set_args(plan.n, count);
     let n_f = plan.n as f64;
     let mean = s / n_f;
-    // Convergence export: the final loop's running sample variance and the
-    // one-standard-error half-width of its mean.
     let variance = (ss / n_f - mean * mean).max(0.0);
-    crate::convergence::export_estimate(variance, (variance / n_f).sqrt());
-    Ok(MonteCarloOutcome { mean, planned_n: plan.n, samples: count })
+    Ok(MonteCarloOutcome { mean, planned_n: plan.n, samples: count, variance })
 }
 
 // Test counters and seed offsets are tiny and cannot overflow; the

@@ -80,7 +80,6 @@ pub(crate) fn budgeted_sample<S: Sampler>(
     phase: &'static str,
 ) -> Result<f64> {
     *count = count.saturating_add(1);
-    crate::convergence::tick_sample();
     if count.is_multiple_of(POLL) && budget.deadline.expired() {
         return Err(budget_exhausted(Span::CoreDeadlineExpired, *count, phase));
     }
@@ -100,7 +99,7 @@ pub(crate) fn budget_exhausted(event: Span, count: u64, phase: &'static str) -> 
         telemetry::budget_exhausted_total().inc();
         cqa_obs::instant_args(event, count, 0);
     }
-    CqaError::TimedOut { phase }
+    CqaError::TimedOut { phase, samples: count }
 }
 
 /// The DKLR *stopping rule*: samples until the running sum reaches
@@ -178,12 +177,12 @@ pub fn plan_iterations<S: Sampler>(
     let rho_hat = (s / n2 as f64).max(eps * mu_hat);
     // ρ̂ ≥ ε·µ̂, so N ≥ N₂.
     let n = (upsilon2 * rho_hat / (mu_hat * mu_hat)).ceil();
+    *count = samples.max(*count);
     if !n.is_finite() || n >= budget.max_samples as f64 {
-        return Err(CqaError::TimedOut { phase: "iteration planning" });
+        return Err(CqaError::TimedOut { phase: "iteration planning", samples: *count });
     }
     let n = cqa_common::checked::f64_to_u64(n);
     cqa_obs::instant_args(Span::DklrPlanned, n, samples);
-    *count = samples.max(*count);
     Ok(PlanOutcome { n, mu_hat, rho_hat, samples })
 }
 
@@ -299,7 +298,7 @@ mod tests {
         let mut count = 0;
         let res =
             stopping_rule(&mut Bernoulli { p: 0.001 }, 0.05, 0.1, &budget, &mut rng, &mut count);
-        assert!(matches!(res, Err(CqaError::TimedOut { .. })));
+        assert!(matches!(res, Err(CqaError::TimedOut { samples: 501, .. })), "{res:?}");
     }
 
     #[test]
@@ -311,7 +310,12 @@ mod tests {
         // Mean 1e-9 would need ~1e10 samples; the deadline fires first.
         let res =
             stopping_rule(&mut Bernoulli { p: 1e-9 }, 0.1, 0.25, &budget, &mut rng, &mut count);
-        assert!(matches!(res, Err(CqaError::TimedOut { .. })));
+        // The deadline is polled every `POLL` samples, so the count it
+        // stops at is a multiple of `POLL`.
+        assert!(
+            matches!(res, Err(CqaError::TimedOut { samples, .. }) if samples % POLL == 0),
+            "{res:?}"
+        );
     }
 
     #[test]

@@ -117,6 +117,23 @@ pub struct ApproxOutcome {
     /// The iteration count chosen by the planner (`OptEstimate` or the
     /// deterministic coverage budget).
     pub planned_n: u64,
+    /// The estimator's terminal variance: the final Monte-Carlo loop's
+    /// sample variance (before the r-factor division), or Cover's
+    /// per-trial variance.
+    pub variance: f64,
+    /// One standard error of the terminal mean, `√(variance / N)` with `N`
+    /// the final loop's iterations or Cover's completed trials. It is not
+    /// the `(ε, δ)` interval the caller asked for.
+    pub ci_half_width: f64,
+}
+
+impl ApproxOutcome {
+    /// An outcome whose terminal mean averaged `terms` draws of variance
+    /// `variance`; the one place the half-width is computed.
+    fn new(estimate: f64, samples: u64, planned_n: u64, variance: f64, terms: u64) -> Self {
+        let ci_half_width = (variance / terms as f64).sqrt();
+        ApproxOutcome { estimate, samples, planned_n, variance, ci_half_width }
+    }
 }
 
 /// `ApxRelativeFreq` on an encoded synopsis: approximates `R(H, B)` within
@@ -161,11 +178,13 @@ pub fn approx_relative_frequency(
                 }
             }
             let out = res?;
-            Ok(ApproxOutcome {
-                estimate: out.ratio.clamp(0.0, 1.0),
-                samples: out.steps,
-                planned_n: out.planned_steps,
-            })
+            Ok(ApproxOutcome::new(
+                out.ratio.clamp(0.0, 1.0),
+                out.steps,
+                out.planned_steps,
+                out.var_ratio,
+                out.trials,
+            ))
         }
     }?;
     span.set_args(out.samples, out.planned_n);
@@ -191,11 +210,13 @@ fn run_monte_carlo<S: Sampler>(
         }
     }
     let out = res?;
-    Ok(ApproxOutcome {
-        estimate: (out.mean / r).clamp(0.0, 1.0),
-        samples: out.samples,
-        planned_n: out.planned_n,
-    })
+    Ok(ApproxOutcome::new(
+        (out.mean / r).clamp(0.0, 1.0),
+        out.samples,
+        out.planned_n,
+        out.variance,
+        out.planned_n,
+    ))
 }
 
 #[cfg(test)]

@@ -155,7 +155,7 @@ pub struct FlightDigest {
 
 /// A digest is 18 ring words: the request id (4), the query fingerprint,
 /// the scheme name (1), the error name (3), flags (bit 0 = cache hit,
-/// bit 1 = error present), then the eight timing and convergence fields.
+/// bit 1 = error present), then the eight timing and estimator-telemetry fields.
 /// Names ride as NUL-padded bytes, like the request id.
 const DIGEST_WORDS: usize = 18;
 
@@ -324,6 +324,12 @@ pub fn slowlog_clear() {
 mod tests {
     use super::*;
 
+    /// The recorder's on/off switch is process-wide, and one test turns it
+    /// off: every test that records or captures holds this lock, so that
+    /// test cannot make another drop its entries. A poisoned lock still
+    /// holds: the `Err` of `lock()` carries the guard.
+    static SWITCH: Mutex<()> = Mutex::new(());
+
     fn digest(id: &str, ts: u64) -> FlightDigest {
         FlightDigest {
             request_id: id.to_owned(),
@@ -346,6 +352,7 @@ mod tests {
     /// from one test to avoid cross-test interference.
     #[test]
     fn digest_ring_roundtrip_wrap_and_toggle() {
+        let _switch = SWITCH.lock();
         clear();
         record(&digest("client-abc", 10));
         record(&FlightDigest {
@@ -385,6 +392,7 @@ mod tests {
 
     #[test]
     fn request_scope_carries_the_id_and_span_tree() {
+        let _switch = SWITCH.lock();
         begin_request("req-77");
         assert_eq!(current_request_id(), "req-77");
         {
@@ -400,6 +408,7 @@ mod tests {
 
     #[test]
     fn slowlog_is_bounded_and_ordered() {
+        let _switch = SWITCH.lock();
         slowlog_clear();
         for i in 0..(SLOWLOG_CAPACITY as u64 + 3) {
             slowlog_record(SlowlogEntry {

@@ -48,7 +48,7 @@ use cqa_noise::{add_query_aware_noise, NoiseSpec};
 use cqa_qgen::{sqg, SqgSpec};
 use cqa_query::answers;
 use cqa_scenarios::{figures, BenchConfig, Pool};
-use cqa_server::{run_load, LoadSpec, Server, ServerConfig};
+use cqa_server::{run_load, LoadReport, LoadSpec, Server, ServerConfig};
 use cqa_storage::{ColumnType, Database, Schema, Value};
 use cqa_synopsis::{build_synopses, AdmissiblePair, BuildOptions};
 use cqa_tpch::{generate, TpchConfig};
@@ -278,52 +278,25 @@ pub fn suite_figure(profile: &Profile) -> Result<Vec<Series>> {
 /// prints them) but its log₂ buckets can only move in 2× jumps.
 pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
     let db = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
-    let mut throughput = Vec::new();
-    let mut p50 = Vec::new();
-    let mut p99 = Vec::new();
-    let mut p999 = Vec::new();
-    for round in 0..profile.server_rounds {
-        let server = Server::bind(
-            db.clone(),
-            ServerConfig { addr: "127.0.0.1:0".into(), workers: 2, ..ServerConfig::default() },
-        )
-        .map_err(|e| cqa_common::CqaError::InvalidParameter(format!("bind: {e}")))?;
-        let mut handle = server
-            .spawn()
-            .map_err(|e| cqa_common::CqaError::InvalidParameter(format!("spawn: {e}")))?;
-        let report = run_load(&LoadSpec {
-            addr: handle.addr().to_string(),
-            query: "Q(rn) :- region(rk, rn)".to_owned(),
-            scheme: Scheme::Klm,
-            eps: profile.eps,
-            delta: profile.delta,
-            clients: profile.clients,
-            requests: profile.requests,
-            seed: profile.seed ^ u64::from(round),
-            timeout_ms: None,
-            permute: false,
-        });
-        handle.shutdown();
-        let report = report?;
-        throughput.push(report.throughput_rps());
-        p50.push(report.client_latency_ms(50.0));
-        p99.push(report.client_latency_ms(99.0));
-        p999.push(report.client_latency_ms(99.9));
-    }
+    let reports = load_rounds(profile, &db, 0)?;
+    let series = |name, value: fn(&LoadReport) -> f64| {
+        let values: Vec<f64> = reports.iter().map(value).collect();
+        bench_series(name, &Summary::from_samples(&values))
+    };
     Ok(vec![
-        bench_series(SeriesName::ServerThroughputRps, &Summary::from_samples(&throughput)),
-        bench_series(SeriesName::ServerLatencyP50Ms, &Summary::from_samples(&p50)),
-        bench_series(SeriesName::ServerLatencyP99Ms, &Summary::from_samples(&p99)),
-        bench_series(SeriesName::ServerLatencyP999Ms, &Summary::from_samples(&p999)),
+        series(SeriesName::ServerThroughputRps, LoadReport::throughput_rps),
+        series(SeriesName::ServerLatencyP50Ms, |r| r.client_latency_ms(50.0)),
+        series(SeriesName::ServerLatencyP99Ms, |r| r.client_latency_ms(99.0)),
+        series(SeriesName::ServerLatencyP999Ms, |r| r.client_latency_ms(99.9)),
     ])
 }
 
-/// One throughput sample per round against a fresh server, with the
-/// flight recorder in whatever state the caller set process-wide.
-/// Factored out of [`suite_flight`] so the on/off arms are measured by
-/// identical code.
-fn flight_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<f64>> {
-    let mut throughput = Vec::new();
+/// One load report per round, each against a fresh server, with the
+/// flight recorder in whatever state the caller set process-wide. Round
+/// `r` runs seed `profile.seed ^ salt ^ r`, so [`suite_server`] (salt 0)
+/// and the two arms of [`suite_flight`] share one measurement.
+fn load_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<LoadReport>> {
+    let mut reports = Vec::new();
     for round in 0..profile.server_rounds {
         let server = Server::bind(
             db.clone(),
@@ -346,9 +319,9 @@ fn flight_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<f64>
             permute: false,
         });
         handle.shutdown();
-        throughput.push(report?.throughput_rps());
+        reports.push(report?);
     }
-    Ok(throughput)
+    Ok(reports)
 }
 
 /// Suite 5: the flight recorder's price. Server throughput with the
@@ -359,14 +332,17 @@ fn flight_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<f64>
 /// is restored to enabled no matter how the off arm exits.
 pub fn suite_flight(profile: &Profile) -> Result<Vec<Series>> {
     let db = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
+    let throughput = |reports: &[LoadReport]| {
+        let rps: Vec<f64> = reports.iter().map(LoadReport::throughput_rps).collect();
+        Summary::from_samples(&rps)
+    };
     cqa_obs::flight::set_enabled(false);
-    let off = flight_rounds(profile, &db, 0xf0);
+    let off = load_rounds(profile, &db, 0xf0);
     cqa_obs::flight::set_enabled(true);
-    let off = off?;
-    let on = flight_rounds(profile, &db, 0x0f)?;
+    let (off, on) = (off?, load_rounds(profile, &db, 0x0f)?);
     Ok(vec![
-        bench_series(SeriesName::ServerFlightOffThroughputRps, &Summary::from_samples(&off)),
-        bench_series(SeriesName::ServerFlightOnThroughputRps, &Summary::from_samples(&on)),
+        bench_series(SeriesName::ServerFlightOffThroughputRps, &throughput(&off)),
+        bench_series(SeriesName::ServerFlightOnThroughputRps, &throughput(&on)),
     ])
 }
 

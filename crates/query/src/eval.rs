@@ -359,7 +359,7 @@ impl<'a> Engine<'a> {
             for (&row_id, slot) in chunk.iter().zip(below) {
                 st.work += 1;
                 if st.work.is_multiple_of(POLL_INTERVAL) && self.opts.deadline.expired() {
-                    return Err(CqaError::TimedOut { phase: "query evaluation" });
+                    return Err(CqaError::TimedOut { phase: "query evaluation", samples: 0 });
                 }
                 let Some(rows) = slot else { continue };
                 let row = table.row(row_id);
@@ -672,7 +672,10 @@ mod tests {
             ControlFlow::Continue(())
         })
         .unwrap_err();
-        assert!(matches!(err, CqaError::TimedOut { phase: "query evaluation" }), "{err:?}");
+        assert!(
+            matches!(err, CqaError::TimedOut { phase: "query evaluation", samples: 0 }),
+            "{err:?}"
+        );
         assert!(calls < 100 * 100, "the poll fired after {calls} homomorphisms");
 
         let homs = homomorphisms(&db, &q, EvalOptions::default()).unwrap();

@@ -42,8 +42,8 @@ pub struct Metrics {
     pub queue_wait: Histogram,
     /// Requests tail-sampled into the flight recorder's slow/error log.
     pub slow_requests: Counter,
-    /// Samples the most recent query drew (a per-request gauge derived
-    /// from the convergence telemetry).
+    /// Samples the most recent query drew: its response's `total_samples`,
+    /// or the partial count of a budget error.
     pub last_request_samples: Gauge,
     /// The most recent query's terminal CI half-width, parts per million.
     pub last_request_ci_ppm: Gauge,

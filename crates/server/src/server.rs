@@ -20,7 +20,7 @@ use crate::protocol::{
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64, Stopwatch};
-use cqa_core::{apx_cqa_on_synopses, Budget};
+use cqa_core::{apx_cqa_on_synopses, ApxCqaResult, Budget, TupleEstimate};
 use cqa_obs::flight::{self, FlightDigest, SlowlogEntry};
 use cqa_obs::Span;
 use cqa_storage::{dump_fingerprint, schema_to_ddl, Database};
@@ -401,30 +401,18 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
             let wait = cqa_obs::now_micros().saturating_sub(admitted_micros);
             shared.metrics.queue_wait.record_micros(wait);
             cqa_obs::record_span(Span::ServerQueueWait, admitted_micros, q.seed, 0);
-            // Open the request scope: installs the id, starts the span
-            // capture for the slow/error log, zeroes the convergence
-            // slots. Exactly this worker thread runs the whole request.
+            // Open the request scope: installs the id and starts the span
+            // capture for the slow/error log. Exactly this worker thread
+            // runs the whole request.
             flight::begin_request(&request_id);
-            cqa_core::convergence::reset();
-            let mut query_fp = 0u64;
-            let response = run_query(&shared, &q, deadline, &mut query_fp);
+            let (response, report) = run_query(&shared, &q, deadline);
             flight::end_request();
-            let conv = cqa_core::convergence::snapshot();
             if matches!(response, Response::Answers { .. }) {
                 shared.metrics.queries_ok.inc();
                 shared.metrics.query_latency.record(admitted.elapsed());
             }
             let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
-            record_flight(
-                &shared,
-                &request_id,
-                query_fp,
-                scheme_name,
-                &response,
-                wait,
-                conv,
-                total,
-            );
+            record_flight(&shared, &request_id, scheme_name, &response, wait, report, total);
             let _ = reply_tx.send(response);
         }
     });
@@ -481,20 +469,46 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
     }
 }
 
+/// What a worker learned about a request besides its response: the
+/// canonical query fingerprint (0 until the query parses) and the flight
+/// digest's estimator telemetry, which is the samples drawn (the
+/// response's `total_samples`, or a budget error's partial count) and the
+/// largest per-answer variance and half-width.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunReport {
+    query_fp: u64,
+    samples: u64,
+    variance: f64,
+    ci_half_width: f64,
+}
+
+impl RunReport {
+    /// An answered request. Folding the maxima from 0 with `>` ignores NaN.
+    fn answered(query_fp: u64, result: &ApxCqaResult) -> Self {
+        let max = |field: fn(&TupleEstimate) -> f64| {
+            result.answers.iter().map(field).fold(0.0, |m, v| if v > m { v } else { m })
+        };
+        RunReport {
+            query_fp,
+            samples: result.total_samples,
+            variance: max(|a| a.variance),
+            ci_half_width: max(|a| a.ci_half_width),
+        }
+    }
+}
+
 /// Assembles one request's flight digest from the worker's outcome and
 /// records it; requests that erred or overran the slow threshold are also
 /// tail-sampled into the slow/error log with the span tree still sitting
 /// in this thread's capture buffer (extracting it allocates, so only the
 /// slow path pays).
-#[allow(clippy::too_many_arguments)] // a digest is wide by design
 fn record_flight(
     shared: &Shared,
     request_id: &str,
-    query_fingerprint: u64,
     scheme: &'static str,
     response: &Response,
     queue_wait_micros: u64,
-    conv: cqa_core::Convergence,
+    report: RunReport,
     total_micros: u64,
 ) {
     let (cache_hit, error, preprocess_micros, scheme_micros) = match response {
@@ -507,21 +521,21 @@ fn record_flight(
     let ts_micros = cqa_obs::now_micros();
     flight::record(&FlightDigest {
         request_id: request_id.to_owned(),
-        query_fingerprint,
+        query_fingerprint: report.query_fp,
         scheme: scheme.into(),
         cache_hit,
         error: error.map(Into::into),
         queue_wait_micros,
-        samples: conv.samples,
-        variance: conv.variance,
-        ci_half_width: conv.ci_half_width,
+        samples: report.samples,
+        variance: report.variance,
+        ci_half_width: report.ci_half_width,
         preprocess_micros,
         scheme_micros,
         total_micros,
         ts_micros,
     });
-    shared.metrics.last_request_samples.set(conv.samples.min(i64::MAX as u64) as i64);
-    shared.metrics.last_request_ci_ppm.set((conv.ci_half_width * 1e6) as i64);
+    shared.metrics.last_request_samples.set(report.samples.min(i64::MAX as u64) as i64);
+    shared.metrics.last_request_ci_ppm.set((report.ci_half_width * 1e6) as i64);
     if error.is_some() || total_micros > shared.slow_threshold_micros {
         shared.metrics.slow_requests.inc();
         flight::slowlog_record(SlowlogEntry {
@@ -535,7 +549,7 @@ fn record_flight(
 }
 
 /// Digests a request the pool never accepted (queue full, shutdown): no
-/// worker ran, so there is no span capture and no convergence data.
+/// worker ran, so there is no span capture and no estimator telemetry.
 fn record_rejection(
     shared: &Shared,
     request_id: &str,
@@ -544,37 +558,31 @@ fn record_rejection(
     admitted_micros: u64,
 ) {
     let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
-    let conv = cqa_core::Convergence { samples: 0, variance: 0.0, ci_half_width: 0.0 };
-    record_flight(shared, request_id, 0, scheme, response, 0, conv, total);
+    record_flight(shared, request_id, scheme, response, 0, RunReport::default(), total);
 }
 
-/// Executes one admitted query on a worker thread. `query_fp` reports the
-/// canonical query fingerprint to the flight recorder once the query
-/// parses (0 otherwise).
-fn run_query(
-    shared: &Shared,
-    q: &QueryRequest,
-    deadline: Deadline,
-    query_fp: &mut u64,
-) -> Response {
+/// Executes one admitted query on a worker thread, returning the response
+/// and what the flight recorder needs to know about the run.
+fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response, RunReport) {
     let mut req_span = cqa_obs::span_args(Span::ServerRequest, q.seed, 0);
     // Chaos: an injected deadline fault is a premature expiry — the
     // admission-time check fires as if queue wait had eaten the budget.
     if deadline.expired() || cqa_chaos::fault_point!(ServerDeadline).is_some() {
-        return Response::Error {
+        let response = Response::Error {
             kind: ErrorKind::DeadlineExceeded,
             message: "deadline expired while queued".to_owned(),
         };
+        return (response, RunReport::default());
     }
     let cq = match cqa_query::parse(shared.db.schema(), &q.query) {
         Ok(cq) => cq,
-        Err(e) => return Response::Error { kind: ErrorKind::BadRequest, message: e.to_string() },
+        Err(e) => return failed(0, e),
     };
-    *query_fp = cq.canonical_fingerprint();
+    let query_fp = cq.canonical_fingerprint();
     let key = CacheKey {
         db_fingerprint: shared.db_fingerprint,
         constraint_fingerprint: shared.constraint_fingerprint,
-        query_fingerprint: *query_fp,
+        query_fingerprint: query_fp,
     };
     let literal_fp = CacheKey::literal_fingerprint(&q.query);
     let lookup_span = cqa_obs::span(Span::ServerCacheLookup);
@@ -600,7 +608,7 @@ fn run_query(
                     shared.cache.insert(key, literal_fp, Arc::clone(&syn));
                     (syn, false)
                 }
-                Err(e) => return error_response(e),
+                Err(e) => return failed(query_fp, e),
             }
         }
     };
@@ -616,29 +624,42 @@ fn run_query(
     }
     drop(sample_span);
     match outcome {
-        Ok(result) => Response::Answers {
-            cached,
-            preprocess_ms: if cached { 0.0 } else { result.preprocess_time.as_secs_f64() * 1000.0 },
-            scheme_ms: result.scheme_time.as_secs_f64() * 1000.0,
-            total_samples: result.total_samples,
-            answers: result
-                .answers
-                .iter()
-                .map(|te| WireAnswer {
-                    tuple: te.tuple.iter().map(|&d| shared.db.resolve(d)).collect(),
-                    frequency: te.frequency,
-                    samples: te.samples,
-                })
-                .collect(),
-        },
-        Err(e) => error_response(e),
+        Ok(result) => (
+            Response::Answers {
+                cached,
+                preprocess_ms: if cached {
+                    0.0
+                } else {
+                    result.preprocess_time.as_secs_f64() * 1000.0
+                },
+                scheme_ms: result.scheme_time.as_secs_f64() * 1000.0,
+                total_samples: result.total_samples,
+                answers: result
+                    .answers
+                    .iter()
+                    .map(|te| WireAnswer {
+                        tuple: te.tuple.iter().map(|&d| shared.db.resolve(d)).collect(),
+                        frequency: te.frequency,
+                        samples: te.samples,
+                    })
+                    .collect(),
+            },
+            RunReport::answered(query_fp, &result),
+        ),
+        Err(e) => failed(query_fp, e),
     }
 }
 
-/// Maps engine errors to protocol error kinds.
-fn error_response(e: CqaError) -> Response {
-    let kind = match &e {
-        CqaError::TimedOut { .. } => ErrorKind::DeadlineExceeded,
+/// The response to a request that failed with `e`, engine errors mapped to
+/// protocol error kinds, and its report (`query_fp` is 0 until the query
+/// parses). A budget error keeps the samples it drew in the report.
+fn failed(query_fp: u64, e: CqaError) -> (Response, RunReport) {
+    let mut report = RunReport { query_fp, ..RunReport::default() };
+    let kind = match e {
+        CqaError::TimedOut { samples, .. } => {
+            report.samples = samples;
+            ErrorKind::DeadlineExceeded
+        }
         CqaError::Parse(_)
         | CqaError::UnknownName(_)
         | CqaError::InvalidParameter(_)
@@ -646,7 +667,7 @@ fn error_response(e: CqaError) -> Response {
         | CqaError::TypeMismatch { .. } => ErrorKind::BadRequest,
         CqaError::InvalidSynopsis(_) | CqaError::TooLarge(_) => ErrorKind::Internal,
     };
-    Response::Error { kind, message: e.to_string() }
+    (Response::Error { kind, message: e.to_string() }, report)
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! the same metrics registry consistently as JSON and Prometheus text.
 
 use cqa::common::Json;
+use cqa::core::{apx_cqa_on_synopses, TupleEstimate};
 use cqa::prelude::*;
 use cqa::scenarios::{figures, BenchConfig, Pool};
 use cqa::server::Response;
@@ -130,6 +131,16 @@ fn flight_recorder_attributes_requests_end_to_end() {
     let (db, _) =
         add_query_aware_noise(&base, &q, NoiseSpec { p: 1.0, lmin: 2, umax: 3 }, &mut rng).unwrap();
 
+    // The offline driver with the `it-flight-miss` request's settings: the
+    // digest must report its total samples and its worst answer's
+    // variance and half-width.
+    let syn = build_synopses(&db, &q, BuildOptions::default()).unwrap();
+    let offline =
+        apx_cqa_on_synopses(&syn, Scheme::Klm, 0.2, 0.25, &Budget::unbounded(), &mut Mt64::new(1))
+            .unwrap();
+    let worst =
+        |field: fn(&TupleEstimate) -> f64| offline.answers.iter().map(field).fold(0.0, f64::max);
+
     // Threshold 0: every request overruns it, so each one lands in the
     // slow/error log with its span tree — the "injected slow request"
     // without an actual sleep.
@@ -212,9 +223,12 @@ fn flight_recorder_attributes_requests_end_to_end() {
     assert!(!miss.cache_hit);
     assert_eq!(miss.scheme, "KLM");
     assert_eq!(miss.error, None);
-    assert!(miss.samples > 0, "convergence telemetry must count samples: {miss:?}");
+    assert!(miss.samples > 0, "estimator telemetry must count samples: {miss:?}");
     assert!(miss.ci_half_width > 0.0, "terminal CI half-width must export: {miss:?}");
     assert!(miss.variance > 0.0, "running variance must export: {miss:?}");
+    assert_eq!(miss.samples, offline.total_samples, "digest samples vs offline driver");
+    assert_eq!(miss.variance, worst(|a| a.variance), "digest variance vs offline driver");
+    assert_eq!(miss.ci_half_width, worst(|a| a.ci_half_width), "digest half-width vs offline");
     assert!(miss.queue_wait_us <= miss.total_us);
     assert!(miss.scheme_us <= miss.total_us);
     assert_ne!(miss.query_fp, format!("{:016x}", 0u64), "parsed queries carry a fingerprint");

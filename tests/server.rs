@@ -219,3 +219,47 @@ fn malformed_requests_get_bad_request_not_a_hangup() {
     // The connection survives and the server still answers.
     assert_eq!(client.ping().unwrap(), cqa::server::PROTOCOL_VERSION);
 }
+
+/// A request stopped by the sample cap keeps the samples it drew: its
+/// flight digest reports the partial count, and the error message is the
+/// budget error's own. One answer (a Boolean query) at ε = 0.1 needs more
+/// than 100 samples in the stopping rule alone, so the cap fires at draw
+/// 101.
+#[test]
+fn a_capped_request_keeps_its_samples_in_the_flight_digest() {
+    const MAX_SAMPLES: u64 = 100;
+    let handle = Server::bind(
+        noisy_db(19),
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            max_samples: MAX_SAMPLES,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let response = client
+        .query(QueryRequest {
+            query: "Q() :- region(rk, rn)".into(),
+            scheme: Scheme::Klm,
+            seed: 3,
+            request_id: Some("it-capped".into()),
+            ..QueryRequest::default()
+        })
+        .unwrap();
+    let Response::Error { kind: ErrorKind::DeadlineExceeded, message } = response else {
+        panic!("expected deadline_exceeded, got {response:?}")
+    };
+    assert_eq!(message, "timed out during stopping rule");
+    let (digests, _dropped) = client.debug_flight().unwrap();
+    let digest = digests
+        .iter()
+        .find(|d| d.request_id == "it-capped")
+        .unwrap_or_else(|| panic!("digest missing; got {digests:?}"));
+    assert_eq!(digest.error.as_deref(), Some("deadline_exceeded"));
+    assert_eq!(digest.samples, MAX_SAMPLES + 1, "the cap fires at draw {}", MAX_SAMPLES + 1);
+    assert_eq!((digest.variance, digest.ci_half_width), (0.0, 0.0), "{digest:?}");
+}
