@@ -117,13 +117,14 @@ pub struct ApproxOutcome {
     /// The iteration count chosen by the planner (`OptEstimate` or the
     /// deterministic coverage budget).
     pub planned_n: u64,
-    /// The estimator's terminal variance: the final Monte-Carlo loop's
-    /// sample variance (before the r-factor division), or Cover's
-    /// per-trial variance.
+    /// The estimator's terminal variance on the estimate's scale: the
+    /// final Monte-Carlo loop's sample variance divided by `r²` (the
+    /// estimate is the loop's mean over `r`), or Cover's per-trial
+    /// variance.
     pub variance: f64,
-    /// One standard error of the terminal mean, `√(variance / N)` with `N`
-    /// the final loop's iterations or Cover's completed trials. It is not
-    /// the `(ε, δ)` interval the caller asked for.
+    /// One standard error of the estimate, `√(variance / N)` with `N` the
+    /// final loop's iterations or Cover's completed trials. It is not the
+    /// `(ε, δ)` interval the caller asked for.
     pub ci_half_width: f64,
 }
 
@@ -210,11 +211,12 @@ fn run_monte_carlo<S: Sampler>(
         }
     }
     let out = res?;
+    // The estimate is `mean / r`, so its variance is the mean's over r².
     Ok(ApproxOutcome::new(
         (out.mean / r).clamp(0.0, 1.0),
         out.samples,
         out.planned_n,
-        out.variance,
+        out.variance / (r * r),
         out.planned_n,
     ))
 }
@@ -314,6 +316,48 @@ mod tests {
                 "core_scheme_runs_total"
             ]
         );
+    }
+
+    #[test]
+    fn symbolic_error_bars_are_on_the_estimate_scale() {
+        // Four one-fact images in four blocks of two: |S•|/|db(B)| = 2, so
+        // r = 1/2 for KL and KLM, and a bar left on the sample-mean scale
+        // reads about r times the estimates' spread.
+        let pair = AdmissiblePair::new(
+            vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)], vec![(3, 0)]],
+            vec![2, 2, 2, 2],
+        )
+        .unwrap();
+        for (scheme, r) in [
+            (Scheme::Kl, KlSampler::new(&pair).r_factor()),
+            (Scheme::Klm, KlmSampler::new(&pair).r_factor()),
+        ] {
+            assert!(r <= 0.7, "{scheme}: r = {r}");
+            let runs: Vec<ApproxOutcome> = (0..60)
+                .map(|seed| {
+                    let mut rng = Mt64::new(9000 + seed);
+                    approx_relative_frequency(
+                        &pair,
+                        scheme,
+                        0.1,
+                        0.25,
+                        &Budget::unbounded(),
+                        &mut rng,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let n = runs.len() as f64;
+            let mean = runs.iter().map(|o| o.estimate).sum::<f64>() / n;
+            let sd =
+                (runs.iter().map(|o| (o.estimate - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
+            let bar = runs.iter().map(|o| o.ci_half_width).sum::<f64>() / n;
+            assert!(
+                (0.67 * sd..=1.5 * sd).contains(&bar),
+                "{scheme}: mean ci_half_width {bar} vs sd of estimates {sd} (ratio {})",
+                bar / sd
+            );
+        }
     }
 
     #[test]

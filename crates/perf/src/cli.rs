@@ -3,17 +3,19 @@
 //!
 //! ```text
 //! cqa-perf run  [--profile ci|full] [--only SUITE] [--pr N] [--out FILE] [--dashboard DIR]
-//! cqa-perf diff --against FILE --current FILE [--tolerance F] [--allow-missing]
+//! cqa-perf diff --base PATH
 //! cqa-perf export --report FILE [--dashboard DIR]
 //! ```
 
-use crate::diff::{diff, DiffOptions};
+use crate::diff::{judge, run_rounds, ROUNDS};
 use crate::schema::BenchReport;
 use crate::suites::{run_suites, suite_by_name, Profile, SUITES};
 use crate::{dashboard, envinfo};
-use cqa_common::{CqaError, Result};
+use cqa_common::{CqaError, Result, Stopwatch};
+use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Usage text for `cqa-perf help` and argument errors.
 pub const USAGE: &str = "\
@@ -26,9 +28,11 @@ USAGE: cqa-perf <command> [options]
         figure, server, flight, lint, ablations or optest.
         With --dashboard, also append the recording to DIR/data.js.
 
-  diff  --against FILE --current FILE [--tolerance F] [--allow-missing]
-        Gate a recording against a baseline. Exits nonzero when any
-        series regresses beyond its noise envelope.
+  diff  --base PATH
+        Gate this build against PATH, the merge base's cqa-perf: both run
+        every suite of the ci profile in turn, 12 rounds. Exits 1 when a
+        series' 2nd-smallest per-round ratio is above 1.10 (worse in at
+        least 11 of 12 rounds).
 
   export --report FILE [--dashboard DIR]
         Append an existing recording to the dashboard (default dev/bench).
@@ -36,18 +40,17 @@ USAGE: cqa-perf <command> [options]
   help  Show this message.
 ";
 
-fn parse_flags(args: &[String]) -> Result<std::collections::BTreeMap<String, String>> {
-    let mut flags = std::collections::BTreeMap::new();
+/// Parses `--name value` pairs, refusing any flag not in `known`.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<BTreeMap<String, String>> {
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         let Some(name) = a.strip_prefix("--") else {
             return Err(CqaError::InvalidParameter(format!("unexpected argument '{a}'")));
         };
-        if name == "allow-missing" {
-            flags.insert(name.to_owned(), "1".to_owned());
-            i += 1;
-            continue;
+        if !known.contains(&name) {
+            return Err(CqaError::InvalidParameter(format!("unknown flag '{a}'\n{USAGE}")));
         }
         let Some(value) = args.get(i + 1) else {
             return Err(CqaError::InvalidParameter(format!("--{name} needs a value")));
@@ -59,7 +62,7 @@ fn parse_flags(args: &[String]) -> Result<std::collections::BTreeMap<String, Str
 }
 
 fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["profile", "only", "pr", "out", "dashboard"])?;
     let profile_name = flags.get("profile").map(String::as_str).unwrap_or("ci");
     let profile = Profile::by_name(profile_name).ok_or_else(|| {
         CqaError::InvalidParameter(format!("unknown profile '{profile_name}' (ci or full)"))
@@ -107,33 +110,45 @@ fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
     Ok(())
 }
 
+/// The command line that runs this executable as `cqa-perf`: `cqa-cli`
+/// nests this surface under its `perf` subcommand.
+fn self_command() -> Result<Vec<OsString>> {
+    let exe = std::env::current_exe()
+        .map_err(|e| CqaError::InvalidParameter(format!("cannot locate this executable: {e}")))?;
+    let mut cmd = vec![exe.as_os_str().to_owned()];
+    if exe.file_stem().is_some_and(|stem| stem == "cqa-cli") {
+        cmd.push("perf".into());
+    }
+    Ok(cmd)
+}
+
 fn diff_cmd(args: &[String], out: &mut dyn Write) -> Result<bool> {
-    let flags = parse_flags(args)?;
-    let against = flags
-        .get("against")
-        .ok_or_else(|| CqaError::InvalidParameter("diff needs --against FILE".into()))?;
-    let current = flags
-        .get("current")
-        .ok_or_else(|| CqaError::InvalidParameter("diff needs --current FILE".into()))?;
-    let baseline = BenchReport::read_from(&PathBuf::from(against))?;
-    let candidate = BenchReport::read_from(&PathBuf::from(current))?;
-    let mut opts = DiffOptions::default();
-    if let Some(t) = flags.get("tolerance") {
-        opts.tolerance = t.parse().map_err(|_| {
-            CqaError::InvalidParameter(format!("--tolerance wants a float, got '{t}'"))
-        })?;
+    let flags = parse_flags(args, &["base"])?;
+    let base = flags.get("base").map(Path::new).ok_or_else(|| {
+        CqaError::InvalidParameter(format!(
+            "diff needs --base PATH (the merge base's cqa-perf)\n{USAGE}"
+        ))
+    })?;
+    if !base.is_file() {
+        return Err(CqaError::InvalidParameter(format!("--base {} is not a file", base.display())));
     }
-    if flags.contains_key("allow-missing") {
-        opts.require_all_baseline_series = false;
-    }
-    let report = diff(&baseline, &candidate, &opts);
+    let dir = std::env::temp_dir().join(format!("cqa-perf-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| CqaError::InvalidParameter(format!("cannot create {}: {e}", dir.display())))?;
+    let clock = Stopwatch::start();
+    let rounds = run_rounds(&[base.as_os_str().to_owned()], &self_command()?, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let report = judge(&rounds?);
     write!(out, "{report}")
+        .and_then(|()| {
+            writeln!(out, "gate wall time: {:.0} s for {ROUNDS} rounds", clock.elapsed_secs())
+        })
         .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
     Ok(report.passed())
 }
 
 fn export_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["report", "dashboard"])?;
     let path = flags
         .get("report")
         .ok_or_else(|| CqaError::InvalidParameter("export needs --report FILE".into()))?;
@@ -179,15 +194,6 @@ pub fn dispatch(args: &[String], out: &mut dyn Write) -> Result<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{bench_series, EnvFingerprint};
-    use crate::stats::Summary;
-
-    fn report(pr: u64, value: f64) -> BenchReport {
-        let mut r = BenchReport::new(pr, 0, EnvFingerprint::default());
-        let s = Summary::from_samples(&[value, value * 1.01, value * 0.99]);
-        r.push(bench_series(crate::names::SeriesName::SchemeKlAnswerNs, &s)).unwrap();
-        r
-    }
 
     fn dispatch_str(args: &[&str]) -> (Result<i32>, String) {
         let mut buf = Vec::new();
@@ -206,41 +212,20 @@ mod tests {
     }
 
     #[test]
-    fn diff_exit_codes_follow_the_gate() {
-        let dir = std::env::temp_dir().join("cqa-perf-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("BENCH_5.json");
-        let same = dir.join("BENCH_6.json");
-        let slow = dir.join("BENCH_7.json");
-        report(5, 1.0e6).write_to(&base).unwrap();
-        report(6, 1.0e6).write_to(&same).unwrap();
-        report(7, 2.1e6).write_to(&slow).unwrap();
-
-        let (code, out) = dispatch_str(&[
-            "diff",
-            "--against",
-            base.to_str().unwrap(),
-            "--current",
-            same.to_str().unwrap(),
-        ]);
-        assert_eq!(code.unwrap(), 0, "{out}");
-        assert!(out.contains("PASS"), "{out}");
-
-        let (code, out) = dispatch_str(&[
-            "diff",
-            "--against",
-            base.to_str().unwrap(),
-            "--current",
-            slow.to_str().unwrap(),
-        ]);
-        assert_eq!(code.unwrap(), 1, "{out}");
-        assert!(out.contains("REGRESSED"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
+    fn diff_takes_only_a_base_binary() {
+        let err = |args: &[&str]| dispatch_str(args).0.unwrap_err().to_string();
+        assert!(err(&["diff"]).contains("diff needs --base PATH"));
+        for removed in ["--against", "--current", "--tolerance", "--allow-missing"] {
+            let e = err(&["diff", removed, "x"]);
+            assert!(e.contains(&format!("unknown flag '{removed}'")), "{e}");
+            let e = err(&["diff", "--base", "Cargo.toml", removed]);
+            assert!(e.contains(&format!("unknown flag '{removed}'")), "{e}");
+        }
+        assert!(err(&["diff", "--base", "no/such/cqa-perf"]).contains("is not a file"));
     }
 
     #[test]
     fn flag_errors_are_clean() {
-        assert!(dispatch_str(&["diff"]).0.is_err());
         assert!(dispatch_str(&["run", "--profile", "warp"]).0.is_err());
         assert!(dispatch_str(&["run", "--pr"]).0.is_err());
         assert!(dispatch_str(&["export"]).0.is_err());

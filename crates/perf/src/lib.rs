@@ -5,7 +5,8 @@
 //!
 //! The paper this workspace reproduces is itself a benchmark, so the repo
 //! holds itself to a machine-readable perf contract: every PR records a
-//! `BENCH_<pr>.json` at the repo root, and CI gates on the trajectory.
+//! `BENCH_<pr>.json` at the repo root as the trajectory, and CI gates each
+//! change by running the merge base's build and its own in turn.
 //!
 //! * [`names`] — every series name, as the [`names::SeriesName`] enum.
 //! * [`stats`] — warmup/repeat measurement with median + MAD outlier
@@ -15,7 +16,8 @@
 //! * [`suites`] — the suite registry: samplers, schemes, synopsis
 //!   construction, figure pipeline, server throughput/tail latency, and
 //!   the ablation and DKLR-cost series.
-//! * [`mod@diff`] — the noise-aware regression gate.
+//! * [`mod@diff`] — the paired regression gate: base and head alternate
+//!   per suite for 12 rounds, judged per series by a sign test.
 //! * [`dashboard`] — `dev/bench/data.js` + static HTML export.
 //! * [`cli`] — argument parsing/dispatch shared by the `cqa-perf` binary
 //!   and `cqa-cli perf`.
@@ -31,7 +33,7 @@ pub mod schema;
 pub mod stats;
 pub mod suites;
 
-pub use diff::{diff, DiffOptions, DiffReport, Verdict};
+pub use diff::{judge, DiffReport, Round, Verdict};
 pub use schema::{bench_series, BenchReport, EnvFingerprint, Series};
 pub use stats::{MeasureOpts, Summary};
 pub use suites::Profile;

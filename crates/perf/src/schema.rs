@@ -10,7 +10,6 @@
 use crate::names::{self, SeriesName};
 use crate::stats::Summary;
 use cqa_common::{CqaError, Json, Result};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Schema identifier written into every report.
@@ -23,11 +22,10 @@ pub struct Series {
     pub name: String,
     /// Unit of `value` (display only; the gate works on ratios).
     pub unit: String,
-    /// Gated value: the *best* observed repeat (min for latency series,
-    /// max for throughput). On shared CI hardware whole runs land in a
-    /// throttled or boosted machine state, so run medians swing ~2×
-    /// between identical re-runs while the best case stays stable — the
-    /// same reason pyperf and benchstat gate on min-of-N.
+    /// Recorded value: the *best* observed repeat (min for latency
+    /// series, max for throughput), the statistic pyperf and benchstat
+    /// report too. Even so it moves by tens of percent between processes,
+    /// which is why the gate pairs runs (see [`mod@crate::diff`]).
     pub value: f64,
     /// Robust spread (MAD of the repeats, same unit as `value`).
     pub spread: f64,
@@ -36,20 +34,6 @@ pub struct Series {
 }
 
 impl Series {
-    /// True when larger values of this series are better.
-    pub fn higher_is_better(&self) -> bool {
-        names::higher_is_better(&self.name)
-    }
-
-    /// Relative spread (MAD / value), 0 when the value is 0.
-    pub fn rel_spread(&self) -> f64 {
-        if self.value > 0.0 {
-            self.spread / self.value
-        } else {
-            0.0
-        }
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("name", Json::from(self.name.as_str())),
@@ -244,11 +228,6 @@ impl BenchReport {
         let j = Json::parse(&text)
             .map_err(|e| CqaError::Parse(format!("cannot parse {}: {e}", path.display())))?;
         BenchReport::from_json(&j)
-    }
-
-    /// Series as a name → series map (diff convenience).
-    pub fn by_name(&self) -> BTreeMap<&str, &Series> {
-        self.series.iter().map(|s| (s.name.as_str(), s)).collect()
     }
 }
 

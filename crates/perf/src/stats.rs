@@ -4,11 +4,10 @@
 //! (scheduler preemption, cache cold starts, page faults): the minimum and
 //! median are stable, the mean is not. Every suite therefore reports the
 //! **median** of its repeats with the **MAD** (median absolute deviation)
-//! as the spread, after rejecting gross outliers — the same robust pair
-//! the regression gate in [`mod@crate::diff`] builds its noise envelope from.
+//! as the spread, after rejecting gross outliers.
 //!
-//! All summary math is deterministic on a fixed sample vector, so the gate
-//! logic is unit-testable without touching a clock.
+//! All summary math is deterministic on a fixed sample vector, so it is
+//! unit-testable without touching a clock.
 
 use cqa_common::Stopwatch;
 use std::time::Duration;
@@ -98,15 +97,6 @@ impl Summary {
             max: hi,
             count: kept.len() as u64,
             rejected: (samples.len() - kept.len()) as u64,
-        }
-    }
-
-    /// Relative spread (MAD / median), 0 when the median is 0.
-    pub fn rel_spread(&self) -> f64 {
-        if self.median > 0.0 {
-            self.mad / self.median
-        } else {
-            0.0
         }
     }
 }

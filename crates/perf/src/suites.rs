@@ -32,9 +32,10 @@
 //!    single-image pairs of ratio 4⁻¹, 4⁻², 4⁻³: the 1/µ cost growth
 //!    behind every trend in Figures 1–2.
 //!
-//! Everything runs at a pinned seed/scale from the [`Profile`]; wall-clock
-//! noise is handled downstream by the robust summaries and the gate's
-//! envelope, not by pretending the numbers are exact.
+//! Everything runs at a pinned seed/scale from the [`Profile`]. One run's
+//! numbers are not repeatable to better than tens of percent; the gate in
+//! [`mod@crate::diff`] copes by pairing the base and the head per suite
+//! over many rounds, not by pretending the numbers are exact.
 
 use crate::names::SeriesName;
 use crate::schema::{bench_series, Series};

@@ -226,11 +226,7 @@ impl<'a> Graph<'a> {
     /// The terminal type of a variable in `f`, if recoverable. Generic
     /// params resolve to their first trait bound.
     fn var_type(&self, f: &FnItem, name: &str) -> Option<String> {
-        let base = f.params.get(name).or_else(|| f.locals.get(name)).cloned().or_else(|| {
-            let chain = f.local_chains.get(name)?;
-            let ty = f.self_ty.as_deref()?;
-            self.walk_fields(ty, &chain[1..]).map(str::to_owned)
-        })?;
+        let base = f.params.get(name).or_else(|| f.locals.get(name)).cloned()?;
         // `s: S` with `S: Sampler` → the bound is the usable type.
         Some(f.generics.get(&base).cloned().unwrap_or(base))
     }

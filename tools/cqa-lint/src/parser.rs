@@ -128,9 +128,6 @@ pub struct FnItem {
     pub generics: BTreeMap<String, String>,
     /// `let` locals with a directly annotated or ctor-inferred type.
     pub locals: BTreeMap<String, String>,
-    /// `let x = self.f.g;` — locals bound to a field chain, resolved
-    /// against the struct table at graph-build time.
-    pub local_chains: BTreeMap<String, Vec<String>>,
     /// Every binding name in scope (params, `let`s, `for` patterns) —
     /// a free "call" on one of these is a closure/fn-pointer invocation,
     /// not a named function.
@@ -708,27 +705,6 @@ fn scan_let(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
             f.closure_bindings.insert(name.clone());
         }
     }
-    // `let x = self.f.g;` (optionally `&`-prefixed): a field chain.
-    let mut j = rhs;
-    while j < end && toks[j].is_punct('&') {
-        j += 1;
-    }
-    if toks.get(j).is_some_and(|t| t.is_ident("self")) {
-        let mut chain = vec!["self".to_owned()];
-        let mut k = j + 1;
-        while k + 1 < end
-            && toks[k].is_punct('.')
-            && toks[k + 1].kind == TokKind::Ident
-            && !toks.get(k + 2).is_some_and(|t| t.is_punct('('))
-        {
-            chain.push(toks[k + 1].text.clone());
-            k += 2;
-        }
-        if chain.len() > 1 && toks.get(k).is_some_and(|t| t.is_punct(';')) {
-            f.local_chains.insert(name, chain);
-            return;
-        }
-    }
     // `let x = Type::ctor(…);` — take the last capitalized path segment.
     let mut k = rhs;
     let mut last_type: Option<String> = None;
@@ -1120,17 +1096,14 @@ mod tests {
     #[test]
     fn let_type_inference() {
         let p = parse(
-            "struct D { pair: Pair } \
-             impl D { fn f(&self) { \
+            "impl D { fn f(&self) { \
                let a: Vec<u32> = make(); \
                let d = SymbolicDraw::new(1); \
-               let pair = self.pair; \
-               d.go(); pair.check(); } }",
+               d.go(); } }",
         );
         let f = fn_named(&p, "f");
         assert_eq!(f.locals.get("a").map(String::as_str), Some("Vec"));
         assert_eq!(f.locals.get("d").map(String::as_str), Some("SymbolicDraw"));
-        assert_eq!(f.local_chains.get("pair"), Some(&vec!["self".to_owned(), "pair".to_owned()]));
         assert!(f.calls.iter().any(|c| matches!(
             c,
             Call::Method { name, recv: Receiver::Var(v, _), .. } if name == "go" && v == "d"
