@@ -131,7 +131,6 @@ impl SamplingKernel {
         self.atom_start.len() - 1
     }
 
-    // cqa-lint: hot-path begin — the per-sample draws and containment tests
     /// Draws `I ∈ db(B)` uniformly into `chosen`.
     #[inline(always)]
     pub fn draw_database(&self, rng: &mut Mt64, chosen: &mut [u32]) {
@@ -179,10 +178,8 @@ impl SamplingKernel {
     fn image(&self, i: usize) -> &[ImageAtom] {
         &self.atoms[self.atom_start[i] as usize..self.atom_start[i + 1] as usize]
     }
-    // cqa-lint: hot-path end
 }
 
-// cqa-lint: hot-path begin — the containment scans
 /// The images whose atom ranges `offsets` delimits, in order. Walking the
 /// offsets pairwise spares the two index checks per image that
 /// [`SamplingKernel::image`] makes.
@@ -196,7 +193,6 @@ fn images<'a>(offsets: &'a [u32], atoms: &'a [ImageAtom]) -> impl Iterator<Item 
 fn holds(image: &[ImageAtom], chosen: &[u32]) -> bool {
     image.iter().fold(true, |all, a| all & (chosen[a.block as usize] == a.tid))
 }
-// cqa-lint: hot-path end
 
 /// Sampler 1: uniform over the natural space `db(B)`.
 pub struct NaturalSampler {
@@ -214,7 +210,6 @@ impl NaturalSampler {
 }
 
 impl Sampler for NaturalSampler {
-    // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         self.kernel.draw_database(rng, &mut self.chosen);
@@ -225,7 +220,6 @@ impl Sampler for NaturalSampler {
             0.0
         }
     }
-    // cqa-lint: hot-path end
 
     fn r_factor(&self) -> f64 {
         1.0
@@ -258,7 +252,6 @@ impl SymbolicDraw {
 
     /// Draws `(i, I)`: the image index is returned, the database `I` is
     /// left in the internal `chosen` buffer.
-    // cqa-lint: hot-path begin — one call per KL/KLM sample
     #[inline(always)]
     pub fn draw(&mut self, rng: &mut Mt64) -> usize {
         let i = self.alias.sample(rng);
@@ -274,7 +267,6 @@ impl SymbolicDraw {
     pub fn contains(&self, j: usize) -> bool {
         self.kernel.contained(j, &self.chosen)
     }
-    // cqa-lint: hot-path end
 
     /// The chosen database from the last [`Self::draw`].
     #[inline]
@@ -299,7 +291,6 @@ impl KlSampler {
 }
 
 impl Sampler for KlSampler {
-    // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let i = self.draw.draw(rng);
@@ -310,7 +301,6 @@ impl Sampler for KlSampler {
             1.0
         }
     }
-    // cqa-lint: hot-path end
 
     fn r_factor(&self) -> f64 {
         self.r
@@ -339,7 +329,6 @@ impl KlmSampler {
 }
 
 impl Sampler for KlmSampler {
-    // cqa-lint: hot-path begin — one call per Monte-Carlo sample
     #[inline(always)]
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let _ = self.draw.draw(rng);
@@ -347,7 +336,6 @@ impl Sampler for KlmSampler {
         debug_assert!(k >= 1, "the drawn image must be contained");
         1.0 / k as f64
     }
-    // cqa-lint: hot-path end
 
     fn r_factor(&self) -> f64 {
         self.r

@@ -1,23 +1,33 @@
-//! Runtime cross-check of cqa-lint's `no-alloc-in-hot-path` rule.
+//! The one check that sampling and enumeration do not allocate per step.
 //!
-//! The static rule proves "no allocation is *reachable* from the marked
-//! sampling regions" on a conservative call graph; this harness proves the
-//! dynamic counterpart: a counting `#[global_allocator]` wraps the system
-//! allocator, and every scheme's per-sample work must register **zero**
-//! heap operations. The two checks fail together when someone puts a
-//! `Vec::push` back into a sampler loop — the lint at `cargo run -p
-//! cqa-lint -- check`, this test at `cargo test`.
+//! A counting `#[global_allocator]` wraps the system allocator with a
+//! thread-local heap-operation counter, and the harness asserts that
+//!
+//! * each sampler's `sample()` makes zero heap operations over 2 048
+//!   calls;
+//! * every scheme, run end to end through `approx_relative_frequency`,
+//!   makes as many heap operations at a small ε as at a large one that
+//!   draws at least 4× the samples, so no estimator phase loop (stopping
+//!   rule, variance pairs, final loop, Cover's trial and probe loops)
+//!   allocates per sample;
+//! * homomorphism enumeration makes a bounded number of heap operations
+//!   however many candidate rows the join kernel visits.
+//!
+//! Run it under the debug profile (`cargo test`): an optimized build may
+//! elide an allocation the source makes, which would hide it here.
 //!
 //! The counter is thread-local so the harness stays exact while the rest
 //! of the test binary runs on sibling threads.
 
 use cqa_common::Mt64;
-use cqa_core::coverage::self_adjusting_coverage;
 use cqa_core::sampler::{KlSampler, KlmSampler, NaturalSampler, Sampler};
-use cqa_core::scheme::Budget;
+use cqa_core::scheme::{approx_relative_frequency, Budget, ALL_SCHEMES};
+use cqa_query::{for_each_hom, parse, EvalOptions};
+use cqa_storage::{ColumnType::Int, Database, Schema, Value};
 use cqa_synopsis::AdmissiblePair;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 
 /// Forwards to [`System`], counting every heap operation that can acquire
 /// memory on the current thread.
@@ -61,6 +71,10 @@ fn heap_ops_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let after = HEAP_OPS.with(Cell::get);
     (after - before, value)
 }
+
+// ---------------------------------------------------------------------------
+// Sampling
+// ---------------------------------------------------------------------------
 
 const SAMPLES: usize = 2_048; // ≥ 10³ per the acceptance bar
 
@@ -134,44 +148,117 @@ fn samplers_are_alloc_free_on_one_fact_blocks() {
     assert_sampling_is_alloc_free(KlmSampler::new(&pair), 109);
 }
 
+/// The estimators own their phase loops (no public per-sample hook), so
+/// they are measured differentially: a run at the small ε draws at least
+/// 4× the samples of one at the large ε and must cost exactly as many
+/// heap operations — all allocation is one-time setup.
 #[test]
-fn coverage_allocations_do_not_scale_with_steps() {
-    assert_coverage_is_alloc_free(&overlap_pair());
-}
-
-#[test]
-fn coverage_is_alloc_free_on_one_fact_blocks() {
-    assert_coverage_is_alloc_free(&one_fact_pair());
-}
-
-/// The coverage scheme owns its loop (no public per-sample hook), so it is
-/// measured differentially: a run with a ~4× larger step budget must cost
-/// exactly as many heap operations as a small run — i.e. the inner loop
-/// contributes zero and all allocation is one-time setup.
-fn assert_coverage_is_alloc_free(pair: &AdmissiblePair) {
+fn estimator_heap_ops_do_not_scale_with_samples() {
+    const EPS_LARGE: f64 = 0.5;
+    const EPS_SMALL: f64 = 0.03;
     let budget = Budget::unbounded();
-    // Warm-up run: name interning and other first-use laziness.
-    let mut rng = Mt64::new(104);
-    self_adjusting_coverage(pair, 0.2, 0.25, &budget, &mut rng).unwrap();
+    for (name, pair) in [("overlap", overlap_pair()), ("one-fact", one_fact_pair())] {
+        for scheme in ALL_SCHEMES {
+            let run = |eps: f64, seed: u64| {
+                let mut rng = Mt64::new(seed);
+                heap_ops_during(|| {
+                    approx_relative_frequency(&pair, scheme, eps, 0.25, &budget, &mut rng).unwrap()
+                })
+            };
+            // Warm-up run: name interning and other first-use laziness.
+            run(EPS_LARGE, 104);
+            let (few_ops, few) = run(EPS_LARGE, 105);
+            let (many_ops, many) = run(EPS_SMALL, 106);
+            assert!(
+                many.samples >= 4 * few.samples,
+                "{scheme} on {name}: ε values too close to discriminate ({} vs {} samples)",
+                many.samples,
+                few.samples
+            );
+            assert_eq!(
+                few_ops, many_ops,
+                "{scheme} on {name}: heap ops scale with the sample count ({few_ops} at {} \
+                 samples vs {many_ops} at {}) — a phase loop allocates",
+                few.samples, many.samples
+            );
+        }
+    }
+}
 
-    let mut rng_small = Mt64::new(105);
-    let (small_ops, small) = heap_ops_during(|| {
-        self_adjusting_coverage(pair, 0.2, 0.25, &budget, &mut rng_small).unwrap()
-    });
-    let mut rng_big = Mt64::new(106);
-    let (big_ops, big) = heap_ops_during(|| {
-        self_adjusting_coverage(pair, 0.08, 0.25, &budget, &mut rng_big).unwrap()
-    });
+// ---------------------------------------------------------------------------
+// Enumeration
+// ---------------------------------------------------------------------------
+
+const ROWS: i64 = 20_000;
+
+/// `item(k, g)`: every item in group 1. `tag(k, t)`: one tag per item,
+/// tag 7 on every 5000th item only.
+fn database() -> Database {
+    let schema = Schema::builder()
+        .relation("item", &[("k", Int), ("g", Int)], Some(1))
+        .relation("tag", &[("k", Int), ("t", Int)], None)
+        .build();
+    let mut db = Database::new(schema);
+    for k in 0..ROWS {
+        db.insert_named("item", &[Value::Int(k), Value::Int(1)]).unwrap();
+        let t = if k % 5000 == 0 { 7 } else { k % 5 };
+        db.insert_named("tag", &[Value::Int(k), Value::Int(t)]).unwrap();
+    }
+    db
+}
+
+/// Visits the homomorphisms, counting candidates indirectly: every item row
+/// is a candidate of the first step and a probe of the second.
+fn enumerate(db: &Database, text: &str) -> (u64, usize) {
+    let q = parse(db.schema(), text).unwrap();
+    let mut homs = 0usize;
+    let run = || {
+        for_each_hom(db, &q, EvalOptions::default(), |_, _| {
+            homs += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap()
+    };
+    let (ops, ()) = heap_ops_during(run);
+    (ops, homs)
+}
+
+#[test]
+fn enumeration_heap_ops_do_not_scale_with_candidates() {
+    let db = database();
+    // Both atoms have one constant and 20k rows, so the plan takes `item`,
+    // the first, and visits all 20k rows of group 1; each probes `tag` on
+    // (k, 7).
+    let text = "Q(k) :- item(k, 1), tag(k, 7)";
+    // Warm-up builds and caches both indexes.
+    let (_, homs) = enumerate(&db, text);
+    assert_eq!(homs, 4, "items 0, 5000, 10000 and 15000 carry tag 7");
+
+    let (ops, homs) = enumerate(&db, text);
+    let plan_steps = 2u64;
+    // Per plan step: the key and op lists, the index-cache lookup key and
+    // a small per-atom set; per run: constants, binding, facts, key buffer
+    // and the step list. Nothing per candidate (20k) or per probe (20k).
+    let bound = 16 * plan_steps + 16 + homs as u64;
     assert!(
-        big.steps >= 4 * small.steps,
-        "budgets too close to discriminate: {} vs {} steps",
-        big.steps,
-        small.steps
+        ops <= bound,
+        "{ops} heap ops to enumerate {homs} homomorphisms over {ROWS} candidates; \
+         expected at most {bound} (plan steps + homomorphisms)"
     );
-    assert_eq!(
-        small_ops, big_ops,
-        "coverage heap ops scale with the step count ({small_ops} at {} steps vs {big_ops} at {} \
-         steps) — the sampling loop allocates",
-        small.steps, big.steps
+}
+
+#[test]
+fn scan_steps_do_not_allocate_per_row() {
+    let db = database();
+    // No constant: the first step scans `tag`, then probes `item` by key.
+    let text = "Q(k, t) :- tag(k, t), item(k, g)";
+    let (_, homs) = enumerate(&db, text);
+    assert_eq!(homs, ROWS as usize);
+    let (ops, homs) = enumerate(&db, text);
+    let bound = 16 * 2 + 16;
+    assert!(
+        ops <= bound,
+        "{ops} heap ops to enumerate {homs} homomorphisms; the visitor keeps nothing, so \
+         enumeration itself must stay within {bound}"
     );
 }

@@ -148,33 +148,13 @@ impl Histogram {
         self.sum_micros() as f64 / count as f64 / 1000.0
     }
 
-    /// Approximate `q`-quantile (`0 < q ≤ 1`) in milliseconds: the upper
-    /// edge of the bucket containing the `⌈q·n⌉`-th observation, i.e. an
-    /// overestimate by at most 2×. Empty histograms report 0, never NaN.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (1u64 << (i + 1)) as f64 / 1000.0;
-            }
-        }
-        (1u64 << BUCKETS) as f64 / 1000.0
-    }
-
-    /// Several quantiles from **one** relaxed bucket snapshot — the export
-    /// hook for perf recorders and the stats renderers. Calling
-    /// [`Histogram::quantile_ms`] per quantile re-reads the buckets each
-    /// time, so concurrent recording can make p99 < p50; reading the
-    /// snapshot once keeps the reported quantiles mutually consistent.
-    /// Values follow `quantile_ms` semantics (upper bucket edge, ≤ 2×
-    /// overestimate, 0 when empty).
+    /// Approximate `q`-quantiles (`0 < q ≤ 1`) in milliseconds, all from
+    /// **one** relaxed bucket snapshot — the export hook for perf recorders
+    /// and the stats renderers. Each value is the upper edge of the bucket
+    /// containing the `⌈q·n⌉`-th observation, i.e. an overestimate by at
+    /// most 2×. Empty histograms report 0, never NaN. Reading the snapshot
+    /// once keeps the quantiles mutually consistent under concurrent
+    /// recording: p99 is never below p50.
     pub fn quantiles_ms(&self, qs: &[f64]) -> Vec<f64> {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
@@ -394,8 +374,7 @@ mod tests {
             h.record(Duration::from_micros(micros));
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.quantile_ms(1.0), 131.072);
-        assert_eq!(h.quantile_ms(0.5), 0.128);
+        assert_eq!(h.quantiles_ms(&[1.0, 0.5]), [131.072, 0.128]);
     }
 
     #[test]
@@ -420,12 +399,12 @@ mod tests {
         assert_eq!(h.sum_micros(), 0);
         assert_eq!(h.bucket_counts()[0], 1);
         // Upper edge of bucket 0 is 2 µs.
-        assert_eq!(h.quantile_ms(1.0), 0.002);
+        assert_eq!(h.quantiles_ms(&[1.0])[0], 0.002);
         assert_eq!(h.mean_ms(), 0.0);
     }
 
     #[test]
-    fn quantiles_ms_matches_per_quantile_reads() {
+    fn quantiles_ms_are_monotone_in_q() {
         let h = Histogram::new();
         for i in 1..=1000u64 {
             h.record_micros(i);
@@ -433,9 +412,6 @@ mod tests {
         let qs = [0.50, 0.95, 0.99, 0.999, 1.0];
         let batch = h.quantiles_ms(&qs);
         assert_eq!(batch.len(), qs.len());
-        for (q, got) in qs.iter().zip(&batch) {
-            assert_eq!(*got, h.quantile_ms(*q), "q={q}");
-        }
         // Quantiles from one snapshot are monotone in q.
         for w in batch.windows(2) {
             assert!(w[0] <= w[1]);
@@ -447,7 +423,7 @@ mod tests {
     fn empty_histogram_quantiles_are_defined() {
         let h = Histogram::new();
         for q in [0.01, 0.5, 0.95, 0.99, 1.0] {
-            let v = h.quantile_ms(q);
+            let v = h.quantiles_ms(&[q])[0];
             assert!(v.is_finite() && v == 0.0, "q={q} gave {v}");
         }
         assert_eq!(h.mean_ms(), 0.0);
@@ -461,7 +437,7 @@ mod tests {
             h.record_micros(i);
         }
         for (q, exact) in [(0.50, 500.0), (0.95, 950.0), (0.99, 990.0)] {
-            let est = h.quantile_ms(q) * 1000.0;
+            let est = h.quantiles_ms(&[q])[0] * 1000.0;
             assert!(
                 est >= exact && est <= 2.0 * exact,
                 "uniform q={q}: estimate {est} µs vs exact {exact} µs"
@@ -480,7 +456,7 @@ mod tests {
         for q in [0.50f64, 0.95, 0.99] {
             let rank = (q * 1000.0).ceil() as u64;
             let exact = (1u64 << ((rank - 1) / 100)) as f64;
-            let est = g.quantile_ms(q) * 1000.0;
+            let est = g.quantiles_ms(&[q])[0] * 1000.0;
             assert!(
                 est >= exact && est <= 2.0 * exact,
                 "geometric q={q}: estimate {est} µs vs exact {exact} µs"

@@ -9,11 +9,13 @@
 //!   to every workspace `impl` of the trait plus its default methods.
 //! - A method call whose receiver type is *unknown* resolves to the union
 //!   of all same-named workspace methods — unless the name is a std
-//!   panic/alloc method (`unwrap`, `clone`, …), which is taken as the std
-//!   effect directly. That keeps workspace methods that happen to share a
-//!   std name (`Parser::expect`, the JSON reader's `self.expect(b'"')`)
-//!   from being misread as `Option::expect`, while an `.unwrap()` on an
-//!   arbitrary expression still counts as a panic site.
+//!   panic method (`unwrap`, `expect`), which is taken as the std panic
+//!   directly, or a common std container/iterator method (`iter`,
+//!   `clone`, `push`, …), which is taken as the std one. That keeps
+//!   workspace methods that happen to share a std name (`Parser::expect`,
+//!   the JSON reader's `self.expect(b'"')`) from being misread as
+//!   `Option::expect`, while an `.unwrap()` on an arbitrary expression
+//!   still counts as a panic site.
 //! - A free call on a known *binding* (param, `let`, `for` pattern) is a
 //!   closure or fn-pointer invocation the graph cannot see through: an
 //!   **opaque call**, surfaced to the rules instead of silently dropped.
@@ -23,8 +25,8 @@
 //! attributed to the enclosing fn), `?` edges into every workspace `From`
 //! impl (the desugared `From::from` on the error path), and every local,
 //! parameter, or guard binding whose type has a workspace `Drop` impl now
-//! synthesizes an implicit `T::drop` edge at its scope end, so
-//! panic/alloc/lockflow reachability sees destructors. The remaining
+//! synthesizes an implicit `T::drop` edge at its scope end, so panic and
+//! lockflow reachability sees destructors. The remaining
 //! blind spots are documented in `docs/ANALYSIS.md`: operator overloads
 //! and calls through closure *values* built in one function and invoked
 //! in another.
@@ -35,16 +37,17 @@ use std::collections::{BTreeMap, VecDeque};
 /// Identifies a function as (file index, fn index) into the parsed set.
 pub type FnId = (usize, usize);
 
-/// A reachability seed: a function, optionally restricted to inclusive
-/// line ranges (the marked hot-path regions).
-pub type Seed = (FnId, Option<Vec<(u32, u32)>>);
-
 /// Methods on std types that panic on bad input. Only consulted when the
 /// receiver does not resolve to a workspace method of the same name.
 const STD_PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 
-/// Methods on std types that allocate. Same consultation rule.
-const STD_ALLOC_METHODS: [&str; 14] = [
+/// Method names so dominated by std containers/iterators that an
+/// *unknown*-receiver call is assumed to be the std one rather than
+/// unioned over same-named workspace methods. Without this, every
+/// `foo().iter()` or `v.push(x)` in the workspace would edge into each
+/// workspace method named `iter` or `push`. Known-receiver calls still
+/// resolve to workspace methods of these names.
+const STD_METHODS: [&str; 34] = [
     "clone",
     "to_string",
     "to_owned",
@@ -59,15 +62,6 @@ const STD_ALLOC_METHODS: [&str; 14] = [
     "join",
     "concat",
     "into_boxed_slice",
-];
-
-/// Method names so dominated by std containers/iterators that an
-/// *unknown*-receiver call is assumed to be the std one (pure) rather than
-/// unioned over same-named workspace methods. Without this, every
-/// `foo().iter()` in the workspace would edge into each workspace method
-/// named `iter`. Known-receiver calls still resolve to workspace methods
-/// of these names.
-const STD_PURE_METHODS: [&str; 20] = [
     "iter",
     "iter_mut",
     "into_iter",
@@ -93,13 +87,6 @@ const STD_PURE_METHODS: [&str; 20] = [
 /// Macros that unconditionally panic when reached.
 const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
 
-/// Macros that allocate.
-const ALLOC_MACROS: [&str; 2] = ["format", "vec"];
-
-/// Std owner types whose constructors allocate (`Vec::with_capacity`, …).
-const ALLOC_TYPES: [&str; 6] = ["Vec", "Box", "String", "BTreeMap", "HashMap", "VecDeque"];
-const ALLOC_CTORS: [&str; 4] = ["new", "from", "with_capacity", "from_iter"];
-
 /// The workspace's seeded RNG type and its root constructors. `fork` is
 /// the sanctioned derivation and is not listed.
 pub const RNG_TYPE: &str = "Mt64";
@@ -116,13 +103,11 @@ pub struct Site {
 /// Per-function analysis facts.
 #[derive(Debug, Default)]
 pub struct FnFacts {
-    /// Workspace callees, with the call line (used to restrict seed
-    /// traversal to a marked region).
+    /// Workspace callees, with the call line (lockflow keeps the edges
+    /// leaving a held-guard span).
     pub edges: Vec<(FnId, u32)>,
     /// Sites that can panic (std methods and panic macros).
     pub panics: Vec<Site>,
-    /// Sites that allocate (std methods, macros, constructors).
-    pub allocs: Vec<Site>,
     /// Free calls through bindings — dynamic dispatch the graph cannot
     /// resolve.
     pub opaques: Vec<Site>,
@@ -276,19 +261,16 @@ impl<'a> Graph<'a> {
                 Call::Macro { name, line } => {
                     if PANIC_MACROS.contains(&name.as_str()) {
                         facts.panics.push(Site { line: *line, what: format!("{name}!") });
-                    } else if ALLOC_MACROS.contains(&name.as_str()) {
-                        facts.allocs.push(Site { line: *line, what: format!("{name}!") });
                     }
                 }
                 Call::Method { name, recv, line } => {
                     let cands = match self.receiver_type(f, recv) {
                         Some(ty) => self.method_candidates(&ty, name),
-                        // Unknown receiver: std effect/pure names win (see
-                        // the module docs), otherwise union over all
-                        // same-named workspace methods.
+                        // Unknown receiver: std names win (see the module
+                        // docs), otherwise union over all same-named
+                        // workspace methods.
                         None if STD_PANIC_METHODS.contains(&name.as_str())
-                            || STD_ALLOC_METHODS.contains(&name.as_str())
-                            || STD_PURE_METHODS.contains(&name.as_str()) =>
+                            || STD_METHODS.contains(&name.as_str()) =>
                         {
                             Vec::new()
                         }
@@ -298,8 +280,6 @@ impl<'a> Graph<'a> {
                         facts.edges.extend(cands.into_iter().map(|id| (id, *line)));
                     } else if STD_PANIC_METHODS.contains(&name.as_str()) {
                         facts.panics.push(Site { line: *line, what: format!(".{name}()") });
-                    } else if STD_ALLOC_METHODS.contains(&name.as_str()) {
-                        facts.allocs.push(Site { line: *line, what: format!(".{name}()") });
                     }
                 }
                 Call::Path { qualifier, name, line } => {
@@ -316,8 +296,6 @@ impl<'a> Graph<'a> {
                     let cands = self.method_candidates(q, name);
                     if !cands.is_empty() {
                         facts.edges.extend(cands.into_iter().map(|id| (id, *line)));
-                    } else if ALLOC_TYPES.contains(&q) && ALLOC_CTORS.contains(&name.as_str()) {
-                        facts.allocs.push(Site { line: *line, what: format!("{q}::{name}") });
                     } else if let Some(ids) = self.free_fns.get(name.as_str()) {
                         // Module-qualified free fn (`cqa_query::parse(…)`).
                         facts.edges.extend(ids.iter().map(|id| (*id, *line)));
@@ -379,8 +357,8 @@ impl<'a> Graph<'a> {
         // Implicit destructors: a local, parameter, or lock-guard binding
         // whose type has a workspace `Drop` impl runs `T::drop` when its
         // scope (or guard span) ends. The token scan cannot see that call,
-        // so synthesize the edge here — this is what lets
-        // panic/alloc/lockflow reachability into destructor bodies.
+        // so synthesize the edge here — this is what lets panic and
+        // lockflow reachability into destructor bodies.
         if f.end_line > 0 {
             let mut drop_sites: Vec<(String, u32)> = Vec::new();
             for ty in f.params.values().chain(f.locals.values()) {
@@ -410,22 +388,17 @@ impl<'a> Graph<'a> {
         facts
     }
 
-    /// BFS over the graph from `seeds`. A seed may carry line ranges: its
-    /// own edges (and direct effects, which the caller checks) only count
-    /// when the call line falls inside one of the ranges; transitively
-    /// reached functions count in full. Returns reached fn → parent (seeds
-    /// map to themselves), for path reconstruction.
-    pub fn reach(&self, seeds: &[Seed]) -> BTreeMap<FnId, FnId> {
+    /// BFS over the graph from `seeds`. Returns reached fn → parent (seeds
+    /// map to themselves), for path reconstruction. Each seed's callees
+    /// are claimed before the next seed is entered, so a callee that is
+    /// also a later seed reports the path through the earlier one.
+    pub fn reach(&self, seeds: &[FnId]) -> BTreeMap<FnId, FnId> {
         let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
         let mut queue: VecDeque<FnId> = VecDeque::new();
-        let in_ranges = |ranges: &Option<Vec<(u32, u32)>>, line: u32| match ranges {
-            None => true,
-            Some(rs) => rs.iter().any(|(a, b)| (*a..=*b).contains(&line)),
-        };
-        for (id, ranges) in seeds {
+        for id in seeds {
             parent.entry(*id).or_insert(*id);
-            for (callee, line) in &self.facts[id.0][id.1].edges {
-                if in_ranges(ranges, *line) && !parent.contains_key(callee) {
+            for (callee, _) in &self.facts[id.0][id.1].edges {
+                if !parent.contains_key(callee) {
                     parent.insert(*callee, *id);
                     queue.push_back(*callee);
                 }
@@ -495,8 +468,7 @@ mod tests {
             ("b.rs", "pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }"),
         ]);
         let g = Graph::build(&files);
-        let seeds = vec![(id_of(&g, "entry"), None)];
-        let reached = g.reach(&seeds);
+        let reached = g.reach(&[id_of(&g, "entry")]);
         let h = id_of(&g, "helper");
         assert!(reached.contains_key(&h));
         assert_eq!(g.facts[h.0][h.1].panics.len(), 1);
@@ -513,7 +485,7 @@ mod tests {
              fn other() {}",
         )]);
         let g = Graph::build(&files);
-        let reached = g.reach(&[(id_of(&g, "run"), None)]);
+        let reached = g.reach(&[id_of(&g, "run")]);
         assert!(reached.contains_key(&id_of(&g, "go")));
         assert!(reached.contains_key(&id_of(&g, "other")));
     }
@@ -533,7 +505,7 @@ mod tests {
              fn use_it(_g: &Guard) {}",
         )]);
         let g = Graph::build(&files);
-        let reached = g.reach(&[(id_of(&g, "entry"), None)]);
+        let reached = g.reach(&[id_of(&g, "entry")]);
         assert!(reached.contains_key(&id_of(&g, "drop")), "implicit Drop edge missing");
         assert!(reached.contains_key(&id_of(&g, "cleanup")), "destructor body not traversed");
     }
@@ -552,7 +524,7 @@ mod tests {
              fn use_it(_p: &Plain) {}",
         )]);
         let g = Graph::build(&files);
-        let reached = g.reach(&[(id_of(&g, "entry"), None)]);
+        let reached = g.reach(&[id_of(&g, "entry")]);
         assert!(!reached.contains_key(&id_of(&g, "never_runs")), "inherent drop pulled in");
     }
 
@@ -584,16 +556,17 @@ mod tests {
         let files = build(&[(
             "a.rs",
             "trait Sampler { fn sample(&mut self); } \
-             struct A; impl Sampler for A { fn sample(&mut self) { alloc_it(); } } \
+             struct A; impl Sampler for A { fn sample(&mut self) { helper(); } } \
              struct B; impl Sampler for B { fn sample(&mut self) {} } \
              fn drive<S: Sampler>(s: &mut S) { s.sample(); } \
-             fn alloc_it() { let _v = Vec::with_capacity(8); }",
+             fn helper() {}",
         )]);
         let g = Graph::build(&files);
-        let reached = g.reach(&[(id_of(&g, "drive"), None)]);
-        let a = id_of(&g, "alloc_it");
-        assert!(reached.contains_key(&a), "impl A's body must be reachable through the bound");
-        assert_eq!(g.facts[a.0][a.1].allocs.len(), 1);
+        let reached = g.reach(&[id_of(&g, "drive")]);
+        assert!(
+            reached.contains_key(&id_of(&g, "helper")),
+            "impl A's body must be reachable through the bound"
+        );
     }
 
     #[test]
@@ -606,19 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn region_restricted_seed_only_follows_in_region_edges() {
-        let files = build(&[(
-            "a.rs",
-            "fn seed() {\n  cold();\n  hot();\n}\nfn cold() { x.unwrap(); }\nfn hot() {}",
-        )]);
-        let g = Graph::build(&files);
-        // Only line 3 (`hot()`) is inside the region.
-        let reached = g.reach(&[(id_of(&g, "seed"), Some(vec![(3, 3)]))]);
-        assert!(reached.contains_key(&id_of(&g, "hot")));
-        assert!(!reached.contains_key(&id_of(&g, "cold")));
-    }
-
-    #[test]
     fn same_fn_closure_is_resolved_not_opaque() {
         let files =
             build(&[("a.rs", "fn f() { let cb = |x: u32| go(x); cb(1); } fn go(x: u32) {}")]);
@@ -626,7 +586,7 @@ mod tests {
         let f = id_of(&g, "f");
         assert!(g.facts[f.0][f.1].opaques.is_empty(), "{:?}", g.facts[f.0][f.1].opaques);
         // The closure body's call to `go` is attributed to `f`.
-        assert!(g.reach(&[(f, None)]).contains_key(&id_of(&g, "go")));
+        assert!(g.reach(&[f]).contains_key(&id_of(&g, "go")));
     }
 
     #[test]
@@ -639,7 +599,7 @@ mod tests {
              impl From<X> for E { fn from(x: X) -> E { panic!(\"conv\") } }",
         )]);
         let g = Graph::build(&files);
-        let reached = g.reach(&[(id_of(&g, "f"), None)]);
+        let reached = g.reach(&[id_of(&g, "f")]);
         let from = id_of(&g, "from");
         assert!(reached.contains_key(&from), "? must edge into From impls");
         assert_eq!(g.facts[from.0][from.1].panics.len(), 1);

@@ -1,17 +1,17 @@
 //! cqa-lint: the workspace invariant checker.
 //!
 //! Rust's type system cannot express several invariants this workspace
-//! relies on — "no panics reachable from the server's request path", "no
-//! heap allocation reachable from the per-sample loops", "all randomness
-//! flows from the seeded root RNG", "locks are taken in one order and never
-//! held across a blocking call or a fault point", "the wire protocol and
-//! its document agree". Invariants the compiler, clippy or a test already
-//! enforce are left to them — span, fault-point and benchmark-series names
-//! are enums, so the compiler rejects a misspelled one (see
-//! `docs/ANALYSIS.md`).
+//! relies on — "no panics reachable from the server's request path", "all
+//! randomness flows from the seeded root RNG", "locks are taken in one
+//! order and never held across a blocking call or a fault point", "the
+//! wire protocol and its document agree". Invariants the compiler, clippy
+//! or a test already enforce are left to them — span, fault-point and
+//! benchmark-series names are enums, so the compiler rejects a misspelled
+//! one, and the counting allocator in `crates/core/tests/alloc_sanitizer.rs`
+//! checks that sampling never allocates (see `docs/ANALYSIS.md`).
 //! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
 //! parser ([`parser`]), and a conservative workspace call graph
-//! ([`callgraph`]) that turns the panic/alloc/RNG rules into transitive
+//! ([`callgraph`]) that turns the panic and RNG rules into transitive
 //! reachability queries; it has **zero** dependencies beyond std, so it
 //! runs anywhere the workspace builds.
 //!
@@ -42,10 +42,14 @@ pub const REQUEST_PATH_FILES: [&str; 3] =
 /// scanned. `tools/*/src` includes cqa-lint itself — the linter holds its
 /// own invariants; its *fixtures* live outside `src` and are not scanned.
 pub const SCAN_ROOTS: [&str; 3] = ["crates", "shims", "tools"];
-/// Files holding the DKLR planners and Monte-Carlo estimator loops, which
-/// seed `rng-flow`.
-pub const ESTIMATOR_FILES: [&str; 3] =
-    ["crates/core/src/coverage.rs", "crates/core/src/montecarlo.rs", "crates/core/src/optest.rs"];
+/// Files holding the samplers, the DKLR planners and the Monte-Carlo
+/// estimator loops, whose every function seeds `rng-flow`.
+pub const SAMPLING_FILES: [&str; 4] = [
+    "crates/core/src/coverage.rs",
+    "crates/core/src/montecarlo.rs",
+    "crates/core/src/optest.rs",
+    "crates/core/src/sampler.rs",
+];
 
 /// A fatal problem with the scan itself (an unreadable file) — distinct
 /// from findings, which are problems with the code.
@@ -133,8 +137,7 @@ pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
 
     let graph = callgraph::Graph::build(&parsed_v);
     findings.extend(rules::no_panic(&graph, &lexed_v, &REQUEST_PATH_FILES));
-    findings.extend(rules::no_alloc(&graph, &lexed_v));
-    findings.extend(rules::rng_flow(&graph, &lexed_v, &stripped_v, &ESTIMATOR_FILES));
+    findings.extend(rules::rng_flow(&graph, &lexed_v, &stripped_v, &SAMPLING_FILES));
     findings.extend(lockflow::check(&graph, &lexed_v, &REQUEST_PATH_FILES));
 
     sort_dedup(&mut findings);
@@ -143,8 +146,8 @@ pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
 
 /// Sorts findings by file/line/rule and keeps one finding per
 /// (file, line, rule): the same site can surface through several seeds
-/// (e.g. an opaque call reached from both the request path and a hot
-/// region) and one report with one path is enough to act on.
+/// or paths (e.g. one lock-order edge reached along two call chains) and
+/// one report with one path is enough to act on.
 fn sort_dedup(findings: &mut Vec<Finding>) {
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);

@@ -154,7 +154,7 @@ pub fn check(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<Find
                 // Interprocedural: everything reachable from in-span calls
                 // executes with the guard held.
                 for (callee, _) in facts.edges.iter().filter(|(_, l)| held(*l)) {
-                    let parent = g.reach(&[(*callee, None)]);
+                    let parent = g.reach(&[*callee]);
                     for &rid in parent.keys() {
                         let rrel = &g.files[rid.0].rel;
                         if is_shim(rrel) {

@@ -1,13 +1,13 @@
 //! The invariant rules.
 //!
 //! Every rule returns [`Finding`]s. The flagship rules
-//! (`no-panic-in-request-path`, `no-alloc-in-hot-path`, `rng-flow`) are
-//! *transitive*: they run as reachability queries over the conservative
-//! workspace call graph in [`crate::callgraph`], seeded from the server's
-//! request-path files and the marked hot-path sampling regions, so a
-//! panicking or allocating helper two crates away is found at its
-//! definition site with the call chain in the message. The remaining rules
-//! work directly on the token view from [`crate::lexer`].
+//! (`no-panic-in-request-path`, `rng-flow`) are *transitive*: they run as
+//! reachability queries over the conservative workspace call graph in
+//! [`crate::callgraph`], seeded from the server's request-path files and
+//! the sampling files, so a panicking helper or a fresh RNG two crates
+//! away is found at its definition site with the call chain in the
+//! message. The remaining rules work directly on the token view from
+//! [`crate::lexer`].
 //!
 //! A finding on line `L` is dropped when line `L` or `L-1` carries a
 //! `// cqa-lint: allow(<rule>): <reason>` comment; the reason clause is
@@ -15,14 +15,13 @@
 //! is a reviewable artifact. Rationale for each rule lives in
 //! `docs/ANALYSIS.md`.
 
-use crate::callgraph::{FnId, Graph, Seed};
+use crate::callgraph::{FnId, Graph};
 use crate::lexer::{Lexed, Tok, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Rule identifiers, as used in `allow(...)` suppressions and CLI output.
 pub const NO_PANIC: &str = "no-panic-in-request-path";
-pub const NO_ALLOC: &str = "no-alloc-in-hot-path";
 pub const PROTOCOL_SYNC: &str = "protocol-doc-sync";
 pub const OPAQUE: &str = "opaque-call";
 pub const RNG_FLOW: &str = "rng-flow";
@@ -32,17 +31,8 @@ pub const NO_BLOCKING: &str = "no-blocking-while-locked";
 pub const GUARD_FAULT: &str = "no-guard-across-fault-point";
 
 /// Every rule name, for validating `allow(...)` suppressions.
-pub const ALL_RULES: [&str; 9] = [
-    NO_PANIC,
-    NO_ALLOC,
-    PROTOCOL_SYNC,
-    OPAQUE,
-    RNG_FLOW,
-    SUPPRESSION,
-    LOCK_ORDER,
-    NO_BLOCKING,
-    GUARD_FAULT,
-];
+pub const ALL_RULES: [&str; 8] =
+    [NO_PANIC, PROTOCOL_SYNC, OPAQUE, RNG_FLOW, SUPPRESSION, LOCK_ORDER, NO_BLOCKING, GUARD_FAULT];
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,62 +79,30 @@ pub(crate) fn push(
 // Rule: no-panic-in-request-path (transitive)
 // ---------------------------------------------------------------------------
 
-/// Which effect a reachability pass is hunting.
-#[derive(Clone, Copy, PartialEq)]
-enum Effect {
-    Panic,
-    Alloc,
-}
-
-/// Runs a reachability query from `seeds` and reports every panic/alloc
-/// effect site in the reached set, plus every opaque call the graph could
-/// not see through. Seed functions may be restricted to line ranges (the
-/// marked hot-path regions); transitively reached functions count in full.
-fn emit_reach(
-    g: &Graph<'_>,
-    lexed: &[Lexed],
-    seeds: &[Seed],
-    effect: Effect,
-    rule: &'static str,
-    out: &mut Vec<Finding>,
-) {
+/// Runs a reachability query from `seeds` and reports every panic site in
+/// the reached set, plus every opaque call the graph could not see
+/// through.
+fn emit_reach(g: &Graph<'_>, lexed: &[Lexed], seeds: &[FnId], out: &mut Vec<Finding>) {
     let parent = g.reach(seeds);
-    let seed_ranges: BTreeMap<FnId, &Option<Vec<(u32, u32)>>> =
-        seeds.iter().map(|(id, r)| (*id, r)).collect();
     for &id in parent.keys() {
         let facts = &g.facts[id.0][id.1];
-        let is_seed = seed_ranges.contains_key(&id);
-        let in_scope = |line: u32| match seed_ranges.get(&id) {
-            Some(Some(ranges)) => ranges.iter().any(|(a, b)| (*a..=*b).contains(&line)),
-            _ => true,
-        };
-        let rel = &g.files[id.0].rel;
-        let via = |line: u32| {
-            if is_seed {
-                String::new()
-            } else {
-                let _ = line;
-                format!(" (reachable via {})", g.path_to(&parent, id))
-            }
-        };
-        let sites = match effect {
-            Effect::Panic => &facts.panics,
-            Effect::Alloc => &facts.allocs,
-        };
-        for s in sites.iter().filter(|s| in_scope(s.line)) {
-            let msg = match effect {
-                Effect::Panic => format!(
-                    "{} can panic a request thread; return a structured protocol error instead{}",
-                    s.what,
-                    via(s.line)
-                ),
-                Effect::Alloc => {
-                    format!("{} allocates inside a hot-path region{}", s.what, via(s.line))
-                }
-            };
-            push(out, &lexed[id.0], rule, rel, s.line, msg);
+        if facts.panics.is_empty() && facts.opaques.is_empty() {
+            continue;
         }
-        for s in facts.opaques.iter().filter(|s| in_scope(s.line)) {
+        let rel = &g.files[id.0].rel;
+        let via = if seeds.contains(&id) {
+            String::new()
+        } else {
+            format!(" (reachable via {})", g.path_to(&parent, id))
+        };
+        for s in &facts.panics {
+            let msg = format!(
+                "{} can panic a request thread; return a structured protocol error instead{via}",
+                s.what
+            );
+            push(out, &lexed[id.0], NO_PANIC, rel, s.line, msg);
+        }
+        for s in &facts.opaques {
             push(
                 out,
                 &lexed[id.0],
@@ -152,9 +110,8 @@ fn emit_reach(
                 rel,
                 s.line,
                 format!(
-                    "opaque call {} through a closure/fn pointer — the call graph cannot verify {rule} past it{}",
-                    s.what,
-                    via(s.line)
+                    "opaque call {} through a closure/fn pointer — the call graph cannot verify {NO_PANIC} past it{via}",
+                    s.what
                 ),
             );
         }
@@ -171,13 +128,13 @@ fn emit_reach(
 /// use `.get()`).
 pub fn no_panic(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut seeds: Vec<Seed> = Vec::new();
+    let mut seeds: Vec<FnId> = Vec::new();
     for (fi, file) in g.files.iter().enumerate() {
         if !request_files.contains(&file.rel.as_str()) {
             continue;
         }
         for (ni, f) in file.fns.iter().enumerate() {
-            seeds.push(((fi, ni), None));
+            seeds.push((fi, ni));
             for &line in &f.index_sites {
                 push(
                     &mut out,
@@ -191,91 +148,8 @@ pub fn no_panic(g: &Graph<'_>, lexed: &[Lexed], request_files: &[&str]) -> Vec<F
             }
         }
     }
-    emit_reach(g, lexed, &seeds, Effect::Panic, NO_PANIC, &mut out);
+    emit_reach(g, lexed, &seeds, &mut out);
     out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-alloc-in-hot-path (transitive)
-// ---------------------------------------------------------------------------
-
-/// Inclusive line ranges bracketed by `// cqa-lint: hot-path begin` /
-/// `// cqa-lint: hot-path end` comments. An unclosed `begin` extends to
-/// the end of the file (and is itself reported by the caller via
-/// [`hot_path_regions`]' second return value).
-pub fn hot_path_regions(lexed: &Lexed) -> (Vec<(u32, u32)>, Option<u32>) {
-    let mut regions = Vec::new();
-    let mut open: Option<u32> = None;
-    for (line, text) in &lexed.comments {
-        if text.contains("cqa-lint: hot-path begin") {
-            open = Some(*line);
-        } else if text.contains("cqa-lint: hot-path end") {
-            if let Some(start) = open.take() {
-                regions.push((start, *line));
-            }
-        }
-    }
-    (regions, open)
-}
-
-/// Transitive allocation freedom for the marked sampling regions: every
-/// function overlapping a `hot-path` region is a seed (restricted to the
-/// region's lines), and every allocation site reachable from one is a
-/// finding. The four scheme sampling loops run per *sample* (millions of
-/// iterations per query), so a stray `clone()` two modules away is a
-/// silent orders-of-magnitude regression that no unit test fails on.
-pub fn no_alloc(g: &Graph<'_>, lexed: &[Lexed]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut seeds: Vec<Seed> = Vec::new();
-    for (fi, file) in g.files.iter().enumerate() {
-        let (regions, unclosed) = hot_path_regions(&lexed[fi]);
-        if let Some(line) = unclosed {
-            push(
-                &mut out,
-                &lexed[fi],
-                NO_ALLOC,
-                &file.rel,
-                line,
-                "hot-path region is never closed (missing `// cqa-lint: hot-path end`)".to_owned(),
-            );
-        }
-        if regions.is_empty() {
-            continue;
-        }
-        for (ni, f) in file.fns.iter().enumerate() {
-            let end = f.end_line.max(f.line);
-            if regions.iter().any(|(a, b)| f.line <= *b && end >= *a) {
-                seeds.push(((fi, ni), Some(regions.clone())));
-            }
-        }
-    }
-    emit_reach(g, lexed, &seeds, Effect::Alloc, NO_ALLOC, &mut out);
-    out
-}
-
-/// Seeds shared by `rng-flow`: hot-path regions plus every estimator
-/// function (the DKLR planners and Monte-Carlo loops in `crates/core`).
-fn sampling_seeds(g: &Graph<'_>, lexed: &[Lexed], estimator_files: &[&str]) -> Vec<Seed> {
-    let mut seeds: Vec<Seed> = Vec::new();
-    for (fi, file) in g.files.iter().enumerate() {
-        if estimator_files.contains(&file.rel.as_str()) {
-            for ni in 0..file.fns.len() {
-                seeds.push(((fi, ni), None));
-            }
-            continue;
-        }
-        let (regions, _) = hot_path_regions(&lexed[fi]);
-        if regions.is_empty() {
-            continue;
-        }
-        for (ni, f) in file.fns.iter().enumerate() {
-            let end = f.end_line.max(f.line);
-            if regions.iter().any(|(a, b)| f.line <= *b && end >= *a) {
-                seeds.push(((fi, ni), Some(regions.clone())));
-            }
-        }
-    }
-    seeds
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +165,13 @@ const AMBIENT_ENTROPY: [&str; 5] =
 /// scheme boundaries). Two ways to break that, both flagged: an ambient
 /// entropy source anywhere in production code, and a fresh
 /// `Mt64::new`/`from_key` construction inside the sampling flow (reachable
-/// from an estimator function or a hot-path region), which would decouple
-/// the samples from the request seed and make reruns diverge.
+/// from a function of `sampling_files`), which would decouple the samples
+/// from the request seed and make reruns diverge.
 pub fn rng_flow(
     g: &Graph<'_>,
     lexed: &[Lexed],
     stripped: &[Vec<Tok>],
-    estimator_files: &[&str],
+    sampling_files: &[&str],
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     for (fi, toks) in stripped.iter().enumerate() {
@@ -317,13 +191,18 @@ pub fn rng_flow(
             }
         }
     }
-    let seeds = sampling_seeds(g, lexed, estimator_files);
+    let seeds: Vec<FnId> = g
+        .files
+        .iter()
+        .enumerate()
+        .filter(|(_, file)| sampling_files.contains(&file.rel.as_str()))
+        .flat_map(|(fi, file)| (0..file.fns.len()).map(move |ni| (fi, ni)))
+        .collect();
     let parent = g.reach(&seeds);
-    let seed_set: BTreeSet<FnId> = seeds.iter().map(|(id, _)| *id).collect();
     for &id in parent.keys() {
         let facts = &g.facts[id.0][id.1];
         for s in &facts.rng_ctors {
-            let via = if seed_set.contains(&id) {
+            let via = if seeds.contains(&id) {
                 String::new()
             } else {
                 format!(" (reachable via {})", g.path_to(&parent, id))

@@ -58,29 +58,6 @@ fn suppression_comment_waives_a_finding() {
 }
 
 #[test]
-fn no_alloc_fires_on_bad_fixture() {
-    let fired = fired(ANYWHERE, "no-alloc-in-hot-path/bad.rs");
-    assert_eq!(
-        fired,
-        vec![rules::NO_ALLOC, rules::NO_ALLOC, rules::NO_ALLOC],
-        "clone, format!, Vec::new"
-    );
-}
-
-#[test]
-fn no_alloc_passes_good_fixture() {
-    assert!(fired(ANYWHERE, "no-alloc-in-hot-path/good.rs").is_empty());
-}
-
-#[test]
-fn no_alloc_reports_unclosed_region() {
-    let findings = cqa_lint::check_source(ANYWHERE, &fixture("no-alloc-in-hot-path/unclosed.rs"));
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, rules::NO_ALLOC);
-    assert!(findings[0].message.contains("never closed"), "{}", findings[0].message);
-}
-
-#[test]
 fn transitive_panic_crosses_modules() {
     let findings = fired_multi(&[
         (REQUEST_PATH, "transitive/request_entry.rs"),
@@ -93,23 +70,10 @@ fn transitive_panic_crosses_modules() {
 }
 
 #[test]
-fn transitive_alloc_crosses_modules_from_hot_region() {
-    let findings = fired_multi(&[
-        (ANYWHERE, "transitive/hot_entry.rs"),
-        ("crates/core/src/tabulate.rs", "transitive/hot_helper.rs"),
-    ]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, rules::NO_ALLOC);
-    assert_eq!(findings[0].file, "crates/core/src/tabulate.rs");
-    assert!(findings[0].message.contains("reachable via"), "{}", findings[0].message);
-}
-
-#[test]
 fn transitive_helpers_alone_are_clean() {
-    // Without the entry points, neither helper is reachable from a seed:
-    // the findings above really do come from the call graph.
+    // Without the entry point, the helper is not reachable from a seed:
+    // the finding above really does come from the call graph.
     assert!(fired("crates/server/src/util.rs", "transitive/request_helper.rs").is_empty());
-    assert!(fired("crates/core/src/tabulate.rs", "transitive/hot_helper.rs").is_empty());
 }
 
 #[test]
