@@ -39,13 +39,6 @@ cqa_common::name_enum! {
     }
 }
 
-impl Point {
-    /// The point a fault plan names, or `None` for an unknown name.
-    pub fn from_name(name: &str) -> Option<Point> {
-        Point::ALL.iter().copied().find(|p| p.name() == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,6 +2,7 @@
 
 use cqa_common::{CqaError, Result};
 use cqa_core::Scheme;
+use cqa_server::DebugTarget;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -157,8 +158,8 @@ pub enum Command {
     Debug {
         /// Server address.
         addr: String,
-        /// `flight` or `slowlog`.
-        target: String,
+        /// Which recorder structure to dump.
+        target: DebugTarget,
     },
     /// Continuous benchmarking: delegates to `cqa-perf` (run/diff/export).
     Perf {
@@ -419,13 +420,9 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             Ok(out)
         }
         "debug" => {
-            let target = args
-                .get(1)
-                .filter(|t| *t == "flight" || *t == "slowlog")
-                .ok_or_else(|| {
-                    CqaError::InvalidParameter("debug needs 'flight' or 'slowlog'".into())
-                })?
-                .clone();
+            let target = args.get(1).and_then(|t| DebugTarget::from_name(t)).ok_or_else(|| {
+                CqaError::InvalidParameter("debug needs 'flight' or 'slowlog'".into())
+            })?;
             let mut f = Flags::parse(&args[2..])?;
             let out = Command::Debug { addr: f.take("addr", None)?, target };
             f.finish()?;
@@ -635,9 +632,10 @@ mod tests {
 
     #[test]
     fn parses_debug() {
-        for target in ["flight", "slowlog"] {
-            let c = parse_args(&argv(&format!("debug {target} --addr 127.0.0.1:7171"))).unwrap();
-            assert_eq!(c, Command::Debug { addr: "127.0.0.1:7171".into(), target: target.into() });
+        for &target in DebugTarget::ALL {
+            let line = format!("debug {} --addr 127.0.0.1:7171", target.name());
+            let c = parse_args(&argv(&line)).unwrap();
+            assert_eq!(c, Command::Debug { addr: "127.0.0.1:7171".into(), target });
         }
         assert!(parse_args(&argv("debug --addr 127.0.0.1:7171")).is_err()); // no target
         assert!(parse_args(&argv("debug heap --addr 127.0.0.1:7171")).is_err());

@@ -276,17 +276,12 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<()> {
         }
         Command::Debug { addr, target } => {
             let mut client = cqa_server::Client::connect(&addr)?;
-            let request = cqa_server::Request::Debug {
-                target: match target.as_str() {
-                    "flight" => cqa_server::DebugTarget::Flight,
-                    _ => cqa_server::DebugTarget::Slowlog,
-                },
-            };
             // Print the response verbatim: one JSON object, pipeable to jq.
-            let response = client.roundtrip(&request)?;
+            let response = client.roundtrip(&cqa_server::Request::Debug { target })?;
             if let cqa_server::Response::Error { kind, message } = &response {
                 return Err(cqa_common::CqaError::InvalidParameter(format!(
-                    "debug {target} failed: {} ({message})",
+                    "debug {} failed: {} ({message})",
+                    target.name(),
                     kind.name()
                 )));
             }

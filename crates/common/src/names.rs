@@ -9,8 +9,9 @@
 /// Declares a fieldless enum whose variants each carry a stable
 /// `&'static str` name, one `Variant = "name",` line per entry. The enum
 /// derives `Debug`, `Clone`, `Copy`, `PartialEq` and `Eq`; it gets an
-/// `ALL` slice in declaration order (so `v as usize` indexes it) and a
-/// `const fn name`. Each variant's doc is its name.
+/// `ALL` slice in declaration order (so `v as usize` indexes it), a
+/// `const fn name` and its inverse `from_name`. Each variant's doc is its
+/// name, after any doc comment the variant carries.
 ///
 /// ```
 /// cqa_common::name_enum! {
@@ -22,19 +23,21 @@
 /// }
 /// assert_eq!(Color::Blue.name(), "color/blue");
 /// assert_eq!(Color::ALL[Color::Blue as usize], Color::Blue);
+/// assert_eq!(Color::from_name("color/red"), Some(Color::Red));
+/// assert_eq!(Color::from_name("color/green"), None);
 /// ```
 #[macro_export]
 macro_rules! name_enum {
     (
         $(#[$meta:meta])*
         $vis:vis enum $ty:ident {
-            $($variant:ident = $name:literal,)*
+            $($(#[$vmeta:meta])* $variant:ident = $name:literal,)*
         }
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         $vis enum $ty {
-            $(#[doc = concat!("`", $name, "`")] $variant,)*
+            $($(#[$vmeta])* #[doc = concat!("`", $name, "`")] $variant,)*
         }
 
         impl $ty {
@@ -46,6 +49,11 @@ macro_rules! name_enum {
                 match self {
                     $($ty::$variant => $name,)*
                 }
+            }
+
+            /// The variant named `name`, or `None` for an unknown name.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                $ty::ALL.iter().copied().find(|v| v.name() == name)
             }
         }
     };

@@ -118,7 +118,9 @@ pub fn take_request_spans() -> Vec<TraceEvent> {
 // The digest ring
 // ---------------------------------------------------------------------------
 
-/// One completed request, compressed to fixed-width fields.
+/// One completed request, compressed to fixed-width fields. It is also
+/// the wire form of `debug flight`: each field is named after its wire key,
+/// except the fingerprint, which rides as the 16-hex-digit `query_fp`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDigest {
     /// Client-supplied or server-generated request id (≤
@@ -134,8 +136,9 @@ pub struct FlightDigest {
     /// Structured error kind name for failed requests; the ring keeps its
     /// first 24 bytes.
     pub error: Option<Cow<'static, str>>,
-    /// Time spent queued before a worker picked the request up.
-    pub queue_wait_micros: u64,
+    /// Time spent queued before a worker picked the request up,
+    /// microseconds.
+    pub queue_wait_us: u64,
     /// Samples the scheme drew.
     pub samples: u64,
     /// Running sample variance of the estimator at termination.
@@ -143,14 +146,14 @@ pub struct FlightDigest {
     /// One-standard-error CI half-width of the estimate at termination
     /// (the worst answer's, for multi-answer queries).
     pub ci_half_width: f64,
-    /// Synopsis-build time (0 on cache hits).
-    pub preprocess_micros: u64,
-    /// Sampling time.
-    pub scheme_micros: u64,
-    /// Admission-to-reply wall time.
-    pub total_micros: u64,
+    /// Synopsis-build time, microseconds (0 on cache hits).
+    pub preprocess_us: u64,
+    /// Sampling time, microseconds.
+    pub scheme_us: u64,
+    /// Admission-to-reply wall time, microseconds.
+    pub total_us: u64,
     /// Completion timestamp, microseconds since the trace epoch.
-    pub ts_micros: u64,
+    pub ts_us: u64,
 }
 
 /// A digest is 18 ring words: the request id (4), the query fingerprint,
@@ -210,14 +213,14 @@ pub fn record(d: &FlightDigest) {
         e1,
         e2,
         flags,
-        d.queue_wait_micros,
+        d.queue_wait_us,
         d.samples,
         d.variance.to_bits(),
         d.ci_half_width.to_bits(),
-        d.preprocess_micros,
-        d.scheme_micros,
-        d.total_micros,
-        d.ts_micros,
+        d.preprocess_us,
+        d.scheme_us,
+        d.total_us,
+        d.ts_us,
     ]);
 }
 
@@ -230,14 +233,14 @@ fn unpack(w: [u64; DIGEST_WORDS]) -> FlightDigest {
         scheme: Cow::Owned(words_str(&[scheme])),
         cache_hit: flags & 1 != 0,
         error: (flags & 2 != 0).then(|| Cow::Owned(words_str(&[e0, e1, e2]))),
-        queue_wait_micros: wait,
+        queue_wait_us: wait,
         samples,
         variance: f64::from_bits(var),
         ci_half_width: f64::from_bits(ci),
-        preprocess_micros: pre,
-        scheme_micros: sch,
-        total_micros: total,
-        ts_micros: ts,
+        preprocess_us: pre,
+        scheme_us: sch,
+        total_us: total,
+        ts_us: ts,
     }
 }
 
@@ -250,7 +253,7 @@ pub fn snapshot() -> (Vec<FlightDigest>, u64) {
     for words in slots {
         digests.push(unpack(words));
     }
-    digests.sort_by_key(|d| d.ts_micros);
+    digests.sort_by_key(|d| d.ts_us);
     (digests, dropped)
 }
 
@@ -337,14 +340,14 @@ mod tests {
             scheme: "Natural".into(),
             cache_hit: true,
             error: None,
-            queue_wait_micros: 12,
+            queue_wait_us: 12,
             samples: 1800,
             variance: 0.25,
             ci_half_width: 0.011,
-            preprocess_micros: 0,
-            scheme_micros: 900,
-            total_micros: 950,
-            ts_micros: ts,
+            preprocess_us: 0,
+            scheme_us: 900,
+            total_us: 950,
+            ts_us: ts,
         }
     }
 

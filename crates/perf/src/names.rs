@@ -44,8 +44,7 @@ cqa_common::name_enum! {
         ServerFlightOffThroughputRps = "server/flight_off_throughput_rps",
         ServerFlightOnThroughputRps = "server/flight_on_throughput_rps",
         ServerLatencyP50Ms = "server/latency_p50_ms",
-        ServerLatencyP999Ms = "server/latency_p999_ms",
-        ServerLatencyP99Ms = "server/latency_p99_ms",
+        ServerLatencyP95Ms = "server/latency_p95_ms",
         ServerThroughputRps = "server/throughput_rps",
         SynopsisBuildJ1Ns = "synopsis/build_j1_ns",
         SynopsisBuildJ3Ns = "synopsis/build_j3_ns",
@@ -100,9 +99,9 @@ mod tests {
     #[test]
     fn direction_and_unit_agree_with_suffixes() {
         assert!(higher_is_better("server/throughput_rps"));
-        assert!(!higher_is_better("server/latency_p99_ms"));
+        assert!(!higher_is_better("server/latency_p95_ms"));
         assert_eq!(unit_of("sampler/kl/sample_ns"), "ns/iter");
-        assert_eq!(unit_of("server/latency_p999_ms"), "ms");
+        assert_eq!(unit_of("server/latency_p95_ms"), "ms");
         assert_eq!(unit_of("server/throughput_rps"), "req/s");
         assert!(!higher_is_better("server/chaos_on_error_rate"));
         assert_eq!(unit_of("server/chaos_on_error_rate"), "fraction");

@@ -10,10 +10,12 @@
 //! 3. **synopsis** — preprocessing (Figure 3's metric): synopsis
 //!    construction over noisy TPC-H at 1 and 3 joins, plus the end-to-end
 //!    `fig3` pipeline on a pinned scenario pool;
-//! 4. **server** — throughput and p50/p99/p999 tail latency of
-//!    `cqa-server` under the closed-loop load generator. The gated values
-//!    are the client-side percentiles (exact floats); the server's own
-//!    `cqa-obs` histogram quantiles ride along in the load report but are
+//! 4. **server** — throughput and p50/p95 latency of `cqa-server` under
+//!    the closed-loop load generator. The gated values are the
+//!    client-side percentiles (exact floats); a ci round is 200 requests,
+//!    so ten of them lie beyond p95, while p99 and p999 would be a round's
+//!    second-largest and largest request. The server's own `cqa-obs`
+//!    histogram quantiles ride along in the load report but are
 //!    log₂-bucketed, too coarse to gate on;
 //! 5. **flight** — the same throughput measurement with the flight
 //!    recorder disabled vs enabled, pricing the always-on per-request
@@ -287,8 +289,7 @@ pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
     Ok(vec![
         series(SeriesName::ServerThroughputRps, LoadReport::throughput_rps),
         series(SeriesName::ServerLatencyP50Ms, |r| r.client_latency_ms(50.0)),
-        series(SeriesName::ServerLatencyP99Ms, |r| r.client_latency_ms(99.0)),
-        series(SeriesName::ServerLatencyP999Ms, |r| r.client_latency_ms(99.9)),
+        series(SeriesName::ServerLatencyP95Ms, |r| r.client_latency_ms(95.0)),
     ])
 }
 

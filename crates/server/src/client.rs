@@ -8,9 +8,10 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::{
-    DebugTarget, QueryRequest, Request, Response, StatsFormat, WireDigest, WireSlowlogEntry,
+    DebugTarget, QueryRequest, Request, Response, StatsFormat, WireSlowlogEntry,
 };
 use cqa_common::{CqaError, Json, Result};
+use cqa_obs::FlightDigest;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -107,7 +108,7 @@ impl Client {
 
     /// Fetches the server's flight recorder: per-request digests in
     /// completion order, plus how many older digests ring wrap dropped.
-    pub fn debug_flight(&mut self) -> Result<(Vec<WireDigest>, u64)> {
+    pub fn debug_flight(&mut self) -> Result<(Vec<FlightDigest>, u64)> {
         match self.roundtrip(&Request::Debug { target: DebugTarget::Flight })? {
             Response::Flight { digests, dropped } => Ok((digests, dropped)),
             Response::Error { kind, message } => {

@@ -49,7 +49,7 @@ pub use loadgen::{run_load, LoadReport, LoadSpec};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use pool::{PoolConfig, SubmitError, WorkerPool};
 pub use protocol::{
-    DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer, WireDigest,
+    DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryingClient};

@@ -30,7 +30,8 @@
 //! → {"v":1,"cmd":"debug","target":"slowlog"}
 //! ← {"ok":true,"slowlog":[...slow/error requests with span trees...]}
 //!
-//! ← {"ok":false,"error":"overloaded","message":"queue full (depth 64)"}
+//! ← {"ok":false,"error":"overloaded","retryable":true,
+//!    "message":"queue full (depth 64)"}
 //! ```
 //!
 //! Integers ride as JSON strings never — tuples carry ints as numbers and
@@ -97,32 +98,24 @@ impl Default for QueryRequest {
     }
 }
 
-/// How a `stats` response should be rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsFormat {
-    /// The structured JSON snapshot (the default).
-    #[default]
-    Json,
-    /// Prometheus text exposition, for scrape-style collection.
-    Prometheus,
+cqa_common::name_enum! {
+    /// How a `stats` response should be rendered, by its wire `format`.
+    pub enum StatsFormat {
+        /// The structured JSON snapshot (the default).
+        Json = "json",
+        /// Prometheus text exposition, for scrape-style collection.
+        Prometheus = "prometheus",
+    }
 }
 
-/// Which flight-recorder dump a `debug` request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DebugTarget {
-    /// The per-request digest ring.
-    Flight,
-    /// The slow/error log with full span trees.
-    Slowlog,
-}
-
-impl DebugTarget {
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DebugTarget::Flight => "flight",
-            DebugTarget::Slowlog => "slowlog",
-        }
+cqa_common::name_enum! {
+    /// Which flight-recorder dump a `debug` request asks for, by its wire
+    /// `target`.
+    pub enum DebugTarget {
+        /// The per-request digest ring.
+        Flight = "flight",
+        /// The slow/error log with full span trees.
+        Slowlog = "slowlog",
     }
 }
 
@@ -176,8 +169,8 @@ impl Request {
             Request::Stats { format } => {
                 let mut pairs =
                     vec![("v", Json::from(PROTOCOL_VERSION)), ("cmd", Json::str("stats"))];
-                if *format == StatsFormat::Prometheus {
-                    pairs.push(("format", Json::str("prometheus")));
+                if *format != StatsFormat::Json {
+                    pairs.push(("format", Json::str(format.name())));
                 }
                 Json::obj(pairs)
             }
@@ -271,56 +264,46 @@ impl Request {
             "stats" => {
                 let format = match v.get("format") {
                     None => StatsFormat::Json,
-                    Some(f) => match f.as_str() {
-                        Some("json") => StatsFormat::Json,
-                        Some("prometheus") => StatsFormat::Prometheus,
-                        _ => {
-                            return Err(CqaError::Parse(format!(
-                                "unknown stats format {f:?} (expected json or prometheus)"
-                            )))
-                        }
-                    },
+                    Some(f) => f.as_str().and_then(StatsFormat::from_name).ok_or_else(|| {
+                        CqaError::Parse(format!(
+                            "unknown stats format {f:?} (expected json or prometheus)"
+                        ))
+                    })?,
                 };
                 Ok(Request::Stats { format })
             }
             "trace" => Ok(Request::Trace),
-            "debug" => match v.req_str("target")? {
-                "flight" => Ok(Request::Debug { target: DebugTarget::Flight }),
-                "slowlog" => Ok(Request::Debug { target: DebugTarget::Slowlog }),
-                other => Err(CqaError::Parse(format!(
-                    "unknown debug target '{other}' (expected flight or slowlog)"
-                ))),
-            },
+            "debug" => {
+                let name = v.req_str("target")?;
+                let target = DebugTarget::from_name(name).ok_or_else(|| {
+                    CqaError::Parse(format!(
+                        "unknown debug target '{name}' (expected flight or slowlog)"
+                    ))
+                })?;
+                Ok(Request::Debug { target })
+            }
             "ping" => Ok(Request::Ping),
             other => Err(CqaError::Parse(format!("unknown command '{other}'"))),
         }
     }
 }
 
-/// Structured error categories a client can branch on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorKind {
-    /// The admission queue is full; retry later.
-    Overloaded,
-    /// The request's deadline expired before the answer was ready.
-    DeadlineExceeded,
-    /// The request was malformed (bad JSON, unknown query relation, …).
-    BadRequest,
-    /// Unexpected server-side failure.
-    Internal,
+cqa_common::name_enum! {
+    /// Structured error categories a client can branch on, by their wire
+    /// `error` name.
+    pub enum ErrorKind {
+        /// The admission queue is full; retry later.
+        Overloaded = "overloaded",
+        /// The request's deadline expired before the answer was ready.
+        DeadlineExceeded = "deadline_exceeded",
+        /// The request was malformed (bad JSON, unknown query relation, …).
+        BadRequest = "bad_request",
+        /// Unexpected server-side failure.
+        Internal = "internal",
+    }
 }
 
 impl ErrorKind {
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::Internal => "internal",
-        }
-    }
-
     /// Whether a client may safely retry the same request as-is. Requests
     /// are stateless, so everything transient is retryable: `overloaded`
     /// (the queue will drain) and `internal` (the fault is not the
@@ -331,17 +314,6 @@ impl ErrorKind {
         match self {
             ErrorKind::Overloaded | ErrorKind::Internal => true,
             ErrorKind::DeadlineExceeded | ErrorKind::BadRequest => false,
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(name: &str) -> Option<ErrorKind> {
-        match name {
-            "overloaded" => Some(ErrorKind::Overloaded),
-            "deadline_exceeded" => Some(ErrorKind::DeadlineExceeded),
-            "bad_request" => Some(ErrorKind::BadRequest),
-            "internal" => Some(ErrorKind::Internal),
-            _ => None,
         }
     }
 }
@@ -357,104 +329,56 @@ pub struct WireAnswer {
     pub samples: u64,
 }
 
-/// One flight-recorder digest on the wire. Mirrors
-/// [`cqa_obs::FlightDigest`] with owned strings and the query fingerprint as a
-/// hex string (`Json::Num` is an `f64`; 64-bit fingerprints would lose
-/// precision past 2^53).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDigest {
-    /// Client-supplied or server-generated request id.
-    pub request_id: String,
-    /// Canonical query fingerprint, 16 hex digits (`0000…0` when the
-    /// query never parsed).
-    pub query_fp: String,
-    /// Scheme display name.
-    pub scheme: String,
-    /// Did the synopsis come from the cache?
-    pub cache_hit: bool,
-    /// Structured error kind name for failed requests.
-    pub error: Option<String>,
-    /// Time queued before a worker picked the request up, microseconds.
-    pub queue_wait_us: u64,
-    /// Samples the scheme drew.
-    pub samples: u64,
-    /// Running sample variance of the estimator at termination.
-    pub variance: f64,
-    /// One-standard-error CI half-width of the estimate at termination.
-    pub ci_half_width: f64,
-    /// Synopsis-build time, microseconds (0 on cache hits).
-    pub preprocess_us: u64,
-    /// Sampling time, microseconds.
-    pub scheme_us: u64,
-    /// Admission-to-reply wall time, microseconds.
-    pub total_us: u64,
-    /// Completion timestamp, microseconds since the trace epoch.
-    pub ts_us: u64,
+/// A flight-recorder digest as a wire object. The query fingerprint rides
+/// as 16 hex digits: `Json::Num` is an `f64`, and 64-bit fingerprints would
+/// lose precision past 2^53.
+fn digest_to_json(d: &FlightDigest) -> Json {
+    let mut pairs = vec![
+        ("request_id", Json::str(&d.request_id)),
+        ("query_fp", Json::str(format!("{:016x}", d.query_fingerprint))),
+        ("scheme", Json::str(d.scheme.as_ref())),
+        ("cache_hit", Json::from(d.cache_hit)),
+        ("queue_wait_us", Json::from(d.queue_wait_us)),
+        ("samples", Json::from(d.samples)),
+        ("variance", Json::from(d.variance)),
+        ("ci_half_width", Json::from(d.ci_half_width)),
+        ("preprocess_us", Json::from(d.preprocess_us)),
+        ("scheme_us", Json::from(d.scheme_us)),
+        ("total_us", Json::from(d.total_us)),
+        ("ts_us", Json::from(d.ts_us)),
+    ];
+    if let Some(e) = &d.error {
+        pairs.push(("error", Json::str(e.as_ref())));
+    }
+    Json::obj(pairs)
 }
 
-impl WireDigest {
-    /// Converts a recorder digest to its wire form.
-    pub fn from_digest(d: &FlightDigest) -> WireDigest {
-        WireDigest {
-            request_id: d.request_id.clone(),
-            query_fp: format!("{:016x}", d.query_fingerprint),
-            scheme: d.scheme.to_string(),
-            cache_hit: d.cache_hit,
-            error: d.error.as_deref().map(str::to_owned),
-            queue_wait_us: d.queue_wait_micros,
-            samples: d.samples,
-            variance: d.variance,
-            ci_half_width: d.ci_half_width,
-            preprocess_us: d.preprocess_micros,
-            scheme_us: d.scheme_micros,
-            total_us: d.total_micros,
-            ts_us: d.ts_micros,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("request_id", Json::str(&self.request_id)),
-            ("query_fp", Json::str(&self.query_fp)),
-            ("scheme", Json::str(&self.scheme)),
-            ("cache_hit", Json::from(self.cache_hit)),
-            ("queue_wait_us", Json::from(self.queue_wait_us)),
-            ("samples", Json::from(self.samples)),
-            ("variance", Json::from(self.variance)),
-            ("ci_half_width", Json::from(self.ci_half_width)),
-            ("preprocess_us", Json::from(self.preprocess_us)),
-            ("scheme_us", Json::from(self.scheme_us)),
-            ("total_us", Json::from(self.total_us)),
-            ("ts_us", Json::from(self.ts_us)),
-        ];
-        if let Some(e) = &self.error {
-            pairs.push(("error", Json::str(e)));
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(v: &Json) -> Result<WireDigest> {
-        Ok(WireDigest {
-            request_id: v.req_str("request_id")?.to_owned(),
-            query_fp: v.req_str("query_fp")?.to_owned(),
-            scheme: v.req_str("scheme")?.to_owned(),
-            cache_hit: v.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
-            error: v.get("error").and_then(Json::as_str).map(str::to_owned),
-            queue_wait_us: wire_u64(v, "queue_wait_us")?,
-            samples: wire_u64(v, "samples")?,
-            variance: v.req_f64("variance")?,
-            ci_half_width: v.req_f64("ci_half_width")?,
-            preprocess_us: wire_u64(v, "preprocess_us")?,
-            scheme_us: wire_u64(v, "scheme_us")?,
-            total_us: wire_u64(v, "total_us")?,
-            ts_us: wire_u64(v, "ts_us")?,
-        })
-    }
+/// Parses one wire digest object, the inverse of [`digest_to_json`].
+fn digest_from_json(v: &Json) -> Result<FlightDigest> {
+    let query_fp = v.req_str("query_fp")?;
+    Ok(FlightDigest {
+        request_id: v.req_str("request_id")?.to_owned(),
+        query_fingerprint: u64::from_str_radix(query_fp, 16)
+            .map_err(|_| CqaError::Parse(format!("non-hex 'query_fp' {query_fp:?}")))?,
+        scheme: v.req_str("scheme")?.to_owned().into(),
+        cache_hit: v.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
+        error: v.get("error").and_then(Json::as_str).map(|e| e.to_owned().into()),
+        queue_wait_us: wire_u64(v, "queue_wait_us")?,
+        samples: wire_u64(v, "samples")?,
+        variance: v.req_f64("variance")?,
+        ci_half_width: v.req_f64("ci_half_width")?,
+        preprocess_us: wire_u64(v, "preprocess_us")?,
+        scheme_us: wire_u64(v, "scheme_us")?,
+        total_us: wire_u64(v, "total_us")?,
+        ts_us: wire_u64(v, "ts_us")?,
+    })
 }
 
 /// One slow/error-log entry on the wire: identity plus the captured span
 /// tree. Spans ride as rendered JSON objects (name, depth, timings,
 /// args); clients inspect them rather than reconstructing trace state.
+/// It stays a type of its own, unlike the flight digest, because its
+/// spans are rendered JSON and not the recorder's [`TraceEvent`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireSlowlogEntry {
     /// The request's id.
@@ -552,7 +476,7 @@ pub enum Response {
     /// A successful `debug flight`: the digest ring's contents.
     Flight {
         /// Recorded digests, completion-timestamp order.
-        digests: Vec<WireDigest>,
+        digests: Vec<FlightDigest>,
         /// Digests lost to ring wrap.
         dropped: u64,
     },
@@ -622,7 +546,7 @@ impl Response {
             }
             Response::Flight { digests, dropped } => Json::obj([
                 ("ok", Json::from(true)),
-                ("flight", Json::Arr(digests.iter().map(WireDigest::to_json).collect())),
+                ("flight", Json::Arr(digests.iter().map(digest_to_json).collect())),
                 ("dropped", Json::from(*dropped)),
             ]),
             Response::Slowlog(entries) => Json::obj([
@@ -679,7 +603,7 @@ impl Response {
         }
         if let Some(rows) = v.get("flight") {
             let rows = rows.as_arr().ok_or_else(|| CqaError::Parse("non-array 'flight'".into()))?;
-            let digests = rows.iter().map(WireDigest::from_json).collect::<Result<Vec<_>>>()?;
+            let digests = rows.iter().map(digest_from_json).collect::<Result<Vec<_>>>()?;
             let dropped = v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
             return Ok(Response::Flight { digests, dropped });
         }
@@ -918,9 +842,9 @@ mod tests {
 
     #[test]
     fn flight_response_roundtrips() {
-        let ok = WireDigest {
+        let ok = FlightDigest {
             request_id: "client-abc".into(),
-            query_fp: format!("{:016x}", u64::MAX - 3), // past 2^53: must survive
+            query_fingerprint: u64::MAX - 3, // past 2^53: must survive
             scheme: "KLM".into(),
             cache_hit: true,
             error: None,
@@ -933,7 +857,7 @@ mod tests {
             total_us: 1300,
             ts_us: 99,
         };
-        let failed = WireDigest {
+        let failed = FlightDigest {
             request_id: "srv-0000000000000001".into(),
             cache_hit: false,
             error: Some("deadline_exceeded".into()),

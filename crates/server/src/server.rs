@@ -16,7 +16,7 @@ use crate::cache::{CacheKey, SynopsisCache};
 use crate::metrics::Metrics;
 use crate::pool::{PoolConfig, SubmitError, WorkerPool};
 use crate::protocol::{
-    DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer, WireDigest,
+    DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64, Stopwatch};
@@ -353,10 +353,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
         Request::Debug { target: DebugTarget::Flight } => {
             let _g = cqa_obs::span(Span::ServerDebugFlight);
             let (digests, dropped) = flight::snapshot();
-            Response::Flight {
-                digests: digests.iter().map(WireDigest::from_digest).collect(),
-                dropped,
-            }
+            Response::Flight { digests, dropped }
         }
         Request::Debug { target: DebugTarget::Slowlog } => {
             let _g = cqa_obs::span(Span::ServerDebugSlowlog);
@@ -507,42 +504,42 @@ fn record_flight(
     request_id: &str,
     scheme: &'static str,
     response: &Response,
-    queue_wait_micros: u64,
+    queue_wait_us: u64,
     report: RunReport,
-    total_micros: u64,
+    total_us: u64,
 ) {
-    let (cache_hit, error, preprocess_micros, scheme_micros) = match response {
+    let (cache_hit, error, preprocess_us, scheme_us) = match response {
         Response::Answers { cached, preprocess_ms, scheme_ms, .. } => {
             (*cached, None, (preprocess_ms * 1000.0) as u64, (scheme_ms * 1000.0) as u64)
         }
         Response::Error { kind, .. } => (false, Some(kind.name()), 0, 0),
         _ => (false, None, 0, 0),
     };
-    let ts_micros = cqa_obs::now_micros();
+    let ts_us = cqa_obs::now_micros();
     flight::record(&FlightDigest {
         request_id: request_id.to_owned(),
         query_fingerprint: report.query_fp,
         scheme: scheme.into(),
         cache_hit,
         error: error.map(Into::into),
-        queue_wait_micros,
+        queue_wait_us,
         samples: report.samples,
         variance: report.variance,
         ci_half_width: report.ci_half_width,
-        preprocess_micros,
-        scheme_micros,
-        total_micros,
-        ts_micros,
+        preprocess_us,
+        scheme_us,
+        total_us,
+        ts_us,
     });
     shared.metrics.last_request_samples.set(report.samples.min(i64::MAX as u64) as i64);
     shared.metrics.last_request_ci_ppm.set((report.ci_half_width * 1e6) as i64);
-    if error.is_some() || total_micros > shared.slow_threshold_micros {
+    if error.is_some() || total_us > shared.slow_threshold_micros {
         shared.metrics.slow_requests.inc();
         flight::slowlog_record(SlowlogEntry {
             request_id: request_id.to_owned(),
             error,
-            total_micros,
-            ts_micros,
+            total_micros: total_us,
+            ts_micros: ts_us,
             spans: flight::take_request_spans(),
         });
     }

@@ -231,14 +231,17 @@ fn flight_recorder_attributes_requests_end_to_end() {
     assert_eq!(miss.ci_half_width, worst(|a| a.ci_half_width), "digest half-width vs offline");
     assert!(miss.queue_wait_us <= miss.total_us);
     assert!(miss.scheme_us <= miss.total_us);
-    assert_ne!(miss.query_fp, format!("{:016x}", 0u64), "parsed queries carry a fingerprint");
+    assert_ne!(miss.query_fingerprint, 0, "parsed queries carry a fingerprint");
     for (id, total_samples) in &per_scheme {
         assert_eq!(find(id).samples, *total_samples, "{id}: digest samples vs response");
     }
     let hit = find("it-flight-hit");
     assert!(hit.cache_hit);
     assert_eq!(hit.preprocess_us, 0, "cache hits skip preprocessing");
-    assert_eq!(hit.query_fp, miss.query_fp, "same canonical query, same fingerprint");
+    assert_eq!(
+        hit.query_fingerprint, miss.query_fingerprint,
+        "same canonical query, same fingerprint"
+    );
     let err = find("it-flight-err");
     assert_eq!(err.error.as_deref(), Some("bad_request"));
     assert!(

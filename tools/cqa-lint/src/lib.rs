@@ -3,12 +3,13 @@
 //! Rust's type system cannot express several invariants this workspace
 //! relies on — "no panics reachable from the server's request path", "all
 //! randomness flows from the seeded root RNG", "locks are taken in one
-//! order and never held across a blocking call or a fault point", "the
-//! wire protocol and its document agree". Invariants the compiler, clippy
-//! or a test already enforce are left to them — span, fault-point and
-//! benchmark-series names are enums, so the compiler rejects a misspelled
-//! one, and the counting allocator in `crates/core/tests/alloc_sanitizer.rs`
-//! checks that sampling never allocates (see `docs/ANALYSIS.md`).
+//! order and never held across a blocking call or a fault point".
+//! Invariants the compiler, clippy or a test already enforce are left to
+//! them — span, fault-point and benchmark-series names are enums, so the
+//! compiler rejects a misspelled one; the counting allocator in
+//! `crates/core/tests/alloc_sanitizer.rs` checks that sampling never
+//! allocates; and `crates/server/tests/protocol_doc.rs` checks that the
+//! wire protocol and its document agree (see `docs/ANALYSIS.md`).
 //! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
 //! parser ([`parser`]), and a conservative workspace call graph
 //! ([`callgraph`]) that turns the panic and RNG rules into transitive
@@ -31,10 +32,6 @@ use rules::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Repo-relative path of the wire-protocol implementation.
-pub const PROTOCOL_FILE: &str = "crates/server/src/protocol.rs";
-/// Repo-relative path of the wire-protocol document.
-pub const PROTOCOL_DOC: &str = "docs/PROTOCOL.md";
 /// Files on the server's request path, subject to `no-panic-in-request-path`.
 pub const REQUEST_PATH_FILES: [&str; 3] =
     ["crates/server/src/server.rs", "crates/server/src/pool.rs", "crates/server/src/cache.rs"];
@@ -162,25 +159,7 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, CheckErro
 /// Runs every rule over the workspace rooted at `root` and returns the
 /// surviving findings, sorted by file/line/rule.
 pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
-    let sources = workspace_sources(root)?;
-    let mut findings = check_sources(&sources);
-
-    if let Some((_, proto_src)) = sources.iter().find(|(rel, _)| rel == PROTOCOL_FILE) {
-        let stripped = lexer::strip_cfg_test(&lexer::lex(proto_src).toks);
-        let doc = read(&root.join(PROTOCOL_DOC))?;
-        let code_keys = rules::protocol_code_keys(&stripped);
-        let doc_keys = rules::protocol_doc_keys(&doc);
-        findings.extend(rules::protocol_sync(&code_keys, &doc_keys, PROTOCOL_FILE, PROTOCOL_DOC));
-        findings.extend(rules::error_table_sync(
-            &rules::protocol_error_kinds(&stripped),
-            &rules::protocol_doc_error_kinds(&doc),
-            PROTOCOL_FILE,
-            PROTOCOL_DOC,
-        ));
-    }
-
-    sort_dedup(&mut findings);
-    Ok(findings)
+    Ok(check_sources(&workspace_sources(root)?))
 }
 
 /// Lints a single source string as if it were file `rel`. Single-file

@@ -17,12 +17,10 @@
 
 use crate::callgraph::{FnId, Graph};
 use crate::lexer::{Lexed, Tok, TokKind};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Rule identifiers, as used in `allow(...)` suppressions and CLI output.
 pub const NO_PANIC: &str = "no-panic-in-request-path";
-pub const PROTOCOL_SYNC: &str = "protocol-doc-sync";
 pub const OPAQUE: &str = "opaque-call";
 pub const RNG_FLOW: &str = "rng-flow";
 pub const SUPPRESSION: &str = "suppression-needs-reason";
@@ -31,8 +29,8 @@ pub const NO_BLOCKING: &str = "no-blocking-while-locked";
 pub const GUARD_FAULT: &str = "no-guard-across-fault-point";
 
 /// Every rule name, for validating `allow(...)` suppressions.
-pub const ALL_RULES: [&str; 8] =
-    [NO_PANIC, PROTOCOL_SYNC, OPAQUE, RNG_FLOW, SUPPRESSION, LOCK_ORDER, NO_BLOCKING, GUARD_FAULT];
+pub const ALL_RULES: [&str; 7] =
+    [NO_PANIC, OPAQUE, RNG_FLOW, SUPPRESSION, LOCK_ORDER, NO_BLOCKING, GUARD_FAULT];
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +39,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Repo-relative file the finding is in.
     pub file: String,
-    /// 1-based line (0 for whole-file findings like a missing doc entry).
+    /// 1-based line.
     pub line: u32,
     /// Human-readable description.
     pub message: String,
@@ -285,224 +283,6 @@ pub fn suppression_hygiene(lexed: &Lexed, file: &str) -> Vec<Finding> {
                     ),
                 });
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: protocol-doc-sync
-// ---------------------------------------------------------------------------
-
-/// Wire keys nested payloads document but `protocol.rs` does not build:
-/// the flat stats fields assembled in `metrics.rs`. Their shape is covered
-/// by the server's metrics tests; listing them here keeps the reverse
-/// check exact instead of fuzzy.
-pub const DOC_ONLY_KEYS: [&str; 3] = ["cache_hits", "cache_misses", "cache_canonical_rekeys"];
-
-fn is_wire_key(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes().next().is_some_and(|b| b.is_ascii_lowercase() || b == b'_')
-        && s.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-}
-
-/// Extracts the wire field names `protocol.rs` reads or writes: literals
-/// in `("key", value)` serialization pairs and literals passed to the
-/// `get`/`req_*` accessors.
-pub fn protocol_code_keys(toks: &[Tok]) -> BTreeSet<String> {
-    const ACCESSORS: [&str; 5] = ["get", "req_str", "req_f64", "req_u64", "req_bool"];
-    let mut keys = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Str || !is_wire_key(&t.text) {
-            continue;
-        }
-        let prev_open = i > 0 && toks[i - 1].is_punct('(');
-        if !prev_open {
-            continue;
-        }
-        let pair_key = toks.get(i + 1).is_some_and(|n| n.is_punct(','));
-        let accessor_arg = i >= 2
-            && toks[i - 2].kind == TokKind::Ident
-            && ACCESSORS.contains(&toks[i - 2].text.as_str());
-        if pair_key || accessor_arg {
-            keys.insert(t.text.clone());
-        }
-    }
-    keys
-}
-
-/// Extracts the documented wire keys from `docs/PROTOCOL.md`: every
-/// `"key":` occurrence (JSON examples and inline code alike).
-pub fn protocol_doc_keys(doc: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    let bytes = doc.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len()
-                && (bytes[j].is_ascii_lowercase() || bytes[j].is_ascii_digit() || bytes[j] == b'_')
-            {
-                j += 1;
-            }
-            if j > start && bytes.get(j) == Some(&b'"') {
-                let mut k = j + 1;
-                while k < bytes.len() && (bytes[k] == b' ' || bytes[k] == b'\t') {
-                    k += 1;
-                }
-                if bytes.get(k) == Some(&b':') {
-                    keys.insert(doc[start..j].to_owned());
-                }
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Compares the code and doc key sets. `protocol.rs` and `PROTOCOL.md`
-/// must agree exactly (modulo [`DOC_ONLY_KEYS`]): a field the doc misses
-/// strands client authors; a field the code misses means the doc promises
-/// something the server will never send.
-pub fn protocol_sync(
-    code_keys: &BTreeSet<String>,
-    doc_keys: &BTreeSet<String>,
-    code_file: &str,
-    doc_file: &str,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for key in code_keys {
-        if !doc_keys.contains(key) {
-            out.push(Finding {
-                rule: PROTOCOL_SYNC,
-                file: doc_file.to_owned(),
-                line: 0,
-                message: format!(
-                    "wire field {key:?} is used in {code_file} but never documented (expected a {:?} occurrence)",
-                    format!("\"{key}\":")
-                ),
-            });
-        }
-    }
-    for key in doc_keys {
-        if !code_keys.contains(key) && !DOC_ONLY_KEYS.contains(&key.as_str()) {
-            out.push(Finding {
-                rule: PROTOCOL_SYNC,
-                file: code_file.to_owned(),
-                line: 0,
-                message: format!(
-                    "documented wire field {key:?} does not appear in {code_file} (stale doc, or add it to DOC_ONLY_KEYS if it moved into a nested payload)"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Extracts the wire error-kind names from `protocol.rs`: the string
-/// literals inside the body of `fn from_name`, which is the exhaustive
-/// wire-name → `ErrorKind` parse table (the `name()` direction holds the
-/// same literals, so either would do; `from_name` is the one a stale doc
-/// row would silently disagree with).
-pub fn protocol_error_kinds(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("fn") || !toks.get(i + 1).is_some_and(|n| n.is_ident("from_name")) {
-            continue;
-        }
-        // Skip to the body's opening brace, then collect string literals
-        // to the matching close.
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') {
-            j += 1;
-        }
-        let mut depth = 0usize;
-        while j < toks.len() {
-            match &toks[j].kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Str => {
-                    out.insert(toks[j].text.clone());
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Extracts the documented error kinds from `docs/PROTOCOL.md`: the
-/// backticked first-column names of every markdown table row under a
-/// heading that mentions errors. Tables in other sections (the request
-/// and stats field tables) are ignored.
-pub fn protocol_doc_error_kinds(doc: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut in_error_section = false;
-    for line in doc.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with('#') {
-            in_error_section = trimmed.to_ascii_lowercase().contains("error");
-            continue;
-        }
-        if !in_error_section || !trimmed.starts_with('|') {
-            continue;
-        }
-        // First cell of the row; header and separator rows are not
-        // backticked names and fall through.
-        let Some(cell) = trimmed.trim_start_matches('|').split('|').next() else { continue };
-        let cell = cell.trim();
-        if let Some(name) = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')) {
-            if is_wire_key(name) {
-                out.insert(name.to_owned());
-            }
-        }
-    }
-    out
-}
-
-/// Compares the error kinds `protocol.rs` parses against the error table
-/// in `PROTOCOL.md`, both ways: a kind the doc misses leaves client
-/// authors guessing whether to retry; a doc row the code cannot produce
-/// promises an error the server will never send.
-pub fn error_table_sync(
-    code_kinds: &BTreeSet<String>,
-    doc_kinds: &BTreeSet<String>,
-    code_file: &str,
-    doc_file: &str,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for kind in code_kinds {
-        if !doc_kinds.contains(kind) {
-            out.push(Finding {
-                rule: PROTOCOL_SYNC,
-                file: doc_file.to_owned(),
-                line: 0,
-                message: format!(
-                    "error kind {kind:?} is parsed by {code_file} but missing from the error \
-                     table in {doc_file}"
-                ),
-            });
-        }
-    }
-    for kind in doc_kinds {
-        if !code_kinds.contains(kind) {
-            out.push(Finding {
-                rule: PROTOCOL_SYNC,
-                file: code_file.to_owned(),
-                line: 0,
-                message: format!(
-                    "documented error kind {kind:?} does not appear in ErrorKind::from_name in \
-                     {code_file} (stale doc row)"
-                ),
-            });
         }
     }
     out

@@ -105,73 +105,6 @@ fn suppression_hygiene_passes_good_fixture() {
 }
 
 #[test]
-fn protocol_sync_passes_matching_pair() {
-    let lexed = cqa_lint::lexer::lex(&fixture("protocol-doc-sync/good_protocol.rs"));
-    let code = rules::protocol_code_keys(&lexed.toks);
-    assert_eq!(code.iter().map(String::as_str).collect::<Vec<_>>(), vec!["query", "seed"]);
-    let doc = rules::protocol_doc_keys(&fixture("protocol-doc-sync/good_doc.md"));
-    assert!(rules::protocol_sync(&code, &doc, "protocol.rs", "doc.md").is_empty());
-}
-
-#[test]
-fn protocol_sync_fires_in_both_directions() {
-    let lexed = cqa_lint::lexer::lex(&fixture("protocol-doc-sync/good_protocol.rs"));
-    let code = rules::protocol_code_keys(&lexed.toks);
-    let doc = rules::protocol_doc_keys(&fixture("protocol-doc-sync/bad_doc.md"));
-    let findings = rules::protocol_sync(&code, &doc, "protocol.rs", "doc.md");
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == rules::PROTOCOL_SYNC));
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("\"seed\"") && f.message.contains("never documented")),
-        "undocumented code key: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("\"retries\"") && f.message.contains("stale doc")),
-        "doc-only key: {findings:?}"
-    );
-}
-
-#[test]
-fn error_table_sync_passes_matching_pair() {
-    let lexed = cqa_lint::lexer::lex(&fixture("protocol-doc-sync/error_protocol.rs"));
-    let code = rules::protocol_error_kinds(&lexed.toks);
-    assert_eq!(
-        code.iter().map(String::as_str).collect::<Vec<_>>(),
-        vec!["bad_request", "overloaded"],
-        "kinds come from the from_name parse table only"
-    );
-    let doc = rules::protocol_doc_error_kinds(&fixture("protocol-doc-sync/good_error_doc.md"));
-    assert_eq!(code, doc, "tables outside the error section must be ignored");
-    assert!(rules::error_table_sync(&code, &doc, "protocol.rs", "doc.md").is_empty());
-}
-
-#[test]
-fn error_table_sync_fires_in_both_directions() {
-    let lexed = cqa_lint::lexer::lex(&fixture("protocol-doc-sync/error_protocol.rs"));
-    let code = rules::protocol_error_kinds(&lexed.toks);
-    let doc = rules::protocol_doc_error_kinds(&fixture("protocol-doc-sync/bad_error_doc.md"));
-    let findings = rules::error_table_sync(&code, &doc, "protocol.rs", "doc.md");
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == rules::PROTOCOL_SYNC));
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("\"bad_request\"") && f.message.contains("missing")),
-        "undocumented error kind: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("\"deadline_exceeded\"") && f.message.contains("stale")),
-        "doc-only error kind: {findings:?}"
-    );
-}
-
-#[test]
 fn lock_order_fires_on_seeded_abba() {
     let fired = fired(ANYWHERE, "lock-order/bad.rs");
     assert_eq!(fired, vec![rules::LOCK_ORDER, rules::LOCK_ORDER], "one finding per direction");
