@@ -64,7 +64,6 @@ pub mod montecarlo;
 pub mod optest;
 pub mod sampler;
 pub mod scheme;
-mod telemetry;
 
 pub use coverage::{coverage_iterations, self_adjusting_coverage, CoverageOutcome};
 pub use driver::{apx_cqa, apx_cqa_on_synopses, apx_cqa_parallel, ApxCqaResult, TupleEstimate};

@@ -19,7 +19,6 @@
 
 use crate::sampler::Sampler;
 use crate::scheme::Budget;
-use crate::telemetry;
 use cqa_common::{CqaError, Mt64, Result};
 use cqa_obs::Span;
 
@@ -95,10 +94,7 @@ pub(crate) fn budgeted_sample<S: Sampler>(
 #[cold]
 #[inline(never)]
 pub(crate) fn budget_exhausted(event: Span, count: u64, phase: &'static str) -> CqaError {
-    if cqa_obs::enabled() {
-        telemetry::budget_exhausted_total().inc();
-        cqa_obs::instant_args(event, count, 0);
-    }
+    cqa_obs::instant_args(event, count, 0);
     CqaError::TimedOut { phase, samples: count }
 }
 
@@ -211,9 +207,6 @@ mod tests {
         fn r_factor(&self) -> f64 {
             1.0
         }
-        fn name(&self) -> &'static str {
-            "Bernoulli"
-        }
     }
 
     /// A low-variance sampler: constant value.
@@ -227,9 +220,6 @@ mod tests {
         }
         fn r_factor(&self) -> f64 {
             1.0
-        }
-        fn name(&self) -> &'static str {
-            "Constant"
         }
     }
 

@@ -70,17 +70,6 @@ pub trait Sampler {
 
     /// The `r` of r-goodness: `E[sample] = R(H, B) · r`.
     fn r_factor(&self) -> f64;
-
-    /// Display name.
-    fn name(&self) -> &'static str;
-
-    /// Zero-contribution draws so far: natural-space misses and KL draws
-    /// discarded because an earlier image was contained. Feeds the
-    /// `core_samples_rejected_total` observability counter; samplers
-    /// without a rejection notion report 0.
-    fn rejected(&self) -> u64 {
-        0
-    }
 }
 
 /// An admissible pair compiled for sampling; see the module docs.
@@ -198,14 +187,13 @@ fn holds(image: &[ImageAtom], chosen: &[u32]) -> bool {
 pub struct NaturalSampler {
     kernel: SamplingKernel,
     chosen: Vec<u32>,
-    rejected: u64,
 }
 
 impl NaturalSampler {
     /// Prepares a sampler for `pair`.
     pub fn new(pair: &AdmissiblePair) -> Self {
         let kernel = SamplingKernel::new(pair);
-        NaturalSampler { chosen: vec![0; kernel.num_blocks()], kernel, rejected: 0 }
+        NaturalSampler { chosen: vec![0; kernel.num_blocks()], kernel }
     }
 }
 
@@ -216,21 +204,12 @@ impl Sampler for NaturalSampler {
         if self.kernel.any_contained(&self.chosen) {
             1.0
         } else {
-            self.rejected += 1;
             0.0
         }
     }
 
     fn r_factor(&self) -> f64 {
         1.0
-    }
-
-    fn name(&self) -> &'static str {
-        "SampleNatural"
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected
     }
 }
 
@@ -280,13 +259,12 @@ impl SymbolicDraw {
 pub struct KlSampler {
     draw: SymbolicDraw,
     r: f64,
-    rejected: u64,
 }
 
 impl KlSampler {
     /// Prepares a sampler for `pair`.
     pub fn new(pair: &AdmissiblePair) -> Self {
-        KlSampler { draw: SymbolicDraw::new(pair), r: 1.0 / pair.s_ratio(), rejected: 0 }
+        KlSampler { draw: SymbolicDraw::new(pair), r: 1.0 / pair.s_ratio() }
     }
 }
 
@@ -295,7 +273,6 @@ impl Sampler for KlSampler {
     fn sample(&mut self, rng: &mut Mt64) -> f64 {
         let i = self.draw.draw(rng);
         if self.draw.kernel.contained_before(i, &self.draw.chosen) {
-            self.rejected += 1;
             0.0
         } else {
             1.0
@@ -304,14 +281,6 @@ impl Sampler for KlSampler {
 
     fn r_factor(&self) -> f64 {
         self.r
-    }
-
-    fn name(&self) -> &'static str {
-        "SampleKL"
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected
     }
 }
 
@@ -339,10 +308,6 @@ impl Sampler for KlmSampler {
 
     fn r_factor(&self) -> f64 {
         self.r
-    }
-
-    fn name(&self) -> &'static str {
-        "SampleKLM"
     }
 }
 

@@ -12,7 +12,6 @@
 use crate::coverage::self_adjusting_coverage;
 use crate::montecarlo::monte_carlo;
 use crate::sampler::{KlSampler, KlmSampler, NaturalSampler, Sampler};
-use crate::telemetry;
 use cqa_common::{Deadline, Mt64, Result};
 use cqa_obs::Span;
 use cqa_synopsis::AdmissiblePair;
@@ -171,14 +170,7 @@ pub fn approx_relative_frequency(
             run_monte_carlo(&mut s, r, eps, delta, budget, rng)
         }
         Scheme::Cover => {
-            let res = self_adjusting_coverage(pair, eps, delta, budget, rng);
-            if cqa_obs::enabled() {
-                if let Ok(out) = &res {
-                    telemetry::samples_total().add(out.steps);
-                    telemetry::scheme_runs_total().inc();
-                }
-            }
-            let out = res?;
+            let out = self_adjusting_coverage(pair, eps, delta, budget, rng)?;
             Ok(ApproxOutcome::new(
                 out.ratio.clamp(0.0, 1.0),
                 out.steps,
@@ -192,8 +184,7 @@ pub fn approx_relative_frequency(
     Ok(out)
 }
 
-/// Runs `MonteCarlo[sampler]`, divides by the r-factor, and feeds the
-/// observability counters (sample totals, rejections) when tracing is on.
+/// Runs `MonteCarlo[sampler]` and divides by the r-factor.
 fn run_monte_carlo<S: Sampler>(
     sampler: &mut S,
     r: f64,
@@ -202,15 +193,7 @@ fn run_monte_carlo<S: Sampler>(
     budget: &Budget,
     rng: &mut Mt64,
 ) -> Result<ApproxOutcome> {
-    let res = monte_carlo(sampler, eps, delta, budget, rng);
-    if cqa_obs::enabled() {
-        telemetry::samples_rejected_total().add(sampler.rejected());
-        if let Ok(out) = &res {
-            telemetry::samples_total().add(out.samples);
-            telemetry::scheme_runs_total().inc();
-        }
-    }
-    let out = res?;
+    let out = monte_carlo(sampler, eps, delta, budget, rng)?;
     // The estimate is `mean / r`, so its variance is the mean's over r².
     Ok(ApproxOutcome::new(
         (out.mean / r).clamp(0.0, 1.0),
@@ -295,27 +278,6 @@ mod tests {
         assert_eq!(Scheme::Klm.name(), "KLM");
         assert_eq!(Scheme::Cover.name(), "Cover");
         assert_eq!(format!("{}", Scheme::Kl), "KL");
-        // Core's counters on the process-wide registry are exactly these.
-        let counters = [
-            telemetry::samples_total,
-            telemetry::samples_rejected_total,
-            telemetry::scheme_runs_total,
-            telemetry::budget_exhausted_total,
-        ];
-        for register in counters {
-            register();
-        }
-        let metrics = cqa_obs::metrics::global().to_json();
-        let cqa_common::Json::Obj(metrics) = &metrics else { panic!("{metrics:?}") };
-        assert_eq!(
-            metrics.keys().map(String::as_str).collect::<Vec<_>>(),
-            [
-                "core_budget_exhausted_total",
-                "core_samples_rejected_total",
-                "core_samples_total",
-                "core_scheme_runs_total"
-            ]
-        );
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn assert_sampling_is_alloc_free<S: Sampler>(mut sampler: S, seed: u64) {
         ops,
         0,
         "{}: {ops} heap op(s) over {SAMPLES} samples — the per-sample loop must not allocate",
-        sampler.name()
+        std::any::type_name::<S>()
     );
 }
 

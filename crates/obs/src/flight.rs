@@ -22,18 +22,15 @@
 //!    worker thread, so any layer can attribute telemetry to the request
 //!    without threading an id through every signature.
 //!
-//! Unlike tracing, the recorder is **on by default**: digests are integer
-//! stores into pre-allocated slots, cheap enough for every request. The
-//! [`set_enabled`] toggle exists for A/B overhead measurement (the
-//! `cqa-perf` `server/flight_{on,off}_throughput_rps` series) and for
-//! tests.
+//! Unlike tracing, the recorder is **always on**: digests are integer
+//! stores into pre-allocated slots, cheap enough for every request, and
+//! its cost is inside every `cqa-perf` `server/*` series.
 
 use crate::ring::Ring;
 use crate::trace::{self, TraceEvent};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Digest-ring capacity in requests.
@@ -50,22 +47,6 @@ pub const SLOWLOG_CAPACITY: usize = 64;
 /// Spans captured per request for the slow/error log's span tree.
 pub const CAPTURE_SPANS: usize = 256;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is the flight recorder on? One relaxed load.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns the flight recorder on or off process-wide (it is on by
-/// default). Off, [`begin_request`]'s span capture, [`record`], and
-/// [`slowlog_record`] are no-ops — the knob the `cqa-perf` flight suite
-/// uses to price the recorder.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // The request context
 // ---------------------------------------------------------------------------
@@ -77,12 +58,8 @@ thread_local! {
 /// Opens a request scope on this thread: installs `request_id` as the
 /// thread's current request id and opens a span-capture window (up to
 /// [`CAPTURE_SPANS`] spans) for the slow/error log. Call on the worker
-/// thread that will execute the request, before any request work. A
-/// no-op while the recorder is disabled.
+/// thread that will execute the request, before any request work.
 pub fn begin_request(request_id: &str) {
-    if !enabled() {
-        return;
-    }
     CURRENT_ID.with(|c| {
         let mut id = c.borrow_mut();
         id.clear();
@@ -191,13 +168,9 @@ fn words_str(words: &[u64]) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Records one request digest into the ring (a no-op while the recorder is
-/// disabled). Wait-free: the shared ring's claim-or-drop publication, no
-/// loops.
+/// Records one request digest into the ring. Wait-free: the shared ring's
+/// claim-or-drop publication, no loops.
 pub fn record(d: &FlightDigest) {
-    if !enabled() {
-        return;
-    }
     let [i0, i1, i2, i3] = str_words(&d.request_id);
     let [scheme] = str_words(&d.scheme);
     let [e0, e1, e2] = str_words(d.error.as_deref().unwrap_or(""));
@@ -296,11 +269,8 @@ fn slowlog() -> &'static Mutex<VecDeque<SlowlogEntry>> {
 }
 
 /// Appends to the slow/error log, evicting the oldest entry past
-/// [`SLOWLOG_CAPACITY`]. A no-op while the recorder is disabled.
+/// [`SLOWLOG_CAPACITY`].
 pub fn slowlog_record(entry: SlowlogEntry) {
-    if !enabled() {
-        return;
-    }
     let mut log = slowlog().lock().unwrap_or_else(PoisonError::into_inner);
     if log.len() >= SLOWLOG_CAPACITY {
         log.pop_front();
@@ -327,12 +297,6 @@ pub fn slowlog_clear() {
 mod tests {
     use super::*;
 
-    /// The recorder's on/off switch is process-wide, and one test turns it
-    /// off: every test that records or captures holds this lock, so that
-    /// test cannot make another drop its entries. A poisoned lock still
-    /// holds: the `Err` of `lock()` carries the guard.
-    static SWITCH: Mutex<()> = Mutex::new(());
-
     fn digest(id: &str, ts: u64) -> FlightDigest {
         FlightDigest {
             request_id: id.to_owned(),
@@ -351,11 +315,10 @@ mod tests {
         }
     }
 
-    /// The ring is process-global; exercise record/snapshot/clear/toggle
-    /// from one test to avoid cross-test interference.
+    /// The ring is process-global; exercise record/snapshot/clear from one
+    /// test to avoid cross-test interference.
     #[test]
-    fn digest_ring_roundtrip_wrap_and_toggle() {
-        let _switch = SWITCH.lock();
+    fn digest_ring_roundtrip_and_wrap() {
         clear();
         record(&digest("client-abc", 10));
         record(&FlightDigest {
@@ -384,18 +347,10 @@ mod tests {
         let (got, dropped) = snapshot();
         assert_eq!(got.len(), DEFAULT_CAPACITY);
         assert_eq!(dropped, 5);
-
-        // Disabled ⇒ nothing records.
-        clear();
-        set_enabled(false);
-        record(&digest("ignored", 1));
-        assert!(snapshot().0.is_empty());
-        set_enabled(true);
     }
 
     #[test]
     fn request_scope_carries_the_id_and_span_tree() {
-        let _switch = SWITCH.lock();
         begin_request("req-77");
         assert_eq!(current_request_id(), "req-77");
         {
@@ -411,7 +366,6 @@ mod tests {
 
     #[test]
     fn slowlog_is_bounded_and_ordered() {
-        let _switch = SWITCH.lock();
         slowlog_clear();
         for i in 0..(SLOWLOG_CAPACITY as u64 + 3) {
             slowlog_record(SlowlogEntry {

@@ -12,11 +12,10 @@
 //! * **Export** ([`export`]): the recorded ring renders as Chrome
 //!   `trace_event` JSON (open in `chrome://tracing` or Perfetto) or as a
 //!   terminal flat profile sorted by self time.
-//! * **Metrics** ([`metrics`]): named counters, gauges, and log₂ latency
-//!   [`Histogram`]s in a [`Registry`] rendered to JSON or Prometheus text
-//!   exposition format. A process-wide [`metrics::global`] registry holds
-//!   library-level counters (samples drawn, rejected draws, scheme runs,
-//!   budget expiries); servers own per-instance registries.
+//! * **Metrics** ([`metrics`]): lock-free [`Counter`], [`Gauge`] and log₂
+//!   latency [`Histogram`] handles. They carry no names; `cqa-server`
+//!   owns one set per instance and renders it, with the values it reads
+//!   from the cache and the flight recorder, as JSON or Prometheus text.
 //! * **Flight recorder** ([`flight`]): always-on per-request digests in
 //!   the same lock-free ring type the trace buffer uses, a tail-sampled
 //!   slow/error log of full span trees, and a thread-local request
@@ -47,7 +46,7 @@ pub mod trace;
 
 pub use export::{chrome_trace_string, flat_profile_string, write_chrome_trace};
 pub use flight::{FlightDigest, SlowlogEntry};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use names::Span;
 pub use trace::{
     enabled, instant_args, now_micros, record_span, set_enabled, span, span_args, EventKind,

@@ -25,7 +25,7 @@ USAGE: cqa-perf <command> [options]
         Run the suite registry and write BENCH_<pr>.json
         (default --profile ci, --pr 0, --out BENCH_<pr>.json).
         With --only, run just that suite: samplers, schemes, synopsis,
-        figure, server, flight, lint, ablations or optest.
+        figure, server, lint, ablations or optest.
         With --dashboard, also append the recording to DIR/data.js.
 
   diff  --base PATH

@@ -41,8 +41,6 @@ cqa_common::name_enum! {
         SchemeKlAnswerNs = "scheme/kl/answer_ns",
         SchemeKlmAnswerNs = "scheme/klm/answer_ns",
         SchemeNaturalAnswerNs = "scheme/natural/answer_ns",
-        ServerFlightOffThroughputRps = "server/flight_off_throughput_rps",
-        ServerFlightOnThroughputRps = "server/flight_on_throughput_rps",
         ServerLatencyP50Ms = "server/latency_p50_ms",
         ServerLatencyP95Ms = "server/latency_p95_ms",
         ServerThroughputRps = "server/throughput_rps",

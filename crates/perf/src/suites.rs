@@ -16,21 +16,19 @@
 //!    so ten of them lie beyond p95, while p99 and p999 would be a round's
 //!    second-largest and largest request. The server's own `cqa-obs`
 //!    histogram quantiles ride along in the load report but are
-//!    log₂-bucketed, too coarse to gate on;
-//! 5. **flight** — the same throughput measurement with the flight
-//!    recorder disabled vs enabled, pricing the always-on per-request
-//!    digest + span capture (the acceptance bar is < 5% overhead). The
-//!    fault-*off* cost of the `fault_point!` probes is gated here too:
-//!    chaos is never armed in these suites, so a probe that stopped being
-//!    free would regress the throughput series. The chaos harness's
-//!    reliability floor is a test (`tests/chaos.rs`), not a series;
-//! 6. **lint** — the wall-clock of a full `cqa-lint check` over this
+//!    log₂-bucketed, too coarse to gate on. The always-on flight
+//!    recorder (per-request digest and span capture) and the fault-*off*
+//!    cost of the `fault_point!` probes are inside these series: chaos is
+//!    never armed in these suites, so a probe that stopped being free
+//!    would regress them. The chaos harness's reliability floor is a test
+//!    (`tests/chaos.rs`), not a series;
+//! 5. **lint** — the wall-clock of a full `cqa-lint check` over this
 //!    workspace, gating the linter's cost against CI's hard 5s `timeout`
 //!    on the lint step;
-//! 7. **ablations** — the design choices DESIGN.md calls out, each arm
+//! 6. **ablations** — the design choices DESIGN.md calls out, each arm
 //!    its own series: alias vs linear weighted draw, DKLR vs Hoeffding
 //!    iteration planning, sequential vs two-thread `apx_cqa_parallel`;
-//! 8. **optest** — the DKLR stopping rule and full iteration plan on
+//! 7. **optest** — the DKLR stopping rule and full iteration plan on
 //!    single-image pairs of ratio 4⁻¹, 4⁻², 4⁻³: the 1/µ cost growth
 //!    behind every trend in Figures 1–2.
 //!
@@ -281,7 +279,7 @@ pub fn suite_figure(profile: &Profile) -> Result<Vec<Series>> {
 /// prints them) but its log₂ buckets can only move in 2× jumps.
 pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
     let db = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
-    let reports = load_rounds(profile, &db, 0)?;
+    let reports = load_rounds(profile, &db)?;
     let series = |name, value: fn(&LoadReport) -> f64| {
         let values: Vec<f64> = reports.iter().map(value).collect();
         bench_series(name, &Summary::from_samples(&values))
@@ -293,11 +291,9 @@ pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
     ])
 }
 
-/// One load report per round, each against a fresh server, with the
-/// flight recorder in whatever state the caller set process-wide. Round
-/// `r` runs seed `profile.seed ^ salt ^ r`, so [`suite_server`] (salt 0)
-/// and the two arms of [`suite_flight`] share one measurement.
-fn load_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<LoadReport>> {
+/// One load report per round, each against a fresh server. Round `r` runs
+/// seed `profile.seed ^ r`.
+fn load_rounds(profile: &Profile, db: &Database) -> Result<Vec<LoadReport>> {
     let mut reports = Vec::new();
     for round in 0..profile.server_rounds {
         let server = Server::bind(
@@ -316,7 +312,7 @@ fn load_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<LoadRe
             delta: profile.delta,
             clients: profile.clients,
             requests: profile.requests,
-            seed: profile.seed ^ salt ^ u64::from(round),
+            seed: profile.seed ^ u64::from(round),
             timeout_ms: None,
             permute: false,
         });
@@ -326,29 +322,7 @@ fn load_rounds(profile: &Profile, db: &Database, salt: u64) -> Result<Vec<LoadRe
     Ok(reports)
 }
 
-/// Suite 5: the flight recorder's price. Server throughput with the
-/// recorder disabled vs enabled (its always-on default), measured by the
-/// same rounds as [`suite_server`]; the regression gate then holds both
-/// series, and `debug flight` attribution staying within a few percent of
-/// the recorder-free baseline is an explicit acceptance bar. The recorder
-/// is restored to enabled no matter how the off arm exits.
-pub fn suite_flight(profile: &Profile) -> Result<Vec<Series>> {
-    let db = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
-    let throughput = |reports: &[LoadReport]| {
-        let rps: Vec<f64> = reports.iter().map(LoadReport::throughput_rps).collect();
-        Summary::from_samples(&rps)
-    };
-    cqa_obs::flight::set_enabled(false);
-    let off = load_rounds(profile, &db, 0xf0);
-    cqa_obs::flight::set_enabled(true);
-    let (off, on) = (off?, load_rounds(profile, &db, 0x0f)?);
-    Ok(vec![
-        bench_series(SeriesName::ServerFlightOffThroughputRps, &throughput(&off)),
-        bench_series(SeriesName::ServerFlightOnThroughputRps, &throughput(&on)),
-    ])
-}
-
-/// Suite 6: the invariant linter's own wall-clock. CI runs
+/// Suite 5: the invariant linter's own wall-clock. CI runs
 /// `cqa-lint check` under a hard `timeout 5`, so the linter's cost (the
 /// workspace call graph plus the reachability and held-locks passes over
 /// it) is itself a gated performance surface: a regression here eats the
@@ -388,7 +362,7 @@ fn hoeffding_monte_carlo<S: Sampler>(s: &mut S, eps: f64, delta: f64, rng: &mut 
     (0..n).map(|_| s.sample(rng)).sum::<f64>() / n as f64
 }
 
-/// Suite 7: the ablations. Each pair of series prices one design choice
+/// Suite 6: the ablations. Each pair of series prices one design choice
 /// against its textbook alternative on the same input.
 pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     let mut out = Vec::new();
@@ -477,7 +451,7 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     Ok(out)
 }
 
-/// Suite 8: DKLR cost against the mean. A single-image pair over `depth`
+/// Suite 7: DKLR cost against the mean. A single-image pair over `depth`
 /// blocks of size 4 has ratio `4^-depth`; the stopping rule and the full
 /// plan should each cost about 4× more per extra block.
 pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
@@ -513,13 +487,12 @@ pub type Suite = (&'static str, fn(&Profile) -> Result<Vec<Series>>);
 
 /// The suite registry, in run order: `cqa-perf run` runs all of it, and
 /// `--only <name>` one entry.
-pub const SUITES: [Suite; 9] = [
+pub const SUITES: [Suite; 8] = [
     ("samplers", suite_samplers),
     ("schemes", suite_schemes),
     ("synopsis", suite_synopsis),
     ("figure", suite_figure),
     ("server", suite_server),
-    ("flight", suite_flight),
     ("lint", suite_lint),
     ("ablations", suite_ablations),
     ("optest", suite_optest),

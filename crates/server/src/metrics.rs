@@ -1,21 +1,23 @@
-//! Live server metrics on top of the shared [`cqa_obs`] registry.
+//! Live server metrics and their one render path.
 //!
 //! Everything here is updated with relaxed atomics on the hot path — no
 //! locks, no allocation — and read by the `stats` protocol command. Each
-//! server instance owns its own [`Registry`] so embedded and test
-//! deployments stay isolated from each other and from the process-global
-//! registry the library crates record into. The same handles render to
-//! both the `stats` JSON (the wire format clients parse back into a
-//! [`MetricsSnapshot`]) and Prometheus text exposition.
+//! server instance owns its own handles, so embedded and test deployments
+//! stay isolated from each other. At render time one fixed row list reads
+//! every metric once, from where it lives: the handles below, the cache's
+//! own [`CacheStats`], and the process-global flight recorder. Both the
+//! `stats` JSON (the wire format clients parse back into a
+//! [`MetricsSnapshot`]) and Prometheus text exposition render those rows.
 
+use crate::cache::CacheStats;
 use cqa_common::Json;
-use cqa_obs::{Counter, Gauge, Histogram, Registry};
+use cqa_obs::{Counter, Gauge, Histogram};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 
-/// Counters for one server instance, registered in a per-instance
-/// [`Registry`].
-#[derive(Debug)]
+/// Counters for one server instance.
+#[derive(Debug, Default)]
 pub struct Metrics {
-    registry: Registry,
     /// Protocol requests accepted for processing (all commands).
     pub requests: Counter,
     /// `query` requests answered successfully.
@@ -47,24 +49,38 @@ pub struct Metrics {
     pub last_request_samples: Gauge,
     /// The most recent query's terminal CI half-width, parts per million.
     pub last_request_ci_ppm: Gauge,
-    /// Flight-recorder digests lost to ring wrap, mirrored from
-    /// [`cqa_obs::flight`] at render time.
-    flight_dropped: Gauge,
-    /// Slow/error-log resident entries, mirrored at render time.
-    slowlog_entries: Gauge,
-    /// Synopsis-cache counters, mirrored from [`crate::cache::CacheStats`]
-    /// at render time (the cache keeps its own atomics).
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_canonical_rekeys: Counter,
-    cache_entries: Gauge,
-    cache_evictions: Counter,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
+/// A metric's value, read at render time.
+#[derive(Debug)]
+enum Reading<'a> {
+    Counter(u64),
+    Gauge(i64),
+    Histogram(&'a Histogram),
+}
+
+/// One metric as `stats` renders it.
+#[derive(Debug)]
+struct Row<'a> {
+    /// The flat `stats` key; for a histogram, the prefix of its summary
+    /// keys. `None` for metrics only the registry render carries.
+    flat: Option<&'static str>,
+    /// The Prometheus name, also the key under `stats.registry`.
+    name: &'static str,
+    /// The Prometheus `# HELP` text.
+    help: &'static str,
+    reading: Reading<'a>,
+}
+
+/// A [`Row`]. A plain fn, not a closure, so cqa-lint's call graph can see
+/// through the call.
+fn row<'a>(
+    flat: Option<&'static str>,
+    name: &'static str,
+    help: &'static str,
+    reading: Reading<'a>,
+) -> Row<'a> {
+    Row { flat, name, help, reading }
 }
 
 /// A `stats` payload parsed on the client side ([`crate::Client::stats`]):
@@ -123,149 +139,220 @@ pub struct MetricsSnapshot {
 }
 
 impl Metrics {
-    /// A fresh, zeroed metrics block with its own registry.
+    /// A fresh, zeroed metrics block.
     pub fn new() -> Metrics {
-        let registry = Registry::new();
-        let requests = registry.counter(
-            "server_requests_total",
-            "Protocol requests accepted for processing (all commands).",
-        );
-        let queries_ok =
-            registry.counter("server_queries_ok_total", "Query requests answered successfully.");
-        let rejected_overloaded = registry.counter(
-            "server_rejected_overloaded_total",
-            "Requests rejected because the admission queue was full.",
-        );
-        let rejected_deadline = registry
-            .counter("server_rejected_deadline_total", "Requests that ran out of deadline.");
-        let rejected_bad_request =
-            registry.counter("server_rejected_bad_request_total", "Malformed requests.");
-        let errors_internal =
-            registry.counter("server_errors_internal_total", "Unexpected server-side failures.");
-        let connections = registry.counter(
-            "server_connections_total",
-            "Connections accepted over the listener's lifetime.",
-        );
-        let retried_requests = registry.counter(
-            "server_retried_requests_total",
-            "Query requests that arrived stamped as retries (attempt > 0).",
-        );
-        let query_latency = registry.histogram(
-            "server_query_latency",
-            "End-to-end latency of successful query requests, admission to response.",
-        );
-        let queue_wait = registry
-            .histogram("server_queue_wait", "Time a query request spent in the admission queue.");
-        let slow_requests = registry.counter(
-            "server_slow_requests_total",
-            "Requests tail-sampled into the flight recorder's slow/error log.",
-        );
-        let last_request_samples = registry
-            .gauge("server_last_request_samples", "Samples the most recent query request drew.");
-        let last_request_ci_ppm = registry.gauge(
-            "server_last_request_ci_half_width_ppm",
-            "The most recent query's terminal CI half-width, parts per million.",
-        );
-        let flight_dropped =
-            registry.gauge("server_flight_dropped", "Flight-recorder digests lost to ring wrap.");
-        let slowlog_entries =
-            registry.gauge("server_slowlog_entries", "Slow/error-log resident entries.");
-        let cache_hits = registry.counter("server_cache_hits_total", "Synopsis-cache hits.");
-        let cache_misses = registry.counter("server_cache_misses_total", "Synopsis-cache misses.");
-        let cache_canonical_rekeys = registry.counter(
-            "server_cache_canonical_rekeys_total",
-            "Cache hits under a different literal query text than the inserting request's.",
-        );
-        let cache_entries =
-            registry.gauge("server_cache_entries", "Synopsis-cache resident entries.");
-        let cache_evictions =
-            registry.counter("server_cache_evictions_total", "Synopsis-cache evictions.");
-        Metrics {
-            registry,
-            requests,
-            queries_ok,
-            rejected_overloaded,
-            rejected_deadline,
-            rejected_bad_request,
-            errors_internal,
-            connections,
-            retried_requests,
-            query_latency,
-            queue_wait,
-            slow_requests,
-            last_request_samples,
-            last_request_ci_ppm,
-            flight_dropped,
-            slowlog_entries,
-            cache_hits,
-            cache_misses,
-            cache_canonical_rekeys,
-            cache_entries,
-            cache_evictions,
-        }
+        Metrics::default()
     }
 
-    /// Mirrors the cache's own counters and the flight recorder's
-    /// process-global occupancy into the registry, so a render sees
-    /// current values.
-    fn sync(&self, cache: &crate::cache::CacheStats) {
-        self.cache_hits.set(cache.hits);
-        self.cache_misses.set(cache.misses);
-        self.cache_canonical_rekeys.set(cache.canonical_rekeys);
-        self.cache_entries.set(cache.entries as i64);
-        self.cache_evictions.set(cache.evictions);
-        self.flight_dropped.set(cqa_obs::flight::dropped_count().min(i64::MAX as u64) as i64);
-        self.slowlog_entries.set(cqa_obs::flight::slowlog_len() as i64);
+    /// Every metric, read now, in Prometheus render order.
+    fn rows(&self, cache: &CacheStats) -> [Row<'_>; 20] {
+        use Reading::{Counter, Gauge, Histogram};
+        let dropped = cqa_obs::flight::dropped_count().min(i64::MAX as u64) as i64;
+        [
+            row(
+                Some("requests"),
+                "server_requests_total",
+                "Protocol requests accepted for processing (all commands).",
+                Counter(self.requests.get()),
+            ),
+            row(
+                Some("queries_ok"),
+                "server_queries_ok_total",
+                "Query requests answered successfully.",
+                Counter(self.queries_ok.get()),
+            ),
+            row(
+                Some("rejected_overloaded"),
+                "server_rejected_overloaded_total",
+                "Requests rejected because the admission queue was full.",
+                Counter(self.rejected_overloaded.get()),
+            ),
+            row(
+                Some("rejected_deadline"),
+                "server_rejected_deadline_total",
+                "Requests that ran out of deadline.",
+                Counter(self.rejected_deadline.get()),
+            ),
+            row(
+                Some("rejected_bad_request"),
+                "server_rejected_bad_request_total",
+                "Malformed requests.",
+                Counter(self.rejected_bad_request.get()),
+            ),
+            row(
+                Some("errors_internal"),
+                "server_errors_internal_total",
+                "Unexpected server-side failures.",
+                Counter(self.errors_internal.get()),
+            ),
+            row(
+                Some("connections"),
+                "server_connections_total",
+                "Connections accepted over the listener's lifetime.",
+                Counter(self.connections.get()),
+            ),
+            row(
+                Some("retried_requests"),
+                "server_retried_requests_total",
+                "Query requests that arrived stamped as retries (attempt > 0).",
+                Counter(self.retried_requests.get()),
+            ),
+            row(
+                Some("latency"),
+                "server_query_latency",
+                "End-to-end latency of successful query requests, admission to response.",
+                Histogram(&self.query_latency),
+            ),
+            row(
+                None,
+                "server_queue_wait",
+                "Time a query request spent in the admission queue.",
+                Histogram(&self.queue_wait),
+            ),
+            row(
+                Some("slow_requests"),
+                "server_slow_requests_total",
+                "Requests tail-sampled into the flight recorder's slow/error log.",
+                Counter(self.slow_requests.get()),
+            ),
+            row(
+                Some("last_request_samples"),
+                "server_last_request_samples",
+                "Samples the most recent query request drew.",
+                Gauge(self.last_request_samples.get()),
+            ),
+            row(
+                Some("last_request_ci_ppm"),
+                "server_last_request_ci_half_width_ppm",
+                "The most recent query's terminal CI half-width, parts per million.",
+                Gauge(self.last_request_ci_ppm.get()),
+            ),
+            row(
+                Some("flight_dropped"),
+                "server_flight_dropped",
+                "Flight-recorder digests lost to ring wrap.",
+                Gauge(dropped),
+            ),
+            row(
+                Some("slowlog_entries"),
+                "server_slowlog_entries",
+                "Slow/error-log resident entries.",
+                Gauge(cqa_obs::flight::slowlog_len() as i64),
+            ),
+            row(
+                Some("cache_hits"),
+                "server_cache_hits_total",
+                "Synopsis-cache hits.",
+                Counter(cache.hits),
+            ),
+            row(
+                Some("cache_misses"),
+                "server_cache_misses_total",
+                "Synopsis-cache misses.",
+                Counter(cache.misses),
+            ),
+            row(
+                Some("cache_canonical_rekeys"),
+                "server_cache_canonical_rekeys_total",
+                "Cache hits under a different literal query text than the inserting request's.",
+                Counter(cache.canonical_rekeys),
+            ),
+            row(
+                Some("cache_entries"),
+                "server_cache_entries",
+                "Synopsis-cache resident entries.",
+                Gauge(cache.entries as i64),
+            ),
+            row(
+                Some("cache_evictions"),
+                "server_cache_evictions_total",
+                "Synopsis-cache evictions.",
+                Counter(cache.evictions),
+            ),
+        ]
     }
 
     /// The `stats` JSON payload: the flat wire fields (parsed back by
-    /// [`MetricsSnapshot::from_json`]) plus the full registry render under
-    /// `"registry"`. Every flat field is read from the same handle the
-    /// registry renders, so the two always agree.
-    pub fn stats_json(&self, cache: &crate::cache::CacheStats) -> Json {
-        // A nested fn (not a closure) so cqa-lint's call graph can see
-        // through the call.
-        fn gauge(g: &Gauge) -> Json {
-            Json::from(g.get().max(0) as u64)
+    /// [`MetricsSnapshot::from_json`]) plus every metric under
+    /// `"registry"`, keyed by its Prometheus name. A flat field and its
+    /// registry twin render one reading, so the two always agree.
+    pub fn stats_json(&self, cache: &CacheStats) -> Json {
+        let mut flat = BTreeMap::new();
+        let mut registry = BTreeMap::new();
+        for Row { flat: key, name, reading, .. } in self.rows(cache) {
+            let value = match reading {
+                Reading::Counter(v) => {
+                    if let Some(key) = key {
+                        flat.insert(key.to_owned(), Json::from(v));
+                    }
+                    Json::from(v)
+                }
+                Reading::Gauge(v) => {
+                    if let Some(key) = key {
+                        flat.insert(key.to_owned(), Json::from(v.max(0) as u64));
+                    }
+                    Json::Num(v as f64)
+                }
+                Reading::Histogram(h) => {
+                    // One bucket snapshot for all four quantiles, so they
+                    // are mutually consistent even while workers keep
+                    // recording.
+                    let qs = h.quantiles_ms(&[0.50, 0.95, 0.99, 0.999]);
+                    let (count, mean_ms) = (h.count(), h.mean_ms());
+                    if let Some(key) = key {
+                        let summary = [
+                            ("count", count as f64),
+                            ("mean_ms", mean_ms),
+                            ("p50_ms", qs[0]),
+                            ("p95_ms", qs[1]),
+                            ("p99_ms", qs[2]),
+                            ("p999_ms", qs[3]),
+                        ];
+                        for (suffix, v) in summary {
+                            flat.insert(format!("{key}_{suffix}"), Json::from(v));
+                        }
+                    }
+                    Json::obj([
+                        ("count", Json::from(count)),
+                        ("sum_micros", Json::from(h.sum_micros())),
+                        ("mean_ms", Json::from(mean_ms)),
+                        ("p50_ms", Json::from(qs[0])),
+                        ("p95_ms", Json::from(qs[1])),
+                        ("p99_ms", Json::from(qs[2])),
+                    ])
+                }
+            };
+            registry.insert(name.to_owned(), value);
         }
-        self.sync(cache);
-        // One bucket snapshot for all four quantiles, so they are mutually
-        // consistent even while workers keep recording.
-        let latency_qs = self.query_latency.quantiles_ms(&[0.50, 0.95, 0.99, 0.999]);
-        let fields = [
-            ("requests", Json::from(self.requests.get())),
-            ("queries_ok", Json::from(self.queries_ok.get())),
-            ("rejected_overloaded", Json::from(self.rejected_overloaded.get())),
-            ("rejected_deadline", Json::from(self.rejected_deadline.get())),
-            ("rejected_bad_request", Json::from(self.rejected_bad_request.get())),
-            ("errors_internal", Json::from(self.errors_internal.get())),
-            ("connections", Json::from(self.connections.get())),
-            ("retried_requests", Json::from(self.retried_requests.get())),
-            ("latency_count", Json::from(self.query_latency.count())),
-            ("latency_mean_ms", Json::from(self.query_latency.mean_ms())),
-            ("latency_p50_ms", Json::from(latency_qs[0])),
-            ("latency_p95_ms", Json::from(latency_qs[1])),
-            ("latency_p99_ms", Json::from(latency_qs[2])),
-            ("latency_p999_ms", Json::from(latency_qs[3])),
-            ("slow_requests", Json::from(self.slow_requests.get())),
-            ("last_request_samples", gauge(&self.last_request_samples)),
-            ("last_request_ci_ppm", gauge(&self.last_request_ci_ppm)),
-            ("flight_dropped", gauge(&self.flight_dropped)),
-            ("slowlog_entries", gauge(&self.slowlog_entries)),
-            ("cache_hits", Json::from(self.cache_hits.get())),
-            ("cache_misses", Json::from(self.cache_misses.get())),
-            ("cache_canonical_rekeys", Json::from(self.cache_canonical_rekeys.get())),
-            ("cache_entries", gauge(&self.cache_entries)),
-            ("cache_evictions", Json::from(self.cache_evictions.get())),
-            ("registry", self.registry.to_json()),
-        ];
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        flat.insert("registry".to_owned(), Json::Obj(registry));
+        Json::Obj(flat)
     }
 
-    /// The full registry in Prometheus text exposition format.
-    pub fn to_prometheus(&self, cache: &crate::cache::CacheStats) -> String {
-        self.sync(cache);
-        self.registry.to_prometheus()
+    /// Every metric in the Prometheus text exposition format. Histogram
+    /// buckets are emitted cumulatively with `le` in seconds.
+    pub fn to_prometheus(&self, cache: &CacheStats) -> String {
+        let mut out = String::new();
+        for Row { name, help, reading, .. } in self.rows(cache) {
+            // Writing to a String cannot fail.
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = match reading {
+                Reading::Counter(v) => writeln!(out, "# TYPE {name} counter\n{name} {v}"),
+                Reading::Gauge(v) => writeln!(out, "# TYPE {name} gauge\n{name} {v}"),
+                Reading::Histogram(h) => {
+                    let _ = writeln!(out, "# TYPE {name} histogram");
+                    let mut cumulative = 0u64;
+                    for (i, c) in h.bucket_counts().iter().enumerate() {
+                        cumulative += c;
+                        let le = (1u64 << (i + 1)) as f64 / 1e6;
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                    }
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
+                    let _ = writeln!(out, "{name}_sum {}", h.sum_micros() as f64 / 1e6);
+                    writeln!(out, "{name}_count {}", h.count())
+                }
+            };
+        }
+        out
     }
 }
 
@@ -329,8 +416,17 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
     use std::time::Duration;
+
+    /// Cache counters with distinct values.
+    const CACHE: CacheStats = CacheStats {
+        hits: 4,
+        misses: 1,
+        canonical_rekeys: 2,
+        entries: 3,
+        evictions: 6,
+        capacity: 8,
+    };
 
     /// The flat `stats` wire keys: exactly what clients parse.
     const FLAT_KEYS: [&str; 24] = [
@@ -382,6 +478,41 @@ mod tests {
         ("last_request_ci_ppm", "server_last_request_ci_half_width_ppm"),
     ];
 
+    /// The row list's names are valid, unique Prometheus names with help
+    /// text, and its flat keys and names are exactly the pinned ones.
+    #[test]
+    fn rows_carry_the_pinned_keys_and_valid_prometheus_names() {
+        let m = Metrics::new();
+        let rows = m.rows(&CACHE);
+        let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        for r in &rows {
+            assert!(!r.name.is_empty() && !r.help.is_empty(), "{r:?}");
+            assert!(
+                r.name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':'),
+                "{} is not in the Prometheus charset [a-zA-Z0-9_:]",
+                r.name
+            );
+        }
+        names.sort_unstable();
+        let before = names.len();
+        names.dedup();
+        assert_eq!(names.len(), before, "Prometheus names must be unique");
+
+        let mut pinned: Vec<&str> = REGISTRY_TWINS.iter().map(|(_, name)| *name).collect();
+        pinned.extend(["server_query_latency", "server_queue_wait"]);
+        pinned.sort_unstable();
+        assert_eq!(names, pinned);
+        let mut twins: Vec<(&str, &str)> = rows
+            .iter()
+            .filter(|r| !matches!(r.reading, Reading::Histogram(_)))
+            .map(|r| (r.flat.expect("every counter and gauge has a flat key"), r.name))
+            .collect();
+        twins.sort_unstable();
+        let mut want = REGISTRY_TWINS;
+        want.sort_unstable();
+        assert_eq!(twins, want);
+    }
+
     #[test]
     fn stats_json_roundtrips_through_the_client_parse() {
         let m = Metrics::new();
@@ -405,15 +536,7 @@ mod tests {
         for micros in [100u64, 200, 400, 800, 100_000] {
             m.query_latency.record(Duration::from_micros(micros));
         }
-        let cache = CacheStats {
-            hits: 4,
-            misses: 1,
-            canonical_rekeys: 2,
-            entries: 3,
-            evictions: 6,
-            capacity: 8,
-        };
-        let v = m.stats_json(&cache);
+        let v = m.stats_json(&CACHE);
 
         // The flat key set is pinned, plus the nested registry.
         let Json::Obj(obj) = &v else { panic!("stats payload is not an object: {v:?}") };
@@ -421,20 +544,12 @@ mod tests {
         want.sort_unstable();
         assert_eq!(obj.keys().map(String::as_str).collect::<Vec<_>>(), want);
 
-        // Every flat field with a registry counterpart agrees with it.
+        // The registry holds exactly the rows' names.
         let reg = v.get("registry").expect("registry key");
-        // The registry holds exactly the pinned names: every flat field's
-        // twin plus the two histograms.
         let Json::Obj(reg_obj) = reg else { panic!("registry is not an object: {reg:?}") };
-        let mut pinned: Vec<&str> = REGISTRY_TWINS.iter().map(|(_, name)| *name).collect();
-        pinned.extend(["server_query_latency", "server_queue_wait"]);
-        pinned.sort_unstable();
-        assert_eq!(reg_obj.keys().map(String::as_str).collect::<Vec<_>>(), pinned);
-        for (flat, name) in REGISTRY_TWINS {
-            let got = v.get(flat).and_then(Json::as_f64);
-            assert!(got.is_some(), "flat field {flat} missing");
-            assert_eq!(got, reg.get(name).and_then(Json::as_f64), "{flat} vs {name}");
-        }
+        let mut names: Vec<&str> = m.rows(&CACHE).iter().map(|r| r.name).collect();
+        names.sort_unstable();
+        assert_eq!(reg_obj.keys().map(String::as_str).collect::<Vec<_>>(), names);
         let lat = reg.get("server_query_latency").expect("latency histogram");
         assert_eq!(lat.get("count").and_then(Json::as_u64), Some(5));
 
@@ -458,7 +573,7 @@ mod tests {
             slow_requests: 90,
             last_request_samples: 1800,
             last_request_ci_ppm: 11_000,
-            // Process-global; pinned against the registry above.
+            // Process-global, read straight from the recorder.
             flight_dropped: parsed.flight_dropped,
             slowlog_entries: parsed.slowlog_entries,
             cache_hits: 4,
@@ -488,22 +603,22 @@ mod tests {
         m.requests.add(9);
         m.connections.inc();
         m.query_latency.record(Duration::from_micros(100));
-        let cache = CacheStats {
-            hits: 5,
-            misses: 3,
-            canonical_rekeys: 2,
-            entries: 3,
-            evictions: 1,
-            capacity: 8,
-        };
-        let text = m.to_prometheus(&cache);
+        m.query_latency.record(Duration::from_micros(3000));
+        let text = m.to_prometheus(&CACHE);
         assert!(text.contains("# TYPE server_requests_total counter"), "{text}");
         assert!(text.contains("server_requests_total 9"), "{text}");
-        assert!(text.contains("server_cache_hits_total 5"), "{text}");
+        assert!(text.contains("server_cache_hits_total 4"), "{text}");
         assert!(text.contains("server_cache_canonical_rekeys_total 2"), "{text}");
-        assert!(text.contains("server_cache_entries 3"), "{text}");
+        assert!(
+            text.contains("# TYPE server_cache_entries gauge\nserver_cache_entries 3"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE server_query_latency histogram"), "{text}");
-        assert!(text.contains("server_query_latency_count 1"), "{text}");
-        assert!(text.contains("server_query_latency_bucket{le=\"+Inf\"} 1"), "{text}");
+        assert!(text.contains("server_query_latency_count 2"), "{text}");
+        assert!(text.contains("server_query_latency_sum 0.0031"), "{text}");
+        assert!(text.contains("server_query_latency_bucket{le=\"+Inf\"} 2"), "{text}");
+        // Buckets are cumulative: the 100 µs observation is counted again
+        // in the bucket holding the 3000 µs one.
+        assert!(text.contains("server_query_latency_bucket{le=\"0.004096\"} 2"), "{text}");
     }
 }

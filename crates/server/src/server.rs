@@ -19,7 +19,7 @@ use crate::protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
-use cqa_common::{fnv1a64, CqaError, Deadline, Mt64, Stopwatch};
+use cqa_common::{fnv1a64, CqaError, Deadline, Mt64};
 use cqa_core::{apx_cqa_on_synopses, ApxCqaResult, Budget, TupleEstimate};
 use cqa_obs::flight::{self, FlightDigest, SlowlogEntry};
 use cqa_obs::Span;
@@ -367,7 +367,6 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
 
 /// Admits a query to the pool and waits for its worker's answer.
 fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
-    let admitted = Stopwatch::start();
     let admitted_micros = cqa_obs::now_micros();
     // Every request gets an id: the client's, or a generated `srv-…` one.
     let request_id = match &q.request_id {
@@ -404,11 +403,11 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
             flight::begin_request(&request_id);
             let (response, report) = run_query(&shared, &q, deadline);
             flight::end_request();
+            let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
             if matches!(response, Response::Answers { .. }) {
                 shared.metrics.queries_ok.inc();
-                shared.metrics.query_latency.record(admitted.elapsed());
+                shared.metrics.query_latency.record_micros(total);
             }
-            let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
             record_flight(&shared, &request_id, scheme_name, &response, wait, report, total);
             let _ = reply_tx.send(response);
         }
@@ -467,29 +466,36 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
 }
 
 /// What a worker learned about a request besides its response: the
-/// canonical query fingerprint (0 until the query parses) and the flight
+/// canonical query fingerprint (0 until the query parses), the flight
 /// digest's estimator telemetry, which is the samples drawn (the
 /// response's `total_samples`, or a budget error's partial count) and the
-/// largest per-answer variance and half-width.
+/// largest per-answer variance and half-width, and the stage times.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunReport {
     query_fp: u64,
     samples: u64,
     variance: f64,
     ci_half_width: f64,
+    /// Synopsis-build time, microseconds (0 on cache hits).
+    preprocess_us: u64,
+    /// Sampling time, microseconds.
+    scheme_us: u64,
 }
 
 impl RunReport {
     /// An answered request. Folding the maxima from 0 with `>` ignores NaN.
-    fn answered(query_fp: u64, result: &ApxCqaResult) -> Self {
+    fn answered(query_fp: u64, result: &ApxCqaResult, cached: bool) -> Self {
         let max = |field: fn(&TupleEstimate) -> f64| {
             result.answers.iter().map(field).fold(0.0, |m, v| if v > m { v } else { m })
         };
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         RunReport {
             query_fp,
             samples: result.total_samples,
             variance: max(|a| a.variance),
             ci_half_width: max(|a| a.ci_half_width),
+            preprocess_us: if cached { 0 } else { micros(result.preprocess_time) },
+            scheme_us: micros(result.scheme_time),
         }
     }
 }
@@ -508,12 +514,10 @@ fn record_flight(
     report: RunReport,
     total_us: u64,
 ) {
-    let (cache_hit, error, preprocess_us, scheme_us) = match response {
-        Response::Answers { cached, preprocess_ms, scheme_ms, .. } => {
-            (*cached, None, (preprocess_ms * 1000.0) as u64, (scheme_ms * 1000.0) as u64)
-        }
-        Response::Error { kind, .. } => (false, Some(kind.name()), 0, 0),
-        _ => (false, None, 0, 0),
+    let (cache_hit, error) = match response {
+        Response::Answers { cached, .. } => (*cached, None),
+        Response::Error { kind, .. } => (false, Some(kind.name())),
+        _ => (false, None),
     };
     let ts_us = cqa_obs::now_micros();
     flight::record(&FlightDigest {
@@ -526,8 +530,8 @@ fn record_flight(
         samples: report.samples,
         variance: report.variance,
         ci_half_width: report.ci_half_width,
-        preprocess_us,
-        scheme_us,
+        preprocess_us: report.preprocess_us,
+        scheme_us: report.scheme_us,
         total_us,
         ts_us,
     });
@@ -641,7 +645,7 @@ fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response
                     })
                     .collect(),
             },
-            RunReport::answered(query_fp, &result),
+            RunReport::answered(query_fp, &result, cached),
         ),
         Err(e) => failed(query_fp, e),
     }
@@ -687,6 +691,22 @@ mod tests {
             }
             other => panic!("expected an error response, got {other:?}"),
         }
+    }
+
+    /// Stage times reach the digest as whole microseconds of the result's
+    /// durations. Through the response's f64 milliseconds, 21 µs read 20.
+    #[test]
+    fn stage_times_digest_without_a_float_round_trip() {
+        let result = ApxCqaResult {
+            answers: Vec::new(),
+            preprocess_time: Duration::from_micros(1_234),
+            scheme_time: Duration::from_micros(21),
+            total_samples: 7,
+        };
+        let miss = RunReport::answered(1, &result, false);
+        assert_eq!((miss.preprocess_us, miss.scheme_us), (1_234, 21));
+        let hit = RunReport::answered(1, &result, true);
+        assert_eq!((hit.preprocess_us, hit.scheme_us), (0, 21));
     }
 
     /// The line reader across buffer refills: a line of exactly the bound

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests for the `cqa-server` daemon: a real
 //! TCP round-trip on a loopback port, checked against the offline driver.
 
+use cqa::common::Json;
 use cqa::prelude::*;
 use cqa::server::{ErrorKind, Response};
 use cqa_noise::{add_query_aware_noise, NoiseSpec};
@@ -262,4 +263,15 @@ fn a_capped_request_keeps_its_samples_in_the_flight_digest() {
     assert_eq!(digest.error.as_deref(), Some("deadline_exceeded"));
     assert_eq!(digest.samples, MAX_SAMPLES + 1, "the cap fires at draw {}", MAX_SAMPLES + 1);
     assert_eq!((digest.variance, digest.ci_half_width), (0.0, 0.0), "{digest:?}");
+    // Errors are tail-sampled with their span tree, and with tracing off
+    // that tree still holds the instant the cap fired at.
+    let slowlog = client.debug_slowlog().unwrap();
+    let entry = slowlog
+        .iter()
+        .find(|e| e.request_id == "it-capped")
+        .unwrap_or_else(|| panic!("slowlog entry missing; got {slowlog:?}"));
+    let Json::Arr(spans) = &entry.spans else { panic!("{entry:?}") };
+    let names: Vec<&str> =
+        spans.iter().filter_map(|s| s.get("name").and_then(Json::as_str)).collect();
+    assert!(names.contains(&"core/sample_cap_hit"), "{names:?}");
 }
