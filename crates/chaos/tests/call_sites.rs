@@ -2,8 +2,8 @@
 //! planted with `fault_point!` at some boundary outside `#[cfg(test)]`
 //! code. A point without a call site injects nothing, so a plan that
 //! targets it reports a clean pass for a boundary it never perturbed.
-//! The call sites are the ones `cqa-lint`'s `no-guard-across-fault-point`
-//! rule sees.
+//! The call sites are the ones `cqa-lint`'s `no-wait-under-guard` rule
+//! sees.
 
 use cqa_chaos::Point;
 use cqa_lint::{lexer, parser};

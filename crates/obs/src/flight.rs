@@ -17,10 +17,9 @@
 //!    [`crate::trace::begin_capture`]) of requests that exceeded a latency
 //!    threshold or returned a structured error. This is the expensive,
 //!    rare path, so a mutex-guarded deque is fine here.
-//! 3. **The request context** — a thread-local request id installed by
-//!    [`begin_request`] for the duration of one request's execution on a
-//!    worker thread, so any layer can attribute telemetry to the request
-//!    without threading an id through every signature.
+//! 3. **The request scope** — [`begin_request`]/[`end_request`] bracket
+//!    one request's execution on a worker thread and capture its spans
+//!    for the slow/error log.
 //!
 //! Unlike tracing, the recorder is **always on**: digests are integer
 //! stores into pre-allocated slots, cheap enough for every request, and
@@ -29,7 +28,6 @@
 use crate::ring::Ring;
 use crate::trace::{self, TraceEvent};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -48,30 +46,14 @@ pub const SLOWLOG_CAPACITY: usize = 64;
 pub const CAPTURE_SPANS: usize = 256;
 
 // ---------------------------------------------------------------------------
-// The request context
+// The request scope
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    static CURRENT_ID: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// Opens a request scope on this thread: installs `request_id` as the
-/// thread's current request id and opens a span-capture window (up to
+/// Opens a request scope on this thread: a span-capture window (up to
 /// [`CAPTURE_SPANS`] spans) for the slow/error log. Call on the worker
 /// thread that will execute the request, before any request work.
-pub fn begin_request(request_id: &str) {
-    CURRENT_ID.with(|c| {
-        let mut id = c.borrow_mut();
-        id.clear();
-        id.push_str(request_id);
-    });
+pub fn begin_request() {
     trace::begin_capture(CAPTURE_SPANS);
-}
-
-/// The request id installed by [`begin_request`], empty outside a request
-/// scope.
-pub fn current_request_id() -> String {
-    CURRENT_ID.with(|c| c.borrow().clone())
 }
 
 /// Closes this thread's request scope. The captured spans stay in the
@@ -80,7 +62,6 @@ pub fn current_request_id() -> String {
 /// [`take_request_spans`] before the next [`begin_request`] overwrites
 /// them.
 pub fn end_request() {
-    CURRENT_ID.with(|c| c.borrow_mut().clear());
     trace::end_capture();
 }
 
@@ -350,14 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn request_scope_carries_the_id_and_span_tree() {
-        begin_request("req-77");
-        assert_eq!(current_request_id(), "req-77");
+    fn request_scope_captures_the_span_tree() {
+        begin_request();
         {
             let _g = crate::span(crate::Span::ServerRequest);
         }
         end_request();
-        assert_eq!(current_request_id(), "");
         let spans = take_request_spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "server/request");

@@ -17,10 +17,9 @@
 //!   owns one set per instance and renders it, with the values it reads
 //!   from the cache and the flight recorder, as JSON or Prometheus text.
 //! * **Flight recorder** ([`flight`]): always-on per-request digests in
-//!   the same lock-free ring type the trace buffer uses, a tail-sampled
-//!   slow/error log of full span trees, and a thread-local request
-//!   context (`request_id`), served live by `cqa-server`'s
-//!   `debug flight` / `debug slowlog` commands.
+//!   the same lock-free ring type the trace buffer uses and a
+//!   tail-sampled slow/error log of full span trees, served live by
+//!   `cqa-server`'s `debug flight` / `debug slowlog` commands.
 //!
 //! ```
 //! use cqa_obs::Span;

@@ -55,12 +55,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

@@ -397,10 +397,10 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
             let wait = cqa_obs::now_micros().saturating_sub(admitted_micros);
             shared.metrics.queue_wait.record_micros(wait);
             cqa_obs::record_span(Span::ServerQueueWait, admitted_micros, q.seed, 0);
-            // Open the request scope: installs the id and starts the span
-            // capture for the slow/error log. Exactly this worker thread
-            // runs the whole request.
-            flight::begin_request(&request_id);
+            // Open the request scope: starts the span capture for the
+            // slow/error log. Exactly this worker thread runs the whole
+            // request.
+            flight::begin_request();
             let (response, report) = run_query(&shared, &q, deadline);
             flight::end_request();
             let total = cqa_obs::now_micros().saturating_sub(admitted_micros);

@@ -9,220 +9,39 @@
 //! is ignored, which matches parking_lot semantics: a panic while holding
 //! the lock does not poison it for subsequent users.
 //!
-//! # Lock-order deadlock detection (debug builds)
-//!
-//! In builds with `debug_assertions` every blocking acquisition records a
-//! "held → acquired" edge in a process-global lock-order graph, and
-//! panics the moment an acquisition would close a cycle — i.e. the moment
-//! two code paths have demonstrably used a pair (or chain) of locks in
-//! opposite orders, whether or not the schedule actually deadlocked. This
-//! turns a nondeterministic hang into a deterministic, attributable test
-//! failure. See `docs/ANALYSIS.md` ("Lock-order graph").
-//!
-//! Design notes:
-//! - Lock identities are lazily assigned, monotonically increasing, and
-//!   never recycled, so edges from dropped locks can never be confused
-//!   with live ones.
-//! - The fast path for the common case (acquiring with no other lock
-//!   held — all hot paths in this workspace) touches only a thread-local
-//!   stack and never the global graph.
-//! - Edges are recorded *before* blocking, so a genuine ABBA interleaving
-//!   panics on the second thread instead of hanging the test suite.
-//! - `try_lock`/`try_read` cannot block, so a successful try-acquisition
-//!   imposes no ordering constraint; it only pushes the held stack so
-//!   later blocking acquisitions see it as held.
-//! - Re-acquiring the same lock id (recursive `read`) is not an order
-//!   inversion and is ignored by the graph; it can still deadlock against
-//!   a queued writer, which the model checker (`shims/loom`) covers.
-//! - Release builds compile all of this out: guards carry no extra state
-//!   and no `Drop` impl beyond the inner std guard.
+//! Lock discipline is checked statically: cqa-lint's `no-wait-under-guard`
+//! rejects any lock acquisition, blocking call or fault point under a
+//! held guard (see `docs/ANALYSIS.md`).
 
 use std::sync;
 
-#[cfg(debug_assertions)]
-mod order {
-    //! The lock-order graph: nodes are lock ids, a directed edge `a → b`
-    //! means "some thread blocked on `b` while holding `a`". A cycle
-    //! means two orders coexist, i.e. a latent deadlock.
-
-    use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, OnceLock};
-
-    /// Id source; starts at 1 so 0 can mean "not yet assigned".
-    static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
-
-    /// Resolves (assigning on first use) the id stored in a lock's
-    /// `order_id` cell.
-    pub(crate) fn lock_id(cell: &AtomicUsize) -> usize {
-        let id = cell.load(Ordering::Relaxed);
-        if id != 0 {
-            return id;
-        }
-        let fresh = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        match cell.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => fresh,
-            Err(existing) => existing, // another thread won the race; ids stay unique
-        }
-    }
-
-    fn graph() -> &'static Mutex<HashMap<usize, HashSet<usize>>> {
-        static GRAPH: OnceLock<Mutex<HashMap<usize, HashSet<usize>>>> = OnceLock::new();
-        GRAPH.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    thread_local! {
-        /// Ids of locks the current thread holds, in acquisition order.
-        static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Is `to` reachable from `from` in the recorded graph?
-    fn reachable(g: &HashMap<usize, HashSet<usize>>, from: usize, to: usize) -> bool {
-        let mut stack = vec![from];
-        let mut seen: HashSet<usize> = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(next) = g.get(&n) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    }
-
-    /// Called before a *blocking* acquisition of `id`: records edges from
-    /// every currently-held lock and panics if one would close a cycle.
-    pub(crate) fn before_blocking_acquire(id: usize) {
-        HELD.with(|h| {
-            let held = h.borrow();
-            if held.is_empty() {
-                return; // fast path: no ordering constraint, skip the global graph
-            }
-            let mut g = match graph().lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            for &prior in held.iter() {
-                if prior == id {
-                    continue; // recursive read of the same lock: not an inversion
-                }
-                if g.get(&prior).is_some_and(|s| s.contains(&id)) {
-                    continue; // edge already known (and known acyclic)
-                }
-                if reachable(&g, id, prior) {
-                    // cqa-lint: allow(no-panic-in-request-path): the deadlock detector is debug-assertions-only and a lock-order cycle must abort loudly, not limp on
-                    panic!(
-                        "parking_lot shim: lock-order cycle — this thread is acquiring \
-                         lock #{id} while holding lock #{prior}, but the opposite order \
-                         #{id} → … → #{prior} was already recorded on some code path; \
-                         these paths can deadlock under an adverse schedule"
-                    );
-                }
-                g.entry(prior).or_default().insert(id);
-            }
-        });
-    }
-
-    /// Called after any successful acquisition (blocking or try).
-    pub(crate) fn on_acquired(id: usize) {
-        HELD.with(|h| h.borrow_mut().push(id));
-    }
-
-    /// Called from guard drops.
-    pub(crate) fn on_released(id: usize) {
-        HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|&x| x == id) {
-                held.remove(pos);
-            }
-        });
-    }
-}
-
 /// A mutual-exclusion lock whose `lock` never fails.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    order_id: std::sync::atomic::AtomicUsize,
     inner: sync::Mutex<T>,
 }
 
 /// Guard for [`Mutex`]; unlocks on drop.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    order_id: usize,
     inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
     pub fn new(value: T) -> Self {
-        Mutex {
-            #[cfg(debug_assertions)]
-            order_id: std::sync::atomic::AtomicUsize::new(0),
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        Mutex { inner: sync::Mutex::new(value) }
     }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let id = order::lock_id(&self.order_id);
-        #[cfg(debug_assertions)]
-        order::before_blocking_acquire(id);
         let inner = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        #[cfg(debug_assertions)]
-        order::on_acquired(id);
-        MutexGuard {
-            #[cfg(debug_assertions)]
-            order_id: id,
-            inner,
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        #[cfg(debug_assertions)]
-        let id = order::lock_id(&self.order_id);
-        #[cfg(debug_assertions)]
-        order::on_acquired(id);
-        Some(MutexGuard {
-            #[cfg(debug_assertions)]
-            order_id: id,
-            inner,
-        })
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        MutexGuard { inner }
     }
 }
 
@@ -239,111 +58,48 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_released(self.order_id);
-    }
-}
-
 /// A reader–writer lock whose lock methods never fail.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RwLock<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    order_id: std::sync::atomic::AtomicUsize,
     inner: sync::RwLock<T>,
 }
 
 /// Shared-read guard for [`RwLock`]; unlocks on drop.
 #[derive(Debug)]
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    order_id: usize,
     inner: sync::RwLockReadGuard<'a, T>,
 }
 
 /// Exclusive-write guard for [`RwLock`]; unlocks on drop.
 #[derive(Debug)]
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    order_id: usize,
     inner: sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
     /// Creates a new reader–writer lock.
     pub fn new(value: T) -> Self {
-        RwLock {
-            #[cfg(debug_assertions)]
-            order_id: std::sync::atomic::AtomicUsize::new(0),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        RwLock { inner: sync::RwLock::new(value) }
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires a shared read lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let id = order::lock_id(&self.order_id);
-        #[cfg(debug_assertions)]
-        order::before_blocking_acquire(id);
         let inner = match self.inner.read() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        #[cfg(debug_assertions)]
-        order::on_acquired(id);
-        RwLockReadGuard {
-            #[cfg(debug_assertions)]
-            order_id: id,
-            inner,
-        }
+        RwLockReadGuard { inner }
     }
 
     /// Acquires an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let id = order::lock_id(&self.order_id);
-        #[cfg(debug_assertions)]
-        order::before_blocking_acquire(id);
         let inner = match self.inner.write() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        #[cfg(debug_assertions)]
-        order::on_acquired(id);
-        RwLockWriteGuard {
-            #[cfg(debug_assertions)]
-            order_id: id,
-            inner,
-        }
-    }
-
-    /// Attempts to acquire a shared read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let inner = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        #[cfg(debug_assertions)]
-        let id = order::lock_id(&self.order_id);
-        #[cfg(debug_assertions)]
-        order::on_acquired(id);
-        Some(RwLockReadGuard {
-            #[cfg(debug_assertions)]
-            order_id: id,
-            inner,
-        })
+        RwLockWriteGuard { inner }
     }
 
     /// Mutable access without locking (requires `&mut self`).
@@ -362,13 +118,6 @@ impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_released(self.order_id);
-    }
-}
-
 impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -382,13 +131,6 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_released(self.order_id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,8 +140,11 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        assert_eq!(m.into_inner(), 2);
+        // A let-bound guard holds the lock until it is dropped.
+        let mut g = m.lock();
+        *g *= 3;
+        drop(g);
+        assert_eq!(*m.lock(), 6);
     }
 
     #[test]
@@ -407,7 +152,11 @@ mod tests {
         let mut l = RwLock::new(vec![1, 2]);
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
-        assert_eq!(l.read().len(), 3);
+        {
+            // Shared readers coexist.
+            let (a, b) = (l.read(), l.read());
+            assert_eq!((a.len(), b.len()), (3, 3));
+        }
         l.get_mut().clear();
         assert!(l.read().is_empty());
     }
@@ -422,79 +171,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 0); // parking_lot semantics: still usable
-    }
-
-    #[cfg(debug_assertions)]
-    mod lock_order {
-        use super::super::*;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        #[test]
-        fn consistent_order_is_fine() {
-            let a = Mutex::new(0);
-            let b = Mutex::new(0);
-            for _ in 0..3 {
-                let _ga = a.lock();
-                let _gb = b.lock();
-            }
-        }
-
-        #[test]
-        fn inverted_order_panics() {
-            let a = Mutex::new(0);
-            let b = Mutex::new(0);
-            {
-                let _ga = a.lock();
-                let _gb = b.lock();
-            }
-            // No thread is blocked — the *order inversion itself* is caught.
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let _gb = b.lock();
-                let _ga = a.lock();
-            }));
-            let msg = match r {
-                Ok(()) => panic!("inverted acquisition order not detected"),
-                Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
-            };
-            assert!(msg.contains("lock-order cycle"), "unexpected message: {msg}");
-        }
-
-        #[test]
-        fn transitive_cycle_panics() {
-            let a = RwLock::new(0);
-            let b = Mutex::new(0);
-            let c = RwLock::new(0);
-            {
-                let _ga = a.write();
-                let _gb = b.lock();
-            }
-            {
-                let _gb = b.lock();
-                let _gc = c.read();
-            }
-            // a → b → c recorded; c → a closes a cycle through b.
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let _gc = c.write();
-                let _ga = a.read();
-            }));
-            let msg = match r {
-                Ok(()) => panic!("transitive inversion not detected"),
-                Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
-            };
-            assert!(msg.contains("lock-order cycle"), "unexpected message: {msg}");
-        }
-
-        #[test]
-        fn try_lock_imposes_no_order() {
-            let a = Mutex::new(0);
-            let b = Mutex::new(0);
-            {
-                let _ga = a.lock();
-                let _gb = b.lock();
-            }
-            // Opposite order, but via try_lock: cannot block, so no edge.
-            let _gb = b.lock();
-            let _ga = a.try_lock().expect("uncontended");
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Other half of the seeded ABBA cycle: the pool takes its queue lock and
-//! then calls back into the cache, which retakes the shard lock — so the
-//! order graph holds `Cache.shard → Pool.queue` and `Pool.queue →
-//! Cache.shard` with one reconstructed acquisition path per direction.
+//! then calls back into the cache, which retakes the shard lock. Each
+//! direction acquires a second lock under a guard, so each is reported at
+//! its second acquisition with its own call path.
 
 use crate::sync::Mutex;
 

@@ -365,12 +365,12 @@ impl<'a> Graph<'a> {
                 drop_sites.push((ty.clone(), f.end_line));
             }
             for span in &f.lock_spans {
-                // `span.lock` roots in a receiver chain; when it roots in a
-                // local variable the root's type may carry a workspace guard
+                // When the guard's receiver roots in a local variable or
+                // parameter, the root's type may carry a workspace guard
                 // with a `Drop` impl.
-                if span.local {
-                    let root = span.lock.split(['.', '(']).next().unwrap_or_default().to_string();
-                    if let Some(ty) = self.var_type(f, &root) {
+                let root = span.recv.split(['.', '(']).next().unwrap_or_default();
+                if root != "self" {
+                    if let Some(ty) = self.var_type(f, root) {
                         drop_sites.push((ty, span.end_line));
                     }
                 }

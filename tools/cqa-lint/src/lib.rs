@@ -2,8 +2,8 @@
 //!
 //! Rust's type system cannot express several invariants this workspace
 //! relies on — "no panics reachable from the server's request path", "all
-//! randomness flows from the seeded root RNG", "locks are taken in one
-//! order and never held across a blocking call or a fault point".
+//! randomness flows from the seeded root RNG", "nothing waits under a
+//! lock guard: no second lock, no blocking call, no fault point".
 //! Invariants the compiler, clippy or a test already enforce are left to
 //! them — span, fault-point and benchmark-series names are enums, so the
 //! compiler rejects a misspelled one; the counting allocator in
@@ -12,8 +12,8 @@
 //! wire protocol and its document agree (see `docs/ANALYSIS.md`).
 //! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
 //! parser ([`parser`]), and a conservative workspace call graph
-//! ([`callgraph`]) that turns the panic and RNG rules into transitive
-//! reachability queries; it has **zero** dependencies beyond std, so it
+//! ([`callgraph`]) that turns the panic, RNG and lock rules into transitive
+//! reachability queries ([`lockflow`] holds the lock rule); it has **zero** dependencies beyond std, so it
 //! runs anywhere the workspace builds.
 //!
 //! Entry point: [`check_workspace`]. CLI: `cargo run -p cqa-lint -- check`.
@@ -135,7 +135,7 @@ pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
     let graph = callgraph::Graph::build(&parsed_v);
     findings.extend(rules::no_panic(&graph, &lexed_v, &REQUEST_PATH_FILES));
     findings.extend(rules::rng_flow(&graph, &lexed_v, &stripped_v, &SAMPLING_FILES));
-    findings.extend(lockflow::check(&graph, &lexed_v, &REQUEST_PATH_FILES));
+    findings.extend(lockflow::check(&graph, &lexed_v));
 
     sort_dedup(&mut findings);
     findings
@@ -143,7 +143,7 @@ pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
 
 /// Sorts findings by file/line/rule and keeps one finding per
 /// (file, line, rule): the same site can surface through several seeds
-/// or paths (e.g. one lock-order edge reached along two call chains) and
+/// or paths (e.g. one lock acquisition reached under two guards) and
 /// one report with one path is enough to act on.
 fn sort_dedup(findings: &mut Vec<Finding>) {
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

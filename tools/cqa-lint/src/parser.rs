@@ -21,10 +21,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// how `rwlock.read()` is told apart from `io::Read::read(&mut buf)`.
 const LOCK_METHODS: [&str; 6] = ["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
-/// The non-`try_` acquisition methods: the ones that can block (and so
-/// participate in deadlock cycles; a `try_*` acquisition cannot wait).
-const LOCK_METHODS_BLOCKING: [&str; 3] = ["lock", "read", "write"];
-
 /// Result adapters that pass the guard through as the expression value:
 /// `let g = m.lock().unwrap_or_else(PoisonError::into_inner);` still binds
 /// the guard.
@@ -89,23 +85,14 @@ impl Call {
 /// One lock-guard acquisition and the line range its guard is modeled live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSpan {
-    /// Normalized lock identity (see `lock_identity`): the receiver chain
-    /// with `self` replaced by the impl type and argument groups collapsed —
-    /// `SynopsisCache.shard(…)`, `PLAN`, `slowlog(…)`.
-    pub lock: String,
-    /// The identity roots in a lowercase local variable: it must not unify
-    /// with same-named receivers in other functions.
-    pub local: bool,
+    /// The receiver chain as written, argument groups collapsed —
+    /// `self.shard(…)`, `PLAN`, `slowlog(…)`.
+    pub recv: String,
     /// Line of the acquisition call.
     pub acquire_line: u32,
     /// Last line the guard is modeled held (`acquire_line` for statement
     /// temporaries).
     pub end_line: u32,
-    /// `lock`/`read`/`write` can wait for the lock; `try_*` cannot, so a
-    /// `try_*` acquisition can hold a guard but never *be* the blocked side
-    /// of a deadlock (mirrors the runtime detector, which only instruments
-    /// blocking acquires).
-    pub blocking: bool,
 }
 
 /// One parsed function (free fn, inherent/trait method, or fn nested in a
@@ -818,16 +805,14 @@ fn receiver_chain(toks: &[Tok], dot: usize) -> Receiver {
 /// Records a lock acquisition (`recv.lock()` et al., name ident at `at`)
 /// as a [`LockSpan`], modeling how long the guard stays alive.
 fn scan_lock(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
-    let Some((chain, chain_start)) = receiver_text(toks, at - 1) else { return };
+    let Some((recv, chain_start)) = receiver_text(toks, at - 1) else { return };
     // `stdout().lock()` & co are backed by std's ReentrantMutex: they can
     // neither self-deadlock nor be poisoned, so they are not part of the
     // lock discipline (and would otherwise hold for a CLI's whole `main`).
-    if ["stdout(…)", "stderr(…)", "stdin(…)"].iter().any(|s| chain.ends_with(s)) {
+    if ["stdout(…)", "stderr(…)", "stdin(…)"].iter().any(|s| recv.ends_with(s)) {
         return;
     }
-    let (lock, local) = lock_identity(&chain, f.self_ty.as_deref());
     let acquire_line = toks[at].line;
-    let blocking = LOCK_METHODS_BLOCKING.contains(&toks[at].text.as_str());
     // Step past `()` and any guard-preserving poison adapters
     // (`.unwrap_or_else(PoisonError::into_inner)` still yields the guard).
     let mut j = skip_group(toks, at + 1, end);
@@ -849,7 +834,7 @@ fn scan_lock(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
         }
         _ => acquire_line,
     };
-    f.lock_spans.push(LockSpan { lock, local, acquire_line, end_line, blocking });
+    f.lock_spans.push(LockSpan { recv, acquire_line, end_line });
 }
 
 /// Renders the receiver chain left of the `.` at `dot` as text, collapsing
@@ -922,26 +907,6 @@ fn matching_open(toks: &[Tok], close: usize) -> Option<usize> {
         }
         i = i.checked_sub(1)?;
     }
-}
-
-/// Normalizes a receiver chain into a lock identity. `self` roots resolve
-/// through the impl type (`self.shard(…)` inside `impl SynopsisCache` →
-/// `SynopsisCache.shard(…)`); ALL_CAPS statics, `::`-qualified paths, and
-/// accessor calls (`slowlog(…)`) are global identities. A lowercase
-/// variable root stays function-local (`local = true`): the same variable
-/// name in two functions need not be the same lock.
-fn lock_identity(chain: &str, self_ty: Option<&str>) -> (String, bool) {
-    if chain == "self" || chain.starts_with("self.") {
-        let ty = self_ty.unwrap_or("self");
-        return (format!("{ty}{}", &chain[4..]), false);
-    }
-    let root_end = chain.find(['.', '(', '[']).unwrap_or(chain.len());
-    let root = &chain[..root_end];
-    let global = chain.contains("::")
-        || chain[root_end..].starts_with('(')
-        || (root.chars().any(|c| c.is_ascii_uppercase())
-            && root.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit()));
-    (chain.to_owned(), !global)
 }
 
 /// When the tokens immediately before `start` are `let [mut] <name> =`,
@@ -1143,12 +1108,12 @@ mod tests {
         }
     }
 
-    fn span<'a>(p: &'a ParsedFile, fn_name: &str, lock: &str) -> &'a LockSpan {
+    fn span<'a>(p: &'a ParsedFile, fn_name: &str, recv: &str) -> &'a LockSpan {
         fn_named(p, fn_name)
             .lock_spans
             .iter()
-            .find(|s| s.lock == lock)
-            .unwrap_or_else(|| panic!("no span {lock}: {:#?}", fn_named(p, fn_name).lock_spans))
+            .find(|s| s.recv == recv)
+            .unwrap_or_else(|| panic!("no span {recv}: {:#?}", fn_named(p, fn_name).lock_spans))
     }
 
     #[test]
@@ -1159,13 +1124,12 @@ mod tests {
                shard.touch();\n\
              } }",
         );
-        let s = span(&p, "get", "Cache.shard(…)");
-        assert!((!s.local && s.blocking), "{s:?}");
+        let s = span(&p, "get", "self.shard(…)");
         assert_eq!((s.acquire_line, s.end_line), (2, 4));
     }
 
     #[test]
-    fn adapter_chain_and_static_identity() {
+    fn adapter_chain_keeps_the_guard_bound() {
         let p = parse(
             "fn arm() {\n\
                let guard = PLAN.lock().unwrap_or_else(PoisonError::into_inner);\n\
@@ -1175,7 +1139,6 @@ mod tests {
              }",
         );
         let s = span(&p, "arm", "PLAN");
-        assert!(!s.local);
         assert_eq!((s.acquire_line, s.end_line), (2, 4), "ends at drop(guard)");
     }
 
@@ -1207,21 +1170,19 @@ mod tests {
                g.use_it();\n\
              } }",
         );
-        let s = span(&p, "stats", "M.entries");
+        let s = span(&p, "stats", "self.entries");
         assert_eq!((s.acquire_line, s.end_line), (2, 2), "temporary is one line");
-        let t = span(&p, "probe", "M.entries");
-        assert!(!t.blocking, "try_lock cannot block");
-        assert_eq!(t.end_line, 7);
+        let t = span(&p, "probe", "self.entries");
+        assert_eq!(t.end_line, 7, "a try_lock guard is held like any other");
     }
 
     #[test]
-    fn local_variable_locks_do_not_unify_and_io_read_is_not_a_lock() {
+    fn local_variable_locks_are_spans_and_io_read_is_not_a_lock() {
         let p = parse(
             "fn a(m: &Mutex) { let g = m.lock(); g.touch(); }\n\
              fn b(r: &mut File) { r.read(&mut buf).ok(); }",
         );
-        let s = span(&p, "a", "m");
-        assert!(s.local);
+        assert_eq!(span(&p, "a", "m").end_line, 1);
         assert!(fn_named(&p, "b").lock_spans.is_empty(), "read(&mut buf) takes an argument");
     }
 

@@ -24,13 +24,10 @@ pub const NO_PANIC: &str = "no-panic-in-request-path";
 pub const OPAQUE: &str = "opaque-call";
 pub const RNG_FLOW: &str = "rng-flow";
 pub const SUPPRESSION: &str = "suppression-needs-reason";
-pub const LOCK_ORDER: &str = "lock-order";
-pub const NO_BLOCKING: &str = "no-blocking-while-locked";
-pub const GUARD_FAULT: &str = "no-guard-across-fault-point";
+pub const NO_WAIT: &str = "no-wait-under-guard";
 
 /// Every rule name, for validating `allow(...)` suppressions.
-pub const ALL_RULES: [&str; 7] =
-    [NO_PANIC, OPAQUE, RNG_FLOW, SUPPRESSION, LOCK_ORDER, NO_BLOCKING, GUARD_FAULT];
+pub const ALL_RULES: [&str; 5] = [NO_PANIC, OPAQUE, RNG_FLOW, SUPPRESSION, NO_WAIT];
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
