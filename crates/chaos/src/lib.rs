@@ -1,13 +1,15 @@
 //! Deterministic fault injection for the request path.
 //!
-//! The `no-panic-in-request-path` lint proves statically that the serving
-//! tier cannot abort; this crate is its **dynamic twin**. Every fallible
-//! boundary in the request path carries a [`fault_point!`] — a macro that
-//! compiles to a single relaxed atomic load when the harness is disarmed
-//! (the same zero-cost-when-disabled discipline as `cqa-obs` spans) and,
-//! when armed, consults the active [`FaultPlan`] to decide whether to
-//! inject a fault at that boundary: a structured error, a delay, a short
-//! write, or a worker panic.
+//! Clippy's panic lints, denied in every library crate the server links,
+//! keep `unwrap`, `expect` and `panic!` out of the serving tier; this
+//! crate checks at run time that the tier degrades instead of aborting
+//! when a boundary fails. Every fallible boundary in the request path
+//! carries a [`fault_point!`] — a macro that compiles to a single relaxed
+//! atomic load when the harness is disarmed (the same
+//! zero-cost-when-disabled discipline as `cqa-obs` spans) and, when
+//! armed, consults the active [`FaultPlan`] to decide whether to inject a
+//! fault at that boundary: a structured error, a delay, a short write, or
+//! a worker panic.
 //!
 //! Decisions are **deterministic and schedule-independent**: each point
 //! keeps a hit counter, and whether hit `i` of point `p` fires under plan
@@ -33,6 +35,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod points;
 
@@ -279,10 +290,12 @@ pub fn trigger(point: Point) -> Option<Fault> {
             std::thread::sleep(Duration::from_millis(ms));
             None
         }
-        FaultKind::PanicInWorker => {
-            // cqa-lint: allow(no-panic-in-request-path): deliberate fault injection; the worker pool contains it with catch_unwind and the client sees a structured internal error
-            panic!("injected fault: panic-in-worker at {name}")
-        }
+        #[expect(
+            clippy::panic,
+            reason = "deliberate fault injection: the worker pool contains it with catch_unwind \
+                      and the client sees a structured internal error"
+        )]
+        FaultKind::PanicInWorker => panic!("injected fault: panic-in-worker at {name}"),
     }
 }
 

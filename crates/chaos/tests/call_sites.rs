@@ -15,7 +15,7 @@ fn every_point_has_a_call_site_outside_tests() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut planted = BTreeSet::new();
     for (rel, src) in cqa_lint::workspace_sources(&root).expect("workspace sources") {
-        let parsed = parser::parse_file(&rel, &lexer::strip_cfg_test(&lexer::lex(&src).toks));
+        let parsed = parser::parse_file(&rel, &lexer::strip_cfg_test(&lexer::lex(&src)));
         for f in &parsed.fns {
             planted.extend(f.fault_sites.iter().map(|(arg, _)| arg.clone()));
         }

@@ -250,11 +250,14 @@ impl fmt::Display for Json {
 
 impl Json {
     /// Serializes to a single line of JSON (no whitespace).
+    #[expect(
+        clippy::expect_used,
+        reason = "io::Write into a Vec<u8> is infallible, and the serializer only emits valid \
+                  UTF-8 (escapes are ASCII, strings re-encode chars)"
+    )]
     pub fn to_string_compact(&self) -> String {
         let mut out = Vec::new();
-        // cqa-lint: allow(no-panic-in-request-path): io::Write into a Vec<u8> is infallible
         write_value(&mut out, self).expect("writing JSON to a Vec cannot fail");
-        // cqa-lint: allow(no-panic-in-request-path): the serializer only emits valid UTF-8 (escapes are ASCII, strings re-encode chars)
         String::from_utf8(out).expect("serialized JSON is UTF-8")
     }
 
@@ -339,7 +342,10 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        // cqa-lint: allow(no-panic-in-request-path): the matched range holds only ASCII sign/digit/exponent bytes
+        #[expect(
+            clippy::expect_used,
+            reason = "the matched range holds only ASCII sign/digit/exponent bytes"
+        )]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
         let n: f64 = text.parse().map_err(|_| self.err(&format!("bad number '{text}'")))?;
         Ok(Json::Num(n))

@@ -68,7 +68,10 @@ impl LogNum {
     }
 
     /// Log-sum-exp addition.
-    #[allow(clippy::should_implement_trait)] // deliberate: `+` on log-space numbers reads as multiplication
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "`+` on log-space numbers would read as multiplication"
+    )]
     pub fn add(self, other: LogNum) -> LogNum {
         if self.is_zero() {
             return other;

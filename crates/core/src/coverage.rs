@@ -100,8 +100,10 @@ pub fn self_adjusting_coverage(
             if steps > n_budget && trials > 0 {
                 break 'outer;
             }
-            // Lossless: `below_with` returns a value below `h`, a `usize`.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "lossless: `below_with` returns a value below `h`, a `usize`"
+            )]
             let j = rng.below_with(&probe) as usize;
             if draw.contains(j) {
                 break;
@@ -126,10 +128,7 @@ pub fn self_adjusting_coverage(
     Ok(CoverageOutcome { ratio, planned_steps: n_budget, steps, trials, var_ratio })
 }
 
-// Test counters and seed offsets are tiny and cannot overflow; the
-// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
-#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use cqa_synopsis::exact_ratio_enumerate;

@@ -136,29 +136,33 @@ pub fn apx_cqa_parallel(
     let n = syn.entries.len();
     let threads = threads.clamp(1, n.max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<Result<TupleEstimate>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let entry = &syn.entries[i];
-                // Stream keyed by tuple index: independent of scheduling.
-                let mut rng = cqa_common::Mt64::from_key(&[seed, i as u64, 0x7A11]);
-                let out =
-                    approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, &mut rng)
-                        .map(|o| TupleEstimate::new(&entry.tuple, &o));
-                *results[i].lock().expect("no poisoning") = Some(out);
-            });
+    // Each worker returns the `(index, result)` pairs it claimed; every
+    // index in 0..n is claimed exactly once, so sorting the merged pairs
+    // restores tuple order.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(entry) = syn.entries.get(i) else { return done };
+            // Stream keyed by tuple index: independent of scheduling.
+            let mut rng = cqa_common::Mt64::from_key(&[seed, i as u64, 0x7A11]);
+            let out = approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, &mut rng)
+                .map(|o| TupleEstimate::new(&entry.tuple, &o));
+            done.push((i, out));
         }
+    };
+    let mut results: Vec<(usize, Result<TupleEstimate>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     });
+    results.sort_unstable_by_key(|&(i, _)| i);
     let mut answers = Vec::with_capacity(n);
     let mut total_samples = 0u64;
-    for slot in results {
-        let te = slot.into_inner().expect("no poisoning").expect("every slot filled")?;
+    for (_, te) in results {
+        let te = te?;
         total_samples += te.samples;
         answers.push(te);
     }

@@ -56,10 +56,7 @@ pub fn monte_carlo<S: Sampler>(
     Ok(MonteCarloOutcome { mean, planned_n: plan.n, samples: count, variance })
 }
 
-// Test counters and seed offsets are tiny and cannot overflow; the
-// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
-#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::sampler::{KlSampler, KlmSampler, NaturalSampler};

@@ -182,10 +182,7 @@ pub fn plan_iterations<S: Sampler>(
     Ok(PlanOutcome { n, mu_hat, rho_hat, samples })
 }
 
-// Test counters and seed offsets are tiny and cannot overflow; the
-// `deny` above guards the estimator code, not its tests.
 #[cfg(test)]
-#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::scheme::Budget;

@@ -124,25 +124,23 @@ impl Histogram {
     /// most 2×. Empty histograms report 0, never NaN. Reading the snapshot
     /// once keeps the quantiles mutually consistent under concurrent
     /// recording: p99 is never below p50.
-    pub fn quantiles_ms(&self, qs: &[f64]) -> Vec<f64> {
+    pub fn quantiles_ms<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
-        qs.iter()
-            .map(|&q| {
-                if total == 0 {
-                    return 0.0;
+        qs.map(|q| {
+            if total == 0 {
+                return 0.0;
+            }
+            let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+            let mut seen = 0;
+            for (i, &c) in counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return (1u64 << (i + 1)) as f64 / 1000.0;
                 }
-                let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-                let mut seen = 0;
-                for (i, &c) in counts.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        return (1u64 << (i + 1)) as f64 / 1000.0;
-                    }
-                }
-                (1u64 << BUCKETS) as f64 / 1000.0
-            })
-            .collect()
+            }
+            (1u64 << BUCKETS) as f64 / 1000.0
+        })
     }
 
     /// A relaxed snapshot of the per-bucket counts.
@@ -171,7 +169,7 @@ mod tests {
             h.record(Duration::from_micros(micros));
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.quantiles_ms(&[1.0, 0.5]), [131.072, 0.128]);
+        assert_eq!(h.quantiles_ms([1.0, 0.5]), [131.072, 0.128]);
     }
 
     #[test]
@@ -196,7 +194,7 @@ mod tests {
         assert_eq!(h.sum_micros(), 0);
         assert_eq!(h.bucket_counts()[0], 1);
         // Upper edge of bucket 0 is 2 µs.
-        assert_eq!(h.quantiles_ms(&[1.0])[0], 0.002);
+        assert_eq!(h.quantiles_ms([1.0])[0], 0.002);
         assert_eq!(h.mean_ms(), 0.0);
     }
 
@@ -207,20 +205,20 @@ mod tests {
             h.record_micros(i);
         }
         let qs = [0.50, 0.95, 0.99, 0.999, 1.0];
-        let batch = h.quantiles_ms(&qs);
+        let batch = h.quantiles_ms(qs);
         assert_eq!(batch.len(), qs.len());
         // Quantiles from one snapshot are monotone in q.
         for w in batch.windows(2) {
             assert!(w[0] <= w[1]);
         }
-        assert!(Histogram::new().quantiles_ms(&qs).iter().all(|&v| v == 0.0));
+        assert!(Histogram::new().quantiles_ms(qs).iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn empty_histogram_quantiles_are_defined() {
         let h = Histogram::new();
         for q in [0.01, 0.5, 0.95, 0.99, 1.0] {
-            let v = h.quantiles_ms(&[q])[0];
+            let v = h.quantiles_ms([q])[0];
             assert!(v.is_finite() && v == 0.0, "q={q} gave {v}");
         }
         assert_eq!(h.mean_ms(), 0.0);
@@ -234,7 +232,7 @@ mod tests {
             h.record_micros(i);
         }
         for (q, exact) in [(0.50, 500.0), (0.95, 950.0), (0.99, 990.0)] {
-            let est = h.quantiles_ms(&[q])[0] * 1000.0;
+            let est = h.quantiles_ms([q])[0] * 1000.0;
             assert!(
                 est >= exact && est <= 2.0 * exact,
                 "uniform q={q}: estimate {est} µs vs exact {exact} µs"
@@ -253,7 +251,7 @@ mod tests {
         for q in [0.50f64, 0.95, 0.99] {
             let rank = (q * 1000.0).ceil() as u64;
             let exact = (1u64 << ((rank - 1) / 100)) as f64;
-            let est = g.quantiles_ms(&[q])[0] * 1000.0;
+            let est = g.quantiles_ms([q])[0] * 1000.0;
             assert!(
                 est >= exact && est <= 2.0 * exact,
                 "geometric q={q}: estimate {est} µs vs exact {exact} µs"

@@ -153,6 +153,7 @@ impl ConjunctiveQuery {
     }
 
     /// The Boolean version of this query (all variables quantified).
+    #[expect(clippy::expect_used, reason = "dropping the head cannot make a query unsafe")]
     pub fn boolean(&self) -> Self {
         self.with_head(format!("{}_bool", self.name), Vec::new())
             .expect("dropping the head cannot make a query unsafe")

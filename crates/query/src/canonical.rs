@@ -287,6 +287,11 @@ impl<'a> Canonicalizer<'a> {
     /// Refines `colors`, then either finishes (discrete partition) or
     /// branches over the first ambiguous class. Returns the minimal
     /// encoding and the canonical query achieving it.
+    #[expect(
+        clippy::expect_used,
+        reason = "the target cell is non-singleton by the branch above, so at least one \
+                  candidate was explored"
+    )]
     fn search(&self, mut colors: Vec<u32>) -> (Vec<u8>, CanonicalQuery) {
         self.refine(&mut colors);
         let Some(cell) = self.first_non_singleton(&colors) else {
@@ -310,7 +315,6 @@ impl<'a> Canonicalizer<'a> {
                 _ => Some(cand),
             };
         }
-        // cqa-lint: allow(no-panic-in-request-path): the target cell is non-singleton by the branch above, so at least one candidate was explored
         best.expect("non-singleton cell has at least one branch")
     }
 
@@ -457,11 +461,14 @@ impl<'a> Canonicalizer<'a> {
 }
 
 /// Ranks byte keys: equal keys share a rank, ranks follow sort order.
+#[expect(
+    clippy::expect_used,
+    reason = "every key searched for was inserted into `sorted` two lines up"
+)]
 fn rank_by_key(keys: &[Vec<u8>]) -> Vec<u32> {
     let mut sorted: Vec<&Vec<u8>> = keys.iter().collect();
     sorted.sort_unstable();
     sorted.dedup();
-    // cqa-lint: allow(no-panic-in-request-path): every key searched for was inserted into `sorted` two lines up
     keys.iter().map(|k| sorted.binary_search(&k).expect("key is present") as u32).collect()
 }
 
@@ -575,12 +582,20 @@ pub fn permute_query_text(text: &str, rng: &mut Mt64) -> Result<String> {
     }
     let mut perm: Vec<usize> = (0..vars.len()).collect();
     rng.shuffle(&mut perm);
+    #[expect(
+        clippy::expect_used,
+        reason = "`note` collected every head and body identifier into `vars` above"
+    )]
     let rename = |v: &str| -> String {
         let k = vars.iter().position(|w| w == v).expect("variable was collected");
         format!("pv{}", perm[k])
     };
     rng.shuffle(&mut atoms);
 
+    #[expect(
+        clippy::unreachable,
+        reason = "the body loop above keeps only identifier, integer and string tokens as terms"
+    )]
     let term_text = |t: &Tok| -> String {
         match t {
             Tok::Ident(v) => rename(v),

@@ -164,6 +164,10 @@ impl<'a> Engine<'a> {
         // The step and column that bind each variable.
         let mut bound_at: Vec<Option<(usize, usize)>> = vec![None; q.num_vars()];
         while !remaining.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the enclosing while-loop guard guarantees `remaining` is non-empty"
+            )]
             let (pick_pos, _) = remaining
                 .iter()
                 .enumerate()
@@ -182,7 +186,6 @@ impl<'a> Engine<'a> {
                     (pos, (std::cmp::Reverse(bound_count), size))
                 })
                 .min_by_key(|&(_, key)| key)
-                // cqa-lint: allow(no-panic-in-request-path): the enclosing while-loop guard guarantees `remaining` is non-empty
                 .expect("remaining non-empty");
             let ai = remaining.swap_remove(pick_pos);
             let atom = &q.atoms[ai];
@@ -389,7 +392,6 @@ impl<'a> Engine<'a> {
             st.binding[d.var.idx()] = self.db.table(d.rel).row(st.facts[d.atom])[d.col];
         }
         st.emitted += 1;
-        // cqa-lint: allow(opaque-call): `f` is the caller's FnMut visitor; its body is attributed to the caller, where the panic/alloc rules see it
         let flow = f(&st.binding, &st.facts);
         if self.opts.max_homs.is_some_and(|max| st.emitted >= max) {
             return ControlFlow::Break(());

@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 //! Conjunctive queries: representation, parsing, and evaluation.

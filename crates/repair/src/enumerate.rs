@@ -97,6 +97,10 @@ pub fn repair_to_database(db: &Database, repair: &[FactRef]) -> Database {
     let mut out = Database::new(db.schema().clone());
     for &f in repair {
         let values: Vec<_> = db.fact(f).iter().map(|&d| db.resolve(d)).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "a repair's facts come from `db`, which has the same schema"
+        )]
         out.insert(f.rel, &values).expect("repair facts are schema-valid");
     }
     out

@@ -58,6 +58,10 @@ pub fn consistent_answers_exact(
             // Translate the answer tuple back into the original database's
             // datum encoding so callers can compare tuples across repairs.
             let tv: Vec<_> = t.iter().map(|&d| rdb.resolve(d)).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "every answer value of a repair is a value of `db`"
+            )]
             let td: Vec<Datum> = tv
                 .iter()
                 .map(|v| db.lookup_value(v).expect("answer values come from db"))

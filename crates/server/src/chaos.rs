@@ -53,15 +53,17 @@ pub struct ChaosSpec {
     pub workers: usize,
     /// The fault plan to arm for the storm window.
     pub plan: FaultPlan,
-    /// Retry policy for the storm clients; the default is deliberately
-    /// patient (deep attempt ceiling, long budget) so only a systemic
-    /// failure — not an unlucky streak — exhausts it.
-    pub retry: RetryPolicy,
 }
 
+/// Retry policy of the storm clients: deliberately patient (deep attempt
+/// ceiling, long budget) so only a systemic failure — not an unlucky
+/// streak — exhausts it.
+const STORM_RETRY: RetryPolicy =
+    RetryPolicy { max_attempts: 16, base_delay_ms: 5, cap_delay_ms: 200, budget_ms: 60_000 };
+
 impl ChaosSpec {
-    /// A spec with harness defaults: KLM at ε=0.2 δ=0.25, 2×16 requests,
-    /// 2 workers, and the patient retry policy.
+    /// A spec with harness defaults: KLM at ε=0.2 δ=0.25, 2×16 requests
+    /// and 2 workers.
     pub fn new(query: &str, plan: FaultPlan) -> ChaosSpec {
         ChaosSpec {
             query: query.to_owned(),
@@ -73,12 +75,6 @@ impl ChaosSpec {
             seed: plan.seed,
             workers: 2,
             plan,
-            retry: RetryPolicy {
-                max_attempts: 16,
-                base_delay_ms: 5,
-                cap_delay_ms: 200,
-                budget_ms: 60_000,
-            },
         }
     }
 }
@@ -286,14 +282,13 @@ pub fn run_chaos(db: Database, spec: &ChaosSpec) -> Result<ChaosReport> {
                 scope.spawn(move || -> ClientOutcome {
                     let mut out = ClientOutcome::default();
                     let jitter_seed = spec.seed ^ 0xC11E ^ c as u64;
-                    let mut client =
-                        match RetryingClient::connect(addr, spec.retry.clone(), jitter_seed) {
-                            Ok(client) => client,
-                            Err(e) => {
-                                out.violations.push(format!("client {c} failed to connect: {e}"));
-                                return out;
-                            }
-                        };
+                    let mut client = match RetryingClient::connect(addr, STORM_RETRY, jitter_seed) {
+                        Ok(client) => client,
+                        Err(e) => {
+                            out.violations.push(format!("client {c} failed to connect: {e}"));
+                            return out;
+                        }
+                    };
                     for i in 0..requests {
                         let seed = seed_for(c, i);
                         match client.query(&request_for(spec, seed)) {
@@ -332,7 +327,10 @@ pub fn run_chaos(db: Database, spec: &ChaosSpec) -> Result<ChaosReport> {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("chaos client thread panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     });
     drop(_disarm);
     let points = cqa_chaos::counts();

@@ -202,7 +202,10 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport> {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     });
     let elapsed_secs = wall.elapsed_secs();
     let mut all = ClientTally::default();
@@ -215,6 +218,7 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport> {
         all.deadline += tally.deadline;
         all.other_errors += tally.other_errors;
     }
+    #[expect(clippy::expect_used, reason = "latencies are elapsed times, never NaN")]
     all.latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     let server = warm.stats()?;
     Ok(LoadReport { clients, requests: spec.requests, elapsed_secs, tally: all, server })

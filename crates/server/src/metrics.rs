@@ -297,16 +297,16 @@ impl Metrics {
                     // One bucket snapshot for all four quantiles, so they
                     // are mutually consistent even while workers keep
                     // recording.
-                    let qs = h.quantiles_ms(&[0.50, 0.95, 0.99, 0.999]);
+                    let [p50, p95, p99, p999] = h.quantiles_ms([0.50, 0.95, 0.99, 0.999]);
                     let (count, mean_ms) = (h.count(), h.mean_ms());
                     if let Some(key) = key {
                         let summary = [
                             ("count", count as f64),
                             ("mean_ms", mean_ms),
-                            ("p50_ms", qs[0]),
-                            ("p95_ms", qs[1]),
-                            ("p99_ms", qs[2]),
-                            ("p999_ms", qs[3]),
+                            ("p50_ms", p50),
+                            ("p95_ms", p95),
+                            ("p99_ms", p99),
+                            ("p999_ms", p999),
                         ];
                         for (suffix, v) in summary {
                             flat.insert(format!("{key}_{suffix}"), Json::from(v));
@@ -316,9 +316,9 @@ impl Metrics {
                         ("count", Json::from(count)),
                         ("sum_micros", Json::from(h.sum_micros())),
                         ("mean_ms", Json::from(mean_ms)),
-                        ("p50_ms", Json::from(qs[0])),
-                        ("p95_ms", Json::from(qs[1])),
-                        ("p99_ms", Json::from(qs[2])),
+                        ("p50_ms", Json::from(p50)),
+                        ("p95_ms", Json::from(p95)),
+                        ("p99_ms", Json::from(p99)),
                     ])
                 }
             };
@@ -554,7 +554,7 @@ mod tests {
         assert_eq!(lat.get("count").and_then(Json::as_u64), Some(5));
 
         let parsed = MetricsSnapshot::from_json(&v).unwrap();
-        let qs = m.query_latency.quantiles_ms(&[0.50, 0.95, 0.99, 0.999]);
+        let qs = m.query_latency.quantiles_ms([0.50, 0.95, 0.99, 0.999]);
         let expected = MetricsSnapshot {
             requests: 10,
             queries_ok: 20,

@@ -69,8 +69,9 @@ impl WorkerPool {
                     // Exits when every sender is gone (pool drop).
                     for job in rx.iter() {
                         // A panicking job (injected panic-in-worker, or a
-                        // latent bug the no-panic lint missed) must not
-                        // take the worker down: contain it, keep serving.
+                        // latent bug: an index, an overflow, a waived
+                        // `expect`) must not take the worker down:
+                        // contain it, keep serving.
                         // The fault point sits inside the containment so
                         // an injected panic exercises the same path.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -80,7 +81,6 @@ impl WorkerPool {
                             if cqa_chaos::fault_point!(PoolHandoff).is_some() {
                                 return;
                             }
-                            // cqa-lint: allow(opaque-call): jobs are the boxed closures built in server.rs, which the request-path seeds already cover
                             job();
                         }));
                     }

@@ -23,7 +23,6 @@
 //! so the tests below pin exact behaviour without sleeping.
 
 use crate::client::Client;
-use crate::metrics::MetricsSnapshot;
 use crate::protocol::{QueryRequest, Response};
 use cqa_common::{CqaError, Mt64, Result, Stopwatch};
 use std::time::Duration;
@@ -39,12 +38,6 @@ pub struct RetryPolicy {
     pub cap_delay_ms: u64,
     /// Wall-clock budget across all attempts and sleeps, milliseconds.
     pub budget_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, base_delay_ms: 10, cap_delay_ms: 500, budget_ms: 5_000 }
-    }
 }
 
 impl RetryPolicy {
@@ -186,16 +179,6 @@ impl RetryingClient {
                 None => return outcome,
             }
         }
-    }
-
-    /// Fetches the server's metrics snapshot (redialing first if the last
-    /// query left the connection torn down, but never retrying).
-    pub fn stats(&mut self) -> Result<MetricsSnapshot> {
-        let result = self.conn()?.stats();
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
     }
 }
 

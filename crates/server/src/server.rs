@@ -81,8 +81,8 @@ struct Shared {
     max_samples: u64,
     slow_threshold_micros: u64,
     /// Source of `srv-…` request ids for clients that supply none: a
-    /// monotonic counter, so ids are unique per server without ambient
-    /// entropy (the workspace's `rng-flow` lint bans that).
+    /// monotonic counter, so ids are unique per server and a rerun of the
+    /// same requests gets the same ids.
     next_request_id: AtomicU64,
     shutdown: AtomicBool,
 }

@@ -50,7 +50,11 @@ impl RelationBlocks {
                         prev_key = Some(key);
                     }
                     let bid = (blocks.len() - 1) as u32;
-                    // cqa-lint: allow(no-panic-in-request-path): the first iteration always pushes (prev_key is None), so `blocks` is non-empty here
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the first iteration always pushes (prev_key is None), so \
+                                  `blocks` is non-empty here"
+                    )]
                     let block = blocks.last_mut().expect("just pushed");
                     let tid = block.len() as u32;
                     block.push(row);

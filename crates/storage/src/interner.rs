@@ -21,6 +21,10 @@ impl Interner {
         if let Some(&id) = self.by_str.get(s) {
             return id;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 distinct strings exhaust memory before they exhaust the id space"
+        )]
         let id = StrId(u32::try_from(self.by_id.len()).expect("interner overflow"));
         let boxed: Box<str> = s.into();
         self.by_id.push(boxed.clone());

@@ -108,6 +108,11 @@ fn write_dump<W: Write>(db: &Database, w: &mut W) -> io::Result<()> {
 }
 
 /// Serializes a database to the dump format.
+#[expect(
+    clippy::expect_used,
+    reason = "io::Write into a Vec<u8> is infallible, and a dump is DDL text, digits, \
+              separators and whole interned strings, so it is UTF-8"
+)]
 pub fn dump_to_string(db: &Database) -> String {
     let mut out = Vec::new();
     write_dump(db, &mut out).expect("writing a dump to a Vec cannot fail");

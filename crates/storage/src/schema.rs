@@ -218,6 +218,11 @@ impl SchemaBuilder {
     /// Declares a foreign key by column names. Resolved at [`Self::build`].
     pub fn foreign_key(mut self, from: &str, cols: &[&str], to: &str, to_cols: &[&str]) -> Self {
         assert_eq!(cols.len(), to_cols.len(), "FK column count mismatch");
+        #[expect(
+            clippy::panic,
+            reason = "schemas declared in code fail loudly on an undeclared relation; dump DDL \
+                      still reaches this unchecked through `ddl::parse_schema`"
+        )]
         let from_idx = self
             .by_name
             .get(from)
@@ -235,10 +240,20 @@ impl SchemaBuilder {
     /// Finalizes the schema, resolving foreign keys.
     pub fn build(mut self) -> Schema {
         for (from_idx, cols, to, to_cols) in std::mem::take(&mut self.pending_fks) {
+            #[expect(
+                clippy::panic,
+                reason = "schemas declared in code fail loudly on an undeclared relation; dump \
+                          DDL still reaches this unchecked through `ddl::parse_schema`"
+            )]
             let target = *self
                 .by_name
                 .get(&to)
                 .unwrap_or_else(|| panic!("FK target relation {to} not declared"));
+            #[expect(
+                clippy::panic,
+                reason = "schemas declared in code fail loudly on an undeclared column; dump DDL \
+                          still reaches this unchecked through `ddl::parse_schema`"
+            )]
             let resolve = |rel: &RelationDef, names: &[String]| -> Vec<usize> {
                 names
                     .iter()

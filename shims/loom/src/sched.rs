@@ -108,7 +108,8 @@ pub(crate) fn set_tid(tid: Option<usize>) {
 /// The calling thread's logical id; panics outside a model run so misuse
 /// of `loom` primitives from ordinary code fails loudly.
 pub(crate) fn tid() -> usize {
-    // cqa-lint: allow(no-panic-in-request-path): deliberate loud failure — loom primitives outside loom::model are a test-harness bug; production builds use the parking_lot shim
+    // Deliberate loud failure: loom primitives outside loom::model are a
+    // test-harness bug; production builds use the parking_lot shim.
     CUR_TID.with(|c| c.get()).expect("loom primitive used outside loom::model")
 }
 

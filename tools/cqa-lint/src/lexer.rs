@@ -7,8 +7,6 @@
 //! regex-based linting: nested block comments, raw strings with `#`
 //! fences, byte strings, char literals vs. lifetimes, and escaped quotes.
 
-use std::collections::BTreeMap;
-
 /// Token classes the rules inspect.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
@@ -45,36 +43,19 @@ impl Tok {
     }
 }
 
-/// The result of scanning one file: code tokens, plus the comment text per
-/// line (a line spanned by a block comment gets an entry for every line it
-/// covers) and the set of lines holding at least one code token.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub toks: Vec<Tok>,
-    /// line → concatenated comment text on that line.
-    pub comments: BTreeMap<u32, String>,
-}
-
-impl Lexed {
-    /// The comment text on `line`, if any.
-    pub fn comment_on(&self, line: u32) -> Option<&str> {
-        self.comments.get(&line).map(String::as_str)
-    }
-}
-
 struct Scanner<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    out: Lexed,
+    out: Vec<Tok>,
 }
 
-/// Scans `src` into tokens and comments. Unterminated constructs (string,
-/// block comment) consume to end of file rather than erroring: the lint
-/// runs on code that `rustc` already accepted, so this is only a guard
-/// against pathological fixtures.
-pub fn lex(src: &str) -> Lexed {
-    let mut s = Scanner { src: src.as_bytes(), pos: 0, line: 1, out: Lexed::default() };
+/// Scans `src` into code tokens; comments are skipped. Unterminated
+/// constructs (string, block comment) consume to end of file rather than
+/// erroring: the lint runs on code that `rustc` already accepted, so this
+/// is only a guard against pathological fixtures.
+pub fn lex(src: &str) -> Vec<Tok> {
+    let mut s = Scanner { src: src.as_bytes(), pos: 0, line: 1, out: Vec::new() };
     s.run();
     s.out
 }
@@ -96,15 +77,7 @@ impl<'a> Scanner<'a> {
     }
 
     fn push_tok(&mut self, kind: TokKind, text: String, line: u32) {
-        self.out.toks.push(Tok { kind, text, line });
-    }
-
-    fn push_comment(&mut self, line: u32, text: &str) {
-        let slot = self.out.comments.entry(line).or_default();
-        if !slot.is_empty() {
-            slot.push(' ');
-        }
-        slot.push_str(text);
+        self.out.push(Tok { kind, text, line });
     }
 
     fn run(&mut self) {
@@ -150,54 +123,33 @@ impl<'a> Scanner<'a> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(b) = self.peek(0) {
-            if b == b'\n' {
-                break;
-            }
+        while self.peek(0).is_some_and(|b| b != b'\n') {
             self.bump();
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.push_comment(line, &text);
     }
 
     fn block_comment(&mut self) {
-        let mut line = self.line;
         let mut depth = 0usize;
-        let mut buf = String::new();
         loop {
             match (self.peek(0), self.peek(1)) {
                 (Some(b'/'), Some(b'*')) => {
                     depth += 1;
                     self.bump();
                     self.bump();
-                    buf.push_str("/*");
                 }
                 (Some(b'*'), Some(b'/')) => {
                     depth -= 1;
                     self.bump();
                     self.bump();
-                    buf.push_str("*/");
                     if depth == 0 {
                         break;
                     }
                 }
-                (Some(b'\n'), _) => {
-                    self.push_comment(line, &buf);
-                    buf.clear();
-                    self.bump();
-                    line = self.line;
-                }
-                (Some(b), _) => {
-                    buf.push(b as char);
+                (Some(_), _) => {
                     self.bump();
                 }
                 (None, _) => break, // unterminated: tolerate
             }
-        }
-        if !buf.is_empty() {
-            self.push_comment(line, &buf);
         }
     }
 
@@ -362,9 +314,8 @@ impl<'a> Scanner<'a> {
 
 /// Returns the token stream with every `#[cfg(test)]`-gated item removed
 /// (also `cfg(all(test, …))` and `cfg_attr(test, …)`: any `cfg`-ish
-/// attribute that mentions the `test` ident). Rules that only police
-/// production code run on this view; `suppression-needs-reason` runs on
-/// the full stream.
+/// attribute that mentions the `test` ident): the lint polices production
+/// code only.
 pub fn strip_cfg_test(toks: &[Tok]) -> Vec<Tok> {
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
@@ -440,34 +391,32 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).toks.into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
     fn strings_comments_and_chars() {
         let l = lex("let s = \"a // not comment\"; // real\nlet c = 'x'; let lt: &'a u8;");
-        assert!(l.toks.iter().any(|t| t.kind == TokKind::Str && t.text == "a // not comment"));
-        assert_eq!(l.comment_on(1), Some("// real"));
-        assert!(l.toks.iter().any(|t| t.kind == TokKind::Char && t.text == "x"));
-        assert!(l.toks.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
+        assert!(l.iter().any(|t| t.kind == TokKind::Str && t.text == "a // not comment"));
+        assert!(!l.iter().any(|t| t.is_ident("real")));
+        assert!(l.iter().any(|t| t.kind == TokKind::Char && t.text == "x"));
+        assert!(l.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
     }
 
     #[test]
     fn raw_strings_and_raw_idents() {
         let l = lex(r####"let a = r#"has "quotes" inside"#; let r#fn = 1;"####);
-        assert!(l
-            .toks
-            .iter()
-            .any(|t| t.kind == TokKind::Str && t.text == r#"has "quotes" inside"#));
-        assert!(l.toks.iter().any(|t| t.kind == TokKind::Ident && t.text == "fn"));
+        assert!(l.iter().any(|t| t.kind == TokKind::Str && t.text == r#"has "quotes" inside"#));
+        assert!(l.iter().any(|t| t.kind == TokKind::Ident && t.text == "fn"));
     }
 
     #[test]
     fn nested_block_comments_are_comments() {
         let l = lex("/* outer /* inner */ still */ let x = 1;");
-        assert!(l.comment_on(1).unwrap().contains("inner"));
-        assert!(l.toks.iter().any(|t| t.is_ident("let")));
-        assert!(!l.toks.iter().any(|t| t.is_ident("outer")));
+        assert!(l.iter().any(|t| t.is_ident("let")));
+        for word in ["outer", "inner", "still"] {
+            assert!(!l.iter().any(|t| t.is_ident(word)), "{word} lexed as code");
+        }
     }
 
     #[test]
@@ -496,8 +445,7 @@ mod tests {
             #[cfg(all(test, feature = "x"))]
             fn gone_too() { panic!("x"); }
         "#;
-        let l = lex(src);
-        let stripped = strip_cfg_test(&l.toks);
+        let stripped = strip_cfg_test(&lex(src));
         let names: Vec<&str> =
             stripped.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str()).collect();
         assert!(names.contains(&"keep"));

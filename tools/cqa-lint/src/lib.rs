@@ -1,24 +1,19 @@
-//! cqa-lint: the workspace invariant checker.
+//! cqa-lint: the workspace lock-discipline checker.
 //!
-//! Rust's type system cannot express several invariants this workspace
-//! relies on — "no panics reachable from the server's request path", "all
-//! randomness flows from the seeded root RNG", "nothing waits under a
-//! lock guard: no second lock, no blocking call, no fault point".
-//! Invariants the compiler, clippy or a test already enforce are left to
-//! them — span, fault-point and benchmark-series names are enums, so the
-//! compiler rejects a misspelled one; the counting allocator in
-//! `crates/core/tests/alloc_sanitizer.rs` checks that sampling never
-//! allocates; and `crates/server/tests/protocol_doc.rs` checks that the
-//! wire protocol and its document agree (see `docs/ANALYSIS.md`).
-//! `cqa-lint` enforces them with a hand-rolled lexer ([`lexer`]), an item
-//! parser ([`parser`]), and a conservative workspace call graph
-//! ([`callgraph`]) that turns the panic, RNG and lock rules into transitive
-//! reachability queries ([`lockflow`] holds the lock rule); it has **zero** dependencies beyond std, so it
-//! runs anywhere the workspace builds.
+//! Rust's type system cannot say "nothing waits under a lock guard: no
+//! second lock, no blocking call, no fault point". `cqa-lint` checks that
+//! one invariant, `no-wait-under-guard`, with a hand-rolled lexer
+//! ([`lexer`]), an item parser ([`parser`]), and a conservative workspace
+//! call graph ([`callgraph`]) over which [`lockflow`] lifts each guard's
+//! span; it has **zero** dependencies beyond std, so it runs anywhere the
+//! workspace builds. Every other invariant has its enforcement point
+//! elsewhere — the compiler (enum-typed names, `forbid(unsafe_code)`),
+//! clippy (panics in the library crates, estimator arithmetic), or a test
+//! (the golden digests for the seeded random stream, the counting
+//! allocator for allocation-free sampling, `protocol_doc.rs` for the wire
+//! protocol); `docs/ANALYSIS.md` lists them.
 //!
 //! Entry point: [`check_workspace`]. CLI: `cargo run -p cqa-lint -- check`.
-//! Rules, rationale, and the suppression syntax are documented in
-//! `docs/ANALYSIS.md`.
 
 #![forbid(unsafe_code)]
 
@@ -26,35 +21,45 @@ pub mod callgraph;
 pub mod lexer;
 pub mod lockflow;
 pub mod parser;
-pub mod rules;
 
-use rules::Finding;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Files on the server's request path, subject to `no-panic-in-request-path`.
-pub const REQUEST_PATH_FILES: [&str; 3] =
-    ["crates/server/src/server.rs", "crates/server/src/pool.rs", "crates/server/src/cache.rs"];
 /// Directory globs (relative to the workspace root) whose `src` trees are
 /// scanned. `tools/*/src` includes cqa-lint itself — the linter holds its
-/// own invariants; its *fixtures* live outside `src` and are not scanned.
-pub const SCAN_ROOTS: [&str; 3] = ["crates", "shims", "tools"];
-/// Files holding the samplers, the DKLR planners and the Monte-Carlo
-/// estimator loops, whose every function seeds `rng-flow`.
-pub const SAMPLING_FILES: [&str; 4] = [
-    "crates/core/src/coverage.rs",
-    "crates/core/src/montecarlo.rs",
-    "crates/core/src/optest.rs",
-    "crates/core/src/sampler.rs",
-];
+/// own invariant; its *fixtures* live outside `src` and are not scanned.
+/// `shims/` is not scanned: the shims stand in for crates.io crates, whose
+/// locks and blocking calls are primitives to the workspace, not code it
+/// can change.
+pub const SCAN_ROOTS: [&str; 2] = ["crates", "tools"];
+
+/// One rule violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Which rule fired ([`lockflow::NO_WAIT`]).
+    pub rule: &'static str,
+    /// Repo-relative file the finding is in.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
+    }
+}
 
 /// A fatal problem with the scan itself (an unreadable file) — distinct
 /// from findings, which are problems with the code.
 #[derive(Debug)]
 pub struct CheckError(pub String);
 
-impl std::fmt::Display for CheckError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for CheckError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "cqa-lint: {}", self.0)
     }
 }
@@ -111,32 +116,17 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
     Ok(())
 }
 
-/// Runs every rule over a set of `(repo-relative path, source)` pairs:
-/// the per-file rules, then the call-graph rules over the whole set. This
-/// is the engine behind [`check_workspace`] and the fixture self-tests —
-/// a transitive finding needs the *set*, not a single file, so fixtures
-/// exercising cross-module reachability pass several files at once.
+/// Runs the rule over a set of `(repo-relative path, source)` pairs. This
+/// is the engine behind [`check_workspace`] and the fixture self-tests — a
+/// finding reached through calls needs the *set*, not a single file, so
+/// fixtures exercising cross-module reachability pass several files at
+/// once.
 pub fn check_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut lexed_v: Vec<lexer::Lexed> = Vec::with_capacity(sources.len());
-    let mut stripped_v: Vec<Vec<lexer::Tok>> = Vec::with_capacity(sources.len());
-    let mut parsed_v: Vec<parser::ParsedFile> = Vec::with_capacity(sources.len());
-
-    for (rel, src) in sources {
-        let lexed = lexer::lex(src);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
-
-        findings.extend(rules::suppression_hygiene(&lexed, rel));
-        parsed_v.push(parser::parse_file(rel, &stripped));
-        lexed_v.push(lexed);
-        stripped_v.push(stripped);
-    }
-
-    let graph = callgraph::Graph::build(&parsed_v);
-    findings.extend(rules::no_panic(&graph, &lexed_v, &REQUEST_PATH_FILES));
-    findings.extend(rules::rng_flow(&graph, &lexed_v, &stripped_v, &SAMPLING_FILES));
-    findings.extend(lockflow::check(&graph, &lexed_v));
-
+    let parsed: Vec<parser::ParsedFile> = sources
+        .iter()
+        .map(|(rel, src)| parser::parse_file(rel, &lexer::strip_cfg_test(&lexer::lex(src))))
+        .collect();
+    let mut findings = lockflow::check(&callgraph::Graph::build(&parsed));
     sort_dedup(&mut findings);
     findings
 }
@@ -156,14 +146,14 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, CheckErro
     source_files(root)?.into_iter().map(|(abs, rel)| Ok((rel, read(&abs)?))).collect()
 }
 
-/// Runs every rule over the workspace rooted at `root` and returns the
-/// surviving findings, sorted by file/line/rule.
+/// Runs the rule over the workspace rooted at `root` and returns the
+/// findings, sorted by file/line.
 pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
     Ok(check_sources(&workspace_sources(root)?))
 }
 
 /// Lints a single source string as if it were file `rel`. Single-file
-/// view of [`check_sources`]; transitive rules see only this file's
+/// view of [`check_sources`]; reachability sees only this file's
 /// functions.
 pub fn check_source(rel: &str, src: &str) -> Vec<Finding> {
     check_sources(&[(rel.to_owned(), src.to_owned())])

@@ -18,28 +18,23 @@
 //!   injected panic poisons the lock — the chaos invariants in
 //!   docs/RELIABILITY.md assume fault points fire lock-free.
 //!
-//! Files under `shims/` contribute **no** lock or blocking facts: the
-//! shims are the primitive layer (every workspace `Mutex::lock` bottoms
-//! out in the parking_lot shim's one `inner` field), and they are audited
-//! separately by the loom model checker. Known unsoundness of the span
-//! model itself is documented in `docs/ANALYSIS.md`.
+//! The vendored shims under `shims/` are not scanned: they stand in for
+//! crates.io crates, so their locks are primitives (every workspace
+//! `Mutex::lock` bottoms out in the parking_lot shim), audited separately
+//! by the loom model checker. Known unsoundness of the span model itself
+//! is documented in `docs/ANALYSIS.md`.
 
 use crate::callgraph::{FnId, Graph};
-use crate::lexer::Lexed;
 use crate::parser::LockSpan;
-use crate::rules::{self, Finding, NO_WAIT};
+use crate::Finding;
 
-fn is_shim(rel: &str) -> bool {
-    rel.starts_with("shims/")
-}
+/// The rule's name, as printed in findings.
+pub const NO_WAIT: &str = "no-wait-under-guard";
 
 /// Runs `no-wait-under-guard` over the whole parsed set.
-pub fn check(g: &Graph<'_>, lexed: &[Lexed]) -> Vec<Finding> {
+pub fn check(g: &Graph<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     for (fi, file) in g.files.iter().enumerate() {
-        if is_shim(&file.rel) {
-            continue;
-        }
         for (ni, f) in file.fns.iter().enumerate() {
             let id = (fi, ni);
             for s in &f.lock_spans {
@@ -48,21 +43,18 @@ pub fn check(g: &Graph<'_>, lexed: &[Lexed]) -> Vec<Finding> {
                 // line itself is excluded because receiver/argument code on
                 // it runs before the acquisition.
                 let held = |line: u32| line > s.acquire_line && line <= s.end_line;
-                waits(g, lexed, id, &guard, "", held, &mut out);
+                waits(g, id, &guard, "", held, &mut out);
                 // Interprocedural: everything reachable from in-span calls
                 // executes with the guard held.
                 for (callee, _) in g.facts[fi][ni].edges.iter().filter(|(_, l)| held(*l)) {
                     let parent = g.reach(&[*callee]);
                     for &rid in parent.keys() {
-                        if is_shim(&g.files[rid.0].rel) {
-                            continue;
-                        }
                         let via = format!(
                             " (reachable via {} → {})",
                             g.display(id),
                             g.path_to(&parent, rid)
                         );
-                        waits(g, lexed, rid, &guard, &via, |_| true, &mut out);
+                        waits(g, rid, &guard, &via, |_| true, &mut out);
                     }
                 }
             }
@@ -75,7 +67,6 @@ pub fn check(g: &Graph<'_>, lexed: &[Lexed]) -> Vec<Finding> {
 /// acquisitions, blocking operations and fault points.
 fn waits(
     g: &Graph<'_>,
-    lexed: &[Lexed],
     id: FnId,
     guard: &str,
     via: &str,
@@ -86,17 +77,15 @@ fn waits(
     let f = g.fn_item(id);
     let mut report = |line: u32, what: String| {
         if in_span(line) {
-            rules::push(
-                out,
-                &lexed[id.0],
-                NO_WAIT,
-                rel,
+            out.push(Finding {
+                rule: NO_WAIT,
+                file: rel.clone(),
                 line,
-                format!(
+                message: format!(
                     "{what} while the guard on {guard} is held{via}; release the guard before \
                      waiting"
                 ),
-            );
+            });
         }
     };
     for LockSpan { recv, acquire_line, .. } in &f.lock_spans {

@@ -4,10 +4,10 @@
 //! cargo run -p cqa-lint -- check [--root <path>] [--out <findings-file>]
 //! ```
 //!
-//! Exits 0 when the workspace is clean, 1 when any rule fires, 2 on usage
+//! Exits 0 when the workspace is clean, 1 when the rule fires, 2 on usage
 //! or I/O errors. With `--out`, findings are also written to the given
 //! file, one per line (CI uploads it as a build artifact). See
-//! `docs/ANALYSIS.md` for the rules.
+//! `docs/ANALYSIS.md` for the rule.
 
 #![forbid(unsafe_code)]
 

@@ -1,15 +1,14 @@
 //! A hand-rolled item parser over the [`crate::lexer`] token stream.
 //!
-//! The call-graph rules need more structure than raw tokens: which function
-//! a token belongs to, what an `impl` block's self type is, what a call
-//! site's receiver is, and what types the receiver chain walks through.
-//! This module recovers exactly that much structure — fn items (including
-//! trait methods and functions nested in bodies), impl blocks with
-//! self-type and trait tracking, struct field types, parameter and `let`
-//! types, call sites (method / path / free / macro), slice-indexing sites,
-//! lock acquisitions, and fault-point and blocking sites — while
-//! deliberately *not* building a full AST. Anything it cannot classify it records
-//! conservatively (an unknown receiver, an opaque callee) rather than
+//! The lock rule needs more structure than raw tokens: which function
+//! a token belongs to, what an `impl` block's self type is, and what a
+//! call site's receiver is. This module recovers exactly that much
+//! structure — fn items (including trait methods and functions nested in
+//! bodies), impl blocks with self-type and trait tracking, parameter and
+//! `let` types, call sites (method / path / free), lock acquisitions, and
+//! fault-point and blocking sites — while deliberately *not* building a
+//! full AST. Anything it cannot classify it records
+//! conservatively (an unknown receiver, a call through a binding) rather than
 //! guessing; `rustc` has already accepted the code, so unparseable input is
 //! tolerated, never fatal.
 
@@ -36,8 +35,7 @@ const BLOCKING_METHODS_ANY_ARGS: [&str; 6] =
 /// `Vec::join(sep)` takes an argument and merely allocates).
 const BLOCKING_METHODS_NO_ARGS: [&str; 3] = ["join", "flush", "accept"];
 
-/// Keywords that can directly precede `(` or `[` without being a call or
-/// an indexing expression.
+/// Keywords that can directly precede `(` without being a call.
 const KEYWORDS: [&str; 28] = [
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "as",
     "let", "fn", "impl", "struct", "enum", "trait", "mod", "use", "pub", "where", "move", "ref",
@@ -47,12 +45,12 @@ const KEYWORDS: [&str; 28] = [
 /// How a method call's receiver was written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Receiver {
-    /// `self.f.g.m(…)` — the field chain after `self` (empty for `self.m()`).
-    SelfChain(Vec<String>),
-    /// `x.f.m(…)` — a variable, then a (possibly empty) field chain.
-    Var(String, Vec<String>),
-    /// Anything else (a chained call result, a literal, a parenthesized
-    /// expression): the receiver's type is not recoverable from tokens.
+    /// `self.m(…)`.
+    SelfValue,
+    /// `x.m(…)` — a plain variable.
+    Var(String),
+    /// Anything else (a field chain, a chained call result, a literal, a
+    /// parenthesized expression): the receiver's type is not recovered.
     Unknown,
 }
 
@@ -66,18 +64,13 @@ pub enum Call {
     Path { qualifier: String, name: String, line: u32 },
     /// `name(…)` with no qualifier or receiver.
     Free { name: String, line: u32 },
-    /// `name!(…)` / `name![…]` / `name!{…}`.
-    Macro { name: String, line: u32 },
 }
 
 impl Call {
     /// The source line of the call.
     pub fn line(&self) -> u32 {
         match self {
-            Call::Method { line, .. }
-            | Call::Path { line, .. }
-            | Call::Free { line, .. }
-            | Call::Macro { line, .. } => *line,
+            Call::Method { line, .. } | Call::Path { line, .. } | Call::Free { line, .. } => *line,
         }
     }
 }
@@ -111,8 +104,6 @@ pub struct FnItem {
     pub end_line: u32,
     /// Parameter name → terminal type ident (see [`terminal_type`]).
     pub params: BTreeMap<String, String>,
-    /// Generic parameter → first trait bound ident (`S: Sampler` → `Sampler`).
-    pub generics: BTreeMap<String, String>,
     /// `let` locals with a directly annotated or ctor-inferred type.
     pub locals: BTreeMap<String, String>,
     /// Every binding name in scope (params, `let`s, `for` patterns) —
@@ -123,10 +114,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
     /// Lock-guard acquisitions with their modeled live ranges.
     pub lock_spans: Vec<LockSpan>,
-    /// Locals bound to a closure literal (`let f = |x| …`): a free "call"
-    /// on one of these runs code already attributed to this fn body, so it
-    /// is resolved, not opaque.
-    pub closure_bindings: BTreeSet<String>,
     /// Lines with a postfix `?` operator — each is an implicit
     /// `From::from` call on the error path.
     pub question_lines: Vec<u32>,
@@ -136,18 +123,14 @@ pub struct FnItem {
     /// `join()`, file/socket I/O, `sleep`), pre-filtered by argument shape;
     /// the call graph decides which ones actually leave the workspace.
     pub blocking_sites: Vec<Call>,
-    /// Lines with a `[`-indexing expression.
-    pub index_sites: Vec<u32>,
 }
 
-/// A parsed source file: functions plus the struct field-type table.
+/// A parsed source file: its functions.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Repo-relative path.
     pub rel: String,
     pub fns: Vec<FnItem>,
-    /// struct name → field name → terminal type ident.
-    pub structs: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Parses one (already `cfg(test)`-stripped) token stream.
@@ -251,7 +234,7 @@ pub fn terminal_type(toks: &[Tok]) -> Option<String> {
     last_top.map(str::to_owned)
 }
 
-/// Walks a token range for item declarations, collecting fns and structs.
+/// Walks a token range for item declarations, collecting fns.
 /// `self_ty`/`trait_name` carry the enclosing impl/trait context.
 fn walk_items(
     toks: &[Tok],
@@ -298,12 +281,9 @@ fn walk_items(
                     i = j + 1;
                 }
             }
-            TokKind::Ident if toks[i].text == "struct" => {
-                i = parse_struct(toks, i, end, out);
-            }
-            // Enum/union payloads look like fields but are not; skip the
-            // whole item body.
-            TokKind::Ident if toks[i].text == "enum" || toks[i].text == "union" => {
+            // Struct, enum and union bodies hold no code; skip the whole
+            // item body.
+            TokKind::Ident if matches!(toks[i].text.as_str(), "struct" | "enum" | "union") => {
                 let mut j = i + 1;
                 while j < end && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
                     j += 1;
@@ -364,68 +344,6 @@ fn parse_impl(toks: &[Tok], at: usize, end: usize, out: &mut ParsedFile) -> usiz
     }
 }
 
-/// Parses `struct Name { field: Type, … }` into the field-type table.
-fn parse_struct(toks: &[Tok], at: usize, end: usize, out: &mut ParsedFile) -> usize {
-    let Some(name) = toks.get(at + 1).filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone())
-    else {
-        return at + 1;
-    };
-    let mut i = at + 2;
-    if i < end && toks[i].is_punct('<') {
-        i = skip_angles(toks, i, end);
-    }
-    while i < end && toks[i].is_ident("where") {
-        while i < end && !toks[i].is_punct('{') && !toks[i].is_punct(';') {
-            i += 1;
-        }
-    }
-    // Tuple struct `struct X(…);` or unit struct `struct X;`: no named
-    // fields to record.
-    if i >= end || !toks[i].is_punct('{') {
-        return if i < end && toks[i].is_punct('(') { skip_group(toks, i, end) } else { i + 1 };
-    }
-    let body_end = skip_group(toks, i, end);
-    let mut fields = BTreeMap::new();
-    let mut j = i + 1;
-    while j < body_end - 1 {
-        // Field shape: [attrs] [pub[(…)]] name : Type ,|}
-        if toks[j].is_punct('#') && toks.get(j + 1).is_some_and(|t| t.is_punct('[')) {
-            j = skip_group(toks, j + 1, body_end);
-            continue;
-        }
-        if toks[j].is_ident("pub") {
-            j += 1;
-            if j < body_end && toks[j].is_punct('(') {
-                j = skip_group(toks, j, body_end);
-            }
-            continue;
-        }
-        if toks[j].kind == TokKind::Ident && toks.get(j + 1).is_some_and(|t| t.is_punct(':')) {
-            let fname = toks[j].text.clone();
-            let ty_start = j + 2;
-            let mut k = ty_start;
-            while k < body_end - 1 {
-                match toks[k].kind {
-                    TokKind::Punct(',') => break,
-                    TokKind::Punct('<') => k = skip_angles(toks, k, body_end),
-                    TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => {
-                        k = skip_group(toks, k, body_end)
-                    }
-                    _ => k += 1,
-                }
-            }
-            if let Some(ty) = terminal_type(&toks[ty_start..k]) {
-                fields.insert(fname, ty);
-            }
-            j = k + 1;
-            continue;
-        }
-        j += 1;
-    }
-    out.structs.entry(name).or_default().extend(fields);
-    body_end
-}
-
 /// Parses one `fn` item starting at the `fn` keyword; returns the index
 /// just past it. Nested fns are parsed recursively as their own items and
 /// excluded from the outer body scan.
@@ -449,9 +367,7 @@ fn parse_fn(
     };
     let mut i = at + 2;
     if i < end && toks[i].is_punct('<') {
-        let close = skip_angles(toks, i, end);
-        parse_generics(&toks[i + 1..close.saturating_sub(1).max(i + 1)], &mut f);
-        i = close;
+        i = skip_angles(toks, i, end);
     }
     if i >= end || !toks[i].is_punct('(') {
         out.fns.push(f);
@@ -477,34 +393,6 @@ fn parse_fn(
     scan_body(toks, i + 1, body_end - 1, end, &mut f, out);
     out.fns.push(f);
     body_end
-}
-
-/// Records `T: Bound` pairs from a generic parameter list (angle brackets
-/// already stripped).
-fn parse_generics(toks: &[Tok], f: &mut FnItem) {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].kind == TokKind::Ident
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && !is_keyword(&toks[i].text)
-        {
-            // First non-lifetime bound ident.
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct(',') {
-                if toks[j].kind == TokKind::Ident {
-                    f.generics.insert(toks[i].text.clone(), toks[j].text.clone());
-                    break;
-                }
-                j += 1;
-            }
-        }
-        match toks[i].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => {
-                i = skip_group(toks, i, toks.len())
-            }
-            _ => i += 1,
-        }
-    }
 }
 
 /// Splits a parameter list at top-level commas and records `name → type`.
@@ -549,7 +437,7 @@ fn parse_params(toks: &[Tok], self_ty: Option<&str>, f: &mut FnItem) {
     }
 }
 
-/// Scans a fn body for lets, calls, indexing, locks, and fault points.
+/// Scans a fn body for lets, calls, locks, and fault and blocking sites.
 /// `outer_end` bounds nested-item recursion.
 fn scan_body(
     toks: &[Tok],
@@ -589,21 +477,19 @@ fn scan_body(
             }
             TokKind::Ident if !is_keyword(&t.text) => {
                 let next = toks.get(i + 1);
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    let after = toks.get(i + 2);
-                    if after.is_some_and(|n| n.is_punct('(') || n.is_punct('[') || n.is_punct('{'))
-                    {
-                        f.calls.push(Call::Macro { name: t.text.clone(), line: t.line });
-                        if t.text == "fault_point" {
-                            let close = skip_group(toks, i + 2, end);
-                            // `close` is one past the `)`.
-                            let arg: String = toks[i + 3..close.saturating_sub(1).max(i + 3)]
-                                .iter()
-                                .map(|a| a.text.as_str())
-                                .collect();
-                            f.fault_sites.push((arg, t.line));
-                        }
-                    }
+                if t.text == "fault_point"
+                    && next.is_some_and(|n| n.is_punct('!'))
+                    && toks
+                        .get(i + 2)
+                        .is_some_and(|n| n.is_punct('(') || n.is_punct('[') || n.is_punct('{'))
+                {
+                    let close = skip_group(toks, i + 2, end);
+                    // `close` is one past the `)`.
+                    let arg: String = toks[i + 3..close.saturating_sub(1).max(i + 3)]
+                        .iter()
+                        .map(|a| a.text.as_str())
+                        .collect();
+                    f.fault_sites.push((arg, t.line));
                 } else if next.is_some_and(|n| n.is_punct('(')) {
                     scan_call(toks, i, f);
                     // A no-argument acquisition method on a receiver chain
@@ -616,8 +502,6 @@ fn scan_body(
                     {
                         scan_lock(toks, i, end, f);
                     }
-                } else if next.is_some_and(|n| n.is_punct('[')) {
-                    f.index_sites.push(t.line);
                 }
             }
             // Postfix `?`: an implicit `From::from` on the error path. The
@@ -629,12 +513,6 @@ fn scan_body(
                             && !is_keyword(&toks[i - 1].text))) =>
             {
                 f.question_lines.push(t.line);
-            }
-            // Indexing a call/index result: `f()[i]`, `m[k][j]`.
-            TokKind::Punct(')') | TokKind::Punct(']')
-                if toks.get(i + 1).is_some_and(|n| n.is_punct('[')) =>
-            {
-                f.index_sites.push(toks[i + 1].line);
             }
             _ => {}
         }
@@ -680,20 +558,8 @@ fn scan_let(toks: &[Tok], at: usize, end: usize, f: &mut FnItem) {
     if i >= end || !toks[i].is_punct('=') {
         return;
     }
-    let rhs = i + 1;
-    // `let f = |x| …;` / `let f = move || …;` — a closure literal bound to
-    // a local: calls through it stay inside this body.
-    {
-        let mut c = rhs;
-        if toks.get(c).is_some_and(|t| t.is_ident("move")) {
-            c += 1;
-        }
-        if toks.get(c).is_some_and(|t| t.is_punct('|')) {
-            f.closure_bindings.insert(name.clone());
-        }
-    }
     // `let x = Type::ctor(…);` — take the last capitalized path segment.
-    let mut k = rhs;
+    let mut k = i + 1;
     let mut last_type: Option<String> = None;
     while k + 2 < end
         && toks[k].kind == TokKind::Ident
@@ -765,41 +631,24 @@ fn scan_call(toks: &[Tok], at: usize, f: &mut FnItem) {
     }
 }
 
-/// Walks a receiver chain backwards from the `.` before a method name.
+/// Classifies the receiver left of the `.` at `dot` before a method name.
 fn receiver_chain(toks: &[Tok], dot: usize) -> Receiver {
-    // Collect `ident (. ident)*` going left; anything else ends the chain.
-    let mut names: Vec<String> = Vec::new();
-    let mut i = dot;
-    loop {
-        if i == 0 || !toks[i].is_punct('.') {
-            break;
-        }
-        let Some(pt) = i.checked_sub(1).map(|p| &toks[p]) else { break };
-        if pt.kind != TokKind::Ident || is_keyword(&pt.text) {
-            // `foo().bar(` / `x?.bar(` / `(e).bar(` / `[a][0].bar(`:
-            // receiver type not recoverable.
-            return Receiver::Unknown;
-        }
-        names.push(pt.text.clone());
-        // Is there another `.` to the left of this ident?
-        match i.checked_sub(2).map(|p| &toks[p]) {
-            Some(p2) if p2.is_punct('.') => i -= 2,
-            // A further path/call shape to the left (`a().b.c(`): unknown.
-            Some(p2) if p2.is_punct(')') || p2.is_punct(']') || p2.is_punct('?') => {
-                return Receiver::Unknown;
-            }
-            _ => {
-                names.reverse();
-                let first = names.remove(0);
-                return if first == "self" {
-                    Receiver::SelfChain(names)
-                } else {
-                    Receiver::Var(first, names)
-                };
-            }
-        }
+    let Some(pt) = dot.checked_sub(1).map(|p| &toks[p]) else { return Receiver::Unknown };
+    if pt.kind != TokKind::Ident || is_keyword(&pt.text) {
+        // `foo().bar(` / `x?.bar(` / `(e).bar(` / `[a][0].bar(`.
+        return Receiver::Unknown;
     }
-    Receiver::Unknown
+    match dot.checked_sub(2).map(|p| &toks[p]) {
+        // A field chain (`x.f.m(`) or a path/call shape to the left
+        // (`a().b.m(`).
+        Some(p2)
+            if p2.is_punct('.') || p2.is_punct(')') || p2.is_punct(']') || p2.is_punct('?') =>
+        {
+            Receiver::Unknown
+        }
+        _ if pt.text == "self" => Receiver::SelfValue,
+        _ => Receiver::Var(pt.text.clone()),
+    }
 }
 
 /// Records a lock acquisition (`recv.lock()` et al., name ident at `at`)
@@ -965,9 +814,7 @@ mod tests {
     use crate::lexer;
 
     fn parse(src: &str) -> ParsedFile {
-        let lexed = lexer::lex(src);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
-        parse_file("test.rs", &stripped)
+        parse_file("test.rs", &lexer::strip_cfg_test(&lexer::lex(src)))
     }
 
     fn fn_named<'a>(p: &'a ParsedFile, name: &str) -> &'a FnItem {
@@ -985,11 +832,9 @@ mod tests {
         let m = fn_named(&p, "m");
         assert_eq!(m.self_ty.as_deref(), Some("S"));
         assert_eq!(m.params.get("rng").map(String::as_str), Some("Mt64"));
-        assert_eq!(p.structs["S"]["pair"], "Pair");
         assert!(m.calls.iter().any(|c| matches!(
             c,
-            Call::Method { name, recv: Receiver::SelfChain(chain), .. }
-                if name == "go" && chain == &["pair".to_owned()]
+            Call::Method { name, recv: Receiver::Unknown, .. } if name == "go"
         )));
         assert!(m.calls.iter().any(|c| matches!(c, Call::Free { name, .. } if name == "helper")));
     }
@@ -1003,14 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_bounds_are_recorded() {
-        let p = parse("fn run<S: Sampler, T>(s: &mut S) { s.sample(); }");
-        let f = fn_named(&p, "run");
-        assert_eq!(f.generics.get("S").map(String::as_str), Some("Sampler"));
-        assert_eq!(f.params.get("s").map(String::as_str), Some("S"));
-    }
-
-    #[test]
     fn nested_generics_do_not_break_item_boundaries() {
         // `>>` closing two levels, and a fn following it.
         let p = parse("fn a(x: Vec<Box<u8>>) -> Option<Vec<u8>> { x.len() } fn b() {}");
@@ -1019,14 +856,13 @@ mod tests {
     }
 
     #[test]
-    fn path_calls_and_macros() {
+    fn path_calls() {
         let p = parse("fn f() { Vec::with_capacity(4); format!(\"x\"); g::h::go(1); }");
         let f = fn_named(&p, "f");
         assert!(f.calls.iter().any(|c| matches!(
             c,
             Call::Path { qualifier, name, .. } if qualifier == "Vec" && name == "with_capacity"
         )));
-        assert!(f.calls.iter().any(|c| matches!(c, Call::Macro { name, .. } if name == "format")));
         assert!(f.calls.iter().any(|c| matches!(
             c,
             Call::Path { qualifier, name, .. } if qualifier == "h" && name == "go"
@@ -1071,15 +907,8 @@ mod tests {
         assert_eq!(f.locals.get("d").map(String::as_str), Some("SymbolicDraw"));
         assert!(f.calls.iter().any(|c| matches!(
             c,
-            Call::Method { name, recv: Receiver::Var(v, _), .. } if name == "go" && v == "d"
+            Call::Method { name, recv: Receiver::Var(v), .. } if name == "go" && v == "d"
         )));
-    }
-
-    #[test]
-    fn indexing_sites_are_found_and_array_types_are_not() {
-        let p = parse("fn f(v: &[u32], i: usize) -> u32 { let _a: [u8; 2] = [0, 1]; v[i] }");
-        let f = fn_named(&p, "f");
-        assert_eq!(f.index_sites.len(), 1);
     }
 
     #[test]
@@ -1184,14 +1013,6 @@ mod tests {
         );
         assert_eq!(span(&p, "a", "m").end_line, 1);
         assert!(fn_named(&p, "b").lock_spans.is_empty(), "read(&mut buf) takes an argument");
-    }
-
-    #[test]
-    fn closure_bindings_are_recorded() {
-        let p = parse("fn f() { let enc = |x: u32| go(x); let h = move || enc(1); h(); }");
-        let f = fn_named(&p, "f");
-        assert!(f.closure_bindings.contains("enc") && f.closure_bindings.contains("h"));
-        assert!(!f.closure_bindings.contains("x"));
     }
 
     #[test]

@@ -73,10 +73,11 @@ fn unparseable_source_is_linted_best_effort_not_a_crash() {
 #[test]
 fn findings_exit_1_and_are_written_to_out() {
     let root = scratch_workspace("dirty");
-    // A suppression without a reason is a deterministic single finding.
+    // A second lock taken under a held guard is a deterministic single
+    // finding, at the second acquisition.
     std::fs::write(
         root.join("crates/demo/src/dirty.rs"),
-        "// cqa-lint: allow(rng-flow)\npub fn f() {}\n",
+        "pub fn f() {\n    let g = A.lock();\n    B.lock();\n}\n",
     )
     .unwrap();
     let findings_path = root.join("lint-findings.txt");
@@ -92,10 +93,7 @@ fn findings_exit_1_and_are_written_to_out() {
     assert!(stdout.contains("1 finding(s)"), "{stdout}");
     let written = std::fs::read_to_string(&findings_path).unwrap();
     assert_eq!(written.lines().count(), 1, "{written}");
-    assert!(
-        written.contains("crates/demo/src/dirty.rs:1: [suppression-needs-reason]"),
-        "{written}"
-    );
+    assert!(written.contains("crates/demo/src/dirty.rs:3: [no-wait-under-guard]"), "{written}");
 }
 
 #[test]

@@ -1,10 +1,9 @@
-//! Self-tests: every rule must fire on its bad fixture (with the right
-//! rule name) and stay silent on its good fixture, suppressions must be
-//! honored, and the real workspace must lint clean — which makes
-//! `cargo test --workspace` fail the moment an invariant regresses, even
-//! where CI forgets to run the CLI.
+//! Self-tests: the rule must fire on its bad fixtures (with the right
+//! rule name) and stay silent on its good fixture, and the real workspace
+//! must lint clean — which makes `cargo test --workspace` fail the moment
+//! the invariant regresses, even where CI forgets to run the CLI.
 
-use cqa_lint::rules;
+use cqa_lint::lockflow::NO_WAIT;
 use std::path::{Path, PathBuf};
 
 fn fixture_path(rel: &str) -> PathBuf {
@@ -25,90 +24,20 @@ fn fired(rel: &str, fixture_file: &str) -> Vec<&'static str> {
 
 const REQUEST_PATH: &str = "crates/server/src/pool.rs";
 const ANYWHERE: &str = "crates/core/src/sampler.rs";
-const ESTIMATOR: &str = "crates/core/src/montecarlo.rs";
 
 /// Lints several fixtures together as the given workspace files — the
-/// call-graph rules need the whole set to connect cross-module edges.
-fn fired_multi(files: &[(&str, &str)]) -> Vec<rules::Finding> {
+/// call graph needs the whole set to connect cross-module edges.
+fn fired_multi(files: &[(&str, &str)]) -> Vec<cqa_lint::Finding> {
     let sources: Vec<(String, String)> =
         files.iter().map(|(rel, fx)| (rel.to_string(), fixture(fx))).collect();
     cqa_lint::check_sources(&sources)
 }
 
 #[test]
-fn no_panic_fires_on_bad_fixture() {
-    let fired = fired(REQUEST_PATH, "no-panic-in-request-path/bad.rs");
-    assert_eq!(fired, vec![rules::NO_PANIC, rules::NO_PANIC], "unwrap + panic!");
-}
-
-#[test]
-fn no_panic_is_scoped_to_the_request_path() {
-    // The same source outside the request path is not no-panic's business.
-    assert!(fired(ANYWHERE, "no-panic-in-request-path/bad.rs").is_empty());
-}
-
-#[test]
-fn no_panic_passes_good_fixture_and_ignores_tests() {
-    assert!(fired(REQUEST_PATH, "no-panic-in-request-path/good.rs").is_empty());
-}
-
-#[test]
-fn suppression_comment_waives_a_finding() {
-    assert!(fired(REQUEST_PATH, "no-panic-in-request-path/suppressed.rs").is_empty());
-}
-
-#[test]
-fn transitive_panic_crosses_modules() {
-    let findings = fired_multi(&[
-        (REQUEST_PATH, "transitive/request_entry.rs"),
-        ("crates/server/src/util.rs", "transitive/request_helper.rs"),
-    ]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, rules::NO_PANIC);
-    assert_eq!(findings[0].file, "crates/server/src/util.rs");
-    assert!(findings[0].message.contains("reachable via"), "{}", findings[0].message);
-}
-
-#[test]
-fn transitive_helpers_alone_are_clean() {
-    // Without the entry point, the helper is not reachable from a seed:
-    // the finding above really does come from the call graph.
-    assert!(fired("crates/server/src/util.rs", "transitive/request_helper.rs").is_empty());
-}
-
-#[test]
-fn rng_flow_fires_on_ambient_entropy_and_unforked_root() {
-    let findings = cqa_lint::check_source(ESTIMATOR, &fixture("rng-flow/bad.rs"));
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings.iter().all(|f| f.rule == rules::RNG_FLOW));
-    assert!(findings.iter().any(|f| f.message.contains("thread_rng")), "{findings:#?}");
-}
-
-#[test]
-fn rng_flow_passes_forked_rng() {
-    assert!(fired(ESTIMATOR, "rng-flow/good.rs").is_empty());
-}
-
-#[test]
-fn suppression_hygiene_fires_on_bad_fixture() {
-    let fired = fired(REQUEST_PATH, "suppression-needs-reason/bad.rs");
-    assert_eq!(
-        fired,
-        vec![rules::SUPPRESSION, rules::SUPPRESSION, rules::SUPPRESSION],
-        "missing reason, unknown rule, self-suppression"
-    );
-}
-
-#[test]
-fn suppression_hygiene_passes_good_fixture() {
-    assert!(fired(REQUEST_PATH, "suppression-needs-reason/good.rs").is_empty());
-}
-
-#[test]
 fn no_wait_fires_on_every_wait_under_a_guard() {
     let findings = cqa_lint::check_source(REQUEST_PATH, &fixture("no-wait-under-guard/bad.rs"));
     let fired: Vec<_> = findings.iter().map(|f| f.rule).collect();
-    assert_eq!(fired, vec![rules::NO_WAIT; 4], "nested lock, recv, sleep, fault point");
+    assert_eq!(fired, vec![NO_WAIT; 4], "nested lock, recv, sleep, fault point");
     // Each finding names the guard's receiver and where it was taken.
     let guard = format!("guard on `STATE` ({REQUEST_PATH}:13)");
     assert!(findings.iter().all(|f| f.message.contains(&guard)), "{findings:#?}");
@@ -118,7 +47,7 @@ fn no_wait_fires_on_every_wait_under_a_guard() {
 fn no_wait_fires_outside_the_request_path() {
     // The rule is workspace-wide: a file off the request path gets the
     // same four findings.
-    assert_eq!(fired(ANYWHERE, "no-wait-under-guard/bad.rs"), vec![rules::NO_WAIT; 4]);
+    assert_eq!(fired(ANYWHERE, "no-wait-under-guard/bad.rs"), vec![NO_WAIT; 4]);
 }
 
 #[test]
@@ -138,7 +67,7 @@ fn no_wait_follows_the_call_graph_in_both_directions() {
         ("crates/server/src/pool.rs", "transitive/abba_pool.rs"),
     ]);
     assert_eq!(findings.len(), 2, "one finding per direction: {findings:#?}");
-    assert!(findings.iter().all(|f| f.rule == rules::NO_WAIT), "{findings:#?}");
+    assert!(findings.iter().all(|f| f.rule == NO_WAIT), "{findings:#?}");
     assert!(
         findings
             .iter()

@@ -42,8 +42,7 @@ fn corpus_every_workspace_file_parses() {
     let sources = workspace_sources();
     assert!(sources.len() > 40, "suspiciously small corpus: {} files", sources.len());
     for (path, text) in &sources {
-        let lexed = lexer::lex(text);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
+        let stripped = lexer::strip_cfg_test(&lexer::lex(text));
         let parsed = parser::parse_file(&path.display().to_string(), &stripped);
         let declares_fn = stripped
             .windows(2)
@@ -74,8 +73,7 @@ fn corpus_adversarial_handwritten_cases() {
         "fn n() { \"s\u{2764}tring\".chars(); '\\u{1F600}'; }",
     ];
     for (i, src) in cases.iter().enumerate() {
-        let lexed = lexer::lex(src);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
+        let stripped = lexer::strip_cfg_test(&lexer::lex(src));
         let _ = parser::parse_file(&format!("case{i}.rs"), &stripped);
     }
 }
@@ -119,8 +117,7 @@ proptest! {
     #[test]
     fn parser_survives_fragment_soup(picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..24)) {
         let src = picks.iter().map(|&i| FRAGMENTS[i]).collect::<Vec<_>>().join(" ");
-        let lexed = lexer::lex(&src);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
+        let stripped = lexer::strip_cfg_test(&lexer::lex(&src));
         let parsed = parser::parse_file("soup.rs", &stripped);
         // Fn items the parser does report must carry sane line spans
         // (end_line is 0 for bodyless declarations).
@@ -144,8 +141,7 @@ proptest! {
         }
         let extra = ">".repeat(tail); // deliberately unbalanced closers
         let src = format!("fn f(x: {ty}{extra}) -> {ty} {{ g(|| h(x), |y| y) }}");
-        let lexed = lexer::lex(&src);
-        let stripped = lexer::strip_cfg_test(&lexed.toks);
+        let stripped = lexer::strip_cfg_test(&lexer::lex(&src));
         let parsed = parser::parse_file("generics.rs", &stripped);
         prop_assert!(!parsed.fns.is_empty(), "fn item lost in {src}");
     }
