@@ -90,8 +90,9 @@ pub enum FaultKind {
     /// Truncate the write ([`Fault::ShortWrite`]); only meaningful at
     /// write boundaries, other points treat it as [`FaultKind::Error`].
     ShortWrite,
-    /// Panic at the point; the worker pool contains it with
-    /// `catch_unwind` and the client sees a structured `internal` error.
+    /// Panic at the point; the server contains it with `catch_unwind` on
+    /// the query's connection thread and the client sees a structured
+    /// `internal` error.
     PanicInWorker,
 }
 
@@ -139,7 +140,8 @@ impl FaultPlan {
     /// * `all-points-delay` — every point delays 2 ms with p=0.25.
     /// * `smoke` — error + delay at three points (the CI smoke plan).
     /// * `short-write` — truncated protocol writes with p=0.25.
-    /// * `worker-panic` — every 5th pool handoff panics in the worker.
+    /// * `worker-panic` — every 5th `pool/handoff` (a query that holds its
+    ///   admission permit, about to run) panics.
     pub fn preset(name: &str, seed: u64) -> Option<FaultPlan> {
         let rule = |point: &str, kind, trigger| FaultRule { point: point.into(), kind, trigger };
         let rules = match name {
@@ -292,8 +294,8 @@ pub fn trigger(point: Point) -> Option<Fault> {
         }
         #[expect(
             clippy::panic,
-            reason = "deliberate fault injection: the worker pool contains it with catch_unwind \
-                      and the client sees a structured internal error"
+            reason = "deliberate fault injection: the server contains it with catch_unwind and \
+                      the client sees a structured internal error"
         )]
         FaultKind::PanicInWorker => panic!("injected fault: panic-in-worker at {name}"),
     }

@@ -23,7 +23,7 @@ cqa_common::name_enum! {
         CacheInsert = "cache/insert",
         CacheLookup = "cache/lookup",
         CacheShardLock = "cache/shard_lock",
-        // crates/server/src/pool.rs + server.rs — worker pool
+        // crates/server/src/gate.rs + server.rs — admission gate
         PoolHandoff = "pool/handoff",
         PoolSubmit = "pool/submit",
         // crates/server/src/server.rs — connection I/O

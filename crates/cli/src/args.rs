@@ -94,9 +94,10 @@ pub enum Command {
         db: PathBuf,
         /// Address to bind (port 0 picks a free port).
         addr: String,
-        /// Worker threads (0 = one per CPU).
+        /// Queries that may run at once (0 = one per CPU).
         workers: usize,
-        /// Admission-queue depth.
+        /// Queries that may wait for a `workers` permit before
+        /// `overloaded` rejections start.
         queue_depth: usize,
         /// Synopsis-cache capacity (entries).
         cache_capacity: usize,
@@ -151,7 +152,7 @@ pub enum Command {
         clients: usize,
         /// Requests per client.
         requests: usize,
-        /// Server worker threads (0 = one per CPU).
+        /// Queries the server may run at once (0 = one per CPU).
         workers: usize,
     },
     /// Dump a running daemon's flight recorder or slow/error log.
@@ -185,7 +186,9 @@ USAGE:
   cqa-cli certain --db FILE --query CQ
   cqa-cli schema --db FILE
   cqa-cli serve  --db FILE [--addr HOST:PORT] [--workers N] [--queue N]
-                 [--cache N] [--timeout-ms N] [--trace]
+                 [--cache N] [--timeout-ms N] [--trace]   (--workers: queries
+                 that may run at once, 0 = one per CPU; --queue: queries that
+                 may wait for one before `overloaded`)
   cqa-cli bench-serve --addr HOST:PORT --query CQ [--scheme S] [--eps F]
                  [--delta F] [--clients N] [--requests N] [--seed N]
                  [--timeout-ms N] [--permute-queries]

@@ -18,8 +18,8 @@
 //!    threshold or returned a structured error. This is the expensive,
 //!    rare path, so a mutex-guarded deque is fine here.
 //! 3. **The request scope** — [`begin_request`]/[`end_request`] bracket
-//!    one request's execution on a worker thread and capture its spans
-//!    for the slow/error log.
+//!    one request's execution on the thread that runs it and capture its
+//!    spans for the slow/error log.
 //!
 //! Unlike tracing, the recorder is **always on**: digests are integer
 //! stores into pre-allocated slots, cheap enough for every request, and
@@ -50,8 +50,8 @@ pub const CAPTURE_SPANS: usize = 256;
 // ---------------------------------------------------------------------------
 
 /// Opens a request scope on this thread: a span-capture window (up to
-/// [`CAPTURE_SPANS`] spans) for the slow/error log. Call on the worker
-/// thread that will execute the request, before any request work.
+/// [`CAPTURE_SPANS`] spans) for the slow/error log. Call on the thread
+/// that will execute the request, before any request work.
 pub fn begin_request() {
     trace::begin_capture(CAPTURE_SPANS);
 }

@@ -162,7 +162,7 @@ pub fn capturing() -> bool {
 /// Opens a span-capture window on this thread: up to `limit` spans and
 /// instants recorded here are retained for [`take_capture`], independent of
 /// whether global tracing is enabled. Replaces any previous window. The
-/// buffer is thread-local and **reused** across windows — a worker thread
+/// buffer is thread-local and **reused** across windows — a serving thread
 /// pays its allocation once, not per request (the `cqa-perf` flight suite
 /// gates on that).
 pub fn begin_capture(limit: usize) {

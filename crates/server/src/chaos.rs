@@ -6,8 +6,9 @@
 //! it disarms and checks the reliability invariants from
 //! `docs/RELIABILITY.md`:
 //!
-//! 1. **No abort** — the run completes; worker panics are contained by
-//!    the pool and connection drops by the client's reconnect logic.
+//! 1. **No abort** — the run completes; panics while a query runs are
+//!    contained on its connection thread, and connection drops by the
+//!    client's reconnect logic.
 //! 2. **Every request resolves** — each request ends in an answer or a
 //!    documented structured error envelope; a transport error that
 //!    survives the whole retry budget is a violation.
@@ -49,7 +50,7 @@ pub struct ChaosSpec {
     /// Root seed: drives per-request seeds and retry jitter; the fault
     /// plan carries its own seed.
     pub seed: u64,
-    /// Server worker threads (0 = one per CPU).
+    /// Queries the server may run at once (0 = one per CPU).
     pub workers: usize,
     /// The fault plan to arm for the storm window.
     pub plan: FaultPlan,
@@ -63,7 +64,7 @@ const STORM_RETRY: RetryPolicy =
 
 impl ChaosSpec {
     /// A spec with harness defaults: KLM at ε=0.2 δ=0.25, 2×16 requests
-    /// and 2 workers.
+    /// and 2 permits.
     pub fn new(query: &str, plan: FaultPlan) -> ChaosSpec {
         ChaosSpec {
             query: query.to_owned(),

@@ -23,15 +23,16 @@
 //!
 //! * [`protocol`] — request/response types and their wire encoding.
 //! * [`cache`] — the sharded LRU synopsis cache with hit/miss accounting.
-//! * [`pool`] — the worker pool with bounded-queue admission control and
-//!   per-request deadlines.
 //! * [`metrics`] — a per-instance [`cqa_obs`] metrics registry (counters
 //!   and log-scale latency histograms), served by the protocol's `stats`
 //!   command as JSON or Prometheus text.
-//! * [`server`] — the TCP daemon. Every request carries a request id
-//!   (client-supplied `request_id` or server-generated) and leaves a
-//!   digest in the always-on [`cqa_obs::flight`] recorder, dumped by the
-//!   protocol's `debug flight` / `debug slowlog` commands.
+//! * [`server`] — the TCP daemon. Each query runs on its connection's
+//!   thread once it holds one of a fixed number of admission permits,
+//!   with a bounded wait list and per-request deadlines. Every request
+//!   carries a request id (client-supplied `request_id` or
+//!   server-generated) and leaves a digest in the always-on
+//!   [`cqa_obs::flight`] recorder, dumped by the protocol's
+//!   `debug flight` / `debug slowlog` commands.
 //! * [`client`] — the blocking client library the CLI subcommands use.
 //! * [`retry`] — the retrying client layer: exponential backoff with
 //!   jitter under a budget, reconnect on transport errors, retry only on
@@ -45,9 +46,9 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+mod gate;
 pub mod loadgen;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod retry;
 pub mod server;
@@ -57,7 +58,6 @@ pub use chaos::{run_chaos, ChaosReport, ChaosSpec};
 pub use client::Client;
 pub use loadgen::{run_load, LoadReport, LoadSpec};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pool::{PoolConfig, SubmitError, WorkerPool};
 pub use protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,

@@ -39,8 +39,8 @@ pub struct Metrics {
     /// End-to-end latency of successful `query` requests, admission to
     /// response.
     pub query_latency: Histogram,
-    /// Time a `query` request spent in the admission queue before a worker
-    /// picked it up.
+    /// Time a `query` request waited for an admission permit before it
+    /// ran.
     pub queue_wait: Histogram,
     /// Requests tail-sampled into the flight recorder's slow/error log.
     pub slow_requests: Counter,

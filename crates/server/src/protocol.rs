@@ -13,7 +13,7 @@
 //!    "samples":9000}]}
 //!
 //! → {"v":1,"cmd":"stats"}
-//! ← {"ok":true,"stats":{...cache/pool/latency counters...}}
+//! ← {"ok":true,"stats":{...cache/admission/latency counters...}}
 //!
 //! → {"v":1,"cmd":"stats","format":"prometheus"}
 //! ← {"ok":true,"stats_text":"# TYPE server_requests_total counter\n..."}
@@ -31,7 +31,7 @@
 //! ← {"ok":true,"slowlog":[...slow/error requests with span trees...]}
 //!
 //! ← {"ok":false,"error":"overloaded","retryable":true,
-//!    "message":"queue full (depth 64)"}
+//!    "message":"admission queue full (depth 64)"}
 //! ```
 //!
 //! Integers ride as JSON strings never — tuples carry ints as numbers and
@@ -69,8 +69,8 @@ pub struct QueryRequest {
     pub delta: f64,
     /// Per-request deadline; `None` uses the server default.
     pub timeout_ms: Option<u64>,
-    /// RNG seed; fixed seeds give identical answers regardless of the
-    /// server's worker-pool size.
+    /// RNG seed; fixed seeds give identical answers however many queries
+    /// the server runs at once.
     pub seed: u64,
     /// Client-supplied request id for the flight recorder, 1 to
     /// [`MAX_REQUEST_ID_BYTES`] bytes; `None` lets the server generate

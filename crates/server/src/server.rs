@@ -1,20 +1,21 @@
 //! The TCP daemon.
 //!
-//! One thread per connection does the line-oriented I/O; `query` requests
-//! are handed to the shared [`WorkerPool`] so a slow synopsis build on one
-//! connection cannot starve another, and so total concurrent query work is
-//! bounded regardless of how many clients connect. `ping` and `stats` are
-//! answered inline — they must stay responsive precisely when the pool is
-//! saturated.
+//! One thread per connection reads its requests, answers them and writes
+//! the replies. A `query` runs on that thread too, but only while it holds
+//! one of the admission gate's `workers` permits, so total concurrent
+//! query work is bounded regardless of how many clients connect; at most
+//! `queue_depth` queries wait for a permit, and the rest are shed as
+//! `overloaded`. `ping`, `stats`, `trace` and `debug` never take a permit
+//! — they must stay responsive precisely when every permit is held.
 //!
-//! Determinism: each request carries a seed, and exactly one worker runs
+//! Determinism: each request carries a seed, and exactly one thread runs
 //! the whole request with `Mt64::new(seed)` — the same generator the
 //! offline driver uses — so answers are byte-identical to a local
-//! `apx_cqa` run with that seed, whatever the pool size.
+//! `apx_cqa` run with that seed, whatever `workers` is.
 
 use crate::cache::{CacheKey, SynopsisCache};
+use crate::gate::{Full, Gate};
 use crate::metrics::Metrics;
-use crate::pool::{PoolConfig, SubmitError, WorkerPool};
 use crate::protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
     WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
@@ -22,13 +23,14 @@ use crate::protocol::{
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64};
 use cqa_core::{apx_cqa_on_synopses, ApxCqaResult, Budget, TupleEstimate};
 use cqa_obs::flight::{self, FlightDigest, SlowlogEntry};
+use cqa_obs::trace::TraceEvent;
 use cqa_obs::Span;
 use cqa_storage::{dump_fingerprint, schema_to_ddl, Database};
 use cqa_synopsis::{build_synopses, BuildOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tunables for one server instance.
@@ -36,9 +38,10 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Address to bind, e.g. `127.0.0.1:7171` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads for query execution (0 = one per CPU).
+    /// Queries that may run at once (0 = one per CPU).
     pub workers: usize,
-    /// Admission-queue depth before `overloaded` rejections start.
+    /// Queries that may wait for one of the `workers` permits before
+    /// `overloaded` rejections start.
     pub queue_depth: usize,
     /// Maximum cached synopsis sets.
     pub cache_capacity: usize,
@@ -67,7 +70,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything the connection and worker threads share.
+/// Everything the connection threads share.
 struct Shared {
     db: Database,
     /// Fingerprints are computed once at startup; `CacheKey::new` would
@@ -76,7 +79,7 @@ struct Shared {
     constraint_fingerprint: u64,
     cache: SynopsisCache,
     metrics: Metrics,
-    pool: WorkerPool,
+    gate: Gate,
     default_timeout_ms: Option<u64>,
     max_samples: u64,
     slow_threshold_micros: u64,
@@ -94,8 +97,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the worker pool. The database is
-    /// fingerprinted here, once.
+    /// Binds the listener. The database is fingerprinted here, once.
     pub fn bind(db: Database, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let workers = if config.workers == 0 {
@@ -105,7 +107,6 @@ impl Server {
         };
         let db_fingerprint = dump_fingerprint(&db);
         let constraint_fingerprint = fnv1a64(schema_to_ddl(db.schema()).as_bytes());
-        let pool = WorkerPool::new(PoolConfig { workers, queue_depth: config.queue_depth })?;
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -114,7 +115,7 @@ impl Server {
                 constraint_fingerprint,
                 cache: SynopsisCache::with_capacity(config.cache_capacity.max(1)),
                 metrics: Metrics::new(),
-                pool,
+                gate: Gate::new(workers, config.queue_depth),
                 default_timeout_ms: config.default_timeout_ms,
                 max_samples: config.max_samples,
                 slow_threshold_micros: config.slow_threshold_ms.saturating_mul(1_000),
@@ -267,7 +268,7 @@ fn read_request_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Resu
     }
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn serve_connection(shared: &Shared, stream: TcpStream) {
     // The protocol is request/response; Nagle only adds latency.
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
@@ -329,7 +330,7 @@ fn reject_line(shared: &Shared, message: String) -> Response {
     Response::Error { kind: ErrorKind::BadRequest, message }
 }
 
-fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
+fn handle_line(shared: &Shared, line: &str) -> Response {
     shared.metrics.requests.inc();
     let request = match Request::from_line(line) {
         Ok(r) => r,
@@ -365,14 +366,17 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Response {
     }
 }
 
-/// Admits a query to the pool and waits for its worker's answer.
-fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
+/// Admits a query through the gate and runs it on this thread.
+fn dispatch_query(shared: &Shared, q: QueryRequest) -> Response {
     let admitted_micros = cqa_obs::now_micros();
     // Every request gets an id: the client's, or a generated `srv-…` one.
+    let generated;
     let request_id = match &q.request_id {
-        Some(id) => id.clone(),
+        Some(id) => id.as_str(),
         None => {
-            format!("srv-{:016x}", shared.next_request_id.fetch_add(1, Ordering::Relaxed))
+            let n = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
+            generated = format!("srv-{n:016x}");
+            generated.as_str()
         }
     };
     let scheme_name = q.scheme.name();
@@ -382,90 +386,86 @@ fn dispatch_query(shared: &Arc<Shared>, q: QueryRequest) -> Response {
     if q.attempt > 0 {
         shared.metrics.retried_requests.inc();
     }
-    // The deadline starts at admission: time spent queued counts.
+    // The deadline starts at admission: time spent waiting counts.
     let deadline = match q.timeout_ms.or(shared.default_timeout_ms) {
         Some(ms) => Deadline::after(Duration::from_millis(ms)),
         None => Deadline::none(),
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-    let submitted = shared.pool.try_submit({
-        let shared = Arc::clone(shared);
-        let request_id = request_id.clone();
-        move || {
-            // Queue wait straddles threads: record it from the explicit
-            // admission timestamp rather than a span stack.
-            let wait = cqa_obs::now_micros().saturating_sub(admitted_micros);
-            shared.metrics.queue_wait.record_micros(wait);
-            cqa_obs::record_span(Span::ServerQueueWait, admitted_micros, q.seed, 0);
-            // Open the request scope: starts the span capture for the
-            // slow/error log. Exactly this worker thread runs the whole
-            // request.
-            flight::begin_request();
-            let (response, report) = run_query(&shared, &q, deadline);
-            flight::end_request();
-            let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
-            if matches!(response, Response::Answers { .. }) {
-                shared.metrics.queries_ok.inc();
-                shared.metrics.query_latency.record_micros(total);
-            }
-            record_flight(&shared, &request_id, scheme_name, &response, wait, report, total);
-            let _ = reply_tx.send(response);
-        }
-    });
-    match submitted {
-        Ok(()) => {}
-        Err(SubmitError::Full { depth }) => {
+    let permit = match shared.gate.acquire() {
+        Ok(permit) => permit,
+        Err(Full { depth }) => {
             shared.metrics.rejected_overloaded.inc();
             let response = Response::Error {
                 kind: ErrorKind::Overloaded,
                 message: format!("admission queue full (depth {depth})"),
             };
-            record_rejection(shared, &request_id, scheme_name, &response, admitted_micros);
+            record_rejection(shared, request_id, scheme_name, &response, admitted_micros);
             return response;
         }
-        Err(SubmitError::Shutdown) => {
+    };
+    let wait = cqa_obs::now_micros().saturating_sub(admitted_micros);
+    shared.metrics.queue_wait.record_micros(wait);
+    cqa_obs::record_span(Span::ServerQueueWait, admitted_micros, q.seed, 0);
+    // A panicking query (injected panic-in-worker, or a latent bug: an
+    // index, an overflow, a waived `expect`) must not take the connection
+    // down: contain it, answer, keep serving. The fault point sits inside
+    // the containment so an injected panic exercises the same path.
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Chaos: a dropped handoff discards the query before it runs.
+        if cqa_chaos::fault_point!(PoolHandoff).is_some() {
+            return None;
+        }
+        // Open the request scope: starts the span capture for the
+        // slow/error log.
+        flight::begin_request();
+        Some(run_query(shared, &q, deadline))
+    }));
+    flight::end_request();
+    drop(permit);
+    let Ok(Some((response, mut report))) = ran else {
+        // The query was discarded or panicked mid-request; the client
+        // still gets a structured, retryable answer, and the flight
+        // recorder still gets a digest — rejection-shaped, since the
+        // query never finished.
+        shared.metrics.errors_internal.inc();
+        let response = Response::Error {
+            kind: ErrorKind::Internal,
+            message: "worker dropped the request".to_owned(),
+        };
+        record_rejection(shared, request_id, scheme_name, &response, admitted_micros);
+        return response;
+    };
+    let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
+    match &response {
+        Response::Answers { .. } => {
+            shared.metrics.queries_ok.inc();
+            shared.metrics.query_latency.record_micros(total);
+        }
+        Response::Error { kind: ErrorKind::DeadlineExceeded, .. } => {
+            shared.metrics.rejected_deadline.inc();
+        }
+        Response::Error { kind: ErrorKind::BadRequest, .. } => {
+            shared.metrics.rejected_bad_request.inc();
+        }
+        Response::Error { kind: ErrorKind::Internal, .. } => {
             shared.metrics.errors_internal.inc();
-            let response = Response::Error {
-                kind: ErrorKind::Internal,
-                message: "worker pool is shut down".to_owned(),
-            };
-            record_rejection(shared, &request_id, scheme_name, &response, admitted_micros);
-            return response;
         }
+        _ => {}
     }
-    match reply_rx.recv() {
-        Ok(response) => {
-            match &response {
-                Response::Error { kind: ErrorKind::DeadlineExceeded, .. } => {
-                    shared.metrics.rejected_deadline.inc();
-                }
-                Response::Error { kind: ErrorKind::BadRequest, .. } => {
-                    shared.metrics.rejected_bad_request.inc();
-                }
-                Response::Error { kind: ErrorKind::Internal, .. } => {
-                    shared.metrics.errors_internal.inc();
-                }
-                _ => {}
-            }
-            response
-        }
-        Err(_) => {
-            // The worker discarded the job or panicked mid-request (the
-            // pool contains the panic); the client still gets a
-            // structured, retryable answer, and the flight recorder still
-            // gets a digest — no worker ran, so it is rejection-shaped.
-            shared.metrics.errors_internal.inc();
-            let response = Response::Error {
-                kind: ErrorKind::Internal,
-                message: "worker dropped the request".to_owned(),
-            };
-            record_rejection(shared, &request_id, scheme_name, &response, admitted_micros);
-            response
-        }
-    }
+    report.queue_wait_us = wait;
+    record_flight(
+        shared,
+        request_id,
+        scheme_name,
+        &response,
+        report,
+        total,
+        flight::take_request_spans,
+    );
+    response
 }
 
-/// What a worker learned about a request besides its response: the
+/// What a run taught about a request besides its response: the
 /// canonical query fingerprint (0 until the query parses), the flight
 /// digest's estimator telemetry, which is the samples drawn (the
 /// response's `total_samples`, or a budget error's partial count) and the
@@ -476,6 +476,8 @@ struct RunReport {
     samples: u64,
     variance: f64,
     ci_half_width: f64,
+    /// Wait for an admission permit, microseconds.
+    queue_wait_us: u64,
     /// Synopsis-build time, microseconds (0 on cache hits).
     preprocess_us: u64,
     /// Sampling time, microseconds.
@@ -494,25 +496,25 @@ impl RunReport {
             samples: result.total_samples,
             variance: max(|a| a.variance),
             ci_half_width: max(|a| a.ci_half_width),
+            queue_wait_us: 0,
             preprocess_us: if cached { 0 } else { micros(result.preprocess_time) },
             scheme_us: micros(result.scheme_time),
         }
     }
 }
 
-/// Assembles one request's flight digest from the worker's outcome and
-/// records it; requests that erred or overran the slow threshold are also
-/// tail-sampled into the slow/error log with the span tree still sitting
-/// in this thread's capture buffer (extracting it allocates, so only the
-/// slow path pays).
+/// Assembles one request's flight digest from its outcome and records it;
+/// requests that erred or overran the slow threshold are also tail-sampled
+/// into the slow/error log with the span tree `spans` returns (extracting
+/// it allocates, so only the slow path pays).
 fn record_flight(
     shared: &Shared,
     request_id: &str,
     scheme: &'static str,
     response: &Response,
-    queue_wait_us: u64,
     report: RunReport,
     total_us: u64,
+    spans: fn() -> Vec<TraceEvent>,
 ) {
     let (cache_hit, error) = match response {
         Response::Answers { cached, .. } => (*cached, None),
@@ -526,7 +528,7 @@ fn record_flight(
         scheme: scheme.into(),
         cache_hit,
         error: error.map(Into::into),
-        queue_wait_us,
+        queue_wait_us: report.queue_wait_us,
         samples: report.samples,
         variance: report.variance,
         ci_half_width: report.ci_half_width,
@@ -544,13 +546,15 @@ fn record_flight(
             error,
             total_micros: total_us,
             ts_micros: ts_us,
-            spans: flight::take_request_spans(),
+            spans: spans(),
         });
     }
 }
 
-/// Digests a request the pool never accepted (queue full, shutdown): no
-/// worker ran, so there is no span capture and no estimator telemetry.
+/// Digests a request that never finished a run (wait list full, query
+/// dropped or panicked): no span tree and no estimator telemetry. This
+/// thread's capture buffer may still hold an earlier request's spans, so
+/// none are taken from it.
 fn record_rejection(
     shared: &Shared,
     request_id: &str,
@@ -559,11 +563,11 @@ fn record_rejection(
     admitted_micros: u64,
 ) {
     let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
-    record_flight(shared, request_id, scheme, response, 0, RunReport::default(), total);
+    record_flight(shared, request_id, scheme, response, RunReport::default(), total, Vec::new);
 }
 
-/// Executes one admitted query on a worker thread, returning the response
-/// and what the flight recorder needs to know about the run.
+/// Executes one admitted query, returning the response and what the flight
+/// recorder needs to know about the run.
 fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response, RunReport) {
     let mut req_span = cqa_obs::span_args(Span::ServerRequest, q.seed, 0);
     // Chaos: an injected deadline fault is a premature expiry — the
@@ -615,7 +619,7 @@ fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response
     };
     let budget = Budget { deadline, max_samples: shared.max_samples };
     // Same generator construction as the offline driver: answers for a
-    // fixed seed match `apx_cqa` exactly, independent of pool size.
+    // fixed seed match `apx_cqa` exactly, independent of `workers`.
     let mut rng = Mt64::new(q.seed);
     let mut sample_span = cqa_obs::span(Span::ServerSampling);
     let outcome = apx_cqa_on_synopses(&syn, q.scheme, q.eps, q.delta, &budget, &mut rng);

@@ -14,6 +14,32 @@
 use crate::schema::{ColumnType, Schema, SchemaBuilder};
 use cqa_common::{CqaError, Result};
 
+/// The types of columns `names` of relation `rel` as declared so far. A
+/// `rel` not declared yet is the parse error `undeclared`, and a column
+/// `rel` lacks is a parse error too, both on line `line_no`.
+fn column_types(
+    builder: &SchemaBuilder,
+    rel: &str,
+    names: &[String],
+    line_no: usize,
+    undeclared: &str,
+) -> Result<Vec<ColumnType>> {
+    let def = builder
+        .declared(rel)
+        .ok_or_else(|| CqaError::Parse(format!("line {line_no}: {undeclared}")))?;
+    names
+        .iter()
+        .map(|n| {
+            let ty = def.columns.iter().find(|c| c.name == *n).map(|c| c.ty);
+            ty.ok_or_else(|| {
+                CqaError::Parse(format!(
+                    "line {line_no}: fk column '{n}' is not a column of '{rel}'"
+                ))
+            })
+        })
+        .collect()
+}
+
 fn parse_cols(spec: &str, line_no: usize) -> Result<Vec<(String, ColumnType)>> {
     let mut cols = Vec::new();
     for part in spec.split(',') {
@@ -60,9 +86,15 @@ fn split_rel_spec(rest: &str, line_no: usize) -> Result<(String, String, String)
     Ok((name, inner, trailer))
 }
 
-/// Parses a schema from DDL text.
+/// Parses a schema from DDL text. Everything [`SchemaBuilder`] would
+/// reject — a duplicate relation, an `fk` before its source relation, an
+/// `fk` naming an undeclared relation or column, or columns of different
+/// types — is a parse error with its line number.
 pub fn parse_schema(text: &str) -> Result<Schema> {
     let mut builder: SchemaBuilder = Schema::builder();
+    // Targets may be declared after the `fk`, so they are checked at the
+    // end: (line, target, target columns, source column types).
+    let mut targets: Vec<(usize, String, Vec<String>, Vec<ColumnType>)> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = raw.trim();
@@ -90,6 +122,11 @@ pub fn parse_schema(text: &str) -> Result<Schema> {
                     "line {line_no}: unexpected trailer '{trailer}'"
                 )));
             };
+            if builder.declared(&name).is_some() {
+                return Err(CqaError::Parse(format!(
+                    "line {line_no}: duplicate relation '{name}'"
+                )));
+            }
             let col_refs: Vec<(&str, ColumnType)> =
                 cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
             builder = builder.relation(&name, &col_refs, key_len);
@@ -114,11 +151,23 @@ pub fn parse_schema(text: &str) -> Result<Schema> {
                     "line {line_no}: fk column lists must be non-empty and equal length"
                 )));
             }
+            let undeclared = format!("fk source relation '{from}' is not declared before it");
+            let from_types = column_types(&builder, &from, &from_cols, line_no, &undeclared)?;
             let from_refs: Vec<&str> = from_cols.iter().map(String::as_str).collect();
             let to_refs: Vec<&str> = to_cols.iter().map(String::as_str).collect();
             builder = builder.foreign_key(&from, &from_refs, &to, &to_refs);
+            targets.push((line_no, to, to_cols, from_types));
         } else {
             return Err(CqaError::Parse(format!("line {line_no}: unrecognized '{line}'")));
+        }
+    }
+    for (line_no, to, to_cols, from_types) in targets {
+        let undeclared = format!("fk target relation '{to}' is never declared");
+        let to_types = column_types(&builder, &to, &to_cols, line_no, &undeclared)?;
+        if to_types != from_types {
+            return Err(CqaError::Parse(format!(
+                "line {line_no}: fk column types differ from those of '{to}'"
+            )));
         }
     }
     Ok(builder.build())
@@ -201,6 +250,13 @@ fk employee(dept) -> dept(dname)
     }
 
     #[test]
+    fn an_fk_may_name_a_target_declared_after_it() {
+        let s = parse_schema("relation r(a: int)\nfk r(a) -> s(b)\nrelation s(b: int)").unwrap();
+        let r = s.relation(s.rel_id("r").unwrap());
+        assert_eq!(r.foreign_keys[0].target, s.rel_id("s").unwrap());
+    }
+
+    #[test]
     fn composite_keys_and_fks() {
         let ddl = "\
 relation part(pk: int, name: str) key 1
@@ -224,6 +280,15 @@ fk ps(pk, sk) -> ps(pk, sk)
             ("blah", "unrecognized"),
             ("relation r(a: int)\nfk r(a) = r(a)", "->"),
             ("relation r()", "columns"),
+            ("relation r(a: int)\nrelation r(b: int)", "line 2: duplicate relation 'r'"),
+            ("fk r(a) -> s(b)\nrelation r(a: int)", "line 1: fk source relation 'r'"),
+            ("relation r(a: int)\nfk r(b) -> r(a)", "line 2: fk column 'b' is not a column of 'r'"),
+            ("relation r(a: int)\nfk r(a) -> s(b)", "line 2: fk target relation 's'"),
+            (
+                "relation r(a: int)\nfk r(a) -> s(c)\nrelation s(b: int)",
+                "line 2: fk column 'c' is not a column of 's'",
+            ),
+            ("relation r(a: int)\nfk r(a) -> s(b)\nrelation s(b: str)", "line 2: fk column types"),
         ] {
             let err = parse_schema(ddl).unwrap_err().to_string();
             assert!(err.contains(needle), "expected '{needle}' in '{err}' for {ddl:?}");

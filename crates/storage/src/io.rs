@@ -141,8 +141,10 @@ pub fn load_from_str(text: &str) -> Result<Database> {
             )))
         }
     }
-    // Split DDL from data at the '---' separator.
-    let mut ddl = String::new();
+    // Split DDL from data at the '---' separator. The blank first line
+    // stands in for the header, so a DDL error's line number is the
+    // dump's.
+    let mut ddl = String::from("\n");
     for line in lines.by_ref() {
         if line.trim() == "---" {
             break;
@@ -304,6 +306,28 @@ mod tests {
         );
         assert_eq!(dump_fingerprint(&db), cqa_common::fnv1a64(dump.as_bytes()));
         assert_eq!(load_from_str(&dump).unwrap().fact_count(), 6);
+    }
+
+    /// A dump whose DDL `SchemaBuilder` would reject loads to a parse
+    /// error instead of panicking the loader.
+    #[test]
+    fn invalid_ddl_in_a_dump_is_a_parse_error() {
+        let dump = dump_to_string(&sample_db());
+        // The inserted line takes the separator's line number.
+        let line = dump.lines().position(|l| l == "---").unwrap() + 1;
+        for (inserted, needle) in [
+            ("fk nosuch(a) -> dept(dname)", "fk source relation 'nosuch'"),
+            ("relation dept(dname: str, floor: int) key 1", "duplicate relation 'dept'"),
+            ("fk employee(dept) -> nosuch(a)", "fk target relation 'nosuch'"),
+            ("fk employee(dept) -> dept(nosuch)", "fk column 'nosuch'"),
+        ] {
+            let text = dump.replacen("---\n", &format!("{inserted}\n---\n"), 1);
+            let needle = format!("line {line}: {needle}");
+            match load_from_str(&text) {
+                Err(CqaError::Parse(msg)) => assert!(msg.contains(&needle), "{msg}"),
+                other => panic!("{inserted}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -215,13 +215,18 @@ impl SchemaBuilder {
         self
     }
 
+    /// The relation `name` added so far, if any.
+    pub(crate) fn declared(&self, name: &str) -> Option<&RelationDef> {
+        self.by_name.get(name).and_then(|id| self.relations.get(id.idx()))
+    }
+
     /// Declares a foreign key by column names. Resolved at [`Self::build`].
     pub fn foreign_key(mut self, from: &str, cols: &[&str], to: &str, to_cols: &[&str]) -> Self {
         assert_eq!(cols.len(), to_cols.len(), "FK column count mismatch");
         #[expect(
             clippy::panic,
-            reason = "schemas declared in code fail loudly on an undeclared relation; dump DDL \
-                      still reaches this unchecked through `ddl::parse_schema`"
+            reason = "schemas declared in code fail loudly on an undeclared relation; \
+                      `ddl::parse_schema` rejects dump DDL that would reach this"
         )]
         let from_idx = self
             .by_name
@@ -242,8 +247,8 @@ impl SchemaBuilder {
         for (from_idx, cols, to, to_cols) in std::mem::take(&mut self.pending_fks) {
             #[expect(
                 clippy::panic,
-                reason = "schemas declared in code fail loudly on an undeclared relation; dump \
-                          DDL still reaches this unchecked through `ddl::parse_schema`"
+                reason = "schemas declared in code fail loudly on an undeclared relation; \
+                          `ddl::parse_schema` rejects dump DDL that would reach this"
             )]
             let target = *self
                 .by_name
@@ -251,8 +256,8 @@ impl SchemaBuilder {
                 .unwrap_or_else(|| panic!("FK target relation {to} not declared"));
             #[expect(
                 clippy::panic,
-                reason = "schemas declared in code fail loudly on an undeclared column; dump DDL \
-                          still reaches this unchecked through `ddl::parse_schema`"
+                reason = "schemas declared in code fail loudly on an undeclared column; \
+                          `ddl::parse_schema` rejects dump DDL that would reach this"
             )]
             let resolve = |rel: &RelationDef, names: &[String]| -> Vec<usize> {
                 names

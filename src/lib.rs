@@ -57,7 +57,7 @@
 //! | [`noise`] | `cqa-noise` | the query-aware noise generator |
 //! | [`qgen`] | `cqa-qgen` | static + dynamic query generators |
 //! | [`scenarios`] | `cqa-scenarios` | scenario families and figure pipelines |
-//! | [`server`] | `cqa-server` | TCP daemon: synopsis cache, worker pool, metrics |
+//! | [`server`] | `cqa-server` | TCP daemon: synopsis cache, admission gate, metrics |
 //! | [`obs`] | `cqa-obs` | span tracing, flight recorder, metrics registry |
 //! | [`perf`] | `cqa-perf` | continuous benchmarking: suites, `BENCH_<pr>.json`, gates |
 //! | [`chaos`] | `cqa-chaos` | deterministic fault injection for the request path |

@@ -10,9 +10,10 @@
 
 use cqa::chaos::{FaultKind, FaultPlan, FaultRule, Trigger};
 use cqa::prelude::*;
-use cqa::server::{run_chaos, ChaosSpec};
+use cqa::server::{run_chaos, ChaosSpec, ErrorKind, Response};
 use cqa_noise::{add_query_aware_noise, NoiseSpec};
 use std::sync::Mutex;
+use std::time::Duration;
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -78,13 +79,102 @@ fn all_points_delay_plan_only_costs_latency() {
     assert_eq!(report.answers_ok, report.total_requests, "delays must not fail requests");
 }
 
-/// A worker panic is contained by the pool: the client sees a structured
-/// `internal` error (retryable) and the server keeps serving.
+/// One permit, one waiter slot. While a query holds the permit (an
+/// injected delay at `pool/handoff` keeps it there), of two more
+/// concurrent queries one waits and the other is shed `overloaded`; the
+/// two that ran answer bit-identically to the offline driver.
+#[test]
+fn a_held_permit_queues_one_request_and_sheds_the_next() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let db = noisy_db(7);
+    let q = parse(db.schema(), QUERY).unwrap();
+    let expected: Vec<Vec<(Vec<Value>, f64, u64)>> = (0..3u64)
+        .map(|seed| {
+            let mut rng = Mt64::new(seed);
+            let res = apx_cqa(&db, &q, Scheme::Klm, 0.2, 0.25, &Budget::unbounded(), &mut rng);
+            let answers = res.unwrap().answers;
+            answers
+                .iter()
+                .map(|te| {
+                    (te.tuple.iter().map(|&d| db.resolve(d)).collect(), te.frequency, te.samples)
+                })
+                .collect()
+        })
+        .collect();
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(db, config).unwrap().spawn().unwrap();
+    let mut clients: Vec<Client> =
+        (0..3).map(|_| Client::connect(handle.addr()).unwrap()).collect();
+    let query = |client: &mut Client, seed: u64| {
+        let request = QueryRequest {
+            query: QUERY.into(),
+            eps: 0.2,
+            delta: 0.25,
+            seed,
+            ..QueryRequest::default()
+        };
+        client.query(request).unwrap()
+    };
+    let handoff_delay = FaultPlan {
+        seed: 1,
+        rules: vec![FaultRule {
+            point: "pool/handoff".to_owned(),
+            kind: FaultKind::Delay { ms: 1_000 },
+            trigger: Trigger::NthHit(1),
+        }],
+    };
+    cqa::chaos::arm(&handoff_delay).unwrap();
+    let responses: Vec<Response> = std::thread::scope(|s| {
+        let mut clients = clients.iter_mut().zip(0u64..);
+        let (holder, seed) = clients.next().unwrap();
+        let holder = s.spawn(move || query(holder, seed));
+        // The first query reaches `pool/handoff` only once it holds the
+        // permit; the delay then parks it there.
+        let handoffs = || {
+            let counts = cqa::chaos::counts();
+            counts.iter().find(|c| c.point == "pool/handoff").map_or(0, |c| c.hits)
+        };
+        let start = std::time::Instant::now();
+        while handoffs() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "the first query never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let rest: Vec<_> = clients.map(|(c, seed)| s.spawn(move || query(c, seed))).collect();
+        std::iter::once(holder).chain(rest).map(|h| h.join().unwrap()).collect()
+    });
+    cqa::chaos::disarm();
+    let mut shed = 0;
+    for (seed, response) in responses.iter().enumerate() {
+        match response {
+            Response::Answers { answers, .. } => {
+                let got: Vec<_> =
+                    answers.iter().map(|a| (a.tuple.clone(), a.frequency, a.samples)).collect();
+                assert_eq!(got, expected[seed], "seed {seed} diverged from the offline driver");
+            }
+            Response::Error { kind: ErrorKind::Overloaded, message } => {
+                assert_eq!(message, "admission queue full (depth 1)");
+                assert!(seed > 0, "the permit holder must not be shed");
+                shed += 1;
+            }
+            other => panic!("seed {seed}: unexpected response {other:?}"),
+        }
+    }
+    assert_eq!(shed, 1, "exactly one request finds the wait list full: {responses:#?}");
+}
+
+/// A panic while a query runs is contained on its connection thread: the
+/// client sees a structured `internal` error (retryable) and the server
+/// keeps serving.
 #[test]
 fn worker_panic_is_contained_and_retried() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = FaultPlan::preset("worker-panic", 42).unwrap();
-    // One client: the pool sees a deterministic job sequence, so the
+    // One client: the server sees a deterministic query sequence, so the
     // nth-hit trigger fires on a fixed schedule.
     let report = run_chaos(noisy_db(7), &spec(plan, 1, 12)).unwrap();
     assert!(report.passed(), "violations: {:#?}", report.violations);
