@@ -106,12 +106,12 @@ pub enum Trigger {
     NthHit(u64),
 }
 
-/// One injection rule: a point (or `"*"` for every point), a fault kind,
-/// and a trigger.
+/// One injection rule: a point (or every point), a fault kind, and a
+/// trigger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
-    /// A [`Point`]'s name, or `"*"`.
-    pub point: String,
+    /// The point the rule applies to; `None` applies it to every point.
+    pub point: Option<Point>,
     /// What to inject.
     pub kind: FaultKind,
     /// When to inject it.
@@ -143,22 +143,23 @@ impl FaultPlan {
     /// * `worker-panic` — every 5th `pool/handoff` (a query that holds its
     ///   admission permit, about to run) panics.
     pub fn preset(name: &str, seed: u64) -> Option<FaultPlan> {
-        let rule = |point: &str, kind, trigger| FaultRule { point: point.into(), kind, trigger };
+        let at = |p, kind, trigger| FaultRule { point: Some(p), kind, trigger };
+        let every = |kind, trigger| FaultRule { point: None, kind, trigger };
         let rules = match name {
-            "all-points-error" => vec![rule("*", FaultKind::Error, Trigger::Probability(0.2))],
+            "all-points-error" => vec![every(FaultKind::Error, Trigger::Probability(0.2))],
             "all-points-delay" => {
-                vec![rule("*", FaultKind::Delay { ms: 2 }, Trigger::Probability(0.25))]
+                vec![every(FaultKind::Delay { ms: 2 }, Trigger::Probability(0.25))]
             }
             "smoke" => vec![
-                rule("pool/submit", FaultKind::Error, Trigger::Probability(0.15)),
-                rule("protocol/write", FaultKind::Error, Trigger::Probability(0.15)),
-                rule("cache/shard_lock", FaultKind::Delay { ms: 2 }, Trigger::Probability(0.25)),
+                at(Point::PoolSubmit, FaultKind::Error, Trigger::Probability(0.15)),
+                at(Point::ProtocolWrite, FaultKind::Error, Trigger::Probability(0.15)),
+                at(Point::CacheShardLock, FaultKind::Delay { ms: 2 }, Trigger::Probability(0.25)),
             ],
             "short-write" => {
-                vec![rule("protocol/write", FaultKind::ShortWrite, Trigger::Probability(0.25))]
+                vec![at(Point::ProtocolWrite, FaultKind::ShortWrite, Trigger::Probability(0.25))]
             }
             "worker-panic" => {
-                vec![rule("pool/handoff", FaultKind::PanicInWorker, Trigger::NthHit(5))]
+                vec![at(Point::PoolHandoff, FaultKind::PanicInWorker, Trigger::NthHit(5))]
             }
             _ => return None,
         };
@@ -173,7 +174,7 @@ impl FaultPlan {
 struct Active {
     seed: u64,
     /// `by_point[i]` = the rules that apply to `Point::ALL[i]`, in plan
-    /// order (wildcards expanded), paired with their rule index for
+    /// order (every-point rules expanded), paired with their rule index for
     /// decision mixing.
     by_point: Vec<Vec<(usize, FaultKind, Trigger)>>,
     hits: Vec<AtomicU64>,
@@ -193,9 +194,8 @@ pub struct PointCounts {
     pub injections: u64,
 }
 
-/// Compile and arm `plan`. Fails (leaving the harness disarmed) if a rule
-/// names an unknown point, a probability is outside `[0, 1]`, or an
-/// nth-hit period is zero.
+/// Compile and arm `plan`. Fails (leaving the harness disarmed) if a
+/// probability is outside `[0, 1]` or an nth-hit period is zero.
 pub fn arm(plan: &FaultPlan) -> Result<(), String> {
     let n = Point::ALL.len();
     let mut by_point: Vec<Vec<(usize, FaultKind, Trigger)>> = vec![Vec::new(); n];
@@ -207,14 +207,10 @@ pub fn arm(plan: &FaultPlan) -> Result<(), String> {
             Trigger::NthHit(0) => return Err(format!("rule {rule_idx}: nth-hit period is zero")),
             _ => {}
         }
-        if rule.point == "*" {
-            for sites in by_point.iter_mut() {
-                sites.push((rule_idx, rule.kind, rule.trigger));
-            }
-        } else if let Some(p) = Point::from_name(&rule.point) {
-            by_point[p as usize].push((rule_idx, rule.kind, rule.trigger));
-        } else {
-            return Err(format!("rule {rule_idx}: unknown fault point {:?}", rule.point));
+        let site = (rule_idx, rule.kind, rule.trigger);
+        match rule.point {
+            None => by_point.iter_mut().for_each(|sites| sites.push(site)),
+            Some(p) => by_point[p as usize].push(site),
         }
     }
     let active = Active {
@@ -367,7 +363,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 7,
             rules: vec![FaultRule {
-                point: "pool/handoff".into(),
+                point: Some(Point::PoolHandoff),
                 kind: FaultKind::Error,
                 trigger: Trigger::NthHit(3),
             }],
@@ -384,7 +380,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 1,
             rules: vec![FaultRule {
-                point: "cache/lookup".into(),
+                point: Some(Point::CacheLookup),
                 kind: FaultKind::Error,
                 trigger: Trigger::NthHit(2),
             }],
@@ -410,7 +406,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 9,
             rules: vec![FaultRule {
-                point: "protocol/write".into(),
+                point: Some(Point::ProtocolWrite),
                 kind: FaultKind::ShortWrite,
                 trigger: Trigger::NthHit(1),
             }],
@@ -425,29 +421,20 @@ mod tests {
     fn bad_plans_are_rejected() {
         let _g = locked();
         disarm();
-        let bad_point = FaultPlan {
-            seed: 0,
-            rules: vec![FaultRule {
-                point: "no/such_point".into(),
-                kind: FaultKind::Error,
-                trigger: Trigger::NthHit(1),
-            }],
-        };
-        assert!(arm(&bad_point).is_err());
-        assert!(!armed(), "a rejected plan must leave the harness disarmed");
         let bad_p = FaultPlan {
             seed: 0,
             rules: vec![FaultRule {
-                point: "*".into(),
+                point: None,
                 kind: FaultKind::Error,
                 trigger: Trigger::Probability(1.5),
             }],
         };
         assert!(arm(&bad_p).is_err());
+        assert!(!armed(), "a rejected plan must leave the harness disarmed");
         let bad_n = FaultPlan {
             seed: 0,
             rules: vec![FaultRule {
-                point: "*".into(),
+                point: None,
                 kind: FaultKind::Error,
                 trigger: Trigger::NthHit(0),
             }],

@@ -162,11 +162,6 @@ pub enum Command {
         /// Which recorder structure to dump.
         target: DebugTarget,
     },
-    /// Continuous benchmarking: delegates to `cqa-perf` (run/diff/export).
-    Perf {
-        /// Raw arguments, parsed by `cqa_perf::cli::dispatch`.
-        args: Vec<String>,
-    },
     /// Print usage.
     Help,
 }
@@ -198,8 +193,6 @@ USAGE:
                  all-points-error, short-write, smoke, worker-panic)
   cqa-cli debug  <flight|slowlog> --addr HOST:PORT   (dump the daemon's
                  flight recorder / slow-error log as JSON)
-  cqa-cli perf   <run|diff|export|help> [options]   (continuous benchmarking;
-                 'cqa-cli perf help' prints the cqa-perf usage)
 
 Queries use the datalog-style syntax, e.g. 'Q(n) :- employee(x, n, d)'.
 `serve` speaks line-delimited JSON; see the README's Serving section.
@@ -431,7 +424,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             f.finish()?;
             Ok(out)
         }
-        "perf" => Ok(Command::Perf { args: args[1..].to_vec() }),
         other => Err(CqaError::InvalidParameter(format!("unknown command '{other}'"))),
     }
 }
@@ -643,20 +635,6 @@ mod tests {
         assert!(parse_args(&argv("debug --addr 127.0.0.1:7171")).is_err()); // no target
         assert!(parse_args(&argv("debug heap --addr 127.0.0.1:7171")).is_err());
         assert!(parse_args(&argv("debug flight")).is_err()); // no --addr
-    }
-
-    #[test]
-    fn parses_perf_passthrough() {
-        match parse_args(&argv("perf run --profile ci --pr 6")).unwrap() {
-            Command::Perf { args } => {
-                assert_eq!(args, vec!["run", "--profile", "ci", "--pr", "6"]);
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse_args(&argv("perf")).unwrap() {
-            Command::Perf { args } => assert!(args.is_empty()),
-            _ => panic!("wrong command"),
-        }
     }
 
     #[test]

@@ -287,14 +287,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<()> {
             }
             w(out, response.to_line());
         }
-        Command::Perf { args } => {
-            let code = cqa_perf::cli::dispatch(&args, out)?;
-            if code != 0 {
-                return Err(cqa_common::CqaError::InvalidParameter(format!(
-                    "perf gate failed (exit {code})"
-                )));
-            }
-        }
     }
     Ok(())
 }

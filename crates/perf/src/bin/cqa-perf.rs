@@ -1,5 +1,5 @@
-//! The `cqa-perf` binary: run suites, gate recordings, export dashboards.
-//! All logic lives in [`cqa_perf::cli`], which `cqa-cli perf` shares.
+//! The `cqa-perf` binary: run suites and gate changes. All logic lives in
+//! [`cqa_perf::cli`].
 
 #![forbid(unsafe_code)]
 

@@ -1,19 +1,16 @@
-//! The `cqa-perf` command-line surface, shared by the standalone binary
-//! and the `cqa-cli perf` subcommand.
+//! The `cqa-perf` command-line surface.
 //!
 //! ```text
-//! cqa-perf run  [--profile ci|full] [--only SUITE] [--pr N] [--out FILE] [--dashboard DIR]
+//! cqa-perf run  [--only SUITE] [--pr N] [--out FILE]
 //! cqa-perf diff --base PATH
-//! cqa-perf export --report FILE [--dashboard DIR]
 //! ```
 
 use crate::diff::{judge, run_rounds, ROUNDS};
+use crate::envinfo;
 use crate::schema::BenchReport;
 use crate::suites::{run_suites, suite_by_name, Profile, SUITES};
-use crate::{dashboard, envinfo};
 use cqa_common::{CqaError, Result, Stopwatch};
 use std::collections::BTreeMap;
-use std::ffi::OsString;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -21,21 +18,17 @@ use std::path::{Path, PathBuf};
 pub const USAGE: &str = "\
 USAGE: cqa-perf <command> [options]
 
-  run   [--profile ci|full] [--only SUITE] [--pr N] [--out FILE] [--dashboard DIR]
+  run   [--only SUITE] [--pr N] [--out FILE]
         Run the suite registry and write BENCH_<pr>.json
-        (default --profile ci, --pr 0, --out BENCH_<pr>.json).
+        (default --pr 0, --out BENCH_<pr>.json).
         With --only, run just that suite: samplers, schemes, synopsis,
-        figure, server, lint, ablations or optest.
-        With --dashboard, also append the recording to DIR/data.js.
+        figure, server, ablations or optest.
 
   diff  --base PATH
         Gate this build against PATH, the merge base's cqa-perf: both run
-        every suite of the ci profile in turn, 12 rounds. Exits 1 when a
-        series' 2nd-smallest per-round ratio is above 1.10 (worse in at
-        least 11 of 12 rounds).
-
-  export --report FILE [--dashboard DIR]
-        Append an existing recording to the dashboard (default dev/bench).
+        every suite in turn, 12 rounds. Exits 1 when a series'
+        2nd-smallest per-round ratio is above 1.10 (worse in at least 11
+        of 12 rounds).
 
   help  Show this message.
 ";
@@ -61,12 +54,8 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<BTreeMap<String, Strin
     Ok(flags)
 }
 
-fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = parse_flags(args, &["profile", "only", "pr", "out", "dashboard"])?;
-    let profile_name = flags.get("profile").map(String::as_str).unwrap_or("ci");
-    let profile = Profile::by_name(profile_name).ok_or_else(|| {
-        CqaError::InvalidParameter(format!("unknown profile '{profile_name}' (ci or full)"))
-    })?;
+fn run_cmd(args: &[String]) -> Result<String> {
+    let flags = parse_flags(args, &["only", "pr", "out"])?;
     let pr: u64 = match flags.get("pr") {
         Some(v) => v
             .parse()
@@ -88,41 +77,19 @@ fn run_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{pr}.json")));
 
+    let profile = Profile::ci();
     let env = envinfo::fingerprint(profile.scale, profile.seed, profile.name);
     let mut report = BenchReport::new(pr, envinfo::unix_now(), env);
     for s in run_suites(&profile, &suites)? {
         report.push(s)?;
     }
     report.write_to(&out_path)?;
-    writeln!(
-        out,
-        "wrote {} ({} series, profile {})",
-        out_path.display(),
-        report.series.len(),
-        profile.name
-    )
-    .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
-    if let Some(dir) = flags.get("dashboard") {
-        dashboard::export(&PathBuf::from(dir), &report)?;
-        writeln!(out, "dashboard updated under {dir}")
-            .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
-    }
-    Ok(())
+    let (path, n) = (out_path.display(), report.series.len());
+    Ok(format!("wrote {path} ({n} series, profile {})\n", profile.name))
 }
 
-/// The command line that runs this executable as `cqa-perf`: `cqa-cli`
-/// nests this surface under its `perf` subcommand.
-fn self_command() -> Result<Vec<OsString>> {
-    let exe = std::env::current_exe()
-        .map_err(|e| CqaError::InvalidParameter(format!("cannot locate this executable: {e}")))?;
-    let mut cmd = vec![exe.as_os_str().to_owned()];
-    if exe.file_stem().is_some_and(|stem| stem == "cqa-cli") {
-        cmd.push("perf".into());
-    }
-    Ok(cmd)
-}
-
-fn diff_cmd(args: &[String], out: &mut dyn Write) -> Result<bool> {
+/// Runs the gate; returns its exit code and report.
+fn diff_cmd(args: &[String]) -> Result<(i32, String)> {
     let flags = parse_flags(args, &["base"])?;
     let base = flags.get("base").map(Path::new).ok_or_else(|| {
         CqaError::InvalidParameter(format!(
@@ -135,60 +102,33 @@ fn diff_cmd(args: &[String], out: &mut dyn Write) -> Result<bool> {
     let dir = std::env::temp_dir().join(format!("cqa-perf-gate-{}", std::process::id()));
     std::fs::create_dir_all(&dir)
         .map_err(|e| CqaError::InvalidParameter(format!("cannot create {}: {e}", dir.display())))?;
+    let head = std::env::current_exe()
+        .map_err(|e| CqaError::InvalidParameter(format!("cannot locate this executable: {e}")))?;
     let clock = Stopwatch::start();
-    let rounds = run_rounds(&[base.as_os_str().to_owned()], &self_command()?, &dir);
+    let rounds = run_rounds(&[base.as_os_str().to_owned()], &[head.into_os_string()], &dir);
     std::fs::remove_dir_all(&dir).ok();
     let report = judge(&rounds?);
-    write!(out, "{report}")
-        .and_then(|()| {
-            writeln!(out, "gate wall time: {:.0} s for {ROUNDS} rounds", clock.elapsed_secs())
-        })
-        .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
-    Ok(report.passed())
-}
-
-fn export_cmd(args: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = parse_flags(args, &["report", "dashboard"])?;
-    let path = flags
-        .get("report")
-        .ok_or_else(|| CqaError::InvalidParameter("export needs --report FILE".into()))?;
-    let dir = flags.get("dashboard").map(String::as_str).unwrap_or("dev/bench");
-    let report = BenchReport::read_from(&PathBuf::from(path))?;
-    dashboard::export(&PathBuf::from(dir), &report)?;
-    writeln!(out, "dashboard updated under {dir} (PR {})", report.pr)
-        .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
-    Ok(())
+    let wall = clock.elapsed_secs();
+    let text = format!("{report}gate wall time: {wall:.0} s for {ROUNDS} rounds\n");
+    Ok((if report.passed() { 0 } else { 1 }, text))
 }
 
 /// Dispatches a `cqa-perf` invocation. Returns the process exit code:
 /// 0 success / gate passed, 1 gate failed, 2 usage or runtime error
 /// (errors are written to `out` by the caller via the `Err`).
 pub fn dispatch(args: &[String], out: &mut dyn Write) -> Result<i32> {
-    match args.first().map(String::as_str) {
-        Some("run") => {
-            run_cmd(&args[1..], out)?;
-            Ok(0)
-        }
-        Some("diff") => {
-            if diff_cmd(&args[1..], out)? {
-                Ok(0)
-            } else {
-                Ok(1)
-            }
-        }
-        Some("export") => {
-            export_cmd(&args[1..], out)?;
-            Ok(0)
-        }
-        Some("help") | None => {
-            write!(out, "{USAGE}")
-                .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
-            Ok(0)
-        }
+    let (code, text) = match args.first().map(String::as_str) {
+        Some("run") => (0, run_cmd(&args[1..])?),
+        Some("diff") => diff_cmd(&args[1..])?,
+        Some("help") | None => (0, USAGE.to_owned()),
         Some(other) => {
-            Err(CqaError::InvalidParameter(format!("unknown cqa-perf command '{other}'\n{USAGE}")))
+            let msg = format!("unknown cqa-perf command '{other}'\n{USAGE}");
+            return Err(CqaError::InvalidParameter(msg));
         }
-    }
+    };
+    out.write_all(text.as_bytes())
+        .map_err(|e| CqaError::InvalidParameter(format!("write output: {e}")))?;
+    Ok(code)
 }
 
 #[cfg(test)]
@@ -226,8 +166,11 @@ mod tests {
 
     #[test]
     fn flag_errors_are_clean() {
-        assert!(dispatch_str(&["run", "--profile", "warp"]).0.is_err());
         assert!(dispatch_str(&["run", "--pr"]).0.is_err());
+        for removed in ["--profile", "--dashboard"] {
+            let e = dispatch_str(&["run", removed, "x"]).0.unwrap_err().to_string();
+            assert!(e.contains(&format!("unknown flag '{removed}'")), "{e}");
+        }
         assert!(dispatch_str(&["export"]).0.is_err());
     }
 

@@ -196,13 +196,15 @@ pub fn judge(rounds: &[Round]) -> DiffReport {
     DiffReport { rows, rounds: rounds.len() }
 }
 
-/// Runs `cmd run --only <suite> --profile ci --out <out>` and returns the
-/// recorded values, none when `cmd` rejects `suite` as unknown.
+/// Runs `cmd run --only <suite> --out <out>` and returns the recorded
+/// values, none when `cmd` rejects `suite` as unknown. A base built while
+/// `run` still took `--profile` defaults it to `ci`, so both sides run the
+/// same configuration.
 fn run_suite(cmd: &[OsString], suite: &str, out: &Path) -> Result<BTreeMap<String, f64>> {
     let shown = cmd[0].to_string_lossy();
     let output = Command::new(&cmd[0])
         .args(&cmd[1..])
-        .args(["run", "--only", suite, "--profile", "ci", "--out"])
+        .args(["run", "--only", suite, "--out"])
         .arg(out)
         .stdin(Stdio::null())
         .output()
@@ -331,18 +333,18 @@ mod tests {
         let mut rs = rounds(&[("sampler/kl/sample_ns", AA)]);
         for r in &mut rs {
             r.base.insert("sampler/natural/sample_ns".to_owned(), 1.0);
-            r.head.insert("lint/check_ms".to_owned(), 1.0e9);
+            r.head.insert("sampler/cover/sample_ns".to_owned(), 1.0e9);
         }
         let d = judge(&rs);
         assert!(d.passed(), "{d}");
         assert_eq!(verdict(&d, "sampler/natural/sample_ns"), Verdict::Gone);
-        assert_eq!(verdict(&d, "lint/check_ms"), Verdict::New);
+        assert_eq!(verdict(&d, "sampler/cover/sample_ns"), Verdict::New);
         assert!(d.rows.iter().filter(|r| r.verdict != Verdict::Pass).all(|r| r.ratios.is_empty()));
     }
 
     #[test]
     fn zero_or_nonfinite_values_are_incomparable_not_fatal() {
-        let (zero, inf) = ("figure/fig3_preprocessing_ns", "lint/check_ms");
+        let (zero, inf) = ("figure/fig3_preprocessing_ns", "scheme/kl/answer_ns");
         let mut rs = rounds(&[(zero, [3.0; ROUNDS]), (inf, [3.0; ROUNDS])]);
         rs[5].base.insert(zero.to_owned(), 0.0);
         rs[7].head.insert(inf.to_owned(), f64::INFINITY);
@@ -350,5 +352,54 @@ mod tests {
         assert!(d.passed(), "{d}");
         assert_eq!(verdict(&d, zero), Verdict::Incomparable);
         assert_eq!(verdict(&d, inf), Verdict::Incomparable);
+    }
+
+    /// `run_rounds` against two fake `cqa-perf` scripts that log their
+    /// argv and write one series, `<suite>/t_ns`, to `--out`. The base
+    /// refuses `optest` the way a base refuses a suite it does not know.
+    #[cfg(unix)]
+    #[test]
+    fn children_run_one_suite_each_in_alternating_order() {
+        let dir = std::env::temp_dir().join(format!("cqa-perf-diff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (log, out) = (dir.join("argv.log"), dir.join("suite.json"));
+        let fake = |side: &str, value: f64, reject: &str| -> Vec<OsString> {
+            let (template, script) = (dir.join(format!("{side}.json")), dir.join(side));
+            let name = "SUITE/t_ns".to_owned();
+            let series =
+                vec![crate::Series { name, unit: "ns".into(), value, spread: 0.0, repeats: 1 }];
+            let report = BenchReport { pr: 0, created_unix: 0, env: Default::default(), series };
+            report.write_to(&template).unwrap();
+            let body = format!(
+                "{{ printf {side}; printf ' [%s]' \"$@\"; echo; }} >> {}\n\
+                 if [ \"$3\" = {reject} ]; then echo \"unknown suite '$3'\" >&2; exit 2; fi\n\
+                 sed \"s/SUITE/$3/\" {} > \"$5\"\n",
+                log.display(),
+                template.display()
+            );
+            std::fs::write(&script, body).unwrap();
+            vec!["sh".into(), script.into_os_string()]
+        };
+        let rounds = run_rounds(&fake("base", 100.0, "optest"), &fake("head", 150.0, "-"), &dir);
+        let log = std::fs::read_to_string(&log).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), ROUNDS * SUITES.len() * 2);
+        for (i, pair) in lines.chunks(2).enumerate() {
+            let (round, suite) = (i / SUITES.len(), SUITES[i % SUITES.len()].0);
+            let order = if round % 2 == 0 { ["base", "head"] } else { ["head", "base"] };
+            for (line, side) in pair.iter().zip(order) {
+                let argv = format!("{side} [run] [--only] [{suite}] [--out] [{}]", out.display());
+                assert_eq!(*line, argv);
+            }
+        }
+        let d = judge(&rounds.unwrap());
+        assert_eq!(d.rounds, ROUNDS);
+        assert_eq!(verdict(&d, "optest/t_ns"), Verdict::New, "{d}");
+        for &(suite, _) in &SUITES[..SUITES.len() - 1] {
+            let row = d.rows.iter().find(|r| r.name == format!("{suite}/t_ns")).unwrap();
+            assert_eq!((row.verdict, row.low()), (Verdict::Regressed, Some(1.5)), "{d}");
+        }
     }
 }

@@ -8,11 +8,12 @@
 //! worth keeping.
 
 use crate::schema::EnvFingerprint;
+use std::path::Path;
 use std::process::Command;
 
-/// Runs `cmd args…` and returns trimmed stdout on success.
-fn capture(cmd: &str, args: &[&str]) -> Option<String> {
-    let out = Command::new(cmd).args(args).output().ok()?;
+/// Runs `cmd` and returns its trimmed stdout on success.
+fn capture(cmd: &mut Command) -> Option<String> {
+    let out = cmd.output().ok()?;
     if !out.status.success() {
         return None;
     }
@@ -24,14 +25,20 @@ fn capture(cmd: &str, args: &[&str]) -> Option<String> {
     }
 }
 
-/// The current git commit hash, or "unknown" outside a repo.
-pub fn git_commit() -> String {
-    capture("git", &["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into())
+/// The commit `dir` has checked out, as a 12-digit hash with a `-dirty`
+/// suffix when tracked files differ from it, or "unknown" outside a
+/// repository. A recording is usually taken before its change is
+/// committed, and the bare hash would then name the parent. Tags are
+/// excluded so the stamp is always a hash.
+pub fn git_commit(dir: &Path) -> String {
+    let describe = ["describe", "--always", "--dirty", "--abbrev=12", "--exclude=*"];
+    capture(Command::new("git").arg("-C").arg(dir).args(describe))
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// The `rustc -V` banner, or "unknown".
 pub fn rustc_version() -> String {
-    capture("rustc", &["-V"]).unwrap_or_else(|| "unknown".into())
+    capture(Command::new("rustc").arg("-V")).unwrap_or_else(|| "unknown".into())
 }
 
 /// The CPU model name from `/proc/cpuinfo`, or "unknown" off Linux.
@@ -62,7 +69,7 @@ pub fn unix_now() -> u64 {
 /// Collects the full fingerprint for a run at `scale`/`seed`/`profile`.
 pub fn fingerprint(scale: f64, seed: u64, profile: &str) -> EnvFingerprint {
     EnvFingerprint {
-        commit: git_commit(),
+        commit: git_commit(Path::new(".")),
         rustc: rustc_version(),
         cpu: cpu_model(),
         cores: cores(),
@@ -79,10 +86,34 @@ mod tests {
 
     #[test]
     fn probes_never_return_empty_strings() {
-        assert!(!git_commit().is_empty());
+        assert!(!git_commit(Path::new(".")).is_empty());
         assert!(!rustc_version().is_empty());
         assert!(!cpu_model().is_empty());
         assert!(cores() >= 1);
+    }
+
+    #[test]
+    fn commit_stamp_marks_uncommitted_changes() {
+        let dir = std::env::temp_dir().join(format!("cqa-perf-envinfo-{}", std::process::id()));
+        let (repo, outside) = (dir.join("repo"), dir.join("no-repo"));
+        std::fs::create_dir_all(&repo).unwrap();
+        std::fs::create_dir_all(&outside).unwrap();
+        std::fs::write(repo.join("tracked.txt"), "a").unwrap();
+        let identity = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"];
+        for args in [&["init", "-q"][..], &["add", "."], &["commit", "-qm", "c"], &["tag", "v1"]] {
+            let git = Command::new("git").arg("-C").arg(&repo).args(identity).args(args).status();
+            assert!(git.unwrap().success(), "git {args:?}");
+        }
+
+        let clean = git_commit(&repo);
+        assert!(clean.len() == 12 && clean.bytes().all(|b| b.is_ascii_hexdigit()), "{clean}");
+        // An untracked file is not a difference from the commit.
+        std::fs::write(repo.join("untracked.txt"), "b").unwrap();
+        assert_eq!(git_commit(&repo), clean);
+        std::fs::write(repo.join("tracked.txt"), "changed").unwrap();
+        assert_eq!(git_commit(&repo), format!("{clean}-dirty"));
+        assert_eq!(git_commit(&outside), "unknown");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //!   the ablation and DKLR-cost series.
 //! * [`mod@diff`] — the paired regression gate: base and head alternate
 //!   per suite for 12 rounds, judged per series by a sign test.
-//! * [`dashboard`] — `dev/bench/data.js` + static HTML export.
-//! * [`cli`] — argument parsing/dispatch shared by the `cqa-perf` binary
-//!   and `cqa-cli perf`.
+//! * [`cli`] — argument parsing and dispatch for the `cqa-perf` binary:
+//!   `run` and `diff`.
 //!
 //! See `docs/BENCHMARKING.md` for the operational story.
 
 pub mod cli;
-pub mod dashboard;
 pub mod diff;
 pub mod envinfo;
 pub mod names;
@@ -33,7 +31,6 @@ pub mod schema;
 pub mod stats;
 pub mod suites;
 
-pub use diff::{judge, DiffReport, Round, Verdict};
 pub use schema::{bench_series, BenchReport, EnvFingerprint, Series};
 pub use stats::{MeasureOpts, Summary};
 pub use suites::Profile;

@@ -2,14 +2,13 @@
 //!
 //! [`crate::schema::bench_series`] takes a [`SeriesName`], so a series
 //! recorded into a `BENCH_<pr>.json` cannot carry a misspelled name. The
-//! trajectory — and the dashboard built from it — keys on these strings
-//! across PRs, so a silent rename would orphan a series' history.
+//! trajectory keys on these strings across PRs, so a silent rename would
+//! orphan a series' history.
 //!
 //! Naming scheme: `area/detail_unit`, where the trailing `_unit` segment
 //! (`_ns`, `_ms`, `_rps`) both documents the unit and fixes the gate's
 //! direction — `_rps` series are higher-is-better, everything else
-//! (latencies, error rates) is lower-is-better. Older reports may also
-//! hold `_rate` series.
+//! (latencies, error rates) is lower-is-better.
 //!
 //! ```compile_fail
 //! // A misspelled series does not compile.
@@ -27,7 +26,6 @@ cqa_common::name_enum! {
         AblationKlmSequentialNs = "ablation/klm_sequential_ns",
         AblationLinearDrawNs = "ablation/linear_draw_ns",
         FigureFig3PreprocessingNs = "figure/fig3_preprocessing_ns",
-        LintCheckMs = "lint/check_ms",
         OptestPlanR1Ns = "optest/plan_r1_ns",
         OptestPlanR2Ns = "optest/plan_r2_ns",
         OptestPlanR3Ns = "optest/plan_r3_ns",
@@ -53,8 +51,6 @@ cqa_common::name_enum! {
 pub fn unit_of(name: &str) -> &'static str {
     if name.ends_with("_rps") {
         "req/s"
-    } else if name.ends_with("_rate") {
-        "fraction"
     } else if name.ends_with("_ms") {
         "ms"
     } else {
@@ -102,7 +98,6 @@ mod tests {
         assert_eq!(unit_of("server/latency_p95_ms"), "ms");
         assert_eq!(unit_of("server/throughput_rps"), "req/s");
         assert!(!higher_is_better("server/chaos_on_error_rate"));
-        assert_eq!(unit_of("server/chaos_on_error_rate"), "fraction");
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub struct EnvFingerprint {
     pub scale: f64,
     /// Root RNG seed the suites ran with.
     pub seed: u64,
-    /// Profile name ("ci" or "full").
+    /// Profile name: "ci", the one run configuration
+    /// ([`crate::Profile::ci`]).
     pub profile: String,
 }
 
@@ -148,11 +149,6 @@ impl BenchReport {
                 Ok(())
             }
         }
-    }
-
-    /// Looks a series up by name.
-    pub fn get(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
     }
 
     /// Serializes to the versioned JSON document.

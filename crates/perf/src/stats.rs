@@ -2,9 +2,11 @@
 //!
 //! Wall-clock benchmark samples are contaminated by one-sided noise
 //! (scheduler preemption, cache cold starts, page faults): the minimum and
-//! median are stable, the mean is not. Every suite therefore reports the
-//! **median** of its repeats with the **MAD** (median absolute deviation)
-//! as the spread, after rejecting gross outliers.
+//! median are stable, the mean is not. Every suite therefore summarizes
+//! its repeats with [`Summary::from_samples`], which rejects gross
+//! outliers first, and [`crate::schema::bench_series`] records the
+//! **best** surviving repeat (the minimum for latencies, the maximum for
+//! throughput) with the **MAD** (median absolute deviation) as the spread.
 //!
 //! All summary math is deterministic on a fixed sample vector, so it is
 //! unit-testable without touching a clock.
@@ -34,21 +36,6 @@ pub struct MeasureOpts {
     pub budget: Duration,
     /// Lower bound on samples even when over budget.
     pub min_repeats: u32,
-}
-
-impl MeasureOpts {
-    /// The CI profile: ~1.5 s of samples per series. The span matters as
-    /// much as the count — shared hardware sits in throttled or boosted
-    /// states for whole fractions of a second, and a run must straddle
-    /// them for its best-case sample to be comparable across runs.
-    pub fn ci() -> MeasureOpts {
-        MeasureOpts { warmup: 3, repeats: 150, budget: Duration::from_secs(2), min_repeats: 7 }
-    }
-
-    /// The full profile: more repeats, bigger budget.
-    pub fn full() -> MeasureOpts {
-        MeasureOpts { warmup: 5, repeats: 300, budget: Duration::from_secs(10), min_repeats: 11 }
-    }
 }
 
 /// Robust summary of a sample vector.
@@ -123,31 +110,13 @@ pub fn mad(xs: &[f64], center: f64) -> f64 {
     median(&devs)
 }
 
-/// Times `repeats` invocations of `f` (each preceded by `warmup` untimed
-/// runs once, at the start) and returns the per-invocation seconds. The
-/// budget is a soft cap: checked between repeats, never mid-run.
-pub fn measure<F: FnMut()>(opts: &MeasureOpts, mut f: F) -> Vec<f64> {
-    for _ in 0..opts.warmup {
-        f();
-    }
-    let total = Stopwatch::start();
-    let mut samples = Vec::with_capacity(opts.repeats as usize);
-    for i in 0..opts.repeats {
-        let sw = Stopwatch::start();
-        f();
-        samples.push(sw.elapsed_secs());
-        if i + 1 >= opts.min_repeats && total.elapsed() >= opts.budget {
-            break;
-        }
-    }
-    samples
-}
-
-/// Like [`measure`], but for operations too fast to time individually:
-/// each sample times a calibrated batch of `k` invocations and reports
-/// the per-invocation mean for that batch. `k` is chosen so a batch runs
-/// at least ~10 ms (clamped to [1, 2²⁰]) — long enough to amortize timer
-/// granularity and scheduler blips inside every sample.
+/// Times up to `opts.repeats` samples of `f`, after `opts.warmup` untimed
+/// ones, and returns the per-invocation seconds. Each sample times a
+/// calibrated batch of `k` invocations and reports the per-invocation mean
+/// for that batch. `k` is chosen so a batch runs at least ~10 ms (clamped
+/// to [1, 2²⁰]) — long enough to amortize timer granularity and scheduler
+/// blips inside every sample. The budget is a soft cap: checked between
+/// samples, never mid-batch, and never before `opts.min_repeats` samples.
 pub fn measure_batched<F: FnMut()>(opts: &MeasureOpts, mut f: F) -> Vec<f64> {
     let sw = Stopwatch::start();
     f();
@@ -215,24 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_respects_repeat_count_and_budget_floor() {
-        let opts =
-            MeasureOpts { warmup: 1, repeats: 7, budget: Duration::from_secs(60), min_repeats: 3 };
-        let mut calls = 0u32;
-        let samples = measure(&opts, || calls += 1);
-        assert_eq!(samples.len(), 7);
-        assert_eq!(calls, 8); // 1 warmup + 7 timed
-        assert!(samples.iter().all(|&s| s >= 0.0));
-
-        // A zero budget still yields min_repeats samples.
-        let tight = MeasureOpts { budget: Duration::ZERO, ..opts };
-        let samples = measure(&tight, || {
-            std::hint::black_box(2u64.pow(10));
-        });
-        assert_eq!(samples.len(), 3);
-    }
-
-    #[test]
     fn measure_batched_reports_per_invocation_time() {
         let opts =
             MeasureOpts { warmup: 1, repeats: 5, budget: Duration::from_secs(60), min_repeats: 3 };
@@ -242,5 +193,9 @@ mod tests {
         assert_eq!(samples.len(), 5);
         // Per-invocation time of a 32-element sum is well under a second.
         assert!(samples.iter().all(|&s| s > 0.0 && s < 1.0));
+
+        // A zero budget still yields min_repeats samples.
+        let tight = MeasureOpts { budget: Duration::ZERO, ..opts };
+        assert_eq!(measure_batched(&tight, || ()).len(), 3);
     }
 }

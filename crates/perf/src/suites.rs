@@ -22,17 +22,14 @@
 //!    never armed in these suites, so a probe that stopped being free
 //!    would regress them. The chaos harness's reliability floor is a test
 //!    (`tests/chaos.rs`), not a series;
-//! 5. **lint** — the wall-clock of a full `cqa-lint check` over this
-//!    workspace, gating the linter's cost against CI's hard 5s `timeout`
-//!    on the lint step;
-//! 6. **ablations** — the design choices DESIGN.md calls out, each arm
+//! 5. **ablations** — the design choices DESIGN.md calls out, each arm
 //!    its own series: alias vs linear weighted draw, DKLR vs Hoeffding
 //!    iteration planning, sequential vs two-thread `apx_cqa_parallel`;
-//! 7. **optest** — the DKLR stopping rule and full iteration plan on
+//! 6. **optest** — the DKLR stopping rule and full iteration plan on
 //!    single-image pairs of ratio 4⁻¹, 4⁻², 4⁻³: the 1/µ cost growth
 //!    behind every trend in Figures 1–2.
 //!
-//! Everything runs at a pinned seed/scale from the [`Profile`]. One run's
+//! Everything runs at a pinned seed/scale from [`Profile::ci`]. One run's
 //! numbers are not repeatable to better than tens of percent; the gate in
 //! [`mod@crate::diff`] copes by pairing the base and the head per suite
 //! over many rounds, not by pretending the numbers are exact.
@@ -55,10 +52,11 @@ use cqa_synopsis::{build_synopses, AdmissiblePair, BuildOptions};
 use cqa_tpch::{generate, TpchConfig};
 use std::time::Duration;
 
-/// A named run configuration: pinned seed/scale plus measurement shapes.
+/// The run configuration: pinned seed/scale plus measurement shapes.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Profile name recorded in the fingerprint ("ci" or "full").
+    /// Profile name recorded in the fingerprint: always "ci", so every
+    /// recording names the same configuration.
     pub name: &'static str,
     /// TPC-H scale factor for data-backed suites.
     pub scale: f64,
@@ -87,7 +85,16 @@ impl Profile {
             name: "ci",
             scale: 0.0005,
             seed: 20210620,
-            opts: MeasureOpts::ci(),
+            // ~1.5 s of samples per series. The span matters as much as the
+            // count: shared hardware sits in throttled or boosted states for
+            // whole fractions of a second, and a run must straddle them for
+            // its best-case sample to be comparable across runs.
+            opts: MeasureOpts {
+                warmup: 3,
+                repeats: 150,
+                budget: Duration::from_secs(2),
+                min_repeats: 7,
+            },
             heavy: MeasureOpts {
                 warmup: 1,
                 repeats: 150,
@@ -99,36 +106,6 @@ impl Profile {
             clients: 4,
             requests: 50,
             server_rounds: 5,
-        }
-    }
-
-    /// The full profile: larger data, more repeats, tighter ε.
-    pub fn full() -> Profile {
-        Profile {
-            name: "full",
-            scale: 0.002,
-            seed: 20210620,
-            opts: MeasureOpts::full(),
-            heavy: MeasureOpts {
-                warmup: 2,
-                repeats: 300,
-                budget: Duration::from_secs(60),
-                min_repeats: 5,
-            },
-            eps: 0.1,
-            delta: 0.25,
-            clients: 8,
-            requests: 100,
-            server_rounds: 9,
-        }
-    }
-
-    /// Looks a profile up by name.
-    pub fn by_name(name: &str) -> Option<Profile> {
-        match name {
-            "ci" => Some(Profile::ci()),
-            "full" => Some(Profile::full()),
-            _ => None,
         }
     }
 }
@@ -322,27 +299,6 @@ fn load_rounds(profile: &Profile, db: &Database) -> Result<Vec<LoadReport>> {
     Ok(reports)
 }
 
-/// Suite 5: the invariant linter's own wall-clock. CI runs
-/// `cqa-lint check` under a hard `timeout 5`, so the linter's cost (the
-/// workspace call graph plus the reachability and held-locks passes over
-/// it) is itself a gated performance surface: a regression here eats the
-/// CI budget before it fails it. Measured in-process via the library entry
-/// point against this workspace's own sources.
-pub fn suite_lint(profile: &Profile) -> Result<Vec<Series>> {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let opts = MeasureOpts {
-        warmup: 1,
-        repeats: profile.heavy.repeats.min(20),
-        budget: Duration::from_secs(10),
-        min_repeats: 3,
-    };
-    let samples = measure_batched(&opts, || {
-        cqa_lint::check_workspace(root).expect("workspace must be lintable");
-    });
-    let ms: Vec<f64> = samples.iter().map(|s| s * 1e3).collect();
-    Ok(vec![bench_series(SeriesName::LintCheckMs, &Summary::from_samples(&ms))])
-}
-
 /// Linear-scan weighted choice over a cumulative table: the textbook
 /// alternative to the alias table the symbolic samplers draw with.
 fn linear_choice(cumulative: &[f64], rng: &mut Mt64) -> usize {
@@ -362,7 +318,7 @@ fn hoeffding_monte_carlo<S: Sampler>(s: &mut S, eps: f64, delta: f64, rng: &mut 
     (0..n).map(|_| s.sample(rng)).sum::<f64>() / n as f64
 }
 
-/// Suite 6: the ablations. Each pair of series prices one design choice
+/// Suite 5: the ablations. Each pair of series prices one design choice
 /// against its textbook alternative on the same input.
 pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     let mut out = Vec::new();
@@ -451,7 +407,7 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     Ok(out)
 }
 
-/// Suite 7: DKLR cost against the mean. A single-image pair over `depth`
+/// Suite 6: DKLR cost against the mean. A single-image pair over `depth`
 /// blocks of size 4 has ratio `4^-depth`; the stopping rule and the full
 /// plan should each cost about 4× more per extra block.
 pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
@@ -487,13 +443,12 @@ pub type Suite = (&'static str, fn(&Profile) -> Result<Vec<Series>>);
 
 /// The suite registry, in run order: `cqa-perf run` runs all of it, and
 /// `--only <name>` one entry.
-pub const SUITES: [Suite; 8] = [
+pub const SUITES: [Suite; 7] = [
     ("samplers", suite_samplers),
     ("schemes", suite_schemes),
     ("synopsis", suite_synopsis),
     ("figure", suite_figure),
     ("server", suite_server),
-    ("lint", suite_lint),
     ("ablations", suite_ablations),
     ("optest", suite_optest),
 ];
@@ -523,13 +478,6 @@ pub fn run_suites(profile: &Profile, suites: &[Suite]) -> Result<Vec<Series>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiles_resolve_by_name() {
-        assert_eq!(Profile::by_name("ci").map(|p| p.name), Some("ci"));
-        assert_eq!(Profile::by_name("full").map(|p| p.name), Some("full"));
-        assert!(Profile::by_name("nope").is_none());
-    }
 
     #[test]
     fn suites_resolve_by_name() {

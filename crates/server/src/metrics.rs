@@ -375,28 +375,21 @@ impl MetricsSnapshot {
             rejected_bad_request: int(v, "rejected_bad_request")?,
             errors_internal: int(v, "errors_internal")?,
             connections: int(v, "connections")?,
-            // Absent in payloads from servers predating the retry layer.
-            retried_requests: v.get("retried_requests").and_then(Json::as_u64).unwrap_or(0),
+            retried_requests: int(v, "retried_requests")?,
             latency_count: int(v, "latency_count")?,
             latency_mean_ms: v.req_f64("latency_mean_ms")?,
             latency_p50_ms: v.req_f64("latency_p50_ms")?,
             latency_p95_ms: v.req_f64("latency_p95_ms")?,
             latency_p99_ms: v.req_f64("latency_p99_ms")?,
-            // Absent in payloads from servers predating the p999 field.
-            latency_p999_ms: v.get("latency_p999_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            // All five absent in payloads predating the flight recorder.
-            slow_requests: v.get("slow_requests").and_then(Json::as_u64).unwrap_or(0),
-            last_request_samples: v.get("last_request_samples").and_then(Json::as_u64).unwrap_or(0),
-            last_request_ci_ppm: v.get("last_request_ci_ppm").and_then(Json::as_u64).unwrap_or(0),
-            flight_dropped: v.get("flight_dropped").and_then(Json::as_u64).unwrap_or(0),
-            slowlog_entries: v.get("slowlog_entries").and_then(Json::as_u64).unwrap_or(0),
+            latency_p999_ms: v.req_f64("latency_p999_ms")?,
+            slow_requests: int(v, "slow_requests")?,
+            last_request_samples: int(v, "last_request_samples")?,
+            last_request_ci_ppm: int(v, "last_request_ci_ppm")?,
+            flight_dropped: int(v, "flight_dropped")?,
+            slowlog_entries: int(v, "slowlog_entries")?,
             cache_hits: int(v, "cache_hits")?,
             cache_misses: int(v, "cache_misses")?,
-            // Absent in payloads from servers predating canonicalization.
-            cache_canonical_rekeys: v
-                .get("cache_canonical_rekeys")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
+            cache_canonical_rekeys: int(v, "cache_canonical_rekeys")?,
             cache_entries: int(v, "cache_entries")? as usize,
             cache_evictions: int(v, "cache_evictions")?,
         })
@@ -586,15 +579,14 @@ mod tests {
         assert_eq!(parsed.cache_hit_rate(), 0.8);
         assert!(parsed.latency_p999_ms >= parsed.latency_p99_ms && parsed.latency_p999_ms > 0.0);
 
-        // Payloads from servers that predate the rekey counter or the
-        // p999 field still parse, reading 0.
-        let without = |key: &str| {
-            let mut legacy = obj.clone();
-            legacy.remove(key);
-            MetricsSnapshot::from_json(&Json::Obj(legacy)).unwrap()
-        };
-        assert_eq!(without("cache_canonical_rekeys").cache_canonical_rekeys, 0);
-        assert_eq!(without("latency_p999_ms").latency_p999_ms, 0.0);
+        // Client and server ship from one tree, so every flat field is
+        // required: a payload missing any one of them is a parse error.
+        for key in FLAT_KEYS {
+            let mut partial = obj.clone();
+            partial.remove(key);
+            let err = MetricsSnapshot::from_json(&Json::Obj(partial)).unwrap_err();
+            assert!(err.to_string().contains(key), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `CHAOS_LOCK` for its full body; other test binaries are other
 //! processes and never see these plans.
 
-use cqa::chaos::{FaultKind, FaultPlan, FaultRule, Trigger};
+use cqa::chaos::{FaultKind, FaultPlan, FaultRule, Point, Trigger};
 use cqa::prelude::*;
 use cqa::server::{run_chaos, ChaosSpec, ErrorKind, Response};
 use cqa_noise::{add_query_aware_noise, NoiseSpec};
@@ -123,7 +123,7 @@ fn a_held_permit_queues_one_request_and_sheds_the_next() {
     let handoff_delay = FaultPlan {
         seed: 1,
         rules: vec![FaultRule {
-            point: "pool/handoff".to_owned(),
+            point: Some(Point::PoolHandoff),
             kind: FaultKind::Delay { ms: 1_000 },
             trigger: Trigger::NthHit(1),
         }],
@@ -208,7 +208,7 @@ fn dump_load_fault_is_a_structured_error() {
     let plan = FaultPlan {
         seed: 1,
         rules: vec![FaultRule {
-            point: "storage/dump_load".to_owned(),
+            point: Some(Point::StorageDumpLoad),
             kind: FaultKind::Error,
             trigger: Trigger::NthHit(1),
         }],
