@@ -1,4 +1,4 @@
-//! FNV-1a 64-bit hashing for fingerprints and shard selection.
+//! FNV-1a 64-bit hashing for fingerprints.
 //!
 //! FNV-1a is not collision-resistant; it is used here only to fingerprint
 //! database dumps and constraint sets for cache keys, where an adversarial

@@ -120,6 +120,13 @@ impl Json {
             .and_then(Json::as_f64)
             .ok_or_else(|| CqaError::Parse(format!("missing or non-numeric field '{key}'")))
     }
+
+    /// A required integer field of an object ([`Json::as_u64`]).
+    pub fn req_u64(&self, key: &str) -> Result<u64> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| CqaError::Parse(format!("missing or non-integer field '{key}'")))
+    }
 }
 
 impl From<f64> for Json {

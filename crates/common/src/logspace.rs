@@ -37,12 +37,6 @@ impl LogNum {
         Self::from_value(n as f64)
     }
 
-    /// Constructs from a natural logarithm directly.
-    pub fn from_ln(ln: f64) -> Self {
-        assert!(!ln.is_nan(), "LogNum cannot be NaN");
-        LogNum { ln }
-    }
-
     /// Natural logarithm of the value (`-inf` for zero).
     #[inline]
     pub fn ln(self) -> f64 {

@@ -27,11 +27,6 @@ impl Stopwatch {
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
-
-    /// Resets the stopwatch to now.
-    pub fn restart(&mut self) {
-        self.start = Instant::now();
-    }
 }
 
 /// A soft deadline; `None` budget means "never expires".

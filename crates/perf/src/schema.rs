@@ -50,7 +50,7 @@ impl Series {
             unit: j.req_str("unit")?.to_owned(),
             value: j.req_f64("value")?,
             spread: j.req_f64("spread")?,
-            repeats: j.get("repeats").and_then(Json::as_u64).unwrap_or(0),
+            repeats: j.req_u64("repeats")?,
         })
     }
 }
@@ -110,10 +110,10 @@ impl EnvFingerprint {
             commit: j.req_str("commit")?.to_owned(),
             rustc: j.req_str("rustc")?.to_owned(),
             cpu: j.req_str("cpu")?.to_owned(),
-            cores: j.get("cores").and_then(Json::as_u64).unwrap_or(0),
+            cores: j.req_u64("cores")?,
             os: j.req_str("os")?.to_owned(),
             scale: j.req_f64("scale")?,
-            seed: j.get("seed").and_then(Json::as_u64).unwrap_or(0),
+            seed: j.req_u64("seed")?,
             profile: j.req_str("profile")?.to_owned(),
         })
     }
@@ -162,7 +162,8 @@ impl BenchReport {
         ])
     }
 
-    /// Parses a report, enforcing the schema version.
+    /// Parses a report, enforcing the schema version. Every field is
+    /// required, and a series name may appear only once.
     pub fn from_json(j: &Json) -> Result<BenchReport> {
         let schema = j.req_str("schema")?;
         if schema != SCHEMA {
@@ -170,21 +171,20 @@ impl BenchReport {
                 "unsupported bench schema {schema:?} (this build reads {SCHEMA:?})"
             )));
         }
-        let mut series = Vec::new();
-        if let Some(arr) = j.get("series").and_then(Json::as_arr) {
-            for s in arr {
-                series.push(Series::from_json(s)?);
-            }
+        let env = j.get("env").ok_or_else(|| CqaError::Parse("report missing \"env\"".into()))?;
+        let series = j
+            .get("series")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| CqaError::Parse("report missing \"series\" array".into()))?;
+        let mut report = BenchReport::new(
+            j.req_u64("pr")?,
+            j.req_u64("created_unix")?,
+            EnvFingerprint::from_json(env)?,
+        );
+        for s in series {
+            report.push(Series::from_json(s)?)?;
         }
-        series.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(BenchReport {
-            pr: j.get("pr").and_then(Json::as_u64).unwrap_or(0),
-            created_unix: j.get("created_unix").and_then(Json::as_u64).unwrap_or(0),
-            env: EnvFingerprint::from_json(
-                j.get("env").ok_or_else(|| CqaError::Parse("report missing \"env\"".into()))?,
-            )?,
-            series,
-        })
+        Ok(report)
     }
 
     /// Pretty-prints the document with one series per line — stable diffs
@@ -271,6 +271,30 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    /// Every field is required and a series name appears once: a report
+    /// missing one field, or listing one series twice, does not parse.
+    #[test]
+    fn incomplete_or_duplicated_reports_are_refused() {
+        let text = sample_report().render();
+        let parse = |text: &str| BenchReport::from_json(&Json::parse(text).unwrap());
+        assert!(parse(&text).is_ok());
+        let removals = [
+            ("repeats", "\"repeats\":3,"),
+            ("pr", "\"pr\": 6,"),
+            ("created_unix", "\"created_unix\": 0,"),
+            ("cores", "\"cores\":8,"),
+            ("seed", ",\"seed\":20210620"),
+        ];
+        for (key, field) in removals {
+            assert!(text.contains(field), "{field}");
+            let err = parse(&text.replacen(field, "", 1)).unwrap_err();
+            assert!(err.to_string().contains(key), "{key}: {err}");
+        }
+        let series = text.lines().find(|l| l.contains("\"name\":")).unwrap();
+        let err = parse(&text.replacen(series, &format!("{series}\n{series}"), 1)).unwrap_err();
+        assert!(err.to_string().contains("duplicate series"), "{err}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! A repair keeps exactly one fact from each key-equal block (§2):
 //! `rep(D, Σ) = { {α₁,…,αₙ} | ⟨α₁,…,αₙ⟩ ∈ ×_{B ∈ blockΣ(D)} B }`.
 //!
-//! This crate provides repair counting (log-space), full enumeration and
-//! uniform sampling (for small inputs and for ground-truth tests), and an
+//! This crate provides repair counting (log-space), full enumeration (for
+//! small inputs and for ground-truth tests), and an
 //! **exact** consistent-query-answering baseline that computes the relative
 //! frequency `R_{D,Σ,Q}(t̄)` by brute force. The exact baseline is
 //! exponential by design — `RelativeFreq` is `#P`-hard (§2) — and exists to
@@ -25,8 +25,6 @@
 
 pub mod enumerate;
 pub mod exact;
-pub mod sample;
 
 pub use enumerate::{repair_count_checked, repair_to_database, RepairIter};
 pub use exact::{certain_answer_exact, consistent_answers_exact, relative_frequency_exact};
-pub use sample::sample_repair;

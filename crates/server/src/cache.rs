@@ -1,4 +1,4 @@
-//! The sharded synopsis cache.
+//! The synopsis cache.
 //!
 //! Synopsis construction is the expensive phase of `ApxCQA` (Fig. 3:
 //! preprocessing dominates end-to-end latency), and a synopsis depends only
@@ -12,13 +12,14 @@
 //! (the literal text differs from the one that built the entry) are counted
 //! separately as *canonical rekeys*.
 //!
-//! The map is split into shards, each behind its own `parking_lot::Mutex`,
-//! so concurrent workers rarely contend. Each shard evicts its
+//! One map sits behind one `parking_lot::Mutex`: the admission gate caps
+//! concurrent queries at `workers`, and each takes the lock only for a
+//! lookup and, on a miss, an insert. The cache evicts its
 //! least-recently-used entry when it reaches capacity; values are
-//! `Arc<SynopsisSet>`, so an evicted synopsis stays alive while a worker
+//! `Arc<SynopsisSet>`, so an evicted synopsis stays alive while a query
 //! still holds it.
 
-use cqa_common::{fnv1a64, fnv1a64_parts};
+use cqa_common::fnv1a64;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::{dump_fingerprint, schema_to_ddl, Database};
 use cqa_synopsis::SynopsisSet;
@@ -65,28 +66,21 @@ impl CacheKey {
     pub fn literal_fingerprint(query_text: &str) -> u64 {
         fnv1a64(query_text.as_bytes())
     }
-
-    fn shard_hash(&self) -> u64 {
-        fnv1a64_parts([
-            self.db_fingerprint.to_le_bytes().as_slice(),
-            self.constraint_fingerprint.to_le_bytes().as_slice(),
-            self.query_fingerprint.to_le_bytes().as_slice(),
-        ])
-    }
 }
 
 struct Entry {
     value: Arc<SynopsisSet>,
-    /// Use stamp from the owning shard's clock; smallest = LRU victim.
+    /// Use stamp from the cache's clock; smallest = LRU victim.
     stamp: u64,
     /// [`CacheKey::literal_fingerprint`] of the query text that built this
     /// entry; a hit under a different literal text is a canonical rekey.
     literal_fp: u64,
 }
 
-struct Shard {
+struct Lru {
     map: HashMap<CacheKey, Entry>,
     clock: u64,
+    capacity: usize,
 }
 
 /// Point-in-time counters, reported by the `stats` protocol command.
@@ -103,56 +97,29 @@ pub struct CacheStats {
     pub entries: usize,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Maximum resident entries across all shards.
+    /// Maximum resident entries.
     pub capacity: usize,
 }
 
-/// A sharded LRU map from [`CacheKey`] to `Arc<SynopsisSet>`.
+/// An LRU map from [`CacheKey`] to `Arc<SynopsisSet>`.
 pub struct SynopsisCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
+    lru: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
     canonical_rekeys: AtomicU64,
     evictions: AtomicU64,
 }
 
-/// Default shard count; a small power of two well above typical worker
-/// counts, so two workers rarely hash to the same lock.
-pub const DEFAULT_SHARDS: usize = 8;
-
 impl SynopsisCache {
-    /// A cache holding at most `capacity` synopsis sets across `shards`
-    /// shards. Capacity is rounded up to a multiple of the shard count
-    /// (each shard gets an equal slice, and a shard never exceeds its own
-    /// slice even if others sit empty).
-    pub fn new(capacity: usize, shards: usize) -> SynopsisCache {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.div_ceil(shards).max(1);
+    /// A cache holding at most `capacity` synopsis sets (at least one).
+    pub fn with_capacity(capacity: usize) -> SynopsisCache {
         SynopsisCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), clock: 0 }))
-                .collect(),
-            per_shard_capacity,
+            lru: Mutex::new(Lru { map: HashMap::new(), clock: 0, capacity: capacity.max(1) }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             canonical_rekeys: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// A cache with the default shard count.
-    pub fn with_capacity(capacity: usize) -> SynopsisCache {
-        SynopsisCache::new(capacity, DEFAULT_SHARDS)
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the index is shard_hash % shards.len(), always in bounds, and shards is \
-                  non-empty by construction"
-    )]
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
     }
 
     /// Looks up a synopsis, refreshing its LRU stamp on a hit.
@@ -161,7 +128,7 @@ impl SynopsisCache {
     /// wire text; a hit whose entry was built under a *different* literal
     /// text is counted as a canonical rekey.
     pub fn get(&self, key: &CacheKey, literal_fp: u64) -> Option<Arc<SynopsisSet>> {
-        // Chaos: a failed shard-lock acquisition or a dropped lookup both
+        // Chaos: a failed lock acquisition or a dropped lookup both
         // degrade to a miss — the caller rebuilds the synopsis and still
         // answers correctly, the cache just doesn't help.
         if cqa_chaos::fault_point!(CacheShardLock).is_some()
@@ -170,10 +137,10 @@ impl SynopsisCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut shard = self.shard(key).lock();
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.map.get_mut(key) {
+        let mut lru = self.lru.lock();
+        lru.clock += 1;
+        let stamp = lru.clock;
+        match lru.map.get_mut(key) {
             Some(entry) => {
                 entry.stamp = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -190,7 +157,7 @@ impl SynopsisCache {
     }
 
     /// Inserts a synopsis built for the query text fingerprinted by
-    /// `literal_fp`, evicting the shard's LRU entry if it is full. Returns
+    /// `literal_fp`, evicting the LRU entry if the cache is full. Returns
     /// the evicted value, mostly for tests.
     pub fn insert(
         &self,
@@ -203,32 +170,37 @@ impl SynopsisCache {
         if cqa_chaos::fault_point!(CacheInsert).is_some() {
             return None;
         }
-        let mut shard = self.shard(&key).lock();
-        shard.clock += 1;
-        let stamp = shard.clock;
+        let mut lru = self.lru.lock();
+        lru.clock += 1;
+        let stamp = lru.clock;
         let mut evicted = None;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_capacity {
-            // Linear scan for the LRU victim: per-shard capacity is small
-            // (a handful of synopsis sets), so a scan beats the bookkeeping
-            // of an intrusive list.
-            if let Some(victim) = shard.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
-                evicted = shard.map.remove(&victim).map(|e| e.value);
+        if !lru.map.contains_key(&key) && lru.map.len() >= lru.capacity {
+            // Linear scan for the LRU victim: capacity is small (a hundred
+            // or so synopsis sets) and only a miss pays the scan, next to
+            // the synopsis build it follows, so a scan beats the
+            // bookkeeping of an intrusive list.
+            if let Some(victim) = lru.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
+                evicted = lru.map.remove(&victim).map(|e| e.value);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.map.insert(key, Entry { value, stamp, literal_fp });
+        lru.map.insert(key, Entry { value, stamp, literal_fp });
         evicted
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
+        let (entries, capacity) = {
+            let lru = self.lru.lock();
+            (lru.map.len(), lru.capacity)
+        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             canonical_rekeys: self.canonical_rekeys.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().map.len()).sum(),
+            entries,
             evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.per_shard_capacity * self.shards.len(),
+            capacity,
         }
     }
 }
@@ -298,22 +270,35 @@ mod tests {
         assert_eq!(stats.canonical_rekeys, 1, "only the re-spelled lookup is a rekey");
     }
 
+    /// Fills a cache to capacity, refreshes the first key, inserts one
+    /// more: exactly the second-inserted key, the LRU one, is evicted.
     #[test]
-    fn single_shard_evicts_lru() {
-        let cache = SynopsisCache::new(2, 1);
-        cache.insert(key("a"), lit("a"), empty_set());
-        cache.insert(key("b"), lit("b"), empty_set());
-        assert!(cache.get(&key("a"), lit("a")).is_some()); // refresh "a": "b" is now LRU
-        cache.insert(key("c"), lit("c"), empty_set());
-        assert!(cache.get(&key("a"), lit("a")).is_some());
-        assert!(cache.get(&key("b"), lit("b")).is_none(), "LRU entry should be evicted");
-        assert!(cache.get(&key("c"), lit("c")).is_some());
-        assert_eq!(cache.stats().evictions, 1);
+    fn full_cache_evicts_exactly_the_lru_entry() {
+        for capacity in [2usize, 16] {
+            let cache = SynopsisCache::with_capacity(capacity);
+            let names: Vec<String> = (0..=capacity).map(|i| format!("Q{i}")).collect();
+            let (resident, extra) = names.split_at(capacity);
+            for q in resident {
+                cache.insert(key(q), lit(q), empty_set());
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.evictions), (capacity, 0), "capacity {capacity}");
+            let first = &resident[0];
+            assert!(cache.get(&key(first), lit(first)).is_some()); // the second is now LRU
+            let extra = &extra[0];
+            assert!(cache.insert(key(extra), lit(extra), empty_set()).is_some());
+            for q in &names {
+                let want = q != &resident[1];
+                assert_eq!(cache.get(&key(q), lit(q)).is_some(), want, "{q}, capacity {capacity}");
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.evictions), (capacity, 1), "capacity {capacity}");
+        }
     }
 
     #[test]
     fn reinsert_does_not_evict() {
-        let cache = SynopsisCache::new(1, 1);
+        let cache = SynopsisCache::with_capacity(1);
         cache.insert(key("a"), lit("a"), empty_set());
         assert!(cache.insert(key("a"), lit("a"), empty_set()).is_none());
         assert_eq!(cache.stats().evictions, 0);

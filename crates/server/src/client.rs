@@ -14,7 +14,6 @@ use cqa_common::{CqaError, Json, Result};
 use cqa_obs::FlightDigest;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// A blocking connection to a `cqa-server`.
 pub struct Client {
@@ -33,12 +32,6 @@ impl Client {
         let _ = stream.set_nodelay(true);
         let writer = stream.try_clone().map_err(io_err)?;
         Ok(Client { reader: BufReader::new(stream), writer })
-    }
-
-    /// Sets (or clears) the socket read timeout, to bound how long a call
-    /// may block if the server stalls.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout).map_err(io_err)
     }
 
     /// Sends one request and waits for its response.
@@ -71,8 +64,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's full metrics registry as raw `stats` JSON
-    /// (flat snapshot fields plus the nested `registry` object).
+    /// Fetches every server metric as raw `stats` JSON, keyed by its
+    /// Prometheus name (a histogram is one object of count, sum and
+    /// quantiles).
     pub fn stats_json(&mut self) -> Result<Json> {
         match self.roundtrip(&Request::Stats { format: StatsFormat::Json })? {
             Response::Stats(v) => Ok(v),

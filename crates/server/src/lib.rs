@@ -22,10 +22,12 @@
 //! line-delimited JSON protocol (see `docs/PROTOCOL.md`). Components:
 //!
 //! * [`protocol`] — request/response types and their wire encoding.
-//! * [`cache`] — the sharded LRU synopsis cache with hit/miss accounting.
-//! * [`metrics`] — a per-instance [`cqa_obs`] metrics registry (counters
-//!   and log-scale latency histograms), served by the protocol's `stats`
-//!   command as JSON or Prometheus text.
+//! * [`cache`] — the LRU synopsis cache, one map behind one lock, with
+//!   hit/miss accounting.
+//! * [`metrics`] — per-instance [`cqa_obs`] metric handles (counters,
+//!   gauges and log-scale latency histograms), served by the protocol's
+//!   `stats` command as JSON or Prometheus text, each metric under its
+//!   one Prometheus name.
 //! * [`server`] — the TCP daemon. Each query runs on its connection's
 //!   thread once it holds one of a fixed number of admission permits,
 //!   with a bounded wait list and per-request deadlines. Every request

@@ -7,7 +7,8 @@
 //! every metric once, from where it lives: the handles below, the cache's
 //! own [`CacheStats`], and the process-global flight recorder. Both the
 //! `stats` JSON (the wire format clients parse back into a
-//! [`MetricsSnapshot`]) and Prometheus text exposition render those rows.
+//! [`MetricsSnapshot`]) and Prometheus text exposition render those rows,
+//! each metric under its one Prometheus name.
 
 use crate::cache::CacheStats;
 use cqa_common::Json;
@@ -62,10 +63,7 @@ enum Reading<'a> {
 /// One metric as `stats` renders it.
 #[derive(Debug)]
 struct Row<'a> {
-    /// The flat `stats` key; for a histogram, the prefix of its summary
-    /// keys. `None` for metrics only the registry render carries.
-    flat: Option<&'static str>,
-    /// The Prometheus name, also the key under `stats.registry`.
+    /// The Prometheus name, also the metric's `stats` JSON key.
     name: &'static str,
     /// The Prometheus `# HELP` text.
     help: &'static str,
@@ -74,17 +72,13 @@ struct Row<'a> {
 
 /// A [`Row`]. A plain fn, not a closure, so cqa-lint's call graph can see
 /// through the call.
-fn row<'a>(
-    flat: Option<&'static str>,
-    name: &'static str,
-    help: &'static str,
-    reading: Reading<'a>,
-) -> Row<'a> {
-    Row { flat, name, help, reading }
+fn row<'a>(name: &'static str, help: &'static str, reading: Reading<'a>) -> Row<'a> {
+    Row { name, help, reading }
 }
 
 /// A `stats` payload parsed on the client side ([`crate::Client::stats`]):
-/// the flat wire fields [`Metrics::stats_json`] emits.
+/// every metric [`Metrics::stats_json`] emits except the queue-wait
+/// histogram.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Protocol requests accepted for processing.
@@ -150,121 +144,93 @@ impl Metrics {
         let dropped = cqa_obs::flight::dropped_count().min(i64::MAX as u64) as i64;
         [
             row(
-                Some("requests"),
                 "server_requests_total",
                 "Protocol requests accepted for processing (all commands).",
                 Counter(self.requests.get()),
             ),
             row(
-                Some("queries_ok"),
                 "server_queries_ok_total",
                 "Query requests answered successfully.",
                 Counter(self.queries_ok.get()),
             ),
             row(
-                Some("rejected_overloaded"),
                 "server_rejected_overloaded_total",
                 "Requests rejected because the admission queue was full.",
                 Counter(self.rejected_overloaded.get()),
             ),
             row(
-                Some("rejected_deadline"),
                 "server_rejected_deadline_total",
                 "Requests that ran out of deadline.",
                 Counter(self.rejected_deadline.get()),
             ),
             row(
-                Some("rejected_bad_request"),
                 "server_rejected_bad_request_total",
                 "Malformed requests.",
                 Counter(self.rejected_bad_request.get()),
             ),
             row(
-                Some("errors_internal"),
                 "server_errors_internal_total",
                 "Unexpected server-side failures.",
                 Counter(self.errors_internal.get()),
             ),
             row(
-                Some("connections"),
                 "server_connections_total",
                 "Connections accepted over the listener's lifetime.",
                 Counter(self.connections.get()),
             ),
             row(
-                Some("retried_requests"),
                 "server_retried_requests_total",
                 "Query requests that arrived stamped as retries (attempt > 0).",
                 Counter(self.retried_requests.get()),
             ),
             row(
-                Some("latency"),
                 "server_query_latency",
                 "End-to-end latency of successful query requests, admission to response.",
                 Histogram(&self.query_latency),
             ),
             row(
-                None,
                 "server_queue_wait",
                 "Time a query request spent in the admission queue.",
                 Histogram(&self.queue_wait),
             ),
             row(
-                Some("slow_requests"),
                 "server_slow_requests_total",
                 "Requests tail-sampled into the flight recorder's slow/error log.",
                 Counter(self.slow_requests.get()),
             ),
             row(
-                Some("last_request_samples"),
                 "server_last_request_samples",
                 "Samples the most recent query request drew.",
                 Gauge(self.last_request_samples.get()),
             ),
             row(
-                Some("last_request_ci_ppm"),
                 "server_last_request_ci_half_width_ppm",
                 "The most recent query's terminal CI half-width, parts per million.",
                 Gauge(self.last_request_ci_ppm.get()),
             ),
             row(
-                Some("flight_dropped"),
                 "server_flight_dropped",
                 "Flight-recorder digests lost to ring wrap.",
                 Gauge(dropped),
             ),
             row(
-                Some("slowlog_entries"),
                 "server_slowlog_entries",
                 "Slow/error-log resident entries.",
                 Gauge(cqa_obs::flight::slowlog_len() as i64),
             ),
+            row("server_cache_hits_total", "Synopsis-cache hits.", Counter(cache.hits)),
+            row("server_cache_misses_total", "Synopsis-cache misses.", Counter(cache.misses)),
             row(
-                Some("cache_hits"),
-                "server_cache_hits_total",
-                "Synopsis-cache hits.",
-                Counter(cache.hits),
-            ),
-            row(
-                Some("cache_misses"),
-                "server_cache_misses_total",
-                "Synopsis-cache misses.",
-                Counter(cache.misses),
-            ),
-            row(
-                Some("cache_canonical_rekeys"),
                 "server_cache_canonical_rekeys_total",
                 "Cache hits under a different literal query text than the inserting request's.",
                 Counter(cache.canonical_rekeys),
             ),
             row(
-                Some("cache_entries"),
                 "server_cache_entries",
                 "Synopsis-cache resident entries.",
                 Gauge(cache.entries as i64),
             ),
             row(
-                Some("cache_evictions"),
                 "server_cache_evictions_total",
                 "Synopsis-cache evictions.",
                 Counter(cache.evictions),
@@ -272,60 +238,34 @@ impl Metrics {
         ]
     }
 
-    /// The `stats` JSON payload: the flat wire fields (parsed back by
-    /// [`MetricsSnapshot::from_json`]) plus every metric under
-    /// `"registry"`, keyed by its Prometheus name. A flat field and its
-    /// registry twin render one reading, so the two always agree.
+    /// The `stats` JSON payload: every metric keyed by its Prometheus
+    /// name. A counter or gauge is a number; a histogram is one object
+    /// with its count, sum and quantiles.
     pub fn stats_json(&self, cache: &CacheStats) -> Json {
-        let mut flat = BTreeMap::new();
-        let mut registry = BTreeMap::new();
-        for Row { flat: key, name, reading, .. } in self.rows(cache) {
+        let mut out = BTreeMap::new();
+        for Row { name, reading, .. } in self.rows(cache) {
             let value = match reading {
-                Reading::Counter(v) => {
-                    if let Some(key) = key {
-                        flat.insert(key.to_owned(), Json::from(v));
-                    }
-                    Json::from(v)
-                }
-                Reading::Gauge(v) => {
-                    if let Some(key) = key {
-                        flat.insert(key.to_owned(), Json::from(v.max(0) as u64));
-                    }
-                    Json::Num(v as f64)
-                }
+                Reading::Counter(v) => Json::from(v),
+                Reading::Gauge(v) => Json::Num(v as f64),
                 Reading::Histogram(h) => {
                     // One bucket snapshot for all four quantiles, so they
-                    // are mutually consistent even while workers keep
+                    // are mutually consistent even while queries keep
                     // recording.
                     let [p50, p95, p99, p999] = h.quantiles_ms([0.50, 0.95, 0.99, 0.999]);
-                    let (count, mean_ms) = (h.count(), h.mean_ms());
-                    if let Some(key) = key {
-                        let summary = [
-                            ("count", count as f64),
-                            ("mean_ms", mean_ms),
-                            ("p50_ms", p50),
-                            ("p95_ms", p95),
-                            ("p99_ms", p99),
-                            ("p999_ms", p999),
-                        ];
-                        for (suffix, v) in summary {
-                            flat.insert(format!("{key}_{suffix}"), Json::from(v));
-                        }
-                    }
                     Json::obj([
-                        ("count", Json::from(count)),
+                        ("count", Json::from(h.count())),
                         ("sum_micros", Json::from(h.sum_micros())),
-                        ("mean_ms", Json::from(mean_ms)),
+                        ("mean_ms", Json::from(h.mean_ms())),
                         ("p50_ms", Json::from(p50)),
                         ("p95_ms", Json::from(p95)),
                         ("p99_ms", Json::from(p99)),
+                        ("p999_ms", Json::from(p999)),
                     ])
                 }
             };
-            registry.insert(name.to_owned(), value);
+            out.insert(name.to_owned(), value);
         }
-        flat.insert("registry".to_owned(), Json::Obj(registry));
-        Json::Obj(flat)
+        Json::Obj(out)
     }
 
     /// Every metric in the Prometheus text exposition format. Histogram
@@ -357,41 +297,37 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Parses a `stats` payload received from a server. Unknown keys (such
-    /// as the nested `registry` object) are ignored.
+    /// Parses a `stats` payload received from a server. Every key it
+    /// reads is required; unknown keys are ignored.
     pub fn from_json(v: &Json) -> cqa_common::Result<MetricsSnapshot> {
-        // A nested fn (not a closure) so cqa-lint's call graph can see
-        // through the call.
-        fn int(v: &Json, key: &str) -> cqa_common::Result<u64> {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                cqa_common::CqaError::Parse(format!("stats missing integer field '{key}'"))
-            })
-        }
+        let latency = v.get("server_query_latency").ok_or_else(|| {
+            cqa_common::CqaError::Parse("stats missing histogram 'server_query_latency'".into())
+        })?;
         Ok(MetricsSnapshot {
-            requests: int(v, "requests")?,
-            queries_ok: int(v, "queries_ok")?,
-            rejected_overloaded: int(v, "rejected_overloaded")?,
-            rejected_deadline: int(v, "rejected_deadline")?,
-            rejected_bad_request: int(v, "rejected_bad_request")?,
-            errors_internal: int(v, "errors_internal")?,
-            connections: int(v, "connections")?,
-            retried_requests: int(v, "retried_requests")?,
-            latency_count: int(v, "latency_count")?,
-            latency_mean_ms: v.req_f64("latency_mean_ms")?,
-            latency_p50_ms: v.req_f64("latency_p50_ms")?,
-            latency_p95_ms: v.req_f64("latency_p95_ms")?,
-            latency_p99_ms: v.req_f64("latency_p99_ms")?,
-            latency_p999_ms: v.req_f64("latency_p999_ms")?,
-            slow_requests: int(v, "slow_requests")?,
-            last_request_samples: int(v, "last_request_samples")?,
-            last_request_ci_ppm: int(v, "last_request_ci_ppm")?,
-            flight_dropped: int(v, "flight_dropped")?,
-            slowlog_entries: int(v, "slowlog_entries")?,
-            cache_hits: int(v, "cache_hits")?,
-            cache_misses: int(v, "cache_misses")?,
-            cache_canonical_rekeys: int(v, "cache_canonical_rekeys")?,
-            cache_entries: int(v, "cache_entries")? as usize,
-            cache_evictions: int(v, "cache_evictions")?,
+            requests: v.req_u64("server_requests_total")?,
+            queries_ok: v.req_u64("server_queries_ok_total")?,
+            rejected_overloaded: v.req_u64("server_rejected_overloaded_total")?,
+            rejected_deadline: v.req_u64("server_rejected_deadline_total")?,
+            rejected_bad_request: v.req_u64("server_rejected_bad_request_total")?,
+            errors_internal: v.req_u64("server_errors_internal_total")?,
+            connections: v.req_u64("server_connections_total")?,
+            retried_requests: v.req_u64("server_retried_requests_total")?,
+            latency_count: latency.req_u64("count")?,
+            latency_mean_ms: latency.req_f64("mean_ms")?,
+            latency_p50_ms: latency.req_f64("p50_ms")?,
+            latency_p95_ms: latency.req_f64("p95_ms")?,
+            latency_p99_ms: latency.req_f64("p99_ms")?,
+            latency_p999_ms: latency.req_f64("p999_ms")?,
+            slow_requests: v.req_u64("server_slow_requests_total")?,
+            last_request_samples: v.req_u64("server_last_request_samples")?,
+            last_request_ci_ppm: v.req_u64("server_last_request_ci_half_width_ppm")?,
+            flight_dropped: v.req_u64("server_flight_dropped")?,
+            slowlog_entries: v.req_u64("server_slowlog_entries")?,
+            cache_hits: v.req_u64("server_cache_hits_total")?,
+            cache_misses: v.req_u64("server_cache_misses_total")?,
+            cache_canonical_rekeys: v.req_u64("server_cache_canonical_rekeys_total")?,
+            cache_entries: v.req_u64("server_cache_entries")? as usize,
+            cache_evictions: v.req_u64("server_cache_evictions_total")?,
         })
     }
 
@@ -421,60 +357,10 @@ mod tests {
         capacity: 8,
     };
 
-    /// The flat `stats` wire keys: exactly what clients parse.
-    const FLAT_KEYS: [&str; 24] = [
-        "requests",
-        "queries_ok",
-        "rejected_overloaded",
-        "rejected_deadline",
-        "rejected_bad_request",
-        "errors_internal",
-        "connections",
-        "retried_requests",
-        "latency_count",
-        "latency_mean_ms",
-        "latency_p50_ms",
-        "latency_p95_ms",
-        "latency_p99_ms",
-        "latency_p999_ms",
-        "slow_requests",
-        "last_request_samples",
-        "last_request_ci_ppm",
-        "flight_dropped",
-        "slowlog_entries",
-        "cache_hits",
-        "cache_misses",
-        "cache_canonical_rekeys",
-        "cache_entries",
-        "cache_evictions",
-    ];
-
-    /// Flat fields and the registry metric each one reports.
-    const REGISTRY_TWINS: [(&str, &str); 18] = [
-        ("requests", "server_requests_total"),
-        ("queries_ok", "server_queries_ok_total"),
-        ("rejected_overloaded", "server_rejected_overloaded_total"),
-        ("rejected_deadline", "server_rejected_deadline_total"),
-        ("rejected_bad_request", "server_rejected_bad_request_total"),
-        ("errors_internal", "server_errors_internal_total"),
-        ("connections", "server_connections_total"),
-        ("retried_requests", "server_retried_requests_total"),
-        ("slow_requests", "server_slow_requests_total"),
-        ("cache_hits", "server_cache_hits_total"),
-        ("cache_misses", "server_cache_misses_total"),
-        ("cache_canonical_rekeys", "server_cache_canonical_rekeys_total"),
-        ("cache_entries", "server_cache_entries"),
-        ("cache_evictions", "server_cache_evictions_total"),
-        ("flight_dropped", "server_flight_dropped"),
-        ("slowlog_entries", "server_slowlog_entries"),
-        ("last_request_samples", "server_last_request_samples"),
-        ("last_request_ci_ppm", "server_last_request_ci_half_width_ppm"),
-    ];
-
     /// The row list's names are valid, unique Prometheus names with help
-    /// text, and its flat keys and names are exactly the pinned ones.
+    /// text, and the `stats` JSON's top-level keys are exactly those names.
     #[test]
-    fn rows_carry_the_pinned_keys_and_valid_prometheus_names() {
+    fn stats_keys_are_the_rows_valid_prometheus_names() {
         let m = Metrics::new();
         let rows = m.rows(&CACHE);
         let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
@@ -491,19 +377,8 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), before, "Prometheus names must be unique");
 
-        let mut pinned: Vec<&str> = REGISTRY_TWINS.iter().map(|(_, name)| *name).collect();
-        pinned.extend(["server_query_latency", "server_queue_wait"]);
-        pinned.sort_unstable();
-        assert_eq!(names, pinned);
-        let mut twins: Vec<(&str, &str)> = rows
-            .iter()
-            .filter(|r| !matches!(r.reading, Reading::Histogram(_)))
-            .map(|r| (r.flat.expect("every counter and gauge has a flat key"), r.name))
-            .collect();
-        twins.sort_unstable();
-        let mut want = REGISTRY_TWINS;
-        want.sort_unstable();
-        assert_eq!(twins, want);
+        let Json::Obj(obj) = m.stats_json(&CACHE) else { panic!("stats payload is not an object") };
+        assert_eq!(obj.keys().map(String::as_str).collect::<Vec<_>>(), names);
     }
 
     #[test]
@@ -529,22 +404,17 @@ mod tests {
         for micros in [100u64, 200, 400, 800, 100_000] {
             m.query_latency.record(Duration::from_micros(micros));
         }
+        m.queue_wait.record(Duration::from_micros(50));
         let v = m.stats_json(&CACHE);
 
-        // The flat key set is pinned, plus the nested registry.
-        let Json::Obj(obj) = &v else { panic!("stats payload is not an object: {v:?}") };
-        let mut want: Vec<&str> = FLAT_KEYS.into_iter().chain(["registry"]).collect();
-        want.sort_unstable();
-        assert_eq!(obj.keys().map(String::as_str).collect::<Vec<_>>(), want);
-
-        // The registry holds exactly the rows' names.
-        let reg = v.get("registry").expect("registry key");
-        let Json::Obj(reg_obj) = reg else { panic!("registry is not an object: {reg:?}") };
-        let mut names: Vec<&str> = m.rows(&CACHE).iter().map(|r| r.name).collect();
-        names.sort_unstable();
-        assert_eq!(reg_obj.keys().map(String::as_str).collect::<Vec<_>>(), names);
-        let lat = reg.get("server_query_latency").expect("latency histogram");
-        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(5));
+        // A histogram is one object: count, sum and quantiles.
+        let lat = v.get("server_query_latency").expect("latency histogram");
+        let Json::Obj(lat_obj) = lat else { panic!("histogram is not an object: {lat:?}") };
+        let summary = ["count", "mean_ms", "p50_ms", "p95_ms", "p999_ms", "p99_ms", "sum_micros"];
+        assert_eq!(lat_obj.keys().map(String::as_str).collect::<Vec<_>>(), summary);
+        assert_eq!(lat.get("sum_micros").and_then(Json::as_u64), Some(101_500));
+        let wait = v.get("server_queue_wait").expect("queue-wait histogram");
+        assert_eq!(wait.get("count").and_then(Json::as_u64), Some(1));
 
         let parsed = MetricsSnapshot::from_json(&v).unwrap();
         let qs = m.query_latency.quantiles_ms([0.50, 0.95, 0.99, 0.999]);
@@ -579,11 +449,21 @@ mod tests {
         assert_eq!(parsed.cache_hit_rate(), 0.8);
         assert!(parsed.latency_p999_ms >= parsed.latency_p99_ms && parsed.latency_p999_ms > 0.0);
 
-        // Client and server ship from one tree, so every flat field is
-        // required: a payload missing any one of them is a parse error.
-        for key in FLAT_KEYS {
+        // Client and server ship from one tree, so every key the client
+        // reads is required: a payload missing any one of them is a parse
+        // error naming it. The client reads every metric but the queue
+        // wait.
+        let Json::Obj(obj) = &v else { panic!("stats payload is not an object: {v:?}") };
+        for key in obj.keys().filter(|k| *k != "server_queue_wait") {
             let mut partial = obj.clone();
             partial.remove(key);
+            let err = MetricsSnapshot::from_json(&Json::Obj(partial)).unwrap_err();
+            assert!(err.to_string().contains(key.as_str()), "{key}: {err}");
+        }
+        for key in summary.into_iter().filter(|k| *k != "sum_micros") {
+            let (mut partial, mut lat) = (obj.clone(), lat_obj.clone());
+            lat.remove(key);
+            partial.insert("server_query_latency".into(), Json::Obj(lat));
             let err = MetricsSnapshot::from_json(&Json::Obj(partial)).unwrap_err();
             assert!(err.to_string().contains(key), "{key}: {err}");
         }

@@ -825,7 +825,7 @@ mod tests {
     fn pong_and_stats_roundtrip() {
         let pong = Response::Pong { version: PROTOCOL_VERSION };
         assert_eq!(Response::from_line(&pong.to_line()).unwrap(), pong);
-        let stats = Response::Stats(Json::obj([("requests", Json::from(3u64))]));
+        let stats = Response::Stats(Json::obj([("server_requests_total", Json::from(3u64))]));
         assert_eq!(Response::from_line(&stats.to_line()).unwrap(), stats);
     }
 

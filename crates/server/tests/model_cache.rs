@@ -1,15 +1,15 @@
-//! Exhaustive interleaving checks for the sharded-LRU cache protocol.
+//! Exhaustive interleaving checks for the LRU cache protocol.
 //!
 //! These tests model the concurrency skeleton of
-//! `cqa_server::cache::SynopsisCache` — one shard behind a mutex, atomic
-//! hit/miss/eviction counters bumped while the shard lock is held, stamp-
-//! based LRU eviction — with `loom` (the vendored interleaving explorer in
+//! `cqa_server::cache::SynopsisCache` — one map behind one mutex, atomic
+//! hit/miss/eviction counters bumped while the lock is held, stamp-based
+//! LRU eviction — with `loom` (the vendored interleaving explorer in
 //! `shims/loom`). Every sequentially-consistent schedule of the modeled
 //! operations is enumerated, so the invariants below hold for *all*
 //! interleavings, not just the ones a stress test happens to hit.
 //!
-//! The model intentionally mirrors the real code's structure (compare
-//! `crates/server/src/cache.rs`): one `Mutex<Shard>` with a logical clock
+//! The model mirrors the real code's structure (compare
+//! `crates/server/src/cache.rs`): one `Mutex<Lru>` over a logical clock
 //! and a capacity-bounded map, counters as atomics beside the lock. The
 //! last test is a *negative control*: it breaks the counter discipline the
 //! way a refactor plausibly would (load-then-store outside the lock) and
@@ -20,17 +20,18 @@ use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::{Arc, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The modeled shard: key → LRU stamp, plus the stamp clock. Values are
-/// irrelevant to the race being checked, so keys stand in for entries.
-struct Shard {
+/// The modeled map: key → LRU stamp, plus the stamp clock and the
+/// capacity. Values are irrelevant to the race being checked, so keys
+/// stand in for entries.
+struct Lru {
     entries: Vec<(u32, u64)>,
     clock: u64,
+    capacity: usize,
 }
 
-/// A one-shard miniature of `SynopsisCache` over loom primitives.
+/// A miniature of `SynopsisCache` over loom primitives.
 struct ModelCache {
-    shard: Mutex<Shard>,
-    capacity: usize,
+    lru: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -39,8 +40,7 @@ struct ModelCache {
 impl ModelCache {
     fn new(capacity: usize) -> ModelCache {
         ModelCache {
-            shard: Mutex::new(Shard { entries: Vec::new(), clock: 0 }),
-            capacity,
+            lru: Mutex::new(Lru { entries: Vec::new(), clock: 0, capacity }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -48,12 +48,12 @@ impl ModelCache {
     }
 
     /// Mirrors `SynopsisCache::get`: refresh the LRU stamp on a hit, bump
-    /// the hit/miss counter while the shard lock is held.
+    /// the hit/miss counter while the lock is held.
     fn get(&self, key: u32) -> bool {
-        let mut shard = self.shard.lock();
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.entries.iter_mut().find(|(k, _)| *k == key) {
+        let mut lru = self.lru.lock();
+        lru.clock += 1;
+        let stamp = lru.clock;
+        match lru.entries.iter_mut().find(|(k, _)| *k == key) {
             Some(entry) => {
                 entry.1 = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -67,37 +67,37 @@ impl ModelCache {
     }
 
     /// Mirrors `SynopsisCache::insert`: evict the smallest-stamp entry
-    /// when inserting a new key into a full shard.
+    /// when inserting a new key into a full cache.
     fn insert(&self, key: u32) {
-        let mut shard = self.shard.lock();
-        shard.clock += 1;
-        let stamp = shard.clock;
-        let exists = shard.entries.iter().any(|(k, _)| *k == key);
-        if !exists && shard.entries.len() >= self.capacity {
+        let mut lru = self.lru.lock();
+        lru.clock += 1;
+        let stamp = lru.clock;
+        let exists = lru.entries.iter().any(|(k, _)| *k == key);
+        if !exists && lru.entries.len() >= lru.capacity {
             if let Some(victim) =
-                shard.entries.iter().enumerate().min_by_key(|(_, (_, s))| *s).map(|(i, _)| i)
+                lru.entries.iter().enumerate().min_by_key(|(_, (_, s))| *s).map(|(i, _)| i)
             {
-                shard.entries.remove(victim);
+                lru.entries.remove(victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        match shard.entries.iter_mut().find(|(k, _)| *k == key) {
+        match lru.entries.iter_mut().find(|(k, _)| *k == key) {
             Some(entry) => entry.1 = stamp,
-            None => shard.entries.push((key, stamp)),
+            None => lru.entries.push((key, stamp)),
         }
     }
 
     fn contains(&self, key: u32) -> bool {
-        self.shard.lock().entries.iter().any(|(k, _)| *k == key)
+        self.lru.lock().entries.iter().any(|(k, _)| *k == key)
     }
 
     fn len(&self) -> usize {
-        self.shard.lock().entries.len()
+        self.lru.lock().entries.len()
     }
 }
 
 /// Two threads race insert+get on distinct keys against a capacity-1
-/// shard. In every interleaving: the shard never exceeds capacity, the
+/// cache. In every interleaving: the cache never exceeds capacity, the
 /// loser of the insert race is the one eviction, and the counters account
 /// for exactly the lookups that happened.
 #[test]
@@ -113,16 +113,16 @@ fn insert_get_race_keeps_counters_and_capacity_consistent() {
         cache.get(2);
         t.join().unwrap();
 
-        assert_eq!(cache.len(), 1, "shard exceeded its capacity");
+        assert_eq!(cache.len(), 1, "cache exceeded its capacity");
         assert_eq!(
             cache.evictions.load(Ordering::Relaxed),
             1,
-            "two distinct inserts into a full shard evict exactly once"
+            "two distinct inserts into a full cache evict exactly once"
         );
         let hits = cache.hits.load(Ordering::Relaxed);
         let misses = cache.misses.load(Ordering::Relaxed);
         assert_eq!(hits + misses, 2, "every lookup is counted exactly once");
-        assert_eq!(cache.shard.lock().clock, 4, "each operation advances the clock once");
+        assert_eq!(cache.lru.lock().clock, 4, "each operation advances the clock once");
     });
 }
 
@@ -141,18 +141,18 @@ fn lru_refresh_races_eviction_without_corruption() {
         let t = loom::thread::spawn(move || {
             c2.get(1) // refresh: makes 2 the LRU victim, if it wins the race
         });
-        cache.insert(3); // full shard: must evict the current LRU
+        cache.insert(3); // full cache: must evict the current LRU
         let refreshed = t.join().unwrap();
 
         assert!(cache.contains(3), "the new entry is always resident");
-        assert_eq!(cache.len(), 2, "eviction kept the shard at capacity");
+        assert_eq!(cache.len(), 2, "eviction kept the cache at capacity");
         assert_eq!(cache.evictions.load(Ordering::Relaxed), 1);
         // The victim depends on the schedule, but is determined by whether
         // the refresh's stamp landed before the eviction scan.
         let survivor_is_1 = cache.contains(1);
         let survivor_is_2 = cache.contains(2);
         assert!(survivor_is_1 ^ survivor_is_2, "exactly one of the old entries survives");
-        // The shard lock serializes the two operations, so the outcome is
+        // The lock serializes the two operations, so the outcome is
         // fully determined by which won: a successful refresh means key 2
         // became the victim; a miss means key 1 already had.
         assert_eq!(
@@ -173,10 +173,10 @@ fn torn_counter_update_is_caught_by_the_model() {
             let cache = Arc::new(ModelCache::new(4));
             let c2 = Arc::clone(&cache);
             let broken_miss = |c: &ModelCache| {
-                let shard = c.shard.lock();
+                let lru = c.lru.lock();
                 // BUG under test: the guard is dropped before the counter
                 // update, and the update is a divisible load-then-store.
-                drop(shard);
+                drop(lru);
                 let v = c.misses.load(Ordering::Relaxed);
                 c.misses.store(v + 1, Ordering::Relaxed);
             };

@@ -1,8 +1,7 @@
 //! Consistency checking w.r.t. a set of primary keys.
 //!
 //! `D |= Σ` iff no block has more than one fact (§2). The noise generator
-//! relies on these helpers to verify its pre/post-conditions, and the
-//! harness reports inconsistency statistics per scenario.
+//! relies on these helpers to verify its pre/post-conditions.
 
 use crate::database::{Database, FactRef};
 use crate::schema::RelId;
@@ -43,17 +42,6 @@ pub fn violations(db: &Database) -> Vec<Violation> {
     out
 }
 
-/// The fraction of facts that are involved in some conflict: a simple
-/// inconsistency measure reported by the benchmark harness.
-pub fn conflicting_fact_ratio(db: &Database) -> f64 {
-    let total = db.fact_count();
-    if total == 0 {
-        return 0.0;
-    }
-    let conflicting: usize = violations(db).iter().map(|v| v.facts.len()).sum();
-    conflicting as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +63,6 @@ mod tests {
         let db = db_with(&[(1, "a"), (2, "b"), (3, "c")]);
         assert!(is_consistent(&db));
         assert!(violations(&db).is_empty());
-        assert_eq!(conflicting_fact_ratio(&db), 0.0);
     }
 
     #[test]
@@ -85,7 +72,6 @@ mod tests {
         let v = violations(&db);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].facts.len(), 2);
-        assert!((conflicting_fact_ratio(&db) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -103,6 +89,5 @@ mod tests {
     fn empty_database_is_consistent() {
         let db = db_with(&[]);
         assert!(is_consistent(&db));
-        assert_eq!(conflicting_fact_ratio(&db), 0.0);
     }
 }

@@ -218,11 +218,6 @@ impl Database {
         &self.schema
     }
 
-    /// A shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// The string dictionary.
     pub fn interner(&self) -> &Interner {
         &self.interner
@@ -351,13 +346,6 @@ impl Database {
         total
     }
 
-    /// Pretty-prints a fact.
-    pub fn fmt_fact(&self, f: FactRef) -> String {
-        let def = self.schema.relation(f.rel);
-        let vals: Vec<String> = self.fact(f).iter().map(|&d| self.resolve(d).to_string()).collect();
-        format!("{}({})", def.name, vals.join(", "))
-    }
-
     /// Pretty-prints a tuple of datums.
     pub fn fmt_tuple(&self, t: &[Datum]) -> String {
         let vals: Vec<String> = t.iter().map(|&d| self.resolve(d).to_string()).collect();
@@ -453,14 +441,6 @@ mod tests {
         let v = Value::str("R&D");
         let d = db.intern_value(&v);
         assert_eq!(db.resolve(d), v);
-    }
-
-    #[test]
-    fn fmt_fact_is_readable() {
-        let db = employee_db();
-        let e = db.schema().rel_id("employee").unwrap();
-        let s = db.fmt_fact(FactRef { rel: e, row: 0 });
-        assert_eq!(s, "employee(1, 'Bob', 'HR')");
     }
 
     #[test]

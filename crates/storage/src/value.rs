@@ -22,14 +22,6 @@ impl Value {
     pub fn str(s: impl Into<String>) -> Self {
         Value::Str(s.into())
     }
-
-    /// The column type this value inhabits.
-    pub fn column_type(&self) -> crate::schema::ColumnType {
-        match self {
-            Value::Int(_) => crate::schema::ColumnType::Int,
-            Value::Str(_) => crate::schema::ColumnType::Str,
-        }
-    }
 }
 
 impl fmt::Display for Value {

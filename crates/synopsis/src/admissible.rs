@@ -165,11 +165,6 @@ impl AdmissiblePair {
         (0..self.num_images()).map(|i| self.inv_db_bh(i)).sum()
     }
 
-    /// `|S•|` in log space.
-    pub fn log_s_bullet(&self) -> LogNum {
-        self.log_db_b() * LogNum::from_value(self.s_ratio())
-    }
-
     /// The weights `|I^i| ∝ 1/|db(B_{H_i})|` for drawing the image index of
     /// a symbolic sample, prepared as an O(1) alias table.
     pub fn image_alias(&self) -> AliasTable {
@@ -254,7 +249,6 @@ mod tests {
         assert!((p.inv_db_bh(0) - 0.25).abs() < 1e-12);
         // |S•|/|db(B)| = 1/4 + 1/4 = 1/2; |S•| = 2.
         assert!((p.s_ratio() - 0.5).abs() < 1e-12);
-        assert!((p.log_s_bullet().value() - 2.0).abs() < 1e-12);
         assert!((p.ratio_lower_bound() - 0.25).abs() < 1e-12);
     }
 

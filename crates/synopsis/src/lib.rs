@@ -21,7 +21,9 @@
 //!
 //! * [`admissible`] — the integer-encoded admissible pair the schemes
 //!   consume (`enc(syn_{Σ,Q}(D))` of §5: facts are `(block, tid)` pairs,
-//!   blocks carry only their size `kcnt`).
+//!   blocks carry only their size `kcnt`). It is also the Block DNF of
+//!   footnote 6: blocks partition the variables, and images are the
+//!   clauses.
 //! * [`build`] — the preprocessing step: one pass over all homomorphisms
 //!   builds every tuple's synopsis, mirroring the paper's single-SQL-query
 //!   rewriting `Q^rew` (Appendix C).
@@ -75,7 +77,6 @@
 pub mod admissible;
 pub mod build;
 pub mod certain;
-pub mod dnf;
 pub mod exact;
 pub mod rewrite;
 pub mod stats;
@@ -83,7 +84,6 @@ pub mod stats;
 pub use admissible::{AdmissiblePair, ImageAtom};
 pub use build::{build_synopses, BuildOptions, SynopsisEntry, SynopsisSet};
 pub use certain::{certain_answers, certain_answers_of, is_certain, CertaintyEvidence};
-pub use dnf::BlockDnf;
 pub use exact::{exact_ratio_enumerate, exact_ratio_inclusion_exclusion};
 pub use rewrite::{fold_rows, rewrite_rows, AtomMeta, RewriteRow};
 pub use stats::SynopsisStats;

@@ -5,7 +5,7 @@
 //!
 //! The build container has no crates-io mirror, so this shim vendors the
 //! small subset of [`loom`](https://docs.rs/loom)'s API the workspace uses
-//! to model-check its concurrent kernels: the sharded synopsis cache and
+//! to model-check its concurrent kernels: the synopsis cache and
 //! the one seqlock ring behind trace events and flight digests (see
 //! `docs/ANALYSIS.md`).
 //!

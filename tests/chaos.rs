@@ -56,7 +56,7 @@ fn all_points_error_plan_keeps_every_invariant() {
 }
 
 /// The smoke plan's transients (submit rejections, failed writes,
-/// shard-lock delays) are all absorbed by the retrying client: no request
+/// cache-lock delays) are all absorbed by the retrying client: no request
 /// ends in an error envelope.
 #[test]
 fn smoke_plan_leaves_no_structured_errors_after_retries() {

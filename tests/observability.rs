@@ -1,7 +1,7 @@
 //! Cross-crate observability tests: a traced scenario run must export a
 //! valid, non-empty Chrome trace covering synopsis builds and every
 //! scheme's sampling loop, and the server's `stats` command must render
-//! the same metrics registry consistently as JSON and Prometheus text.
+//! the same metrics, under the same names, as JSON and Prometheus text.
 
 use cqa::common::Json;
 use cqa::core::{apx_cqa_on_synopses, TupleEstimate};
@@ -94,19 +94,18 @@ fn server_stats_agree_between_json_registry_and_prometheus_text() {
     }
 
     let stats = client.stats_json().unwrap();
-    assert_eq!(get_num(&stats, "queries_ok") as u64, queries);
+    assert_eq!(get_num(&stats, "server_queries_ok_total") as u64, queries);
     let Json::Obj(fields) = &stats else { panic!("stats must be a JSON object") };
-    let registry = fields.get("registry").expect("stats must nest the metrics registry");
-    assert_eq!(get_num(registry, "server_queries_ok_total") as u64, queries);
-    assert_eq!(get_num(registry, "server_requests_total"), get_num(&stats, "requests"));
-    assert_eq!(get_num(registry, "server_cache_hits_total"), get_num(&stats, "cache_hits"));
-    let latency = {
-        let Json::Obj(reg) = registry else { panic!("registry must be a JSON object") };
-        reg.get("server_query_latency").expect("registry must carry the latency histogram")
-    };
+    let latency =
+        fields.get("server_query_latency").expect("stats must carry the latency histogram");
     assert_eq!(get_num(latency, "count") as u64, queries);
 
     let text = client.stats_prometheus().unwrap();
+    // One name per metric: the JSON keys are exactly the `# TYPE` names.
+    let mut typed: Vec<&str> =
+        text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    typed.sort_unstable();
+    assert_eq!(fields.keys().map(String::as_str).collect::<Vec<_>>(), typed);
     assert!(
         text.contains(&format!("server_queries_ok_total {queries}")),
         "prometheus text must report the query count:\n{text}"
@@ -272,7 +271,7 @@ fn flight_recorder_attributes_requests_end_to_end() {
 
     // The stats payload mirrors the per-request gauges.
     let stats = client.stats_json().unwrap();
-    assert!(get_num(&stats, "slow_requests") >= 4.0);
-    assert!(get_num(&stats, "last_request_samples") > 0.0);
-    assert!(get_num(&stats, "slowlog_entries") > 0.0);
+    assert!(get_num(&stats, "server_slow_requests_total") >= 4.0);
+    assert!(get_num(&stats, "server_last_request_samples") > 0.0);
+    assert!(get_num(&stats, "server_slowlog_entries") > 0.0);
 }
