@@ -121,6 +121,13 @@ impl Json {
             .ok_or_else(|| CqaError::Parse(format!("missing or non-numeric field '{key}'")))
     }
 
+    /// A required boolean field of an object.
+    pub fn req_bool(&self, key: &str) -> Result<bool> {
+        self.get(key)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| CqaError::Parse(format!("missing or non-boolean field '{key}'")))
+    }
+
     /// A required integer field of an object ([`Json::as_u64`]).
     pub fn req_u64(&self, key: &str) -> Result<u64> {
         self.get(key)

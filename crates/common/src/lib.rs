@@ -32,6 +32,9 @@
 //! * [`error`] — the shared error type.
 //! * [`names`] — [`name_enum!`], the enum form of a closed set of names
 //!   (spans, fault points, benchmark series).
+//! * [`par`] — [`par_map`], the one order-preserving parallel map:
+//!   `apx_cqa_parallel`'s per-answer sampling and the figure harness's
+//!   per-pair runs both go through it.
 
 pub mod alias;
 pub mod checked;
@@ -41,6 +44,7 @@ pub mod json;
 pub mod logspace;
 pub mod mt;
 pub mod names;
+pub mod par;
 pub mod stats;
 pub mod timer;
 pub mod validate;
@@ -51,5 +55,6 @@ pub use hash::{fnv1a64, fnv1a64_parts, Fnv1a64};
 pub use json::Json;
 pub use logspace::LogNum;
 pub use mt::{Below, Mt64};
+pub use par::par_map;
 pub use stats::{percentile, RunningStats};
 pub use timer::{Deadline, Stopwatch};

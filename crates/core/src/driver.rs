@@ -8,7 +8,7 @@
 //! for `RelativeFreq` into this loop yields one for `CQA`.
 
 use crate::scheme::{approx_relative_frequency, ApproxOutcome, Budget, Scheme};
-use cqa_common::{CqaError, Mt64, Result, Stopwatch};
+use cqa_common::{par_map, CqaError, Mt64, Result, Stopwatch};
 use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::{Database, Datum};
@@ -119,10 +119,10 @@ pub fn apx_cqa_on_synopses(
 /// schemes for CQA can greatly benefit from a parallel implementation of
 /// the sampling phase without additional synchronization overhead"
 /// (Appendix E). Synopses are independent, so tuple-level parallelism is
-/// exactly that: each worker owns a forked MT19937-64 stream and no shared
-/// mutable state. Results are deterministic for a fixed `(seed, threads)`
-/// pair because streams are assigned by tuple index, not by scheduling
-/// order.
+/// exactly that: [`par_map`] spreads the tuples over `threads` threads,
+/// each tuple draws from its own forked MT19937-64 stream, and no mutable
+/// state is shared. Results are deterministic for a fixed seed because
+/// streams are assigned by tuple index, not by scheduling order.
 pub fn apx_cqa_parallel(
     syn: &SynopsisSet,
     scheme: Scheme,
@@ -133,39 +133,15 @@ pub fn apx_cqa_parallel(
     threads: usize,
 ) -> Result<ApxCqaResult> {
     let sw = Stopwatch::start();
-    let n = syn.entries.len();
-    let threads = threads.clamp(1, n.max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each worker returns the `(index, result)` pairs it claimed; every
-    // index in 0..n is claimed exactly once, so sorting the merged pairs
-    // restores tuple order.
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(entry) = syn.entries.get(i) else { return done };
-            // Stream keyed by tuple index: independent of scheduling.
-            let mut rng = cqa_common::Mt64::from_key(&[seed, i as u64, 0x7A11]);
-            let out = approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, &mut rng)
-                .map(|o| TupleEstimate::new(&entry.tuple, &o));
-            done.push((i, out));
-        }
-    };
-    let mut results: Vec<(usize, Result<TupleEstimate>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
+    let estimates = par_map(syn.entries.len(), threads, |i| {
+        let entry = &syn.entries[i];
+        // Stream keyed by tuple index: independent of scheduling.
+        let mut rng = Mt64::from_key(&[seed, i as u64, 0x7A11]);
+        approx_relative_frequency(&entry.pair, scheme, eps, delta, budget, &mut rng)
+            .map(|o| TupleEstimate::new(&entry.tuple, &o))
     });
-    results.sort_unstable_by_key(|&(i, _)| i);
-    let mut answers = Vec::with_capacity(n);
-    let mut total_samples = 0u64;
-    for (_, te) in results {
-        let te = te?;
-        total_samples += te.samples;
-        answers.push(te);
-    }
+    let answers = estimates.into_iter().collect::<Result<Vec<_>>>()?;
+    let total_samples = answers.iter().map(|te| te.samples).sum();
     Ok(ApxCqaResult {
         answers,
         preprocess_time: syn.build_time,

@@ -56,8 +56,7 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term, VarId};
 use crate::parser::{lex, Tok};
 use cqa_common::{fnv1a64, CqaError, Mt64, Result};
-use cqa_storage::{RelId, Schema, Value};
-use std::fmt;
+use cqa_storage::{RelId, Value};
 
 /// A term of a canonical atom: a canonically numbered variable or a
 /// constant.
@@ -140,12 +139,6 @@ impl CanonicalQuery {
         s
     }
 
-    /// Renders the canonical form in the surface syntax against a schema
-    /// (relation names instead of `r<id>`).
-    pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
-        CanonicalDisplay { q: self, schema }
-    }
-
     /// The injective byte encoding the fingerprint hashes: every field is
     /// length- or tag-prefixed, so distinct canonical forms encode to
     /// distinct byte strings.
@@ -160,41 +153,6 @@ impl CanonicalQuery {
             out.extend_from_slice(&encode_atom(atom));
         }
         out
-    }
-}
-
-struct CanonicalDisplay<'a> {
-    q: &'a CanonicalQuery,
-    schema: &'a Schema,
-}
-
-impl fmt::Display for CanonicalDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Q(")?;
-        for (i, v) in self.q.head.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "x{v}")?;
-        }
-        write!(f, ") :- ")?;
-        for (i, atom) in self.q.atoms.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}(", self.schema.relation(atom.rel).name)?;
-            for (j, t) in atom.terms.iter().enumerate() {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                match t {
-                    CanonicalTerm::Var(v) => write!(f, "x{v}")?,
-                    CanonicalTerm::Const(c) => write!(f, "{c}")?,
-                }
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
     }
 }
 
@@ -622,6 +580,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use cqa_storage::ColumnType::*;
+    use cqa_storage::Schema;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -724,7 +683,6 @@ mod tests {
         let b = parse(&s, "P(k) :- s(m, 'hi'), r(k, m)").unwrap().canonical_form();
         assert_eq!(a.text(), b.text());
         assert_eq!(a.text(), "Q(x0) :- r0(x0, x1), r1(x1, 'hi')");
-        assert_eq!(a.display(&s).to_string(), "Q(x0) :- r(x0, x1), s(x1, 'hi')");
     }
 
     #[test]

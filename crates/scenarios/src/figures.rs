@@ -7,8 +7,8 @@
 use crate::config::BenchConfig;
 use crate::pool::Pool;
 use crate::report::{Figure, Point, Series};
-use crate::runner::{run_jobs, run_pair, PairOutcome};
-use cqa_common::{percentile, Mt64, Result, RunningStats};
+use crate::runner::{run_pair, PairOutcome};
+use cqa_common::{par_map, percentile, Mt64, Result, RunningStats};
 use cqa_core::ALL_SCHEMES;
 use cqa_noise::{add_query_aware_noise, NoiseSpec};
 use cqa_obs::Span;
@@ -31,8 +31,10 @@ struct Cell {
 /// every scheme.
 fn run_cell(jobs: Vec<(&Database, &ConjunctiveQuery, u64)>, cfg: &BenchConfig) -> Cell {
     let total = jobs.len();
-    let outcomes: Vec<Result<PairOutcome>> =
-        run_jobs(jobs, cfg.threads, |(db, q, seed)| run_pair(db, q, cfg, seed));
+    let outcomes: Vec<Result<PairOutcome>> = par_map(total, cfg.threads, |i| {
+        let (db, q, seed) = jobs[i];
+        run_pair(db, q, cfg, seed)
+    });
     let mut avg = [0.0f64; 4];
     let mut touts = [0usize; 4];
     for oc in &outcomes {
@@ -181,7 +183,8 @@ pub fn fig3_preprocessing(pool: &Pool) -> (Figure, String) {
             }
         }
     }
-    let times: Vec<f64> = run_jobs(jobs, cfg.threads, |(qi, pi, bi)| {
+    let times: Vec<f64> = par_map(jobs.len(), cfg.threads, |i| {
+        let (qi, pi, bi) = jobs[i];
         let (db, q) = pool.pair(qi, pi, bi);
         match build_synopses(db, q, BuildOptions::default()) {
             Ok(syn) => syn.build_time.as_secs_f64(),
@@ -308,7 +311,7 @@ pub fn fig5_validation(cfg: &BenchConfig) -> Result<(Vec<Figure>, Vec<String>)> 
     let mut notes = Vec::new();
     for (bench, base, queries) in &workloads {
         // Prepare all (query, noise level) jobs of this workload, then run
-        // them across the worker pool — validation queries dominate a
+        // them on `cfg.threads` threads — validation queries dominate a
         // `run_all` sweep, so this parallelism matters.
         let mut usable: Vec<&(String, ConjunctiveQuery)> = Vec::new();
         for pair in queries {
@@ -338,10 +341,11 @@ pub fn fig5_validation(cfg: &BenchConfig) -> Result<(Vec<Figure>, Vec<String>)> 
                 }
             }
         }
-        let outcomes = crate::runner::run_jobs(jobs, cfg.threads, |(qi, p, noisy)| {
+        let outcomes = par_map(jobs.len(), cfg.threads, |i| {
+            let (qi, p, ref noisy) = jobs[i];
             let (name, q) = usable[qi];
             let seed = cfg.seed ^ ((p * 1000.0) as u64) ^ name.len() as u64;
-            (qi, p, run_pair(&noisy, q, cfg, seed))
+            (qi, p, run_pair(noisy, q, cfg, seed))
         });
 
         for (qi, (name, _)) in usable.iter().enumerate() {

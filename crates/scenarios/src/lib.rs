@@ -12,8 +12,8 @@
 //!   databases `D_Q[p]` per noise level, and DQG-balanced queries
 //!   `Q_p[q]` plus the Boolean `Q_p[0]`.
 //! * [`runner`] — runs all four schemes on a pair with a shared
-//!   preprocessing pass and per-scheme timeouts, in parallel across
-//!   pairs.
+//!   preprocessing pass and per-scheme timeouts; the figures spread pairs
+//!   over `cfg.threads` threads with [`cqa_common::par_map`].
 //! * [`report`] — figure data structures, ASCII rendering, CSV output.
 //! * [`figures`] — one pipeline per paper figure: `fig1` (noise),
 //!   `fig2` (balance), `fig3` (preprocessing distribution), `fig4`

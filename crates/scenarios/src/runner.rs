@@ -15,7 +15,6 @@ use cqa_obs::Span;
 use cqa_query::ConjunctiveQuery;
 use cqa_storage::Database;
 use cqa_synopsis::{build_synopses, BuildOptions, SynopsisStats};
-use crossbeam::channel;
 
 /// One scheme's run on one pair.
 #[derive(Debug, Clone, Copy)]
@@ -97,47 +96,6 @@ fn run_span_name(scheme: Scheme) -> Span {
     }
 }
 
-/// Runs `f` over `jobs` on `threads` workers, preserving order.
-pub fn run_jobs<J, R, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    let (tx, rx) = channel::unbounded::<(usize, J)>();
-    for item in jobs.into_iter().enumerate() {
-        tx.send(item).expect("channel open");
-    }
-    drop(tx);
-    let (out_tx, out_rx) = channel::unbounded::<(usize, R)>();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let rx = rx.clone();
-            let out_tx = out_tx.clone();
-            let f = &f;
-            s.spawn(move || {
-                while let Ok((i, job)) = rx.recv() {
-                    let r = f(job);
-                    if out_tx.send((i, r)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(out_tx);
-    });
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    while let Ok((i, r)) = out_rx.recv() {
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|s| s.expect("every job produced a result")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,22 +168,5 @@ mod tests {
         assert_eq!(natural.secs, cfg.timeout_secs);
         let kl = &out.runs[1];
         assert!(!kl.timed_out, "KL finishes: its expectation is 1 here");
-    }
-
-    #[test]
-    fn run_jobs_preserves_order_and_runs_everything() {
-        let jobs: Vec<u64> = (0..100).collect();
-        let results = run_jobs(jobs, 8, |j| j * j);
-        assert_eq!(results.len(), 100);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, (i * i) as u64);
-        }
-    }
-
-    #[test]
-    fn run_jobs_handles_edge_cases() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(run_jobs(empty, 4, |j: u32| j).is_empty());
-        assert_eq!(run_jobs(vec![7], 16, |j| j + 1), vec![8]);
     }
 }

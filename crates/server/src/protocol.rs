@@ -361,16 +361,16 @@ fn digest_from_json(v: &Json) -> Result<FlightDigest> {
         query_fingerprint: u64::from_str_radix(query_fp, 16)
             .map_err(|_| CqaError::Parse(format!("non-hex 'query_fp' {query_fp:?}")))?,
         scheme: v.req_str("scheme")?.to_owned().into(),
-        cache_hit: v.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
+        cache_hit: v.req_bool("cache_hit")?,
         error: v.get("error").and_then(Json::as_str).map(|e| e.to_owned().into()),
-        queue_wait_us: wire_u64(v, "queue_wait_us")?,
-        samples: wire_u64(v, "samples")?,
+        queue_wait_us: v.req_u64("queue_wait_us")?,
+        samples: v.req_u64("samples")?,
         variance: v.req_f64("variance")?,
         ci_half_width: v.req_f64("ci_half_width")?,
-        preprocess_us: wire_u64(v, "preprocess_us")?,
-        scheme_us: wire_u64(v, "scheme_us")?,
-        total_us: wire_u64(v, "total_us")?,
-        ts_us: wire_u64(v, "ts_us")?,
+        preprocess_us: v.req_u64("preprocess_us")?,
+        scheme_us: v.req_u64("scheme_us")?,
+        total_us: v.req_u64("total_us")?,
+        ts_us: v.req_u64("ts_us")?,
     })
 }
 
@@ -436,19 +436,15 @@ impl WireSlowlogEntry {
         Ok(WireSlowlogEntry {
             request_id: v.req_str("request_id")?.to_owned(),
             error: v.get("error").and_then(Json::as_str).map(str::to_owned),
-            total_us: wire_u64(v, "total_us")?,
-            ts_us: wire_u64(v, "ts_us")?,
-            spans: v.get("spans").cloned().unwrap_or(Json::Arr(Vec::new())),
+            total_us: v.req_u64("total_us")?,
+            ts_us: v.req_u64("ts_us")?,
+            spans: v
+                .get("spans")
+                .filter(|s| s.as_arr().is_some())
+                .cloned()
+                .ok_or_else(|| CqaError::Parse("missing or non-array field 'spans'".into()))?,
         })
     }
-}
-
-/// A required integer field of a digest or slow-log object. A nested fn
-/// (not a closure) so cqa-lint's call graph can see through the call.
-fn wire_u64(v: &Json, key: &str) -> Result<u64> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CqaError::Parse(format!("missing integer field '{key}'")))
 }
 
 /// A server response.
@@ -571,24 +567,13 @@ impl Response {
     /// Parses one protocol line.
     pub fn from_line(line: &str) -> Result<Response> {
         let mut v = Json::parse(line.trim())?;
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| CqaError::Parse("response missing 'ok'".into()))?;
-        if !ok {
+        if !v.req_bool("ok")? {
             let kind = ErrorKind::from_name(v.req_str("error")?)
                 .ok_or_else(|| CqaError::Parse("unknown error kind".into()))?;
-            return Ok(Response::Error {
-                kind,
-                message: v.req_str("message").unwrap_or("").to_owned(),
-            });
+            return Ok(Response::Error { kind, message: v.req_str("message")?.to_owned() });
         }
         if v.get("pong").is_some() {
-            let version = v
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CqaError::Parse("pong missing 'version'".into()))?;
-            return Ok(Response::Pong { version });
+            return Ok(Response::Pong { version: v.req_u64("version")? });
         }
         if let Some(text) = v.get("stats_text") {
             let text =
@@ -604,7 +589,7 @@ impl Response {
         if let Some(rows) = v.get("flight") {
             let rows = rows.as_arr().ok_or_else(|| CqaError::Parse("non-array 'flight'".into()))?;
             let digests = rows.iter().map(digest_from_json).collect::<Result<Vec<_>>>()?;
-            let dropped = v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
+            let dropped = v.req_u64("dropped")?;
             return Ok(Response::Flight { digests, dropped });
         }
         if let Some(rows) = v.get("slowlog") {
@@ -614,13 +599,10 @@ impl Response {
                 rows.iter().map(WireSlowlogEntry::from_json).collect::<Result<Vec<_>>>()?;
             return Ok(Response::Slowlog(entries));
         }
-        let cached = v.get("cached").and_then(Json::as_bool).unwrap_or(false);
+        let cached = v.req_bool("cached")?;
         let preprocess_ms = v.req_f64("preprocess_ms")?;
         let scheme_ms = v.req_f64("scheme_ms")?;
-        let total_samples = v
-            .get("total_samples")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CqaError::Parse("response missing 'total_samples'".into()))?;
+        let total_samples = v.req_u64("total_samples")?;
         // The answers move out of the parsed tree, so no string cell is
         // copied on its way into a `Value`.
         let Some(Json::Arr(rows)) = v.remove("answers") else {
@@ -629,10 +611,7 @@ impl Response {
         let mut answers = Vec::with_capacity(rows.len());
         for mut row in rows {
             let frequency = row.req_f64("frequency")?;
-            let samples = row
-                .get("samples")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CqaError::Parse("answer missing 'samples'".into()))?;
+            let samples = row.req_u64("samples")?;
             let Some(Json::Arr(cells)) = row.remove("tuple") else {
                 return Err(CqaError::Parse("answer missing 'tuple'".into()));
             };
@@ -840,9 +819,8 @@ mod tests {
         assert_eq!(Response::from_line(&trace.to_line()).unwrap(), trace);
     }
 
-    #[test]
-    fn flight_response_roundtrips() {
-        let ok = FlightDigest {
+    fn ok_digest() -> FlightDigest {
+        FlightDigest {
             request_id: "client-abc".into(),
             query_fingerprint: u64::MAX - 3, // past 2^53: must survive
             scheme: "KLM".into(),
@@ -856,7 +834,12 @@ mod tests {
             scheme_us: 1200,
             total_us: 1300,
             ts_us: 99,
-        };
+        }
+    }
+
+    #[test]
+    fn flight_response_roundtrips() {
+        let ok = ok_digest();
         let failed = FlightDigest {
             request_id: "srv-0000000000000001".into(),
             cache_hit: false,
@@ -894,6 +877,65 @@ mod tests {
         // An empty slowlog still parses as a Slowlog, not as bad answers.
         let empty = Response::Slowlog(Vec::new());
         assert_eq!(Response::from_line(&empty.to_line()).unwrap(), empty);
+    }
+
+    /// Deletes `key` from the reply object, or with `within`, from the
+    /// first element of the array under that key.
+    fn delete_key(v: &mut Json, within: Option<&str>, key: &str) {
+        let Json::Obj(top) = v else { panic!("reply is not an object: {v:?}") };
+        let obj = match within {
+            None => top,
+            Some(arr) => match top.get_mut(arr) {
+                Some(Json::Arr(rows)) => match rows.first_mut() {
+                    Some(Json::Obj(row)) => row,
+                    other => panic!("no object in '{arr}': {other:?}"),
+                },
+                other => panic!("no array '{arr}': {other:?}"),
+            },
+        };
+        assert!(obj.remove(key).is_some(), "'{key}' was not written");
+    }
+
+    /// Client and server ship from one tree, so a field the server always
+    /// writes is required on decode: a reply without it is an error that
+    /// names the field, never a default.
+    #[test]
+    fn replies_missing_a_written_field_are_rejected() {
+        let answers = Response::Answers {
+            cached: true,
+            preprocess_ms: 0.5,
+            scheme_ms: 1.0,
+            total_samples: 9,
+            answers: vec![WireAnswer { tuple: vec![Value::Int(1)], frequency: 0.5, samples: 9 }],
+        };
+        let flight = Response::Flight { digests: vec![ok_digest()], dropped: 2 };
+        let slowlog = Response::Slowlog(vec![WireSlowlogEntry {
+            request_id: "slow-1".into(),
+            error: None,
+            total_us: 7,
+            ts_us: 8,
+            spans: Json::Arr(Vec::new()),
+        }]);
+        let error = Response::Error { kind: ErrorKind::Internal, message: "m".into() };
+        let pong = Response::Pong { version: PROTOCOL_VERSION };
+        for (resp, within, key) in [
+            (&answers, None, "cached"),
+            (&answers, None, "total_samples"),
+            (&answers, Some("answers"), "samples"),
+            (&flight, None, "dropped"),
+            (&flight, Some("flight"), "cache_hit"),
+            (&slowlog, Some("slowlog"), "spans"),
+            (&error, None, "message"),
+            (&pong, None, "version"),
+        ] {
+            let line = resp.to_line();
+            assert_eq!(&Response::from_line(&line).unwrap(), resp);
+            let mut v = Json::parse(&line).unwrap();
+            delete_key(&mut v, within, key);
+            let err = Response::from_line(&v.to_string_compact())
+                .expect_err(&format!("decoded a reply without '{key}'"));
+            assert!(err.to_string().contains(&format!("'{key}'")), "{key}: {err}");
+        }
     }
 
     #[test]

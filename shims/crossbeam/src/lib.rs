@@ -1,12 +1,9 @@
-//! Offline shim for the [`crossbeam`](https://docs.rs/crossbeam) channel
-//! API, backed by `std::sync::{Mutex, Condvar}`.
+//! An empty stand-in for the [`crossbeam`](https://docs.rs/crossbeam)
+//! crate.
 //!
-//! The build container has no crates-io mirror, so the workspace vendors
-//! the subset it uses: multi-producer multi-consumer channels, bounded and
-//! unbounded, with blocking, non-blocking, and timed receives. Performance
-//! is adequate for the workloads here (coarse work items, not per-message
-//! microbenchmarks); semantics match crossbeam where exercised.
-
-#![forbid(unsafe_code)]
-
-pub mod channel;
+//! Nothing in the workspace uses it: ordered parallel work goes through
+//! `cqa_common::par_map`, and the server admits queries through its own
+//! permit gate. The package stays only because `perfbench/Cargo.lock`, the
+//! repository benchmark's lock file, still lists it under `cqa-scenarios`
+//! and `cqa-server`; dropping the dependency would rewrite that lock. It
+//! goes together with those lock entries.

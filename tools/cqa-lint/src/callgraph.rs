@@ -247,9 +247,9 @@ impl<'a> Graph<'a> {
         }
         // Thread-blocking candidates (pre-filtered by shape in the parser).
         // A receiver resolving to a workspace method of the same name is an
-        // ordinary call; everything else — std (`JoinHandle::join`), a
-        // vendored crate (crossbeam's `Receiver::recv`), or an unresolvable
-        // receiver — really blocks.
+        // ordinary call; everything else — std (`JoinHandle::join`,
+        // `mpsc::Receiver::recv`), a crate outside the workspace, or an
+        // unresolvable receiver — really blocks.
         for call in &f.blocking_sites {
             match call {
                 Call::Method { name, recv, line } => {
