@@ -44,6 +44,7 @@ cqa_common::name_enum! {
         ServerThroughputRps = "server/throughput_rps",
         SynopsisBuildJ1Ns = "synopsis/build_j1_ns",
         SynopsisBuildJ3Ns = "synopsis/build_j3_ns",
+        SynopsisBuildMissNs = "synopsis/build_miss_ns",
     }
 }
 

@@ -38,11 +38,10 @@ pub struct MeasureOpts {
     pub min_repeats: u32,
 }
 
-/// Robust summary of a sample vector.
+/// Robust summary of a sample vector: what [`crate::schema::bench_series`]
+/// records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
-    /// Median of the surviving samples.
-    pub median: f64,
     /// Median absolute deviation of the surviving samples (unscaled).
     pub mad: f64,
     /// Minimum surviving sample.
@@ -51,8 +50,6 @@ pub struct Summary {
     pub max: f64,
     /// Surviving sample count.
     pub count: u64,
-    /// Samples rejected as outliers.
-    pub rejected: u64,
 }
 
 impl Summary {
@@ -60,7 +57,7 @@ impl Summary {
     /// input yields an all-zero summary (a suite that produced nothing).
     pub fn from_samples(samples: &[f64]) -> Summary {
         if samples.is_empty() {
-            return Summary { median: 0.0, mad: 0.0, min: 0.0, max: 0.0, count: 0, rejected: 0 };
+            return Summary { mad: 0.0, min: 0.0, max: 0.0, count: 0 };
         }
         let med = median(samples);
         let spread = mad(samples, med);
@@ -70,21 +67,12 @@ impl Summary {
         } else {
             samples.to_vec()
         };
-        let med2 = median(&kept);
-        let mad2 = mad(&kept, med2);
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &x in &kept {
             lo = lo.min(x);
             hi = hi.max(x);
         }
-        Summary {
-            median: med2,
-            mad: mad2,
-            min: lo,
-            max: hi,
-            count: kept.len() as u64,
-            rejected: (samples.len() - kept.len()) as u64,
-        }
+        Summary { mad: mad(&kept, median(&kept)), min: lo, max: hi, count: kept.len() as u64 }
     }
 }
 
@@ -158,10 +146,9 @@ mod tests {
     #[test]
     fn summary_is_deterministic_on_fixed_samples() {
         let s = Summary::from_samples(&[10.0, 11.0, 9.0, 10.5, 10.0]);
-        assert_eq!(s.median, 10.0);
         assert_eq!(s.mad, 0.5);
+        assert_eq!((s.min, s.max), (9.0, 11.0));
         assert_eq!(s.count, 5);
-        assert_eq!(s.rejected, 0);
         assert_eq!(s, Summary::from_samples(&[10.0, 11.0, 9.0, 10.5, 10.0]));
     }
 
@@ -169,17 +156,16 @@ mod tests {
     fn gross_outlier_is_rejected() {
         // A preempted run 50× the median must not drag the summary.
         let s = Summary::from_samples(&[10.0, 10.2, 9.8, 10.1, 9.9, 500.0]);
-        assert_eq!(s.rejected, 1);
-        assert!(s.median < 11.0, "median {} should ignore the outlier", s.median);
-        assert!(s.max < 11.0);
+        assert_eq!(s.count, 5);
+        assert_eq!(s.max, 10.2, "max {} should ignore the outlier", s.max);
+        assert!(s.mad < 1.0, "mad {} should ignore the outlier", s.mad);
     }
 
     #[test]
     fn zero_mad_keeps_everything() {
         let s = Summary::from_samples(&[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(s.count, 4);
-        assert_eq!(s.rejected, 0);
-        assert_eq!(s.median, 5.0);
+        assert_eq!((s.min, s.max), (5.0, 5.0));
         assert_eq!(s.mad, 0.0);
     }
 

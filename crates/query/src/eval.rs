@@ -24,11 +24,15 @@
 //! partial binding, only per plan step and per homomorphism the caller
 //! materializes.
 //!
-//! Two things keep a candidate that leads nowhere cheap; almost every
-//! candidate is one. **Deferred binds:** a step writes into the binding
-//! only the variables a key two or more steps below reads. The next step's
-//! key reads the parent row directly, and every other variable is filled
-//! at emission from the rows in `facts`. **Lookahead:** `Engine::step`
+//! Three things keep a candidate that leads nowhere cheap; almost every
+//! candidate is one. **Filtered probes:** a lookup of a key the index does
+//! not hold, which is most lookups on a plan that meets its selective
+//! constant late, usually stops at the index's Bloom filter, a few bytes
+//! per key that stay in cache, before its slot table. **Deferred binds:**
+//! a step writes into the binding only the variables a key two or more
+//! steps below reads. The next step's key reads the parent row directly,
+//! and every other variable is filled at emission from the rows in
+//! `facts`. **Lookahead:** `Engine::step`
 //! walks its candidate slice in chunks of `LOOKAHEAD` rows. For each chunk
 //! it first reads the columns the child key takes from every row, then
 //! checks every row and resolves the row's child lookup, and only then do
@@ -36,12 +40,12 @@
 //! lookups of a chunk do not depend on each other, so their cache misses
 //! overlap instead of running one after another.
 //!
-//! Neither changes the emission order: rows still descend in slice order,
-//! depth first, and each homomorphism is handed over with the same binding
-//! and facts, because a deferred variable's value is a function of the
-//! rows in `facts`. The lookahead only moves row and index reads earlier.
-//! The `work` counter and its deadline poll still count candidates in
-//! descent order.
+//! None changes the emission order: a filtered probe returns the same
+//! (empty) slice, rows still descend in slice order, depth first, and each
+//! homomorphism is handed over with the same binding and facts, because a
+//! deferred variable's value is a function of the rows in `facts`. The
+//! lookahead only moves row and index reads earlier. The `work` counter
+//! and its deadline poll still count candidates in descent order.
 //!
 //! **Why the plan is frozen.** The synopsis encoding, the noise generator
 //! and every seeded answer downstream consume homomorphisms in emission

@@ -1,6 +1,6 @@
-//! Property test: the flat [`PosIndex`] answers every lookup exactly like a
+//! Property tests: the flat [`PosIndex`] answers every lookup exactly like a
 //! reference `HashMap<Vec<Datum>, Vec<u32>>` index and like a filter over
-//! the table.
+//! the table, and its Bloom filter never drops a present key.
 //!
 //! Rows are inserted as raw datums, so one column mixes `Datum::Int(n)` and
 //! `Datum::Str(StrId(n))` with the same payloads: a lookup must never
@@ -86,6 +86,30 @@ proptest! {
             prop_assert_eq!(got, filtered.as_slice());
             prop_assert_eq!(got, reference.get(&key).map_or(&[][..], |v| v.as_slice()));
             prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+        }
+    }
+
+    /// Wide values give hundreds of distinct keys, so the index's filter
+    /// spans many words, and random probes are mostly absent keys.
+    #[test]
+    fn filtered_lookups_agree_with_a_table_scan(
+        rows in prop::collection::vec(prop::collection::vec(0i64..4000, 3), 0..400),
+        probes in prop::collection::vec(prop::collection::vec(0i64..4000, 3), 64),
+        which in 0usize..9,
+    ) {
+        let cols = COLUMN_SETS[which];
+        let db = database(&rows);
+        let table = db.table(RelId(0));
+        let project = |row: &[Datum]| -> Vec<Datum> {
+            cols.iter().map(|&c| row[c as usize]).collect()
+        };
+        let ix = db.index(RelId(0), cols);
+        let probes = probes.iter().map(|p| p.iter().map(|&c| datum(c)).collect::<Vec<_>>());
+        let present = (0..table.len() as u32).map(|r| table.row(r).to_vec());
+        for key in probes.chain(present).map(|row| project(&row)) {
+            let scanned: Vec<u32> =
+                (0..table.len() as u32).filter(|&r| project(table.row(r)) == key).collect();
+            prop_assert_eq!(ix.get(&key), scanned.as_slice());
         }
     }
 }
