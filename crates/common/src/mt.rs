@@ -192,7 +192,9 @@ impl Mt64 {
     /// A uniform integer in `0..n` for the `n` that `b` was prepared from:
     /// exactly [`Self::below`]`(n)`, drawing the same outputs, with the
     /// rejection zone computed once by [`Below::new`] instead of on every
-    /// call. Always inlined: samplers call it once per block per sample.
+    /// call. Always inlined: the alias table's column draw and Cover's
+    /// probe call it once per sample. (The sampling kernel draws its blocks
+    /// from 16-bit lanes of [`Self::next_u64`] instead, four to an output.)
     #[inline(always)]
     pub fn below_with(&mut self, b: &Below) -> u64 {
         // Only powers of two accept every output.
@@ -263,8 +265,9 @@ impl Mt64 {
 /// A divisor prepared for repeated [`Mt64::below_with`] draws.
 ///
 /// [`Mt64::below`] derives its rejection zone, the largest multiple of `n`
-/// that fits in a `u64`, with two divisions per call. A sampler draws from
-/// the same few block sizes millions of times, so it prepares each once.
+/// that fits in a `u64`, with two divisions per call. An alias table draws
+/// its column, and Cover its probe, from one `n` millions of times, so each
+/// prepares it once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Below {
     n: u64,

@@ -27,30 +27,71 @@ fn admissible_pair() -> impl Strategy<Value = AdmissiblePair> {
 }
 
 /// Strategy: an admissible pair in the shapes the sampling kernel treats
-/// specially — several one-fact blocks (block 0 always is one), images
-/// sharing facts (tids lean to 0), and with probability ½ an image
-/// that lies only on one-fact blocks and so is contained in every database.
+/// specially; see [`kernel_pair_from_seed`].
 fn kernel_pair() -> impl Strategy<Value = AdmissiblePair> {
-    proptest::num::u64::ANY.prop_map(|seed| {
-        let mut rng = Mt64::new(seed);
-        let nblocks = 2 + rng.index(6);
-        let sizes: Vec<u32> =
-            (0..nblocks).map(|b| if b == 0 { 1 } else { [1, 1, 2, 3, 5][rng.index(5)] }).collect();
-        let mut images: Vec<Vec<(u32, u32)>> = (0..1 + rng.index(10))
-            .map(|_| {
-                let natoms = 1 + rng.index(nblocks.min(3));
-                rng.sample_indices(nblocks, natoms)
-                    .into_iter()
-                    .map(|b| (b as u32, rng.below(u64::from(sizes[b].min(2))) as u32))
-                    .collect()
+    proptest::num::u64::ANY.prop_map(kernel_pair_from_seed)
+}
+
+/// An admissible pair with several one-fact blocks (block 0 always is
+/// one), images sharing facts (tids lean to 0), and with probability ½ an
+/// image that lies only on one-fact blocks and so is contained in every
+/// database. One small pair in eight has only one-fact blocks, so that no
+/// image has an atom the kernel keeps. Half the pairs are wide: 65–200
+/// images over 8–15 blocks, so that the kernel's bit masks span several
+/// 64-image words and end in a partial one, and blocks of 40 facts whose
+/// tids spread out, so that a word's masks of one block are cut into
+/// several runs.
+fn kernel_pair_from_seed(seed: u64) -> AdmissiblePair {
+    let mut rng = Mt64::new(seed);
+    let wide = rng.bernoulli(0.5);
+    let trivial = !wide && rng.bernoulli(0.125);
+    let nblocks = if wide { 8 + rng.index(8) } else { 2 + rng.index(6) };
+    let sizes: Vec<u32> = (0..nblocks)
+        .map(|b| match (b, trivial, wide) {
+            (0, ..) | (_, true, _) => 1,
+            (_, _, false) => [1, 1, 2, 3, 5][rng.index(5)],
+            (_, _, true) => [1, 1, 2, 3, 5, 40][rng.index(6)],
+        })
+        .collect();
+    let target = if wide { 65 + rng.index(136) } else { 1 + rng.index(10) };
+    let mut images = std::collections::BTreeSet::new();
+    // Few blocks of more than one fact admit fewer distinct images than
+    // the target; the attempts are bounded, so such a pair keeps fewer.
+    for _ in 0..20 * target {
+        if images.len() == target {
+            break;
+        }
+        let natoms = 1 + rng.index(nblocks.min(3));
+        let mut image: Vec<(u32, u32)> = rng
+            .sample_indices(nblocks, natoms)
+            .into_iter()
+            .map(|b| {
+                let spread = if sizes[b] == 40 { 40 } else { sizes[b].min(2) };
+                (b as u32, rng.below(u64::from(spread)) as u32)
             })
             .collect();
-        if rng.bernoulli(0.5) {
-            let ones = (0..nblocks as u32).filter(|&b| sizes[b as usize] == 1);
-            images.push(ones.take(1 + rng.index(2)).map(|b| (b, 0)).collect());
-        }
-        AdmissiblePair::new(images, sizes).expect("construction is valid by design")
-    })
+        image.sort_unstable();
+        images.insert(image);
+    }
+    if rng.bernoulli(0.5) {
+        let ones = (0..nblocks as u32).filter(|&b| sizes[b as usize] == 1);
+        images.insert(ones.take(1 + rng.index(2)).map(|b| (b, 0)).collect());
+    }
+    AdmissiblePair::new(images.into_iter().collect(), sizes)
+        .expect("construction is valid by design")
+}
+
+/// The kernel strategy reaches every mask shape: one word, a full word
+/// with a partial second, three words or more, and a pair without a
+/// block of more than one fact.
+#[test]
+fn kernel_pairs_span_several_words() {
+    let pairs: Vec<AdmissiblePair> = (0..64).map(kernel_pair_from_seed).collect();
+    let sizes: Vec<usize> = pairs.iter().map(AdmissiblePair::num_images).collect();
+    assert!(sizes.iter().any(|&h| h <= 64), "{sizes:?}");
+    assert!(sizes.iter().any(|&h| (65..128).contains(&h)), "{sizes:?}");
+    assert!(sizes.iter().any(|&h| h > 128), "{sizes:?}");
+    assert!(pairs.iter().any(|p| p.block_sizes().iter().all(|&s| s == 1)));
 }
 
 /// Whether `below_with(&Below::new(n))` and `below(n)` agree on 8 draws
@@ -185,7 +226,10 @@ proptest! {
             }
             prop_assert_eq!(kernel.any_contained(&chosen), hit.contains(&true));
             prop_assert_eq!(kernel.count_contained(&chosen), hit.iter().filter(|&&c| c).count());
-            for i in 0..=h {
+            // Every `i` of a small pair; of a wide one, the word edges and
+            // every seventh.
+            let edges = [1, 63, 64, 65, 127, 128, 129, h - 1, h];
+            for i in (0..=h).filter(|i| h <= 66 || i % 7 == 0 || edges.contains(i)) {
                 prop_assert_eq!(kernel.contained_before(i, &chosen), hit[..i].contains(&true));
             }
             for (j, &c) in hit.iter().enumerate() {
