@@ -55,14 +55,14 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Json {
     Json::Arr(rows)
 }
 
-/// Snapshots the global ring and serializes it as Chrome trace JSON.
+/// Snapshots the trace log and serializes it as Chrome trace JSON.
 pub fn chrome_trace_string() -> String {
     let (events, _) = snapshot();
     chrome_trace(&events).to_string_compact()
 }
 
-/// Snapshots the global ring and streams Chrome trace JSON to `path`
-/// (a full ring runs to megabytes, so the text is never materialized).
+/// Snapshots the trace log and streams Chrome trace JSON to `path`
+/// (a full log runs to megabytes, so the text is never materialized).
 /// Returns the number of events written.
 pub fn write_chrome_trace(path: &Path) -> std::io::Result<usize> {
     let (events, _) = snapshot();
@@ -124,7 +124,7 @@ pub fn flat_profile(events: &[TraceEvent], dropped: u64) -> String {
     out
 }
 
-/// Snapshots the global ring and renders the flat profile.
+/// Snapshots the trace log and renders the flat profile.
 pub fn flat_profile_string() -> String {
     let (events, dropped) = snapshot();
     flat_profile(&events, dropped)

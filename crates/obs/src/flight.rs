@@ -2,44 +2,34 @@
 //!
 //! Three pieces, all process-global:
 //!
-//! 1. **The digest ring** — a fixed-capacity lock-free ring of
+//! 1. **The digest log** — the newest [`DEFAULT_CAPACITY`]
 //!    [`FlightDigest`]s, one per completed server request: request id,
 //!    canonical query fingerprint, cache hit/miss, queue wait, sample
 //!    count, the estimator's CI half-width at termination, and the latency
-//!    breakdown. It is the trace buffer's ring (`ring.rs`) with 18-word
-//!    slots: a ticket via `fetch_add`, a forward-only claim that drops
-//!    the digest when a wrapped writer holds the slot, and readers that
-//!    skip torn slots — so recording a digest is a handful of plain
-//!    atomic stores and never blocks. On wrap the oldest digests are
-//!    overwritten; snapshots report how many.
-//! 2. **The slow/error log** — a small bounded log of [`SlowlogEntry`]s
-//!    that tail-samples the *full span tree* (captured per request via
-//!    [`crate::trace::begin_capture`]) of requests that exceeded a latency
-//!    threshold or returned a structured error. This is the expensive,
-//!    rare path, so a mutex-guarded deque is fine here.
+//!    breakdown. On overflow the oldest digests are evicted; snapshots
+//!    report how many.
+//! 2. **The slow/error log** — the newest [`SLOWLOG_CAPACITY`]
+//!    [`SlowlogEntry`]s, each the *full span tree* (captured per request
+//!    via [`crate::trace::begin_capture`]) of a request that exceeded a
+//!    latency threshold or returned a structured error.
 //! 3. **The request scope** — [`begin_request`]/[`end_request`] bracket
 //!    one request's execution on the thread that runs it and capture its
 //!    spans for the slow/error log.
 //!
-//! Unlike tracing, the recorder is **always on**: digests are integer
-//! stores into pre-allocated slots, cheap enough for every request, and
-//! its cost is inside every `cqa-perf` `server/*` series.
+//! Both logs are the trace buffer's bounded log (`bounded.rs`), holding
+//! each record as it is. Unlike tracing, the recorder is **always on**: a
+//! digest is one short locked push per request, and its cost is inside
+//! every `cqa-perf` `server/*` series.
 
-use crate::ring::Ring;
+use crate::bounded::BoundedLog;
 use crate::trace::{self, TraceEvent};
+use cqa_common::Json;
 use std::borrow::Cow;
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Digest-ring capacity in requests.
+/// Digest-log capacity in requests.
 pub const DEFAULT_CAPACITY: usize = 1 << 10;
 
-/// Longest request id retained in a digest slot; longer client-supplied
-/// ids are rejected at the protocol layer, so truncation never happens in
-/// practice.
-pub const MAX_REQUEST_ID_BYTES: usize = 32;
-
-/// Bounded slow/error-log length (oldest entries fall off).
+/// Slow/error-log capacity in entries.
 pub const SLOWLOG_CAPACITY: usize = 64;
 
 /// Spans captured per request for the slow/error log's span tree.
@@ -73,26 +63,24 @@ pub fn take_request_spans() -> Vec<TraceEvent> {
 }
 
 // ---------------------------------------------------------------------------
-// The digest ring
+// The digest log
 // ---------------------------------------------------------------------------
 
-/// One completed request, compressed to fixed-width fields. It is also
-/// the wire form of `debug flight`: each field is named after its wire key,
-/// except the fingerprint, which rides as the 16-hex-digit `query_fp`.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed request. It is also the wire form of `debug flight`: each
+/// field is named after its wire key, except the fingerprint, which rides
+/// as the 16-hex-digit `query_fp`. A new field is declared here and in the
+/// protocol's digest codec, nowhere else.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightDigest {
-    /// Client-supplied or server-generated request id (≤
-    /// [`MAX_REQUEST_ID_BYTES`] bytes survive the ring).
+    /// Client-supplied or server-generated request id.
     pub request_id: String,
     /// Canonical query fingerprint (0 when the query never parsed).
     pub query_fingerprint: u64,
-    /// Scheme display name (`"Natural"`, `"KL"`, `"KLM"`, `"Cover"`); the
-    /// ring keeps its first 8 bytes.
+    /// Scheme display name (`"Natural"`, `"KL"`, `"KLM"`, `"Cover"`).
     pub scheme: Cow<'static, str>,
     /// Did the synopsis come from the cache?
     pub cache_hit: bool,
-    /// Structured error kind name for failed requests; the ring keeps its
-    /// first 24 bytes.
+    /// Structured error kind name for failed requests.
     pub error: Option<Cow<'static, str>>,
     /// Time spent queued before a worker picked the request up,
     /// microseconds.
@@ -114,164 +102,97 @@ pub struct FlightDigest {
     pub ts_us: u64,
 }
 
-/// A digest is 18 ring words: the request id (4), the query fingerprint,
-/// the scheme name (1), the error name (3), flags (bit 0 = cache hit,
-/// bit 1 = error present), then the eight timing and estimator-telemetry fields.
-/// Names ride as NUL-padded bytes, like the request id.
-const DIGEST_WORDS: usize = 18;
+static DIGESTS: BoundedLog<FlightDigest> = BoundedLog::new(DEFAULT_CAPACITY);
 
-fn ring() -> &'static Ring<DIGEST_WORDS> {
-    static RING: OnceLock<Ring<DIGEST_WORDS>> = OnceLock::new();
-    RING.get_or_init(|| Ring::new(DEFAULT_CAPACITY))
-}
-
-/// Packs the first `8 * N` bytes of `s` into `N` little-endian words,
-/// NUL-padded.
-fn str_words<const N: usize>(s: &str) -> [u64; N] {
-    let mut words = [0u64; N];
-    for (i, b) in s.as_bytes().iter().take(8 * N).enumerate() {
-        words[i / 8] |= u64::from(*b) << ((i % 8) * 8);
-    }
-    words
-}
-
-fn words_str(words: &[u64]) -> String {
-    let mut bytes = Vec::with_capacity(8 * words.len());
-    'outer: for &w in words {
-        for k in 0..8 {
-            let b = ((w >> (k * 8)) & 0xff) as u8;
-            if b == 0 {
-                break 'outer;
-            }
-            bytes.push(b);
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// Records one request digest into the ring. Wait-free: the shared ring's
-/// claim-or-drop publication, no loops.
-pub fn record(d: &FlightDigest) {
-    let [i0, i1, i2, i3] = str_words(&d.request_id);
-    let [scheme] = str_words(&d.scheme);
-    let [e0, e1, e2] = str_words(d.error.as_deref().unwrap_or(""));
-    let flags = u64::from(d.cache_hit) | (u64::from(d.error.is_some()) << 1);
-    ring().push([
-        i0,
-        i1,
-        i2,
-        i3,
-        d.query_fingerprint,
-        scheme,
-        e0,
-        e1,
-        e2,
-        flags,
-        d.queue_wait_us,
-        d.samples,
-        d.variance.to_bits(),
-        d.ci_half_width.to_bits(),
-        d.preprocess_us,
-        d.scheme_us,
-        d.total_us,
-        d.ts_us,
-    ]);
-}
-
-fn unpack(w: [u64; DIGEST_WORDS]) -> FlightDigest {
-    let [i0, i1, i2, i3, fp, scheme, e0, e1, e2, flags, wait, samples, var, ci, pre, sch, total, ts] =
-        w;
-    FlightDigest {
-        request_id: words_str(&[i0, i1, i2, i3]),
-        query_fingerprint: fp,
-        scheme: Cow::Owned(words_str(&[scheme])),
-        cache_hit: flags & 1 != 0,
-        error: (flags & 2 != 0).then(|| Cow::Owned(words_str(&[e0, e1, e2]))),
-        queue_wait_us: wait,
-        samples,
-        variance: f64::from_bits(var),
-        ci_half_width: f64::from_bits(ci),
-        preprocess_us: pre,
-        scheme_us: sch,
-        total_us: total,
-        ts_us: ts,
-    }
+/// Records one request digest, evicting the oldest past
+/// [`DEFAULT_CAPACITY`].
+pub fn record(digest: FlightDigest) {
+    DIGESTS.push(digest);
 }
 
 /// Digests recorded so far (completion-timestamp order) and how many were
-/// overwritten by ring wrap. Torn slots (a writer was mid-publish) are
-/// skipped.
+/// evicted past capacity.
 pub fn snapshot() -> (Vec<FlightDigest>, u64) {
-    let (slots, dropped) = ring().snapshot();
-    let mut digests = Vec::with_capacity(slots.len());
-    for words in slots {
-        digests.push(unpack(words));
-    }
+    let (mut digests, dropped) = DIGESTS.snapshot();
     digests.sort_by_key(|d| d.ts_us);
     (digests, dropped)
 }
 
-/// Digests lost to ring wrap so far — [`snapshot`]'s `dropped` without
-/// building the snapshot. One atomic load, cheap enough for `stats`.
+/// Digests evicted so far — [`snapshot`]'s `dropped` without building the
+/// snapshot, cheap enough for `stats`.
 pub fn dropped_count() -> u64 {
-    ring().dropped()
+    DIGESTS.dropped()
 }
 
-/// Empties the digest ring (tests; callers must ensure no concurrent
-/// writers, as with [`crate::trace::clear`]).
+/// Empties the digest log (tests).
 pub fn clear() {
-    ring().clear();
+    DIGESTS.clear();
 }
 
 // ---------------------------------------------------------------------------
 // The slow/error log
 // ---------------------------------------------------------------------------
 
-/// One tail-sampled request: its identity plus the full captured span
-/// tree.
-#[derive(Debug, Clone)]
+/// One tail-sampled request: its identity plus its span tree, rendered
+/// once when it is recorded. It is also the wire form of `debug slowlog`:
+/// each field is named after its wire key.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlowlogEntry {
     /// The request's id.
     pub request_id: String,
     /// Structured error kind name, when the request failed.
-    pub error: Option<&'static str>,
-    /// Admission-to-reply wall time.
-    pub total_micros: u64,
+    pub error: Option<Cow<'static, str>>,
+    /// Admission-to-reply wall time, microseconds.
+    pub total_us: u64,
     /// Completion timestamp, microseconds since the trace epoch.
-    pub ts_micros: u64,
-    /// The request's span tree (timestamp order; depth reconstructs
-    /// nesting).
-    pub spans: Vec<TraceEvent>,
+    pub ts_us: u64,
+    /// The span tree as a JSON array ([`span_tree_json`]), timestamp
+    /// order; `depth` reconstructs nesting.
+    pub spans: Json,
 }
 
-fn slowlog() -> &'static Mutex<VecDeque<SlowlogEntry>> {
-    static LOG: OnceLock<Mutex<VecDeque<SlowlogEntry>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(VecDeque::new()))
+/// Renders a captured span tree for a [`SlowlogEntry`]: one object of
+/// name, depth, timings and arguments per event.
+pub fn span_tree_json(events: &[TraceEvent]) -> Json {
+    Json::Arr(
+        events
+            .iter()
+            .map(|ev| {
+                Json::obj([
+                    ("name", Json::str(ev.name)),
+                    ("depth", Json::from(u64::from(ev.depth))),
+                    ("ts_us", Json::from(ev.ts_micros)),
+                    ("dur_us", Json::from(ev.dur_micros)),
+                    ("self_us", Json::from(ev.self_micros)),
+                    ("a0", Json::from(ev.a0)),
+                    ("a1", Json::from(ev.a1)),
+                ])
+            })
+            .collect(),
+    )
 }
+
+static SLOWLOG: BoundedLog<SlowlogEntry> = BoundedLog::new(SLOWLOG_CAPACITY);
 
 /// Appends to the slow/error log, evicting the oldest entry past
 /// [`SLOWLOG_CAPACITY`].
 pub fn slowlog_record(entry: SlowlogEntry) {
-    let mut log = slowlog().lock().unwrap_or_else(PoisonError::into_inner);
-    if log.len() >= SLOWLOG_CAPACITY {
-        log.pop_front();
-    }
-    log.push_back(entry);
+    SLOWLOG.push(entry);
 }
 
 /// The current slow/error-log contents, oldest first.
 pub fn slowlog_snapshot() -> Vec<SlowlogEntry> {
-    slowlog().lock().unwrap_or_else(PoisonError::into_inner).iter().cloned().collect()
+    SLOWLOG.snapshot().0
 }
 
 /// The current slow/error-log length, without cloning the entries.
 pub fn slowlog_len() -> usize {
-    slowlog().lock().unwrap_or_else(PoisonError::into_inner).len()
+    SLOWLOG.len()
 }
 
 /// Empties the slow/error log (tests).
 pub fn slowlog_clear() {
-    slowlog().lock().unwrap_or_else(PoisonError::into_inner).clear();
+    SLOWLOG.clear();
 }
 
 #[cfg(test)]
@@ -296,38 +217,53 @@ mod tests {
         }
     }
 
-    /// The ring is process-global; exercise record/snapshot/clear from one
-    /// test to avoid cross-test interference.
+    /// The digest log is process-global; exercise record/snapshot/clear
+    /// from one test to avoid cross-test interference.
     #[test]
-    fn digest_ring_roundtrip_and_wrap() {
+    fn digest_log_roundtrip_threads_and_eviction() {
         clear();
-        record(&digest("client-abc", 10));
-        record(&FlightDigest {
+        record(digest("client-abc", 10));
+        let failed = FlightDigest {
             error: Some("deadline_exceeded".into()),
             cache_hit: false,
             ..digest("srv-0000000000000001", 20)
+        };
+        record(failed.clone());
+        assert_eq!(snapshot(), (vec![digest("client-abc", 10), failed], 0));
+
+        // Four threads of 250 pushes each, released together, fill the
+        // 1024-slot log without losing one, and the snapshot is in
+        // timestamp order.
+        clear();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..250 {
+                        record(digest(&format!("t{t}-{i}"), crate::now_micros()));
+                    }
+                });
+            }
         });
         let (got, dropped) = snapshot();
-        assert_eq!(dropped, 0);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], digest("client-abc", 10));
-        assert_eq!(got[1].error.as_deref(), Some("deadline_exceeded"));
-        assert!(!got[1].cache_hit);
+        assert_eq!((got.len(), dropped), (1000, 0));
+        assert!(got.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
+        let mut ids: Vec<&str> = got.iter().map(|d| d.request_id.as_str()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 1000, "every pushed digest is kept");
 
-        // Long ids keep their first MAX_REQUEST_ID_BYTES bytes.
-        let long = "x".repeat(MAX_REQUEST_ID_BYTES + 9);
-        record(&digest(&long, 30));
-        let (got, _) = snapshot();
-        assert_eq!(got.last().unwrap().request_id, "x".repeat(MAX_REQUEST_ID_BYTES));
-
-        // Wrap: capacity + extra records drop the oldest.
+        // Past capacity the oldest go first, each one counted.
         clear();
         for i in 0..(DEFAULT_CAPACITY as u64 + 5) {
-            record(&digest("wrap", i));
+            record(digest("wrap", i));
         }
         let (got, dropped) = snapshot();
-        assert_eq!(got.len(), DEFAULT_CAPACITY);
-        assert_eq!(dropped, 5);
+        assert_eq!((got.len(), dropped, dropped_count()), (DEFAULT_CAPACITY, 5, 5));
+        assert_eq!(got.first().map(|d| d.ts_us), Some(5));
+        clear();
     }
 
     #[test]
@@ -350,9 +286,9 @@ mod tests {
             slowlog_record(SlowlogEntry {
                 request_id: format!("slow-{i}"),
                 error: None,
-                total_micros: 1000 + i,
-                ts_micros: i,
-                spans: Vec::new(),
+                total_us: 1000 + i,
+                ts_us: i,
+                spans: span_tree_json(&[]),
             });
         }
         let log = slowlog_snapshot();
@@ -361,14 +297,5 @@ mod tests {
         assert_eq!(log.last().unwrap().request_id, format!("slow-{}", SLOWLOG_CAPACITY + 2));
         slowlog_clear();
         assert!(slowlog_snapshot().is_empty());
-    }
-
-    #[test]
-    fn str_words_roundtrip() {
-        for id in ["", "a", "exactly-8", "a-much-longer-request-id-string!"] {
-            assert_eq!(words_str(&str_words::<4>(id)), *id);
-        }
-        assert_eq!(words_str(&str_words::<1>("Natural")), "Natural");
-        assert_eq!(words_str(&str_words::<1>("truncated")), "truncate");
     }
 }

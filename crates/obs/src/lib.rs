@@ -6,20 +6,23 @@
 //! * **Tracing** ([`trace`]): RAII [`span`]s and instant events
 //!   ([`instant_args`]), each named by a [`Span`] variant, with
 //!   monotonic microsecond timestamps, thread-local span stacks (for depth
-//!   and self-time attribution), and a lock-free bounded ring buffer. Off
-//!   by default; instrumented code pays one relaxed atomic load until
+//!   and self-time attribution), and a bounded event log. Off by default;
+//!   instrumented code pays one relaxed atomic load until
 //!   [`set_enabled`]`(true)`.
-//! * **Export** ([`export`]): the recorded ring renders as Chrome
+//! * **Export** ([`export`]): the recorded log renders as Chrome
 //!   `trace_event` JSON (open in `chrome://tracing` or Perfetto) or as a
 //!   terminal flat profile sorted by self time.
 //! * **Metrics** ([`metrics`]): lock-free [`Counter`], [`Gauge`] and log₂
 //!   latency [`Histogram`] handles. They carry no names; `cqa-server`
 //!   owns one set per instance and renders it, with the values it reads
 //!   from the cache and the flight recorder, as JSON or Prometheus text.
-//! * **Flight recorder** ([`flight`]): always-on per-request digests in
-//!   the same lock-free ring type the trace buffer uses and a
+//! * **Flight recorder** ([`flight`]): always-on per-request digests and a
 //!   tail-sampled slow/error log of full span trees, served live by
 //!   `cqa-server`'s `debug flight` / `debug slowlog` commands.
+//!
+//! The trace events, the digests and the slow/error entries are three
+//! logs of one type: the newest N records under a mutex, the oldest
+//! evicted first and counted.
 //!
 //! ```
 //! use cqa_obs::Span;
@@ -45,11 +48,11 @@
     clippy::allow_attributes_without_reason
 )]
 
+mod bounded;
 pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod names;
-mod ring;
 pub mod trace;
 
 pub use export::{chrome_trace_string, flat_profile_string, write_chrome_trace};

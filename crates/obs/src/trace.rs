@@ -1,5 +1,5 @@
 //! Span/event tracing: thread-local span stacks, monotonic timestamps, and
-//! a lock-free bounded ring buffer of events.
+//! a bounded log of events.
 //!
 //! The design goals, in order:
 //!
@@ -7,31 +7,26 @@
 //!    relaxed load of a global [`AtomicBool`]; nothing else happens while
 //!    tracing is off, so instrumented hot paths (the sampler loops, the
 //!    synopsis builder) pay a single predictable branch.
-//! 2. **No locks on the hot path when enabled.** Events land in a global
-//!    bounded ring of atomic slots, the one ring (`ring.rs`) the flight
-//!    recorder also uses: a writer takes a ticket with one `fetch_add`,
-//!    claims its slot with one forward-only compare-exchange (or drops
-//!    the event when a wrapped writer holds it), and publishes through
-//!    the slot's sequence word, so recording is wait-free and readers
-//!    skip torn slots — expressed entirely in safe Rust because every
-//!    word of a slot is itself an atomic.
-//! 3. **Integer-only events.** A span's name is a [`Span`], and its id
-//!    in the ring is the enum discriminant, so a recorded event is seven
-//!    integer payload words, one 64-byte slot with its sequence word.
+//! 2. **Per phase, not per sample.** Spans mark phases (a synopsis build,
+//!    a stopping rule, a request stage), so an enabled trace records a
+//!    handful of events per request, and one mutex-guarded bounded log
+//!    (`bounded.rs`, the flight recorder's log type) holds them all.
+//! 3. **Integer-only events.** A span's name is a [`Span`], and a recorded
+//!    [`TraceEvent`] is that name plus integers, stored as it is.
 //!
-//! When the ring wraps, the oldest events are overwritten; the exporter
+//! When the log is full, the oldest events are evicted; the exporter
 //! reports how many were dropped. Timestamps are microseconds since a
 //! process-wide epoch captured on first use, which is exactly the clock
 //! Chrome's `trace_event` format wants.
 
+use crate::bounded::BoundedLog;
 use crate::names::Span;
-use crate::ring::Ring;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Default ring capacity in events (~4 MiB resident once touched).
+/// Trace-log capacity in events (~4 MiB once full).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -44,7 +39,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turns tracing on or off process-wide. Spans opened while disabled stay
-/// no-ops; a span opened while enabled records to the ring on drop only if
+/// no-ops; a span opened while enabled records to the log on drop only if
 /// tracing is still enabled then (it may still land in an open request
 /// capture — see [`begin_capture`]).
 pub fn set_enabled(on: bool) {
@@ -64,7 +59,7 @@ pub fn now_micros() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The event ring
+// The event log
 // ---------------------------------------------------------------------------
 
 /// What a recorded event describes.
@@ -76,39 +71,17 @@ pub enum EventKind {
     Instant,
 }
 
-/// Ring words per event: with the sequence word, one 64-byte slot.
-const EVENT_WORDS: usize = 7;
+static LOG: BoundedLog<TraceEvent> = BoundedLog::new(DEFAULT_CAPACITY);
 
-/// Packs one event into the ring's seven payload words: the [`Span`]
-/// discriminant, `kind` (bit 0) | `depth << 1` (7 bits) | `tid << 8`,
-/// start, duration, self-time and the two arguments. `timing` is
-/// `[duration, self-time]` in microseconds.
-fn push(name: Span, kind: EventKind, depth: u8, ts: u64, timing: [u64; 2], args: [u64; 2]) {
-    let kind_bit = match kind {
-        EventKind::Span => 0u64,
-        EventKind::Instant => 1u64,
-    };
-    let meta = kind_bit | (u64::from(depth & 0x7f) << 1) | (u64::from(thread_id()) << 8);
-    ring().push([name as u64, meta, ts, timing[0], timing[1], args[0], args[1]]);
-}
-
-fn unpack([name, meta, ts, dur, self_us, a0, a1]: [u64; EVENT_WORDS]) -> TraceEvent {
-    TraceEvent {
-        name: Span::ALL.get(name as usize).map_or("?", |s| s.name()),
-        kind: if meta & 1 == 0 { EventKind::Span } else { EventKind::Instant },
-        tid: (meta >> 8) as u32,
-        depth: ((meta >> 1) & 0x7f) as u8,
-        ts_micros: ts,
-        dur_micros: dur,
-        self_micros: self_us,
-        a0,
-        a1,
+/// Records one finished event: into the global log while tracing is on,
+/// and into this thread's capture window while one is open.
+fn emit(ev: TraceEvent) {
+    if enabled() {
+        LOG.push(ev);
     }
-}
-
-fn ring() -> &'static Ring<EVENT_WORDS> {
-    static RING: OnceLock<Ring<EVENT_WORDS>> = OnceLock::new();
-    RING.get_or_init(|| Ring::new(DEFAULT_CAPACITY))
+    if capturing() {
+        capture_push(ev);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +111,7 @@ fn thread_id() -> u32 {
 // The flight recorder's slow/error log wants the *full span tree of one
 // request* even while global tracing is off. A thread can therefore open a
 // capture window: spans and instants recorded on that thread land in a
-// pre-sized thread-local buffer (in addition to the global ring when
+// pre-sized thread-local buffer (in addition to the global log when
 // tracing is enabled). The buffer never grows after `begin_capture`, so a
 // capture adds no allocation to the instrumented paths themselves.
 
@@ -291,22 +264,17 @@ impl Drop for SpanGuard {
             }
             (stack.len().min(0x7f) as u8, self_us)
         });
-        if enabled() {
-            push(self.name, EventKind::Span, depth, self.start, [dur, self_us], self.args);
-        }
-        if capturing() {
-            capture_push(TraceEvent {
-                name: self.name.name(),
-                kind: EventKind::Span,
-                tid: thread_id(),
-                depth,
-                ts_micros: self.start,
-                dur_micros: dur,
-                self_micros: self_us,
-                a0: self.args[0],
-                a1: self.args[1],
-            });
-        }
+        emit(TraceEvent {
+            name: self.name.name(),
+            kind: EventKind::Span,
+            tid: thread_id(),
+            depth,
+            ts_micros: self.start,
+            dur_micros: dur,
+            self_micros: self_us,
+            a0: self.args[0],
+            a1: self.args[1],
+        });
     }
 }
 
@@ -316,24 +284,17 @@ pub fn instant_args(name: Span, a0: u64, a1: u64) {
     if !enabled() && !capturing() {
         return;
     }
-    let depth = STACK.with(|s| s.borrow().len().min(0x7f) as u8);
-    let ts = now_micros();
-    if enabled() {
-        push(name, EventKind::Instant, depth, ts, [0, 0], [a0, a1]);
-    }
-    if capturing() {
-        capture_push(TraceEvent {
-            name: name.name(),
-            kind: EventKind::Instant,
-            tid: thread_id(),
-            depth,
-            ts_micros: ts,
-            dur_micros: 0,
-            self_micros: 0,
-            a0,
-            a1,
-        });
-    }
+    emit(TraceEvent {
+        name: name.name(),
+        kind: EventKind::Instant,
+        tid: thread_id(),
+        depth: STACK.with(|s| s.borrow().len().min(0x7f) as u8),
+        ts_micros: now_micros(),
+        dur_micros: 0,
+        self_micros: 0,
+        a0,
+        a1,
+    });
 }
 
 /// Records a completed span from an explicit start timestamp (from
@@ -346,30 +307,25 @@ pub fn record_span(name: Span, start_micros: u64, a0: u64, a1: u64) {
         return;
     }
     let dur = now_micros().saturating_sub(start_micros);
-    if enabled() {
-        push(name, EventKind::Span, 0, start_micros, [dur, dur], [a0, a1]);
-    }
-    if capturing() {
-        capture_push(TraceEvent {
-            name: name.name(),
-            kind: EventKind::Span,
-            tid: thread_id(),
-            depth: 0,
-            ts_micros: start_micros,
-            dur_micros: dur,
-            self_micros: dur,
-            a0,
-            a1,
-        });
-    }
+    emit(TraceEvent {
+        name: name.name(),
+        kind: EventKind::Span,
+        tid: thread_id(),
+        depth: 0,
+        ts_micros: start_micros,
+        dur_micros: dur,
+        self_micros: dur,
+        a0,
+        a1,
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Draining
 // ---------------------------------------------------------------------------
 
-/// One event read back out of the ring.
-#[derive(Debug, Clone)]
+/// One recorded event.
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// The span/event name ([`Span::name`] for recorded events).
     pub name: &'static str,
@@ -391,31 +347,24 @@ pub struct TraceEvent {
     pub a1: u64,
 }
 
-/// Events recorded so far and how many were overwritten by ring wrap.
-/// Torn slots (a writer was mid-publish during the read) are skipped.
-/// Events are returned in timestamp order.
+/// Events recorded so far, in timestamp order, and how many were evicted
+/// past the log's capacity.
 pub fn snapshot() -> (Vec<TraceEvent>, u64) {
-    let (slots, dropped) = ring().snapshot();
-    let mut events = Vec::with_capacity(slots.len());
-    for words in slots {
-        events.push(unpack(words));
-    }
+    let (mut events, dropped) = LOG.snapshot();
     events.sort_by_key(|e| e.ts_micros);
     (events, dropped)
 }
 
-/// Empties the ring. Callers must ensure no spans are concurrently being
-/// recorded (fine for tests and CLI runs); events published during the
-/// clear may survive it.
+/// Empties the log (tests and CLI runs).
 pub fn clear() {
-    ring().clear();
+    LOG.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The ring and the enable flag are process-global, so exercise all the
+    /// The log and the enable flag are process-global, so exercise all the
     /// behaviours from one test to avoid cross-test interference. The spans
     /// here appear in no other test of this crate.
     #[test]
@@ -496,12 +445,5 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "scenario/run_pair");
         assert_eq!((events[0].a0, events[0].a1), (1, 2));
-    }
-
-    #[test]
-    fn ring_ids_name_the_span() {
-        for &s in Span::ALL {
-            assert_eq!(unpack([s as u64, 0, 0, 0, 0, 0, 0]).name, s.name());
-        }
     }
 }

@@ -8,7 +8,7 @@
 use crate::diff::{judge, run_rounds, ROUNDS};
 use crate::envinfo;
 use crate::schema::BenchReport;
-use crate::suites::{run_suites, suite_by_name, Profile, SUITES};
+use crate::suites::{run_suites, suite_by_name, PROFILE, SCALE, SEED, SUITES};
 use cqa_common::{CqaError, Result, Stopwatch};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -77,15 +77,14 @@ fn run_cmd(args: &[String]) -> Result<String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{pr}.json")));
 
-    let profile = Profile::ci();
-    let env = envinfo::fingerprint(profile.scale, profile.seed, profile.name);
+    let env = envinfo::fingerprint(SCALE, SEED, PROFILE);
     let mut report = BenchReport::new(pr, envinfo::unix_now(), env);
-    for s in run_suites(&profile, &suites)? {
+    for s in run_suites(&suites)? {
         report.push(s)?;
     }
     report.write_to(&out_path)?;
     let (path, n) = (out_path.display(), report.series.len());
-    Ok(format!("wrote {path} ({n} series, profile {})\n", profile.name))
+    Ok(format!("wrote {path} ({n} series, profile {PROFILE})\n"))
 }
 
 /// Runs the gate; returns its exit code and report.

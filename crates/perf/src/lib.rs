@@ -33,4 +33,3 @@ pub mod suites;
 
 pub use schema::{bench_series, BenchReport, EnvFingerprint, Series};
 pub use stats::{MeasureOpts, Summary};
-pub use suites::Profile;

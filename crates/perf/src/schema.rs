@@ -87,7 +87,7 @@ pub struct EnvFingerprint {
     /// Root RNG seed the suites ran with.
     pub seed: u64,
     /// Profile name: "ci", the one run configuration
-    /// ([`crate::Profile::ci`]).
+    /// ([`crate::suites::PROFILE`]).
     pub profile: String,
 }
 

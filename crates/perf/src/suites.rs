@@ -30,7 +30,7 @@
 //!    single-image pairs of ratio 4⁻¹, 4⁻², 4⁻³: the 1/µ cost growth
 //!    behind every trend in Figures 1–2.
 //!
-//! Everything runs at a pinned seed/scale from [`Profile::ci`]. One run's
+//! Everything runs at the pinned [`SEED`] and [`SCALE`]. One run's
 //! numbers are not repeatable to better than tens of percent; the gate in
 //! [`mod@crate::diff`] copes by pairing the base and the head per suite
 //! over many rounds, not by pretending the numbers are exact.
@@ -53,63 +53,33 @@ use cqa_synopsis::{build_synopses, AdmissiblePair, BuildOptions};
 use cqa_tpch::{generate, TpchConfig};
 use std::time::Duration;
 
-/// The run configuration: pinned seed/scale plus measurement shapes.
-#[derive(Debug, Clone)]
-pub struct Profile {
-    /// Profile name recorded in the fingerprint: always "ci", so every
-    /// recording names the same configuration.
-    pub name: &'static str,
-    /// TPC-H scale factor for data-backed suites.
-    pub scale: f64,
-    /// Root seed; every suite derives from it deterministically.
-    pub seed: u64,
-    /// Measurement shape for micro/mid-cost loops.
-    pub opts: MeasureOpts,
-    /// Measurement shape for expensive end-to-end loops (fewer repeats).
-    pub heavy: MeasureOpts,
-    /// ε for scheme and server suites.
-    pub eps: f64,
-    /// δ for scheme and server suites.
-    pub delta: f64,
-    /// Load-generator clients for the server suite.
-    pub clients: usize,
-    /// Requests per client per server round.
-    pub requests: usize,
-    /// Independent server rounds (each a fresh server; one sample each).
-    pub server_rounds: u32,
-}
-
-impl Profile {
-    /// The CI profile: pinned small scale, < 2 minutes end to end.
-    pub fn ci() -> Profile {
-        Profile {
-            name: "ci",
-            scale: 0.0005,
-            seed: 20210620,
-            // ~1.5 s of samples per series. The span matters as much as the
-            // count: shared hardware sits in throttled or boosted states for
-            // whole fractions of a second, and a run must straddle them for
-            // its best-case sample to be comparable across runs.
-            opts: MeasureOpts {
-                warmup: 3,
-                repeats: 150,
-                budget: Duration::from_secs(2),
-                min_repeats: 7,
-            },
-            heavy: MeasureOpts {
-                warmup: 1,
-                repeats: 150,
-                budget: Duration::from_secs(3),
-                min_repeats: 3,
-            },
-            eps: 0.2,
-            delta: 0.25,
-            clients: 4,
-            requests: 50,
-            server_rounds: 5,
-        }
-    }
-}
+/// Profile name recorded in every run's fingerprint: the one run
+/// configuration these constants make up.
+pub const PROFILE: &str = "ci";
+/// TPC-H scale factor for data-backed suites.
+pub const SCALE: f64 = 0.0005;
+/// Root seed; every suite derives from it deterministically.
+pub const SEED: u64 = 20210620;
+/// Measurement shape for micro/mid-cost loops: ~1.5 s of samples per
+/// series. The span matters as much as the count: shared hardware sits in
+/// throttled or boosted states for whole fractions of a second, and a run
+/// must straddle them for its best-case sample to be comparable across
+/// runs.
+pub const OPTS: MeasureOpts =
+    MeasureOpts { warmup: 3, repeats: 150, budget: Duration::from_secs(2), min_repeats: 7 };
+/// Measurement shape for expensive end-to-end loops (fewer repeats).
+const HEAVY: MeasureOpts =
+    MeasureOpts { warmup: 1, repeats: 150, budget: Duration::from_secs(3), min_repeats: 3 };
+/// ε for the scheme and server suites.
+const EPS: f64 = 0.2;
+/// δ for the scheme and server suites.
+const DELTA: f64 = 0.25;
+/// Load-generator clients for the server suite.
+const CLIENTS: usize = 4;
+/// Requests per client per server round.
+const REQUESTS: usize = 50;
+/// Independent server rounds (each a fresh server; one sample each).
+const SERVER_ROUNDS: u32 = 5;
 
 /// Seconds → nanoseconds, for `_ns` series.
 fn to_ns(samples: &[f64]) -> Vec<f64> {
@@ -139,13 +109,13 @@ fn boolean_like() -> Result<AdmissiblePair> {
 }
 
 /// Suite 1: per-sample cost of the three samplers.
-pub fn suite_samplers(profile: &Profile) -> Result<Vec<Series>> {
+pub fn suite_samplers(opts: &MeasureOpts) -> Result<Vec<Series>> {
     let pair = chain_pair(64, 3)?;
     let mut out = Vec::new();
 
     let mut natural = NaturalSampler::new(&pair);
-    let mut rng = Mt64::new(profile.seed);
-    let samples = measure_batched(&profile.opts, || {
+    let mut rng = Mt64::new(SEED);
+    let samples = measure_batched(opts, || {
         natural.sample(&mut rng);
     });
     out.push(bench_series(
@@ -154,15 +124,15 @@ pub fn suite_samplers(profile: &Profile) -> Result<Vec<Series>> {
     ));
 
     let mut kl = KlSampler::new(&pair);
-    let mut rng = Mt64::new(profile.seed ^ 1);
-    let samples = measure_batched(&profile.opts, || {
+    let mut rng = Mt64::new(SEED ^ 1);
+    let samples = measure_batched(opts, || {
         kl.sample(&mut rng);
     });
     out.push(bench_series(SeriesName::SamplerKlSampleNs, &Summary::from_samples(&to_ns(&samples))));
 
     let mut klm = KlmSampler::new(&pair);
-    let mut rng = Mt64::new(profile.seed ^ 2);
-    let samples = measure_batched(&profile.opts, || {
+    let mut rng = Mt64::new(SEED ^ 2);
+    let samples = measure_batched(opts, || {
         klm.sample(&mut rng);
     });
     out.push(bench_series(
@@ -173,7 +143,7 @@ pub fn suite_samplers(profile: &Profile) -> Result<Vec<Series>> {
 }
 
 /// Suite 2: full (ε, δ)-answering latency per scheme.
-pub fn suite_schemes(profile: &Profile) -> Result<Vec<Series>> {
+pub fn suite_schemes(opts: &MeasureOpts) -> Result<Vec<Series>> {
     let pair = boolean_like()?;
     let mut out = Vec::new();
     for (scheme, name) in [
@@ -182,17 +152,10 @@ pub fn suite_schemes(profile: &Profile) -> Result<Vec<Series>> {
         (Scheme::Klm, SeriesName::SchemeKlmAnswerNs),
         (Scheme::Cover, SeriesName::SchemeCoverAnswerNs),
     ] {
-        let samples = measure_batched(&profile.opts, || {
-            let mut rng = Mt64::new(profile.seed);
-            approx_relative_frequency(
-                &pair,
-                scheme,
-                profile.eps,
-                profile.delta,
-                &Budget::unbounded(),
-                &mut rng,
-            )
-            .expect("unbounded budget cannot time out");
+        let samples = measure_batched(opts, || {
+            let mut rng = Mt64::new(SEED);
+            approx_relative_frequency(&pair, scheme, EPS, DELTA, &Budget::unbounded(), &mut rng)
+                .expect("unbounded budget cannot time out");
         });
         out.push(bench_series(name, &Summary::from_samples(&to_ns(&samples))));
     }
@@ -230,9 +193,9 @@ const BUILD_MISS_QUERY: &str = "Q(v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v
 
 /// Suite 3a: synopsis construction over noisy TPC-H at 1 and 3 joins,
 /// and on `BUILD_MISS_QUERY`.
-pub fn suite_synopsis(profile: &Profile) -> Result<Vec<Series>> {
-    let base = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
-    let mut rng = Mt64::new(profile.seed ^ 0x51);
+pub fn suite_synopsis(opts: &MeasureOpts) -> Result<Vec<Series>> {
+    let base = generate(TpchConfig { scale: SCALE, seed: SEED });
+    let mut rng = Mt64::new(SEED ^ 0x51);
     let mut workloads = Vec::new();
     for (joins, name) in
         [(1usize, SeriesName::SynopsisBuildJ1Ns), (3, SeriesName::SynopsisBuildJ3Ns)]
@@ -240,12 +203,12 @@ pub fn suite_synopsis(profile: &Profile) -> Result<Vec<Series>> {
         workloads.push((noisy_workload(&base, joins, &mut rng)?, name));
     }
     let q = cqa_query::parse(base.schema(), BUILD_MISS_QUERY)?;
-    let mut rng = Mt64::new(profile.seed ^ 0x52);
+    let mut rng = Mt64::new(SEED ^ 0x52);
     let (noisy, _) = add_query_aware_noise(&base, &q, NoiseSpec::with_p(0.5), &mut rng)?;
     workloads.push(((noisy, q), SeriesName::SynopsisBuildMissNs));
     let mut out = Vec::new();
     for ((noisy, q), name) in workloads {
-        let samples = measure_batched(&profile.opts, || {
+        let samples = measure_batched(opts, || {
             build_synopses(&noisy, &q, BuildOptions::default()).expect("synopses build");
         });
         out.push(bench_series(name, &Summary::from_samples(&to_ns(&samples))));
@@ -254,10 +217,10 @@ pub fn suite_synopsis(profile: &Profile) -> Result<Vec<Series>> {
 }
 
 /// Suite 3b: the end-to-end Figure 3 pipeline on a pinned scenario pool.
-pub fn suite_figure(profile: &Profile) -> Result<Vec<Series>> {
-    let cfg = BenchConfig { scale: profile.scale, seed: profile.seed, ..BenchConfig::smoke() };
+pub fn suite_figure(_opts: &MeasureOpts) -> Result<Vec<Series>> {
+    let cfg = BenchConfig { scale: SCALE, seed: SEED, ..BenchConfig::smoke() };
     let pool = Pool::build(cfg)?;
-    let samples = measure_batched(&profile.heavy, || {
+    let samples = measure_batched(&HEAVY, || {
         let (_fig, _summary) = figures::fig3_preprocessing(&pool);
     });
     Ok(vec![bench_series(
@@ -273,9 +236,9 @@ pub fn suite_figure(profile: &Profile) -> Result<Vec<Series>> {
 /// the exact client-side measurements; the server-side `cqa-obs`
 /// histogram still travels in every load report (and is how `bench-serve`
 /// prints them) but its log₂ buckets can only move in 2× jumps.
-pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
-    let db = generate(TpchConfig { scale: profile.scale, seed: profile.seed });
-    let reports = load_rounds(profile, &db)?;
+pub fn suite_server(_opts: &MeasureOpts) -> Result<Vec<Series>> {
+    let db = generate(TpchConfig { scale: SCALE, seed: SEED });
+    let reports = load_rounds(&db)?;
     let series = |name, value: fn(&LoadReport) -> f64| {
         let values: Vec<f64> = reports.iter().map(value).collect();
         bench_series(name, &Summary::from_samples(&values))
@@ -288,10 +251,10 @@ pub fn suite_server(profile: &Profile) -> Result<Vec<Series>> {
 }
 
 /// One load report per round, each against a fresh server. Round `r` runs
-/// seed `profile.seed ^ r`.
-fn load_rounds(profile: &Profile, db: &Database) -> Result<Vec<LoadReport>> {
+/// seed `SEED ^ r`.
+fn load_rounds(db: &Database) -> Result<Vec<LoadReport>> {
     let mut reports = Vec::new();
-    for round in 0..profile.server_rounds {
+    for round in 0..SERVER_ROUNDS {
         let server = Server::bind(
             db.clone(),
             ServerConfig { addr: "127.0.0.1:0".into(), workers: 2, ..ServerConfig::default() },
@@ -304,11 +267,11 @@ fn load_rounds(profile: &Profile, db: &Database) -> Result<Vec<LoadReport>> {
             addr: handle.addr().to_string(),
             query: "Q(rn) :- region(rk, rn)".to_owned(),
             scheme: Scheme::Klm,
-            eps: profile.eps,
-            delta: profile.delta,
-            clients: profile.clients,
-            requests: profile.requests,
-            seed: profile.seed ^ u64::from(round),
+            eps: EPS,
+            delta: DELTA,
+            clients: CLIENTS,
+            requests: REQUESTS,
+            seed: SEED ^ u64::from(round),
             timeout_ms: None,
             permute: false,
         });
@@ -339,14 +302,14 @@ fn hoeffding_monte_carlo<S: Sampler>(s: &mut S, eps: f64, delta: f64, rng: &mut 
 
 /// Suite 5: the ablations. Each pair of series prices one design choice
 /// against its textbook alternative on the same input.
-pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
+pub fn suite_ablations(opts: &MeasureOpts) -> Result<Vec<Series>> {
     let mut out = Vec::new();
 
     // Weighted choice over 4096 harmonic weights.
     let weights: Vec<f64> = (1..=4096).map(|i| 1.0 / i as f64).collect();
     let alias = AliasTable::new(&weights);
-    let mut rng = Mt64::new(profile.seed);
-    let samples = measure_batched(&profile.opts, || {
+    let mut rng = Mt64::new(SEED);
+    let samples = measure_batched(opts, || {
         std::hint::black_box(alias.sample(&mut rng));
     });
     out.push(bench_series(
@@ -361,8 +324,8 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
             Some(*acc)
         })
         .collect();
-    let mut rng = Mt64::new(profile.seed);
-    let samples = measure_batched(&profile.opts, || {
+    let mut rng = Mt64::new(SEED);
+    let samples = measure_batched(opts, || {
         std::hint::black_box(linear_choice(&cumulative, &mut rng));
     });
     out.push(bench_series(
@@ -373,9 +336,9 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     // Iteration planning on a moderate-frequency pair.
     let pair =
         AdmissiblePair::new(vec![vec![(0, 0)], vec![(0, 1)], vec![(1, 0), (2, 0)]], vec![3, 2, 2])?;
-    let samples = measure_batched(&profile.opts, || {
+    let samples = measure_batched(opts, || {
         let mut s = NaturalSampler::new(&pair);
-        let mut rng = Mt64::new(profile.seed);
+        let mut rng = Mt64::new(SEED);
         monte_carlo(&mut s, 0.1, 0.25, &Budget::unbounded(), &mut rng)
             .expect("unbounded budget cannot time out");
     });
@@ -383,9 +346,9 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
         SeriesName::AblationDklrPlanNs,
         &Summary::from_samples(&to_ns(&samples)),
     ));
-    let samples = measure_batched(&profile.opts, || {
+    let samples = measure_batched(opts, || {
         let mut s = NaturalSampler::new(&pair);
-        let mut rng = Mt64::new(profile.seed);
+        let mut rng = Mt64::new(SEED);
         std::hint::black_box(hoeffding_monte_carlo(&mut s, 0.1, 0.25, &mut rng));
     });
     out.push(bench_series(
@@ -398,7 +361,7 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
         .relation("r", &[("k", ColumnType::Int), ("v", ColumnType::Int)], Some(1))
         .build();
     let mut db = Database::new(schema);
-    let mut rng = Mt64::new(profile.seed);
+    let mut rng = Mt64::new(SEED);
     for k in 0..200 {
         for _ in 0..3 {
             db.insert_named("r", &[Value::Int(k), Value::Int(rng.below(8) as i64)])?;
@@ -406,8 +369,8 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
     }
     let q = cqa_query::parse(db.schema(), "Q(k, v) :- r(k, v)")?;
     let syn = build_synopses(&db, &q, BuildOptions::default())?;
-    let samples = measure_batched(&profile.heavy, || {
-        let mut rng = Mt64::new(profile.seed);
+    let samples = measure_batched(&HEAVY, || {
+        let mut rng = Mt64::new(SEED);
         apx_cqa_on_synopses(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), &mut rng)
             .expect("unbounded budget cannot time out");
     });
@@ -415,8 +378,8 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
         SeriesName::AblationKlmSequentialNs,
         &Summary::from_samples(&to_ns(&samples)),
     ));
-    let samples = measure_batched(&profile.heavy, || {
-        apx_cqa_parallel(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), profile.seed, 2)
+    let samples = measure_batched(&HEAVY, || {
+        apx_cqa_parallel(&syn, Scheme::Klm, 0.1, 0.25, &Budget::unbounded(), SEED, 2)
             .expect("unbounded budget cannot time out");
     });
     out.push(bench_series(
@@ -429,7 +392,7 @@ pub fn suite_ablations(profile: &Profile) -> Result<Vec<Series>> {
 /// Suite 6: DKLR cost against the mean. A single-image pair over `depth`
 /// blocks of size 4 has ratio `4^-depth`; the stopping rule and the full
 /// plan should each cost about 4× more per extra block.
-pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
+pub fn suite_optest(opts: &MeasureOpts) -> Result<Vec<Series>> {
     const NAMES: [[SeriesName; 2]; 3] = [
         [SeriesName::OptestStoppingRuleR1Ns, SeriesName::OptestPlanR1Ns],
         [SeriesName::OptestStoppingRuleR2Ns, SeriesName::OptestPlanR2Ns],
@@ -439,16 +402,16 @@ pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
     for (depth, [rule_name, plan_name]) in (1usize..).zip(NAMES) {
         let image: Vec<(u32, u32)> = (0..depth as u32).map(|b| (b, 0)).collect();
         let pair = AdmissiblePair::new(vec![image], vec![4; depth])?;
-        let samples = measure_batched(&profile.opts, || {
+        let samples = measure_batched(opts, || {
             let mut s = NaturalSampler::new(&pair);
-            let mut rng = Mt64::new(profile.seed);
+            let mut rng = Mt64::new(SEED);
             stopping_rule(&mut s, 0.2, 0.25, &Budget::unbounded(), &mut rng, &mut 0)
                 .expect("unbounded budget cannot time out");
         });
         out.push(bench_series(rule_name, &Summary::from_samples(&to_ns(&samples))));
-        let samples = measure_batched(&profile.opts, || {
+        let samples = measure_batched(opts, || {
             let mut s = NaturalSampler::new(&pair);
-            let mut rng = Mt64::new(profile.seed);
+            let mut rng = Mt64::new(SEED);
             plan_iterations(&mut s, 0.2, 0.25, &Budget::unbounded(), &mut rng, &mut 0)
                 .expect("unbounded budget cannot time out");
         });
@@ -457,8 +420,9 @@ pub fn suite_optest(profile: &Profile) -> Result<Vec<Series>> {
     Ok(out)
 }
 
-/// A registered suite: a name and the function producing its series.
-pub type Suite = (&'static str, fn(&Profile) -> Result<Vec<Series>>);
+/// A registered suite: a name and the function producing its series, given
+/// the measurement shape of its micro/mid-cost loops ([`OPTS`] in a run).
+pub type Suite = (&'static str, fn(&MeasureOpts) -> Result<Vec<Series>>);
 
 /// The suite registry, in run order: `cqa-perf run` runs all of it, and
 /// `--only <name>` one entry.
@@ -478,11 +442,11 @@ pub fn suite_by_name(name: &str) -> Option<Suite> {
 }
 
 /// Runs `suites` in order, with progress lines on stderr.
-pub fn run_suites(profile: &Profile, suites: &[Suite]) -> Result<Vec<Series>> {
+pub fn run_suites(suites: &[Suite]) -> Result<Vec<Series>> {
     let mut out = Vec::new();
     for &(name, suite) in suites {
         eprintln!("[cqa-perf] suite {name} ...");
-        let series = suite(profile)?;
+        let series = suite(&OPTS)?;
         for s in &series {
             eprintln!(
                 "[cqa-perf]   {} = {:.3} {} (± {:.3}, n={})",
@@ -512,10 +476,9 @@ mod tests {
     fn sampler_suite_records_registered_series() {
         // The fastest suite doubles as an integration test: every series
         // it emits is positive and ns-scaled.
-        let mut profile = Profile::ci();
-        profile.opts =
+        let opts =
             MeasureOpts { warmup: 1, repeats: 3, budget: Duration::from_secs(5), min_repeats: 3 };
-        let series = suite_samplers(&profile).unwrap();
+        let series = suite_samplers(&opts).unwrap();
         assert_eq!(series.len(), 3);
         for s in &series {
             assert!(s.value > 0.0, "{} = {}", s.name, s.value);

@@ -7,11 +7,9 @@
 //! that knows how to talk to a socket.
 
 use crate::metrics::MetricsSnapshot;
-use crate::protocol::{
-    DebugTarget, QueryRequest, Request, Response, StatsFormat, WireSlowlogEntry,
-};
+use crate::protocol::{DebugTarget, QueryRequest, Request, Response, StatsFormat};
 use cqa_common::{CqaError, Json, Result};
-use cqa_obs::FlightDigest;
+use cqa_obs::{FlightDigest, SlowlogEntry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -101,7 +99,7 @@ impl Client {
     }
 
     /// Fetches the server's flight recorder: per-request digests in
-    /// completion order, plus how many older digests ring wrap dropped.
+    /// completion order, plus how many older digests were evicted.
     pub fn debug_flight(&mut self) -> Result<(Vec<FlightDigest>, u64)> {
         match self.roundtrip(&Request::Debug { target: DebugTarget::Flight })? {
             Response::Flight { digests, dropped } => Ok((digests, dropped)),
@@ -113,7 +111,7 @@ impl Client {
     }
 
     /// Fetches the server's slow/error log, oldest first.
-    pub fn debug_slowlog(&mut self) -> Result<Vec<WireSlowlogEntry>> {
+    pub fn debug_slowlog(&mut self) -> Result<Vec<SlowlogEntry>> {
         match self.roundtrip(&Request::Debug { target: DebugTarget::Slowlog })? {
             Response::Slowlog(entries) => Ok(entries),
             Response::Error { kind, message } => {

@@ -62,7 +62,7 @@ pub use loadgen::{run_load, LoadReport, LoadSpec};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
-    WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
+    MAX_REQUEST_ID_BYTES, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryingClient};
 pub use server::{Server, ServerConfig, ServerHandle};

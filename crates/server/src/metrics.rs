@@ -115,7 +115,7 @@ pub struct MetricsSnapshot {
     pub last_request_samples: u64,
     /// The most recent query's terminal CI half-width, parts per million.
     pub last_request_ci_ppm: u64,
-    /// Flight-recorder digests lost to ring wrap.
+    /// Flight-recorder digests evicted past the log's capacity.
     pub flight_dropped: u64,
     /// Slow/error-log resident entries.
     pub slowlog_entries: u64,

@@ -40,12 +40,15 @@
 use cqa_common::validate::{bounded_str, unit_open};
 use cqa_common::{CqaError, Json, Result};
 use cqa_core::Scheme;
-use cqa_obs::flight::{FlightDigest, SlowlogEntry, MAX_REQUEST_ID_BYTES};
-use cqa_obs::TraceEvent;
+use cqa_obs::{FlightDigest, SlowlogEntry};
 use cqa_storage::Value;
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
+
+/// The longest client-supplied request id, in bytes; a longer one is a
+/// `bad_request`.
+pub const MAX_REQUEST_ID_BYTES: usize = 32;
 
 /// The longest request line the server reads, in bytes, newline excluded.
 /// A longer line is answered with `bad_request` and discarded through its
@@ -112,7 +115,7 @@ cqa_common::name_enum! {
     /// Which flight-recorder dump a `debug` request asks for, by its wire
     /// `target`.
     pub enum DebugTarget {
-        /// The per-request digest ring.
+        /// The per-request digest log.
         Flight = "flight",
         /// The slow/error log with full span trees.
         Slowlog = "slowlog",
@@ -374,77 +377,35 @@ fn digest_from_json(v: &Json) -> Result<FlightDigest> {
     })
 }
 
-/// One slow/error-log entry on the wire: identity plus the captured span
-/// tree. Spans ride as rendered JSON objects (name, depth, timings,
-/// args); clients inspect them rather than reconstructing trace state.
-/// It stays a type of its own, unlike the flight digest, because its
-/// spans are rendered JSON and not the recorder's [`TraceEvent`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSlowlogEntry {
-    /// The request's id.
-    pub request_id: String,
-    /// Structured error kind name, when the request failed.
-    pub error: Option<String>,
-    /// Admission-to-reply wall time, microseconds.
-    pub total_us: u64,
-    /// Completion timestamp, microseconds since the trace epoch.
-    pub ts_us: u64,
-    /// The span tree as a JSON array, timestamp order; `depth`
-    /// reconstructs nesting.
-    pub spans: Json,
+/// A slow/error-log entry as a wire object; its span tree is already
+/// rendered JSON.
+fn slowlog_to_json(e: &SlowlogEntry) -> Json {
+    let mut pairs = vec![
+        ("request_id", Json::str(&e.request_id)),
+        ("total_us", Json::from(e.total_us)),
+        ("ts_us", Json::from(e.ts_us)),
+        ("spans", e.spans.clone()),
+    ];
+    if let Some(err) = &e.error {
+        pairs.push(("error", Json::str(err.as_ref())));
+    }
+    Json::obj(pairs)
 }
 
-/// Renders one captured span for the slow/error log.
-fn span_event_json(ev: &TraceEvent) -> Json {
-    Json::obj([
-        ("name", Json::str(ev.name)),
-        ("depth", Json::from(u64::from(ev.depth))),
-        ("ts_us", Json::from(ev.ts_micros)),
-        ("dur_us", Json::from(ev.dur_micros)),
-        ("self_us", Json::from(ev.self_micros)),
-        ("a0", Json::from(ev.a0)),
-        ("a1", Json::from(ev.a1)),
-    ])
-}
-
-impl WireSlowlogEntry {
-    /// Converts a recorder entry to its wire form.
-    pub fn from_entry(e: &SlowlogEntry) -> WireSlowlogEntry {
-        WireSlowlogEntry {
-            request_id: e.request_id.clone(),
-            error: e.error.map(str::to_owned),
-            total_us: e.total_micros,
-            ts_us: e.ts_micros,
-            spans: Json::Arr(e.spans.iter().map(span_event_json).collect()),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("request_id", Json::str(&self.request_id)),
-            ("total_us", Json::from(self.total_us)),
-            ("ts_us", Json::from(self.ts_us)),
-            ("spans", self.spans.clone()),
-        ];
-        if let Some(e) = &self.error {
-            pairs.push(("error", Json::str(e)));
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(v: &Json) -> Result<WireSlowlogEntry> {
-        Ok(WireSlowlogEntry {
-            request_id: v.req_str("request_id")?.to_owned(),
-            error: v.get("error").and_then(Json::as_str).map(str::to_owned),
-            total_us: v.req_u64("total_us")?,
-            ts_us: v.req_u64("ts_us")?,
-            spans: v
-                .get("spans")
-                .filter(|s| s.as_arr().is_some())
-                .cloned()
-                .ok_or_else(|| CqaError::Parse("missing or non-array field 'spans'".into()))?,
-        })
-    }
+/// Parses one wire slow/error-log object, the inverse of
+/// [`slowlog_to_json`].
+fn slowlog_from_json(v: &Json) -> Result<SlowlogEntry> {
+    Ok(SlowlogEntry {
+        request_id: v.req_str("request_id")?.to_owned(),
+        error: v.get("error").and_then(Json::as_str).map(|e| e.to_owned().into()),
+        total_us: v.req_u64("total_us")?,
+        ts_us: v.req_u64("ts_us")?,
+        spans: v
+            .get("spans")
+            .filter(|s| s.as_arr().is_some())
+            .cloned()
+            .ok_or_else(|| CqaError::Parse("missing or non-array field 'spans'".into()))?,
+    })
 }
 
 /// A server response.
@@ -469,15 +430,15 @@ pub enum Response {
     StatsText(String),
     /// A successful `trace`: an array of Chrome `trace_event` objects.
     Trace(Json),
-    /// A successful `debug flight`: the digest ring's contents.
+    /// A successful `debug flight`: the digest log's contents.
     Flight {
         /// Recorded digests, completion-timestamp order.
         digests: Vec<FlightDigest>,
-        /// Digests lost to ring wrap.
+        /// Digests evicted past the log's capacity.
         dropped: u64,
     },
     /// A successful `debug slowlog`: the slow/error log, oldest first.
-    Slowlog(Vec<WireSlowlogEntry>),
+    Slowlog(Vec<SlowlogEntry>),
     /// A successful `ping`.
     Pong {
         /// The server's protocol version.
@@ -547,7 +508,7 @@ impl Response {
             ]),
             Response::Slowlog(entries) => Json::obj([
                 ("ok", Json::from(true)),
-                ("slowlog", Json::Arr(entries.iter().map(WireSlowlogEntry::to_json).collect())),
+                ("slowlog", Json::Arr(entries.iter().map(slowlog_to_json).collect())),
             ]),
             Response::Pong { version } => Json::obj([
                 ("ok", Json::from(true)),
@@ -595,8 +556,7 @@ impl Response {
         if let Some(rows) = v.get("slowlog") {
             let rows =
                 rows.as_arr().ok_or_else(|| CqaError::Parse("non-array 'slowlog'".into()))?;
-            let entries =
-                rows.iter().map(WireSlowlogEntry::from_json).collect::<Result<Vec<_>>>()?;
+            let entries = rows.iter().map(slowlog_from_json).collect::<Result<Vec<_>>>()?;
             return Ok(Response::Slowlog(entries));
         }
         let cached = v.req_bool("cached")?;
@@ -852,12 +812,12 @@ mod tests {
 
     #[test]
     fn slowlog_response_roundtrips() {
-        let entry = WireSlowlogEntry::from_entry(&SlowlogEntry {
+        let entry = SlowlogEntry {
             request_id: "slow-1".into(),
-            error: Some("internal"),
-            total_micros: 2_000_000,
-            ts_micros: 5,
-            spans: vec![TraceEvent {
+            error: Some("internal".into()),
+            total_us: 2_000_000,
+            ts_us: 5,
+            spans: cqa_obs::flight::span_tree_json(&[cqa_obs::TraceEvent {
                 name: "server/request",
                 kind: cqa_obs::EventKind::Span,
                 tid: 1,
@@ -867,8 +827,8 @@ mod tests {
                 self_micros: 1_500_000,
                 a0: 42,
                 a1: 0,
-            }],
-        });
+            }]),
+        };
         let resp = Response::Slowlog(vec![entry]);
         let line = resp.to_line();
         assert!(line.contains("\"spans\":"), "{line}");
@@ -909,7 +869,7 @@ mod tests {
             answers: vec![WireAnswer { tuple: vec![Value::Int(1)], frequency: 0.5, samples: 9 }],
         };
         let flight = Response::Flight { digests: vec![ok_digest()], dropped: 2 };
-        let slowlog = Response::Slowlog(vec![WireSlowlogEntry {
+        let slowlog = Response::Slowlog(vec![SlowlogEntry {
             request_id: "slow-1".into(),
             error: None,
             total_us: 7,

@@ -18,7 +18,7 @@ use crate::gate::{Full, Gate};
 use crate::metrics::Metrics;
 use crate::protocol::{
     DebugTarget, ErrorKind, QueryRequest, Request, Response, StatsFormat, WireAnswer,
-    WireSlowlogEntry, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
+    MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 use cqa_common::{fnv1a64, CqaError, Deadline, Mt64};
 use cqa_core::{apx_cqa_on_synopses, ApxCqaResult, Budget, TupleEstimate};
@@ -358,9 +358,7 @@ fn handle_line(shared: &Shared, line: &str) -> Response {
         }
         Request::Debug { target: DebugTarget::Slowlog } => {
             let _g = cqa_obs::span(Span::ServerDebugSlowlog);
-            Response::Slowlog(
-                flight::slowlog_snapshot().iter().map(WireSlowlogEntry::from_entry).collect(),
-            )
+            Response::Slowlog(flight::slowlog_snapshot())
         }
         Request::Query(q) => dispatch_query(shared, q),
     }
@@ -422,7 +420,7 @@ fn dispatch_query(shared: &Shared, q: QueryRequest) -> Response {
     }));
     flight::end_request();
     drop(permit);
-    let Ok(Some((response, mut report))) = ran else {
+    let Ok(Some((response, mut digest))) = ran else {
         // The query was discarded or panicked mid-request; the client
         // still gets a structured, retryable answer, and the flight
         // recorder still gets a digest — rejection-shaped, since the
@@ -452,103 +450,75 @@ fn dispatch_query(shared: &Shared, q: QueryRequest) -> Response {
         }
         _ => {}
     }
-    report.queue_wait_us = wait;
+    digest.queue_wait_us = wait;
     record_flight(
         shared,
         request_id,
         scheme_name,
         &response,
-        report,
+        digest,
         total,
         flight::take_request_spans,
     );
     response
 }
 
-/// What a run taught about a request besides its response: the
-/// canonical query fingerprint (0 until the query parses), the flight
-/// digest's estimator telemetry, which is the samples drawn (the
-/// response's `total_samples`, or a budget error's partial count) and the
+/// The digest fields an answered run fills: the canonical query
+/// fingerprint, the samples drawn (the response's `total_samples`), the
 /// largest per-answer variance and half-width, and the stage times.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunReport {
-    query_fp: u64,
-    samples: u64,
-    variance: f64,
-    ci_half_width: f64,
-    /// Wait for an admission permit, microseconds.
-    queue_wait_us: u64,
-    /// Synopsis-build time, microseconds (0 on cache hits).
-    preprocess_us: u64,
-    /// Sampling time, microseconds.
-    scheme_us: u64,
-}
-
-impl RunReport {
-    /// An answered request. Folding the maxima from 0 with `>` ignores NaN.
-    fn answered(query_fp: u64, result: &ApxCqaResult, cached: bool) -> Self {
-        let max = |field: fn(&TupleEstimate) -> f64| {
-            result.answers.iter().map(field).fold(0.0, |m, v| if v > m { v } else { m })
-        };
-        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        RunReport {
-            query_fp,
-            samples: result.total_samples,
-            variance: max(|a| a.variance),
-            ci_half_width: max(|a| a.ci_half_width),
-            queue_wait_us: 0,
-            preprocess_us: if cached { 0 } else { micros(result.preprocess_time) },
-            scheme_us: micros(result.scheme_time),
-        }
+/// Folding the maxima from 0 with `>` ignores NaN.
+fn answered(query_fp: u64, result: &ApxCqaResult, cached: bool) -> FlightDigest {
+    let max = |field: fn(&TupleEstimate) -> f64| {
+        result.answers.iter().map(field).fold(0.0, |m, v| if v > m { v } else { m })
+    };
+    let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+    FlightDigest {
+        query_fingerprint: query_fp,
+        samples: result.total_samples,
+        variance: max(|a| a.variance),
+        ci_half_width: max(|a| a.ci_half_width),
+        preprocess_us: if cached { 0 } else { micros(result.preprocess_time) },
+        scheme_us: micros(result.scheme_time),
+        ..FlightDigest::default()
     }
 }
 
-/// Assembles one request's flight digest from its outcome and records it;
+/// Completes one request's flight digest from its outcome and records it;
 /// requests that erred or overran the slow threshold are also tail-sampled
 /// into the slow/error log with the span tree `spans` returns (extracting
-/// it allocates, so only the slow path pays).
+/// and rendering it allocates, so only the slow path pays).
 fn record_flight(
     shared: &Shared,
     request_id: &str,
     scheme: &'static str,
     response: &Response,
-    report: RunReport,
+    mut digest: FlightDigest,
     total_us: u64,
     spans: fn() -> Vec<TraceEvent>,
 ) {
-    let (cache_hit, error) = match response {
-        Response::Answers { cached, .. } => (*cached, None),
-        Response::Error { kind, .. } => (false, Some(kind.name())),
-        _ => (false, None),
+    let error = match response {
+        Response::Error { kind, .. } => Some(kind.name()),
+        _ => None,
     };
-    let ts_us = cqa_obs::now_micros();
-    flight::record(&FlightDigest {
-        request_id: request_id.to_owned(),
-        query_fingerprint: report.query_fp,
-        scheme: scheme.into(),
-        cache_hit,
-        error: error.map(Into::into),
-        queue_wait_us: report.queue_wait_us,
-        samples: report.samples,
-        variance: report.variance,
-        ci_half_width: report.ci_half_width,
-        preprocess_us: report.preprocess_us,
-        scheme_us: report.scheme_us,
-        total_us,
-        ts_us,
-    });
-    shared.metrics.last_request_samples.set(report.samples.min(i64::MAX as u64) as i64);
-    shared.metrics.last_request_ci_ppm.set((report.ci_half_width * 1e6) as i64);
+    digest.request_id = request_id.to_owned();
+    digest.scheme = scheme.into();
+    digest.cache_hit = matches!(response, Response::Answers { cached: true, .. });
+    digest.error = error.map(Into::into);
+    digest.total_us = total_us;
+    digest.ts_us = cqa_obs::now_micros();
+    shared.metrics.last_request_samples.set(digest.samples.min(i64::MAX as u64) as i64);
+    shared.metrics.last_request_ci_ppm.set((digest.ci_half_width * 1e6) as i64);
     if error.is_some() || total_us > shared.slow_threshold_micros {
         shared.metrics.slow_requests.inc();
         flight::slowlog_record(SlowlogEntry {
-            request_id: request_id.to_owned(),
-            error,
-            total_micros: total_us,
-            ts_micros: ts_us,
-            spans: spans(),
+            request_id: digest.request_id.clone(),
+            error: digest.error.clone(),
+            total_us,
+            ts_us: digest.ts_us,
+            spans: flight::span_tree_json(&spans()),
         });
     }
+    flight::record(digest);
 }
 
 /// Digests a request that never finished a run (wait list full, query
@@ -563,12 +533,12 @@ fn record_rejection(
     admitted_micros: u64,
 ) {
     let total = cqa_obs::now_micros().saturating_sub(admitted_micros);
-    record_flight(shared, request_id, scheme, response, RunReport::default(), total, Vec::new);
+    record_flight(shared, request_id, scheme, response, FlightDigest::default(), total, Vec::new);
 }
 
-/// Executes one admitted query, returning the response and what the flight
-/// recorder needs to know about the run.
-fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response, RunReport) {
+/// Executes one admitted query, returning the response and the flight
+/// digest's run fields (the rest [`record_flight`] fills).
+fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response, FlightDigest) {
     let mut req_span = cqa_obs::span_args(Span::ServerRequest, q.seed, 0);
     // Chaos: an injected deadline fault is a premature expiry — the
     // admission-time check fires as if queue wait had eaten the budget.
@@ -577,7 +547,7 @@ fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response
             kind: ErrorKind::DeadlineExceeded,
             message: "deadline expired while queued".to_owned(),
         };
-        return (response, RunReport::default());
+        return (response, FlightDigest::default());
     }
     let cq = match cqa_query::parse(shared.db.schema(), &q.query) {
         Ok(cq) => cq,
@@ -649,20 +619,20 @@ fn run_query(shared: &Shared, q: &QueryRequest, deadline: Deadline) -> (Response
                     })
                     .collect(),
             },
-            RunReport::answered(query_fp, &result, cached),
+            answered(query_fp, &result, cached),
         ),
         Err(e) => failed(query_fp, e),
     }
 }
 
 /// The response to a request that failed with `e`, engine errors mapped to
-/// protocol error kinds, and its report (`query_fp` is 0 until the query
-/// parses). A budget error keeps the samples it drew in the report.
-fn failed(query_fp: u64, e: CqaError) -> (Response, RunReport) {
-    let mut report = RunReport { query_fp, ..RunReport::default() };
+/// protocol error kinds, and its digest fields (`query_fp` is 0 until the
+/// query parses). A budget error keeps the samples it drew.
+fn failed(query_fp: u64, e: CqaError) -> (Response, FlightDigest) {
+    let mut digest = FlightDigest { query_fingerprint: query_fp, ..FlightDigest::default() };
     let kind = match e {
         CqaError::TimedOut { samples, .. } => {
-            report.samples = samples;
+            digest.samples = samples;
             ErrorKind::DeadlineExceeded
         }
         CqaError::Parse(_)
@@ -672,7 +642,7 @@ fn failed(query_fp: u64, e: CqaError) -> (Response, RunReport) {
         | CqaError::TypeMismatch { .. } => ErrorKind::BadRequest,
         CqaError::InvalidSynopsis(_) | CqaError::TooLarge(_) => ErrorKind::Internal,
     };
-    (Response::Error { kind, message: e.to_string() }, report)
+    (Response::Error { kind, message: e.to_string() }, digest)
 }
 
 #[cfg(test)]
@@ -707,9 +677,9 @@ mod tests {
             scheme_time: Duration::from_micros(21),
             total_samples: 7,
         };
-        let miss = RunReport::answered(1, &result, false);
+        let miss = answered(1, &result, false);
         assert_eq!((miss.preprocess_us, miss.scheme_us), (1_234, 21));
-        let hit = RunReport::answered(1, &result, true);
+        let hit = answered(1, &result, true);
         assert_eq!((hit.preprocess_us, hit.scheme_us), (0, 21));
     }
 

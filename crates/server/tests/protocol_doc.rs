@@ -8,10 +8,11 @@
 
 use cqa_common::Json;
 use cqa_core::Scheme;
+use cqa_obs::flight::span_tree_json;
 use cqa_obs::{EventKind, FlightDigest, SlowlogEntry, TraceEvent};
 use cqa_server::{
     CacheStats, DebugTarget, ErrorKind, Metrics, QueryRequest, Request, Response, StatsFormat,
-    WireAnswer, WireSlowlogEntry, PROTOCOL_VERSION,
+    WireAnswer, PROTOCOL_VERSION,
 };
 use cqa_storage::Value;
 use std::collections::BTreeSet;
@@ -97,23 +98,32 @@ fn responses() -> Vec<Response> {
                 dropped: 3,
             }],
             Response::Flight { .. } => {
-                vec![Response::Slowlog(vec![WireSlowlogEntry::from_entry(&SlowlogEntry {
+                let request = TraceEvent {
+                    name: "server/request",
+                    kind: EventKind::Span,
+                    tid: 1,
+                    depth: 0,
+                    ts_micros: 100,
+                    dur_micros: 2_099_000,
+                    self_micros: 4000,
+                    a0: 18_000,
+                    a1: 0,
+                };
+                let sampling = TraceEvent {
+                    name: "server/sampling",
+                    depth: 1,
+                    ts_micros: 3000,
+                    dur_micros: 2_095_000,
+                    self_micros: 2_095_000,
+                    ..request
+                };
+                vec![Response::Slowlog(vec![SlowlogEntry {
                     request_id: "req-9".into(),
-                    error: Some("internal"),
-                    total_micros: 2_100_000,
-                    ts_micros: 1_723_108_000_000_000,
-                    spans: vec![TraceEvent {
-                        name: "server/request",
-                        kind: EventKind::Span,
-                        tid: 1,
-                        depth: 0,
-                        ts_micros: 100,
-                        dur_micros: 2_099_000,
-                        self_micros: 4000,
-                        a0: 18_000,
-                        a1: 0,
-                    }],
-                })])]
+                    error: Some("internal".into()),
+                    total_us: 2_100_000,
+                    ts_us: 1_723_108_000_000_000,
+                    spans: span_tree_json(&[request, sampling]),
+                }])]
             }
             Response::Slowlog(_) => vec![Response::Answers {
                 cached: false,

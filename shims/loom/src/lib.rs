@@ -5,8 +5,7 @@
 //!
 //! The build container has no crates-io mirror, so this shim vendors the
 //! small subset of [`loom`](https://docs.rs/loom)'s API the workspace uses
-//! to model-check its concurrent kernels: the synopsis cache and
-//! the one seqlock ring behind trace events and flight digests (see
+//! to model-check its one concurrent kernel, the synopsis cache (see
 //! `docs/ANALYSIS.md`).
 //!
 //! [`model`] runs a closure under a cooperative scheduler that enumerates

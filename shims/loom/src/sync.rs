@@ -105,18 +105,6 @@ pub mod atomic {
                     sched::yield_point();
                     self.cell.fetch_add(v, Ordering::SeqCst)
                 }
-
-                /// Atomic compare-exchange (one scheduling point).
-                pub fn compare_exchange(
-                    &self,
-                    current: $val,
-                    new: $val,
-                    _success: Ordering,
-                    _failure: Ordering,
-                ) -> Result<$val, $val> {
-                    sched::yield_point();
-                    self.cell.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
             }
         };
     }
